@@ -13,9 +13,9 @@ two primitives:
 :class:`Channel`
     A fair-share bandwidth pipe with the seek-penalty +
     efficiency-floor rate law, backed by a
-    :mod:`repro.sim.bandwidth` kernel.  Models *throughput*: the disk
-    actuator, the SSD controller, each NIC direction, each rack
-    uplink.
+    :class:`~repro.sim.bandwidth.BandwidthResource`.  Models
+    *throughput*: the disk actuator, the SSD controller, each NIC
+    direction, each rack uplink.
 
 The concrete device classes (``Disk``, ``Ssd``, ``MemoryStore``,
 ``Nic``) are thin configurations of these two -- see the table in
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Type
 
-from repro.sim.bandwidth import Flow, kernel_class
+from repro.sim.bandwidth import BandwidthResource, Flow
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,15 +168,12 @@ class ByteStore:
 class Channel:
     """A shared fair-share bandwidth pipe.
 
-    Thin device-vocabulary wrapper over a bandwidth kernel instance
-    (see :func:`repro.sim.bandwidth.kernel_class`; the kernel
-    implementation is resolved at construction, so a
-    :func:`~repro.sim.bandwidth.use_kernel` context active *then*
-    decides which kernel this channel runs on).  All rate-law
-    parameters have the same meaning as on the kernel: ``capacity`` is
-    peak sequential throughput, ``seek_penalty`` the aggregate
-    efficiency loss per extra concurrent flow, ``min_efficiency`` the
-    floor on aggregate throughput.
+    Thin device-vocabulary wrapper over the
+    :class:`~repro.sim.bandwidth.BandwidthResource` kept in
+    :attr:`kernel`.  All rate-law parameters have the same meaning as
+    on the kernel: ``capacity`` is peak sequential throughput,
+    ``seek_penalty`` the aggregate efficiency loss per extra concurrent
+    flow, ``min_efficiency`` the floor on aggregate throughput.
     """
 
     def __init__(
@@ -186,11 +183,10 @@ class Channel:
         seek_penalty: float = 0.0,
         min_efficiency: float = 0.0,
         name: str = "chan",
-        kernel: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.name = name
-        self.kernel = kernel_class(kernel)(
+        self.kernel = BandwidthResource(
             sim,
             capacity=capacity,
             seek_penalty=seek_penalty,

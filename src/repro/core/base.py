@@ -18,12 +18,16 @@ The class is split along the sharding seam the federated master needs:
   reference tracking, eviction, the memory directory, the read path,
   GC, and slave-failure handling.  This is the state the
   :class:`~repro.shard.ShardCoordinator` keeps global.
+
+Failure scans (a slave's death here, the DYRS master's reclaim pass)
+never walk the record table: the ledger keeps the BOUND/ACTIVE records
+of each node in ``_inflight_by_node``, and a scan handles its victims
+in the order their blocks were first filed (``_arrival_seq``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.eviction import ReferenceTracker
 from repro.core.records import MigrationRecord, MigrationStatus
@@ -36,46 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.slave import DyrsSlave
     from repro.dfs.namenode import NameNode
 
-__all__ = [
-    "LEDGER_SCAN_MODES",
-    "MigrationMaster",
-    "RecordLedger",
-    "default_ledger_scan",
-    "use_ledger_scan",
-]
-
-#: Failure-scan implementations: ``indexed`` walks the per-node
-#: in-flight index (O(records actually affected)); ``oracle`` is the
-#: original full-table scan kept as the equivalence reference --
-#: exactly the PR-2 kernel-registry template.
-LEDGER_SCAN_MODES = ("indexed", "oracle")
-
-_DEFAULT_LEDGER_SCAN = "indexed"
-
-
-def default_ledger_scan() -> str:
-    """The failure-scan mode new scans use (module default)."""
-    return _DEFAULT_LEDGER_SCAN
-
-
-@contextmanager
-def use_ledger_scan(mode: str) -> Iterator[None]:
-    """Temporarily switch the module-default failure-scan mode.
-
-    The equivalence tests run paper-scale workloads under both modes
-    and assert byte-identical record/binding logs.
-    """
-    global _DEFAULT_LEDGER_SCAN
-    if mode not in LEDGER_SCAN_MODES:
-        raise ValueError(
-            f"unknown ledger scan mode {mode!r}; choose from {LEDGER_SCAN_MODES}"
-        )
-    previous = _DEFAULT_LEDGER_SCAN
-    _DEFAULT_LEDGER_SCAN = mode
-    try:
-        yield
-    finally:
-        _DEFAULT_LEDGER_SCAN = previous
+__all__ = ["MigrationMaster", "RecordLedger"]
 
 
 class RecordLedger:
@@ -107,8 +72,9 @@ class RecordLedger:
         self._inflight_by_node: dict[int, dict[BlockId, MigrationRecord]] = {}
         #: Position each block first entered ``_records`` -- i.e. its
         #: dict iteration position, which re-filing a replacement record
-        #: under the same key preserves.  Indexed scans sort candidates
-        #: by this to reproduce the oracle's table order exactly.
+        #: under the same key preserves.  Failure scans handle their
+        #: victims in this order, so replacements are filed in the
+        #: order the blocks first arrived.
         self._arrival_seq: dict[BlockId, int] = {}
 
     # -- record plumbing --------------------------------------------------------
@@ -380,20 +346,9 @@ class MigrationMaster(RecordLedger):
             if nid == node_id
         ]
         self.namenode.drop_node_memory_state(node_id)
-        if default_ledger_scan() == "oracle":
-            lost = set(lost_ids)
-            for record in list(self._records.values()):
-                if record.status is MigrationStatus.DONE and record.block_id in lost:
-                    self._evict_lost_record(record, node_id)
-                elif (
-                    record.status in (MigrationStatus.BOUND, MigrationStatus.ACTIVE)
-                    and record.bound_node == node_id
-                ):
-                    self._requeue_after_failure(record)
-            return
-        # Indexed scan: DONE records come from the node's directory
-        # entries, BOUND/ACTIVE ones from the in-flight index; merging
-        # in table order reproduces the oracle's iteration exactly.
+        # DONE records come from the node's directory entries,
+        # BOUND/ACTIVE ones from the in-flight index; both are merged
+        # into first-filing order.
         seq = self._arrival_seq
         candidates = [
             record

@@ -416,35 +416,13 @@ class DyrsMaster(MigrationMaster):
         ``_last_slave_report`` goes stale and its bound work is
         reclaimed here.  Returns the number of records reclaimed.
         """
-        from repro.core.base import default_ledger_scan
-        from repro.core.records import MigrationStatus
-
         stale_after = (
             self.namenode.heartbeat_interval * self.namenode.heartbeat_miss_limit
         )
-        if default_ledger_scan() == "oracle":
-            reclaimed = 0
-            for record in list(self._records.values()):
-                if (
-                    record.status
-                    not in (MigrationStatus.BOUND, MigrationStatus.ACTIVE)
-                    or record.bound_node is None
-                ):
-                    continue
-                node_id = record.bound_node
-                node_dead = not self.namenode.is_available(node_id)
-                report_stale = (
-                    self.sim.now - self._last_slave_report.get(node_id, self.sim.now)
-                    > stale_after
-                )
-                if node_dead or report_stale:
-                    self._requeue_after_failure(record)
-                    reclaimed += 1
-            return reclaimed
-        # Indexed scan: only nodes that actually hold bound work are
-        # checked, and only an unavailable/stale node's own bucket is
-        # walked -- O(nodes with work + records reclaimed), not
-        # O(all records ever migrated) per retarget tick.
+        # Only nodes that actually hold bound work are checked, and only
+        # an unavailable/stale node's own bucket is walked -- O(nodes
+        # with work + records reclaimed), not O(all records ever
+        # migrated) per retarget tick.
         now = self.sim.now
         victims: list[MigrationRecord] = []
         for node_id in list(self._inflight_by_node):

@@ -22,52 +22,22 @@ benchmarked in isolation -- the paper's prototype retargets 50 GB of
 pending migrations in under a millisecond (§III-D); our scalability
 bench measures the Python equivalent.
 
-Kernel registry
----------------
-
-Three interchangeable implementations sit behind
-:func:`compute_targets`, following the PR-2 bandwidth-kernel template:
-
-``legacy``
-    The original straight-line transcription of Algorithm 1, kept as
-    the equivalence oracle.
-``indexed``
-    The default: same Python algorithm with the per-record inner loop
-    devirtualized (no closure allocation, no ``min(key=...)`` call per
-    record).  Bit-identical float arithmetic by construction.
-``numpy``
-    Vectorized candidate scoring: finish times for a chunk of pending
-    records are gathered and argmin-reduced in one shot, with chunks
-    re-scored whenever a record in the chunk touched a node a later
-    record also considers (the loop-carried ``finishTime[target] +=``
-    dependency).  All arithmetic stays float64, so results remain
-    bit-identical to the oracle.  Falls back to ``indexed`` when numpy
-    is not installed.
-
-:func:`use_targeting_kernel` swaps the module default, exactly like
-``repro.sim.bandwidth.use_kernel``.
+:func:`compute_targets` is the pseudo-code above with
+``locWithMinFinishTime`` unrolled into two scalar comparisons per
+replica (no per-record closure or ``min(key=...)`` call).  Its float
+arithmetic is the pseudo-code's, operation for operation; the
+line-by-line transcription lives in ``tests/core/test_targeting.py``
+as the reference of a property test that requires identical targets.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 from repro.core.records import MigrationRecord
 
-try:  # pragma: no cover - exercised via the numpy kernel tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
-
-__all__ = [
-    "SlaveLoad",
-    "TARGETING_KERNEL_NAMES",
-    "compute_targets",
-    "default_targeting_kernel",
-    "use_targeting_kernel",
-]
+__all__ = ["SlaveLoad", "compute_targets"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,210 +66,10 @@ class SlaveLoad:
             )
 
 
-def _initial_finish_times(
-    loads: Mapping[int, SlaveLoad], reference_block_size: float
-) -> dict[int, float]:
-    """``finishTime[node] = migTime[node] * (numQueued[node] + 1)``."""
-    if reference_block_size <= 0:
-        raise ValueError(
-            f"reference_block_size must be positive, got {reference_block_size}"
-        )
-    return {
-        node_id: load.seconds_per_byte
-        * reference_block_size
-        * (load.queued_blocks + 1)
-        for node_id, load in loads.items()
-    }
-
-
-def _compute_targets_legacy(
-    pending: Iterable[MigrationRecord],
-    loads: Mapping[int, SlaveLoad],
-    reference_block_size: float,
-) -> dict[int, int]:
-    """The oracle: Algorithm 1 transcribed line by line."""
-    finish_time = _initial_finish_times(loads, reference_block_size)
-    targets: dict[int, int] = {}
-    for record in pending:
-        locations: Sequence[int] = [
-            n for n in record.block.get_replica_locations() if n in finish_time
-        ]
-        if not locations:
-            record.target_node = None
-            continue
-        # locWithMinFinishTime -- ties broken by node id for determinism.
-        target: Optional[int] = min(
-            locations, key=lambda n: (finish_time[n], n)
-        )
-        record.target_node = target
-        targets[record.block_id] = target
-        finish_time[target] += loads[target].seconds_per_byte * record.block.size
-    return targets
-
-
-def _compute_targets_indexed(
-    pending: Iterable[MigrationRecord],
-    loads: Mapping[int, SlaveLoad],
-    reference_block_size: float,
-) -> dict[int, int]:
-    """Fast pure-Python kernel: manual min over replica candidates.
-
-    The ``(finish_time, node_id)`` tuple-min of the oracle is unrolled
-    into two scalar comparisons; replicas are at most a handful per
-    block, so the win is avoiding per-record tuple/closure allocation.
-    The float arithmetic is token-identical to the oracle's.
-    """
-    finish_time = _initial_finish_times(loads, reference_block_size)
-    spb = {node_id: load.seconds_per_byte for node_id, load in loads.items()}
-    targets: dict[int, int] = {}
-    ft_get = finish_time.get
-    for record in pending:
-        best = -1
-        best_ft = 0.0
-        for node_id in record.block.replica_nodes:
-            ft = ft_get(node_id)
-            if ft is None:
-                continue
-            if best < 0 or ft < best_ft or (ft == best_ft and node_id < best):
-                best = node_id
-                best_ft = ft
-        if best < 0:
-            record.target_node = None
-            continue
-        record.target_node = best
-        targets[record.block_id] = best
-        finish_time[best] = best_ft + spb[best] * record.block.size
-    return targets
-
-
-def _compute_targets_numpy(
-    pending: Iterable[MigrationRecord],
-    loads: Mapping[int, SlaveLoad],
-    reference_block_size: float,
-    chunk: int = 512,
-) -> dict[int, int]:
-    """Vectorized candidate scoring (optional accelerator).
-
-    Algorithm 1 carries ``finishTime[target] +=`` from each record to
-    the next, which defeats naive vectorization.  We score a *chunk* of
-    records against a finish-time snapshot in one gather + masked
-    argmin, then accept rows in order until a row's candidate set
-    intersects a node some earlier accepted row already updated; the
-    remainder of the chunk is re-scored against fresh times.  Pending
-    lists mostly target distinct nodes per short window, so chunks
-    usually accept whole.  All arithmetic is float64 (the same IEEE
-    ops the oracle performs), keeping results bit-identical.
-    """
-    if _np is None:  # graceful degradation on minimal installs
-        return _compute_targets_indexed(pending, loads, reference_block_size)
-    records = list(pending)
-    finish_time = _initial_finish_times(loads, reference_block_size)
-    targets: dict[int, int] = {}
-    if not records:
-        return targets
-    if not finish_time:
-        for record in records:
-            record.target_node = None
-        return targets
-    node_ids = list(finish_time)
-    dense = {node_id: i for i, node_id in enumerate(node_ids)}
-    ids_arr = _np.asarray(node_ids, dtype=_np.int64)
-    finish = _np.asarray([finish_time[n] for n in node_ids], dtype=_np.float64)
-    spb = _np.asarray(
-        [loads[n].seconds_per_byte for n in node_ids], dtype=_np.float64
-    )
-    elig: list[list[int]] = [
-        [dense[n] for n in record.block.replica_nodes if n in dense]
-        for record in records
-    ]
-    sentinel = _np.iinfo(_np.int64).max
-    start = 0
-    n_records = len(records)
-    while start < n_records:
-        stop = min(start + chunk, n_records)
-        rows = elig[start:stop]
-        width = max(map(len, rows))
-        if width == 0:
-            for k in range(start, stop):
-                records[k].target_node = None
-            start = stop
-            continue
-        mat = _np.zeros((stop - start, width), dtype=_np.int64)
-        valid = _np.zeros((stop - start, width), dtype=bool)
-        for r, locs in enumerate(rows):
-            if locs:
-                mat[r, : len(locs)] = locs
-                valid[r, : len(locs)] = True
-        ft = _np.where(valid, finish[mat], _np.inf)
-        ft_min = ft.min(axis=1)
-        candidate_ids = _np.where(
-            ft == ft_min[:, None], _np.where(valid, ids_arr[mat], sentinel), sentinel
-        ).min(axis=1)
-        # Accept scored rows until the loop-carried dependency bites.
-        touched: set[int] = set()
-        accepted = stop - start
-        for r in range(stop - start):
-            locs = rows[r]
-            record = records[start + r]
-            if not locs:
-                record.target_node = None
-                continue
-            if touched and any(d in touched for d in locs):
-                accepted = r
-                break
-            target = int(candidate_ids[r])
-            record.target_node = target
-            targets[record.block_id] = target
-            d = dense[target]
-            finish[d] = finish[d] + spb[d] * record.block.size
-            touched.add(d)
-        start += max(accepted, 1)
-    return targets
-
-
-_TARGETING_KERNELS = {
-    "legacy": _compute_targets_legacy,
-    "indexed": _compute_targets_indexed,
-    "numpy": _compute_targets_numpy,
-}
-
-#: Registered Algorithm-1 kernels, fastest-default first.
-TARGETING_KERNEL_NAMES = ("indexed", "numpy", "legacy")
-
-_DEFAULT_TARGETING_KERNEL = "indexed"
-
-
-def default_targeting_kernel() -> str:
-    """The kernel :func:`compute_targets` dispatches to by default."""
-    return _DEFAULT_TARGETING_KERNEL
-
-
-@contextmanager
-def use_targeting_kernel(name: str) -> Iterator[None]:
-    """Temporarily switch the module-default Algorithm-1 kernel.
-
-    Mirrors ``repro.sim.bandwidth.use_kernel``; the equivalence tests
-    run full workloads under each kernel and diff the logs.
-    """
-    global _DEFAULT_TARGETING_KERNEL
-    if name not in _TARGETING_KERNELS:
-        raise ValueError(
-            f"unknown targeting kernel {name!r}; "
-            f"choose from {TARGETING_KERNEL_NAMES}"
-        )
-    previous = _DEFAULT_TARGETING_KERNEL
-    _DEFAULT_TARGETING_KERNEL = name
-    try:
-        yield
-    finally:
-        _DEFAULT_TARGETING_KERNEL = previous
-
-
 def compute_targets(
     pending: Iterable[MigrationRecord],
     loads: Mapping[int, SlaveLoad],
     reference_block_size: float,
-    kernel: Optional[str] = None,
 ) -> dict[int, int]:
     """Run Algorithm 1; returns ``{block_id: target_node}``.
 
@@ -316,16 +86,41 @@ def compute_targets(
     reference_block_size:
         Size used to convert per-byte estimates into the paper's
         per-block ``migTime`` for the queue-backlog initialization.
-    kernel:
-        Kernel override; ``None`` uses the module default (see
-        :func:`use_targeting_kernel`).
 
     Notes
     -----
-    Blocks whose replicas are all on ineligible nodes keep
+    Ties in estimated finish time go to the lowest node id.  Blocks
+    whose replicas are all on ineligible nodes keep
     ``target_node = None`` and are skipped by the binding step until a
     replica node recovers.
     """
-    return _TARGETING_KERNELS[kernel or _DEFAULT_TARGETING_KERNEL](
-        pending, loads, reference_block_size
-    )
+    if reference_block_size <= 0:
+        raise ValueError(
+            f"reference_block_size must be positive, got {reference_block_size}"
+        )
+    # finishTime[node] = migTime[node] x (numQueued[node] + 1)
+    finish_time = {
+        node_id: load.seconds_per_byte
+        * reference_block_size
+        * (load.queued_blocks + 1)
+        for node_id, load in loads.items()
+    }
+    ft_get = finish_time.get
+    targets: dict[int, int] = {}
+    for record in pending:
+        best = -1
+        best_ft = 0.0
+        for node_id in record.block.replica_nodes:
+            ft = ft_get(node_id)
+            if ft is None:
+                continue
+            if best < 0 or ft < best_ft or (ft == best_ft and node_id < best):
+                best = node_id
+                best_ft = ft
+        if best < 0:
+            record.target_node = None
+            continue
+        record.target_node = best
+        targets[record.block_id] = best
+        finish_time[best] = best_ft + loads[best].seconds_per_byte * record.block.size
+    return targets

@@ -10,99 +10,39 @@ migration time and the number of blocks currently queued").
 A dead node (``node.alive == False``) simply stops heartbeating, which
 is how the NameNode's miss-counting failure detector notices it.
 
-Batched vs per-node delivery
-----------------------------
+One walk per interval
+---------------------
 
-With no jitter every node heartbeats at the same instants, so the
-service runs **one** simulation process that walks all nodes per
-interval (``mode="batched"``, the default) instead of scheduling one
-event per node per interval.  At 1,000 nodes that removes ~500 engine
-events per simulated second.  Delivery order and timestamps are
-identical to the per-node loops: those are created in ``datanodes``
-order at the same instant, so their tick events pop from the heap in
-creation order -- exactly the order the batched walk visits nodes.
-``mode="per-node"`` keeps the original loops as the equivalence
-oracle; jittered services always use per-node loops (each node owns a
-distinct phase).
+Every node heartbeats at the same instants, so the service runs **one**
+simulation process that walks all nodes in ``namenode.datanodes``
+order each interval, instead of one process (and one timer event) per
+node.  At 1,000 nodes that saves ~500 engine events per simulated
+second.  Each report is stamped with the tick time; a failed or
+partitioned node is skipped for as long as it stays down.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.dfs.namenode import HeartbeatReport, NameNode
 from repro.sim.process import Interrupt, Process
 
-__all__ = [
-    "HEARTBEAT_MODES",
-    "HeartbeatService",
-    "default_heartbeat_mode",
-    "use_heartbeat_mode",
-]
-
-#: Delivery strategies: one walk per interval vs one loop per node.
-HEARTBEAT_MODES = ("batched", "per-node")
-
-_DEFAULT_HEARTBEAT_MODE = "batched"
-
-
-def default_heartbeat_mode() -> str:
-    """The delivery mode new services use when none is passed."""
-    return _DEFAULT_HEARTBEAT_MODE
-
-
-@contextmanager
-def use_heartbeat_mode(mode: str) -> Iterator[None]:
-    """Temporarily switch the module-default delivery mode.
-
-    Lets the equivalence tests stand up otherwise-identical systems
-    under batched and per-node delivery (the service is constructed
-    deep inside ``System.__init__``).
-    """
-    global _DEFAULT_HEARTBEAT_MODE
-    if mode not in HEARTBEAT_MODES:
-        raise ValueError(
-            f"unknown heartbeat mode {mode!r}; choose from {HEARTBEAT_MODES}"
-        )
-    previous = _DEFAULT_HEARTBEAT_MODE
-    _DEFAULT_HEARTBEAT_MODE = mode
-    try:
-        yield
-    finally:
-        _DEFAULT_HEARTBEAT_MODE = previous
+__all__ = ["HeartbeatService"]
 
 
 class HeartbeatService:
     """Delivers periodic heartbeats for every DataNode."""
 
-    def __init__(
-        self,
-        namenode: NameNode,
-        jitter: float = 0.0,
-        mode: Optional[str] = None,
-    ) -> None:
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        if mode is None:
-            mode = _DEFAULT_HEARTBEAT_MODE
-        elif mode not in HEARTBEAT_MODES:
-            raise ValueError(
-                f"unknown heartbeat mode {mode!r}; choose from {HEARTBEAT_MODES}"
-            )
+    def __init__(self, namenode: NameNode) -> None:
         self.namenode = namenode
         self.sim = namenode.sim
-        self.jitter = jitter
-        #: Effective delivery strategy; jitter de-phases the nodes, so
-        #: it forces the per-node loops regardless of ``mode``.
-        self.mode = "per-node" if jitter else mode
-        self._processes: list[Process] = []
+        self._process: Optional[Process] = None
         #: node -> payload contributors.  Lazily defaulted: a node may
         #: register with the NameNode *after* this service is built
         #: (late-joining DataNodes), so the map must not be a frozen
         #: snapshot of ``namenode.datanodes`` at construction time.
         self._contributors: dict[int, list[Callable[[], dict]]] = {}
-        self._started = False
 
     def add_contributor(
         self,
@@ -127,59 +67,18 @@ class HeartbeatService:
         self._contributors.setdefault(node_id, []).append(contributor)
 
     def start(self) -> None:
-        """Launch the heartbeat machinery (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        if self.mode == "batched":
-            self._processes.append(
-                self.sim.process(self._loop_all(), name="hb:all")
-            )
-            return
-        rng = self.namenode.cluster.rngs.stream("heartbeat.jitter")
-        for node_id in self.namenode.datanodes:
-            offset = float(rng.random() * self.jitter) if self.jitter else 0.0
-            self._processes.append(
-                self.sim.process(self._loop(node_id, offset), name=f"hb:{node_id}")
-            )
+        """Launch the heartbeat loop (idempotent)."""
+        if self._process is None:
+            self._process = self.sim.process(self._loop(), name="hb:all")
 
     def stop(self) -> None:
-        """Stop every heartbeat loop."""
-        for proc in self._processes:
-            if proc.is_alive:
-                proc.interrupt(cause="stop")
-        self._processes = []
-        self._started = False
+        """Stop the heartbeat loop."""
+        if self._process is not None and self._process.is_alive:
+            self._process.interrupt(cause="stop")
+        self._process = None
 
-    def _loop(self, node_id: int, offset: float):
-        sim = self.sim
-        interval = self.namenode.heartbeat_interval
-        node = self.namenode.cluster.node(node_id)
-        try:
-            if offset:
-                yield sim.timeout(offset)
-            while True:
-                # A partitioned node still *sends* (it cannot know the
-                # link is down), but the report is lost in transit; we
-                # skip assembling the payload since nobody receives it.
-                if node.alive and node_id not in self.namenode.partitioned:
-                    payload: dict = {}
-                    for contributor in self._contributors.get(node_id, ()):
-                        payload.update(contributor())
-                    self.namenode.receive_heartbeat(
-                        HeartbeatReport(node_id=node_id, time=sim.now, payload=payload)
-                    )
-                yield sim.timeout(interval)
-        except Interrupt:
-            return
-
-    def _loop_all(self):
-        """Batched delivery: one pass over all nodes per interval.
-
-        Visits nodes in ``datanodes`` order -- the order the per-node
-        loops' same-time tick events would pop from the event heap --
-        so observers see byte-identical report sequences.
-        """
+    def _loop(self):
+        """One pass over all nodes per interval, in ``datanodes`` order."""
         sim = self.sim
         namenode = self.namenode
         interval = namenode.heartbeat_interval
@@ -192,6 +91,9 @@ class HeartbeatService:
                 partitioned = namenode.partitioned
                 now = sim.now
                 for node_id in namenode.datanodes:
+                    # A partitioned node still *sends* (it cannot know
+                    # the link is down), but the report is lost in
+                    # transit; skip assembling a payload nobody receives.
                     if not cluster_node(node_id).alive or node_id in partitioned:
                         continue
                     contribs = contributors.get(node_id, ())

@@ -13,11 +13,8 @@ resource primitives the cluster model is built from:
   containers.
 * :mod:`repro.sim.bandwidth` -- a fair-share (processor-sharing)
   bandwidth resource with a configurable concurrency (seek) penalty;
-  this is the model for disks and NICs.  The production kernel tracks
-  a virtual-time service integral (O(log k) membership changes); the
-  original eager-update kernel survives in
-  :mod:`repro.sim.legacy_bandwidth` as an equivalence oracle and can
-  be selected via :func:`~repro.sim.bandwidth.use_kernel`.
+  this is the model for disks and NICs.  It tracks a virtual-time
+  service integral, so a flow membership change costs O(log k).
 * :mod:`repro.sim.rng` -- seeded random-stream management so every
   experiment is reproducible bit-for-bit.
 
@@ -40,15 +37,7 @@ from repro.sim.resources import (
     Resource,
     Store,
 )
-from repro.sim.bandwidth import (
-    KERNEL_NAMES,
-    BandwidthResource,
-    Flow,
-    FlowCancelled,
-    default_kernel,
-    kernel_class,
-    use_kernel,
-)
+from repro.sim.bandwidth import BandwidthResource, Flow, FlowCancelled
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -60,10 +49,6 @@ __all__ = [
     "EventAlreadyTriggered",
     "Flow",
     "FlowCancelled",
-    "KERNEL_NAMES",
-    "default_kernel",
-    "kernel_class",
-    "use_kernel",
     "Interrupt",
     "PriorityResource",
     "Process",

@@ -38,11 +38,12 @@ an O(1) derivation, and it completes when ``S`` reaches its *virtual
 finish* ``offset + nbytes``.  Pending completions sit in a min-heap
 keyed by virtual finish, so a membership change (start, completion,
 cancel) costs O(log k): bump ``S`` by ``rate * dt``, adjust ``k``, and
-re-arm the earliest wake-up.  The previous implementation walked every
-active flow on every membership change -- O(k) per event, O(k²) under
-churn -- and is retained verbatim (plus bug fixes) as
-:class:`repro.sim.legacy_bandwidth.LegacyBandwidthResource`, the
-reference oracle for the kernel-equivalence property tests.
+re-arm the earliest wake-up, instead of walking every active flow --
+O(k) per event, O(k²) under churn.  The reference it is checked
+against is the rate law itself: ``tests/sim/test_kernel_equivalence.py``
+replays seeded arrival/size/cancel schedules through an engine-free
+fluid model of ``aggregate(k)`` shared equally and requires the same
+completion and cancel times to 1e-9 relative.
 
 Wake-ups are *generation-tagged*: every membership change increments
 the resource's generation and discards the previously armed wake-up
@@ -72,25 +73,10 @@ from repro.sim.events import URGENT_PRIORITY, Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = [
-    "BandwidthResource",
-    "Flow",
-    "FlowCancelled",
-    "kernel_class",
-    "use_kernel",
-    "default_kernel",
-    "KERNEL_NAMES",
-]
+__all__ = ["BandwidthResource", "Flow", "FlowCancelled"]
 
 #: Residual-byte tolerance when deciding a flow has completed.
 _EPSILON_BYTES = 1e-6
-
-#: Known kernel implementations (see :func:`kernel_class`).
-KERNEL_NAMES = ("virtual-time", "legacy")
-
-#: Module-level default used by the device layer when no explicit
-#: kernel is requested; swap with :func:`use_kernel`.
-_DEFAULT_KERNEL = "virtual-time"
 
 
 class FlowCancelled(Exception):
@@ -466,9 +452,8 @@ class BandwidthResource:
             heapq.heappop(self._finish_heap)
             del self._flows[head._id]
             finished.append(head)
-        # Deliver completions in flow-start order (the legacy kernel
-        # swept its insertion-ordered dict), so same-instant ties break
-        # identically.
+        # Deliver same-instant completions in flow-start order, so ties
+        # break by admission rather than by heap layout.
         finished.sort(key=lambda f: f._id)
         for flow in finished:
             # Refund the share credited beyond the flow's actual size
@@ -485,56 +470,3 @@ class BandwidthResource:
             f"<BandwidthResource {self.name!r} cap={self.capacity:.3g}B/s "
             f"flows={len(self._flows)}>"
         )
-
-
-# -- kernel selection -----------------------------------------------------
-
-
-def kernel_class(name: Optional[str] = None) -> type:
-    """Resolve a kernel name to its resource class.
-
-    ``"virtual-time"`` is the production kernel; ``"legacy"`` is the
-    pre-refactor O(k)-per-event implementation retained as the
-    equivalence oracle.  ``None`` resolves the module default (see
-    :func:`use_kernel`).
-    """
-    name = name or _DEFAULT_KERNEL
-    if name == "virtual-time":
-        return BandwidthResource
-    if name == "legacy":
-        from repro.sim.legacy_bandwidth import LegacyBandwidthResource
-
-        return LegacyBandwidthResource
-    raise ValueError(f"unknown bandwidth kernel {name!r}; choose from {KERNEL_NAMES}")
-
-
-def default_kernel() -> str:
-    """The kernel name the device layer currently builds by default."""
-    return _DEFAULT_KERNEL
-
-
-class use_kernel:
-    """Context manager swapping the default bandwidth kernel.
-
-    >>> with use_kernel("legacy"):
-    ...     system = System(SystemConfig(...))   # doctest: +SKIP
-
-    Only affects resources *constructed* inside the block (devices
-    resolve the default at construction time); used by the
-    cross-kernel equivalence and determinism tests.
-    """
-
-    def __init__(self, name: str) -> None:
-        kernel_class(name)  # validate eagerly
-        self.name = name
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "use_kernel":
-        global _DEFAULT_KERNEL
-        self._previous = _DEFAULT_KERNEL
-        _DEFAULT_KERNEL = self.name
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _DEFAULT_KERNEL
-        _DEFAULT_KERNEL = self._previous

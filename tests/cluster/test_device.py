@@ -25,8 +25,6 @@ from repro.cluster import (
     StoreFull,
 )
 from repro.sim import Simulator
-from repro.sim.bandwidth import BandwidthResource, use_kernel
-from repro.sim.legacy_bandwidth import LegacyBandwidthResource
 
 
 class TestByteStore:
@@ -95,16 +93,6 @@ class TestChannel:
         assert chan.aggregate_rate(100) == pytest.approx(30.0)  # floored
         assert chan.rate_hint() == pytest.approx(120.0)
         assert chan.expected_duration(120.0) == pytest.approx(1.0)
-
-    def test_kernel_selected_at_construction(self):
-        sim = Simulator()
-        assert isinstance(Channel(sim, capacity=1.0).kernel, BandwidthResource)
-        with use_kernel("legacy"):
-            chan = Channel(sim, capacity=1.0)
-        assert isinstance(chan.kernel, LegacyBandwidthResource)
-        # Explicit name overrides the ambient default.
-        chan = Channel(sim, capacity=1.0, kernel="legacy")
-        assert isinstance(chan.kernel, LegacyBandwidthResource)
 
     def test_cancel_via_channel(self):
         sim = Simulator()

@@ -4,18 +4,14 @@ CFG601 (``unvalidated-knob``) requires each configuration knob to be
 referenced by at least one test; the ``__post_init__`` bounds are the
 cheapest behavior every knob owns, so this suite pins all of them --
 one accepted edge value and one rejected out-of-domain value per
-field -- plus the unknown-name rejection of the three ``use_*``
-registry hooks.
+field.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.base import use_ledger_scan
 from repro.core.master import DyrsConfig
-from repro.core.targeting import use_targeting_kernel
-from repro.dfs.heartbeat import use_heartbeat_mode
 
 
 def make(**overrides):
@@ -78,15 +74,3 @@ class TestFieldBounds:
         actual = {f.name for f in dataclasses.fields(DyrsConfig)}
         assert actual == pinned
 
-
-class TestRegistryHooks:
-    def test_unknown_names_are_rejected(self):
-        with pytest.raises(ValueError, match="ledger scan"):
-            with use_ledger_scan("nope"):
-                pass
-        with pytest.raises(ValueError, match="targeting kernel"):
-            with use_targeting_kernel("nope"):
-                pass
-        with pytest.raises(ValueError, match="heartbeat mode"):
-            with use_heartbeat_mode("nope"):
-                pass

@@ -1,112 +1,112 @@
-"""Seeded equivalence: the 1k-node fast paths vs their slow oracles.
+"""Contracts of the scale fast paths.
 
-Every scale optimization in this repo follows the PR-2 template -- the
-original implementation stays registered as an oracle, and these tests
-pin the fast path *byte-identical* to it on paper-scale (8-node)
-configs: every record timestamp, every binding decision, every
-discard reason.
+The ledger's failure scans -- :meth:`MigrationMaster.on_slave_failed
+<repro.core.base.MigrationMaster.on_slave_failed>` and
+:meth:`DyrsMaster.reclaim_unavailable
+<repro.core.master.DyrsMaster.reclaim_unavailable>` -- read the per-node
+in-flight index instead of walking the record table.  These tests pin
+that the index always holds exactly the table's BOUND/ACTIVE rows and
+that each scan files its replacement records in the victims'
+first-filing (``_arrival_seq``) order, the order a table walk would
+visit them.  Whole-run behaviour is pinned by the golden digests in
+``tests/test_golden_digests.py``.
 
-Covered here:
-
-* ``indexed`` vs ``oracle`` ledger failure scans
-  (:func:`repro.core.base.use_ledger_scan`), exercised under a chaos
-  campaign so the reclaim and slave-failure paths actually fire;
-* the Algorithm-1 targeting kernels
-  (:func:`repro.core.targeting.use_targeting_kernel`);
-* batched vs per-node heartbeat delivery
-  (:func:`repro.dfs.heartbeat.use_heartbeat_mode`).
+Also here: ``idle_pull="notify"`` completes the same migrations as the
+paper's poll mode.
 """
 
 import pytest
 
-from repro.core.base import LEDGER_SCAN_MODES, use_ledger_scan
-from repro.core.failures import ChaosCampaign, FailureInjector
-from repro.core.targeting import (
-    TARGETING_KERNEL_NAMES,
-    use_targeting_kernel,
-)
-from repro.dfs.heartbeat import HEARTBEAT_MODES, use_heartbeat_mode
+from repro.core.records import MigrationStatus
 from repro.experiments.common import PaperSetup, build_system
 from repro.units import GB
 from repro.workloads.swim import generate_swim_workload, materialize_swim_jobs
 
 
-def _swim_logs(seed=7, chaos=False):
-    """Run a seeded 8-node SWIM mix; return the full migration ledger
-    as comparable tuples plus the binding log and final sim time."""
-    overrides = (
-        {"rpc_timeout": 1.0, "rpc_max_retries": 2, "rpc_backoff_base": 0.1}
-        if chaos
-        else {}
-    )
-    system = build_system(
-        PaperSetup(
-            scheme="dyrs",
-            seed=seed,
-            interference="none",
-            dyrs_overrides=overrides,
-        )
-    )
-    if chaos:
-        injector = FailureInjector(system.cluster, master=system.master)
-        campaign = ChaosCampaign(
-            injector, seed=seed, horizon=90.0, n_faults=6
-        )
-        campaign.arm()
-    descriptors = generate_swim_workload(
-        system.cluster.rngs.stream("equiv.swim"),
-        n_jobs=10,
-        total_input=4 * GB,
-        max_input=1 * GB,
-        mean_interarrival=4.0,
-    )
-    jobs = materialize_swim_jobs(system, descriptors)
-    system.runtime.run_to_completion(jobs)
-    if chaos:
-        # Let scheduled recoveries and the reclaim loop drain.
-        system.sim.run(until=max(system.sim.now, 90.0) + 30.0)
-    records = [
-        (
-            r.block_id,
-            r.status.name,
-            r.target_node,
-            r.bound_node,
-            r.requested_at,
-            r.bound_at,
-            r.started_at,
-            r.completed_at,
-            r.discarded_at,
-            r.discard_reason,
-        )
-        for r in system.master.record_log
-    ]
-    return records, list(system.master.binding_log), system.sim.now
+def assert_index_matches_table(master):
+    """The in-flight index holds exactly the BOUND/ACTIVE rows of the
+    record table, each under its bound node."""
+    table = {
+        (r.bound_node, r.block_id): r
+        for r in master._records.values()
+        if r.status in (MigrationStatus.BOUND, MigrationStatus.ACTIVE)
+    }
+    index = {
+        (node_id, block_id): r
+        for node_id, bucket in master._inflight_by_node.items()
+        for block_id, r in bucket.items()
+    }
+    assert index.keys() == table.keys()
+    assert all(index[key] is table[key] for key in table)
+
+
+def scan_and_collect(master, victims, scan):
+    """Run one failure scan; return the block ids it re-filed (in
+    filing order) and the ids expected in first-filing order."""
+    seq = master._arrival_seq
+    expected = [r.block_id for r in sorted(victims, key=lambda r: seq[r.block_id])]
+    filed_before = len(master.record_log)
+    scan()
+    refiled = [r.block_id for r in master.record_log[filed_before:]]
+    assert_index_matches_table(master)
+    return refiled, expected
 
 
 class TestLedgerScanEquivalence:
-    def test_modes_registered(self):
-        assert LEDGER_SCAN_MODES == ("indexed", "oracle")
-        with pytest.raises(ValueError):
-            with use_ledger_scan("bogus"):
-                pass
+    def _rig_at_two_seconds(self, rig):
+        rig.client.create_file("f", 2 * GB)
+        rig.master.migrate(["f"], job_id="j1")  # j1 keeps every reference
+        rig.sim.run(until=2.0)
+        return rig
 
-    def test_chaos_swim_byte_identical(self):
-        """The indexed failure scan replays a faulted SWIM run exactly:
-        slave crashes trigger on_slave_failed, dead/stale nodes trigger
-        reclaim_unavailable, and every resulting discard/remigrate must
-        land in the same order with the same timestamps."""
-        with use_ledger_scan("oracle"):
-            oracle = _swim_logs(chaos=True)
-        with use_ledger_scan("indexed"):
-            indexed = _swim_logs(chaos=True)
-        assert indexed == oracle
+    def test_slave_failure_refiles_in_first_filing_order(self, rig):
+        """A crashed slave's DONE records (from its directory entries)
+        and BOUND/ACTIVE ones (from the index) are replaced in one
+        first-filing order.  The second crash hits a node whose index
+        bucket holds records re-filed by the first, so bucket order and
+        first-filing order differ there."""
+        master = self._rig_at_two_seconds(rig).master
+
+        def crash_slave(node_id):
+            done = [
+                master.record_of(block_id)
+                for block_id, holder in master.namenode.memory_directory.items()
+                if holder == node_id
+            ]
+            inflight = list(master._inflight_by_node[node_id].values())
+            assert len(done) >= 2 and len(inflight) >= 2
+            slave = rig.slaves[node_id]
+            slave.crash()
+            victims = done + inflight
+            refiled, expected = scan_and_collect(master, victims, slave.restart)
+            assert refiled == expected
+            return refiled, victims
+
+        crash_slave(0)
+        rig.sim.run(until=3.0)
+        refiled, victims = crash_slave(1)
+        assert refiled != [r.block_id for r in victims]
+
+    def test_reclaim_refiles_in_first_filing_order(self, rig):
+        """Work bound to a node the NameNode considers down is reclaimed
+        in first-filing order, not in the order it was bound."""
+        self._rig_at_two_seconds(rig)
+        rig.slaves[0].crash()
+        rig.slaves[0].restart()
+        rig.sim.run(until=3.0)
+        master = rig.master
+        bucket = list(master._inflight_by_node[2].values())
+        assert len(bucket) >= 2
+        rig.cluster.node(2).fail()
+        refiled, expected = scan_and_collect(master, bucket, master.reclaim_unavailable)
+        assert refiled == expected
+        assert refiled != [r.block_id for r in bucket]
+        assert 2 not in master._inflight_by_node
 
     def test_inflight_index_matches_table(self):
-        """Structural check: after a faulted run, the incremental
+        """Structural check: after a full run, the incremental
         in-flight index holds exactly the BOUND/ACTIVE rows of the
         record table."""
-        from repro.core.records import MigrationStatus
-
         system = build_system(
             PaperSetup(scheme="dyrs", seed=3, interference="none")
         )
@@ -119,67 +119,7 @@ class TestLedgerScanEquivalence:
         )
         jobs = materialize_swim_jobs(system, descriptors)
         system.runtime.run_to_completion(jobs)
-        master = system.master
-        expected = {
-            r.block_id
-            for r in master._records.values()
-            if r.status in (MigrationStatus.BOUND, MigrationStatus.ACTIVE)
-        }
-        indexed = {
-            block_id
-            for bucket in master._inflight_by_node.values()
-            for block_id in bucket
-        }
-        assert indexed == expected
-
-
-class TestTargetingKernelEquivalence:
-    def test_kernels_registered(self):
-        assert set(TARGETING_KERNEL_NAMES) == {"legacy", "indexed", "numpy"}
-        with pytest.raises(ValueError):
-            with use_targeting_kernel("bogus"):
-                pass
-
-    @pytest.mark.parametrize("kernel", ["indexed", "numpy"])
-    def test_swim_byte_identical(self, kernel):
-        with use_targeting_kernel("legacy"):
-            oracle = _swim_logs()
-        with use_targeting_kernel(kernel):
-            fast = _swim_logs()
-        assert fast == oracle
-
-
-class TestHeartbeatModeEquivalence:
-    def test_modes_registered(self):
-        assert HEARTBEAT_MODES == ("batched", "per-node")
-        with pytest.raises(ValueError):
-            with use_heartbeat_mode("bogus"):
-                pass
-
-    def test_swim_byte_identical(self):
-        with use_heartbeat_mode("per-node"):
-            per_node = _swim_logs()
-        with use_heartbeat_mode("batched"):
-            batched = _swim_logs()
-        assert batched == per_node
-
-    def test_chaos_swim_byte_identical(self):
-        """Crashed and partitioned nodes must drop out of the batched
-        walk at exactly the ticks they stop sending per-node."""
-        with use_heartbeat_mode("per-node"):
-            per_node = _swim_logs(chaos=True)
-        with use_heartbeat_mode("batched"):
-            batched = _swim_logs(chaos=True)
-        assert batched == per_node
-
-    def test_jitter_forces_per_node(self):
-        system = build_system(
-            PaperSetup(scheme="dyrs", seed=1, interference="none")
-        )
-        from repro.dfs.heartbeat import HeartbeatService
-
-        service = HeartbeatService(system.namenode, jitter=0.5, mode="batched")
-        assert service.mode == "per-node"
+        assert_index_matches_table(system.master)
 
 
 class TestIdlePullNotify:

@@ -24,6 +24,62 @@ def load(seconds_per_block, queued=0):
     )
 
 
+def paper_targets(pending, loads, reference_block_size):
+    """Reference: Algorithm 1 transcribed line by line (§III-A2)."""
+    finish_time = {
+        node_id: load.seconds_per_byte
+        * reference_block_size
+        * (load.queued_blocks + 1)
+        for node_id, load in loads.items()
+    }
+    targets = {}
+    for record in pending:
+        locations = [
+            n for n in record.block.get_replica_locations() if n in finish_time
+        ]
+        if not locations:
+            record.target_node = None
+            continue
+        # locWithMinFinishTime -- ties broken by node id for determinism.
+        target = min(locations, key=lambda n: (finish_time[n], n))
+        record.target_node = target
+        targets[record.block_id] = target
+        finish_time[target] += loads[target].seconds_per_byte * record.block.size
+    return targets
+
+
+@st.composite
+def targeting_instances(draw):
+    """Loads plus (replicas, size) per pending block.  Integer
+    per-block times force finish-time ties; some replica nodes are
+    missing from the loads, some have a queued backlog, and block
+    sizes are mixed."""
+    n_nodes = draw(st.integers(min_value=1, max_value=8))
+    loads = {
+        node_id: load(
+            draw(st.integers(min_value=1, max_value=4)),
+            queued=draw(st.integers(min_value=0, max_value=5)),
+        )
+        for node_id in range(n_nodes)
+        if draw(st.booleans())
+    }
+    blocks = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_nodes),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                ),
+                st.sampled_from([BLOCK, BLOCK // 2, BLOCK // 4, 3 * BLOCK // 4]),
+            ),
+            max_size=40,
+        )
+    )
+    return loads, blocks
+
+
 class TestSlaveLoad:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,6 +189,32 @@ class TestComputeTargets:
 
 
 class TestTargetingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=targeting_instances())
+    def test_matches_paper_transcription(self, instance):
+        """Property: the production pass returns the paper-literal
+        transcription's targets and leaves every record with the same
+        ``target_node``, including ``None`` for blocks with no
+        eligible replica (a stale target is overwritten)."""
+        loads, blocks = instance
+
+        def fresh_records():
+            records = [
+                record(i, replicas, size=size)
+                for i, (replicas, size) in enumerate(blocks)
+            ]
+            for r in records:
+                r.target_node = -1
+            return records
+
+        pending, expected_pending = fresh_records(), fresh_records()
+        targets = compute_targets(pending, loads, reference_block_size=BLOCK)
+        expected = paper_targets(expected_pending, loads, BLOCK)
+        assert targets == expected
+        assert [r.target_node for r in pending] == [
+            r.target_node for r in expected_pending
+        ]
+
     @settings(max_examples=40, deadline=None)
     @given(
         speeds=st.lists(

@@ -2,24 +2,13 @@
 
 Every experiment claims bit-for-bit reproducibility under a seed; these
 tests run full workloads twice and require *identical* results -- not
-approximately equal, identical.
-
-Two layers of guarantee around the bandwidth kernel:
-
-* under any ONE kernel, repeated runs -- all the way down to the bytes
-  of the exported CSV/JSON artifacts -- are identical;
-* ACROSS kernels (virtual-time vs the legacy oracle), paper-scheme
-  results agree to 1e-9 relative: the kernels associate the same
-  real-number arithmetic differently, so bitwise cross-kernel equality
-  is not a meaningful contract (see DESIGN.md §5).
+approximately equal, identical -- all the way down to the bytes of the
+exported CSV/JSON artifacts.
 """
-
-import pytest
 
 from repro.experiments import sort_reads, swim, tracking
 from repro.experiments.common import PaperSetup, build_system
 from repro.experiments.export import export_result
-from repro.sim.bandwidth import use_kernel
 from repro.units import GB
 from repro.workloads.sort import sort_job
 
@@ -159,35 +148,3 @@ class TestObservabilityTransparency:
         assert a == b
         assert len(NULL_TRACER.events) == 0
 
-
-class TestCrossKernelEquivalence:
-    """The virtual-time kernel reproduces the legacy kernel's physics."""
-
-    def test_swim_durations_match(self):
-        new = swim.run(schemes=("hdfs", "dyrs"), n_jobs=30, seed=7)
-        with use_kernel("legacy"):
-            old = swim.run(schemes=("hdfs", "dyrs"), n_jobs=30, seed=7)
-        assert new.durations.keys() == old.durations.keys()
-        # dyrs (the paper scheme): per-job durations agree to 1e-9.
-        assert new.durations["dyrs"] == pytest.approx(
-            old.durations["dyrs"], rel=1e-9, abs=1e-9
-        )
-        # hdfs is chaotically sensitive: its fully symmetric disk
-        # contention creates exactly-tied event timestamps whose FIFO
-        # order flips on any ulp-level change -- a 1-ulp disk-bandwidth
-        # perturbation under ONE kernel moves individual jobs by ~6%.
-        # Per-job cross-kernel equality is therefore not a meaningful
-        # contract there; the aggregate must still agree.
-        mean_new = sum(new.durations["hdfs"].values()) / 30
-        mean_old = sum(old.durations["hdfs"].values()) / 30
-        assert mean_new == pytest.approx(mean_old, rel=0.02)
-        assert new.migrated_bytes.keys() == old.migrated_bytes.keys()
-
-    def test_sort_reads_distribution_matches(self):
-        kwargs = dict(schemes=("hdfs", "dyrs"), cases=("none",), size=4 * GB, seed=7)
-        new = sort_reads.run(**kwargs)
-        with use_kernel("legacy"):
-            old = sort_reads.run(**kwargs)
-        # Read counts are integers -- any drift beyond 1e-9 in the
-        # underlying completion times would show up here exactly.
-        assert new.reads == old.reads

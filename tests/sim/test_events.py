@@ -208,17 +208,3 @@ class TestConditionsFireInPlace:
         sim.run()
         assert order == ["waiter", "second"]
         assert sim.steps == 2
-
-    def test_allof_fails_if_member_fails(self, sim):
-        a = sim.event()
-        b = sim.timeout(5)
-        cond = AllOf(sim, [a, b])
-        a.fail(RuntimeError("nope"))
-        sim.run()
-        assert cond.triggered and not cond.ok
-        assert isinstance(cond.value, RuntimeError)
-
-    def test_mixed_simulators_rejected(self, sim):
-        other = Simulator()
-        with pytest.raises(ValueError):
-            AllOf(sim, [sim.event(), other.event()])

@@ -1,26 +1,28 @@
-"""Equivalence of the virtual-time kernel and the legacy oracle.
+"""The virtual-time kernel against the rate law it implements.
 
-The virtual-time kernel (`repro.sim.bandwidth.BandwidthResource`)
-derives each flow's remaining bytes from a global service integral;
-the legacy kernel (`repro.sim.legacy_bandwidth`) updates every flow
-eagerly.  Both implement the same processor-sharing model, so on any
-schedule of flow arrivals, sizes, and cancellations they must produce
-the same completion times -- up to floating-point reassociation, which
-is why the contract is 1e-9 relative rather than bitwise (see
-DESIGN.md §5).
+`repro.sim.bandwidth.BandwidthResource` derives each flow's remaining
+bytes from a global service integral.  The reference here is the
+processor-sharing law itself, evaluated without the engine: between
+two arrivals, cancels or completions, each of the ``k`` active flows
+moves at ``aggregate(k) / k`` with
+``aggregate(k) = max(C / (1 + p(k - 1)), C * min_efficiency)``.  On
+any schedule of flow arrivals, sizes, and cancellations the kernel must
+produce the model's completion and cancel times -- up to
+floating-point reassociation, which is why the contract is 1e-9
+relative rather than bitwise (see DESIGN.md §5).
 
-Also here: the regression tests for the two accounting defects fixed
-in this refactor -- ``_bytes_moved`` over-counting clamped residue,
-and superseded wake-ups leaking into the simulator heap.
+Also here: regression tests for byte accounting (only bytes actually
+delivered count) and for superseded wake-ups leaking into the
+simulator heap.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.bandwidth import BandwidthResource, kernel_class, use_kernel
-from repro.sim.legacy_bandwidth import LegacyBandwidthResource
+from repro.sim.bandwidth import BandwidthResource
 
 N_SCHEDULES = 200
 
@@ -45,15 +47,15 @@ def make_schedule(seed: int):
     return capacity, seek_penalty, min_efficiency, ops
 
 
-def run_schedule(kernel_name: str, schedule):
-    """Execute a schedule on the named kernel.
+def run_schedule(schedule):
+    """Execute a schedule on the kernel.
 
     Returns (completion times of finished flows, cancel times of
     cancelled flows, total delivered bytes, kernel bytes_moved).
     """
     capacity, seek_penalty, min_efficiency, ops = schedule
     sim = Simulator()
-    res = kernel_class(kernel_name)(
+    res = BandwidthResource(
         sim,
         capacity=capacity,
         seek_penalty=seek_penalty,
@@ -82,9 +84,6 @@ def run_schedule(kernel_name: str, schedule):
         flow = flows.get(i)
         if flow is not None and flow._id in res._flows:
             res.cancel(flow)
-            # Read progress after cancel: cancel advances the
-            # resource, so the legacy kernel's eager `remaining` is
-            # fresh (the virtual-time kernel freezes it on detach).
             delivered.append(flow.transferred)
 
     for op, t, i, size in ops:
@@ -96,52 +95,86 @@ def run_schedule(kernel_name: str, schedule):
     return finished, cancelled, sum(delivered), res.bytes_moved
 
 
+def fluid_model(schedule):
+    """The same schedule under the rate law alone, with no engine.
+
+    Returns (completion times, cancel times, total delivered bytes).
+    A completion due at the same instant as an arrival or cancel is
+    applied first, as the kernel's urgent wake-ups are.
+    """
+    capacity, seek_penalty, min_efficiency, ops = schedule
+    size = {}
+    left = {}
+    finished = {}
+    cancelled = {}
+    delivered = 0.0
+    now = 0.0
+    pos = 0
+    while pos < len(ops) or left:
+        k = len(left)
+        rate = 0.0
+        t_done = math.inf
+        if k:
+            aggregate = max(
+                capacity / (1.0 + seek_penalty * (k - 1)), capacity * min_efficiency
+            )
+            rate = aggregate / k
+            first = min(left, key=left.get)
+            t_done = now + left[first] / rate
+        t_op = ops[pos][1] if pos < len(ops) else math.inf
+        t = min(t_done, t_op)
+        for i in left:
+            left[i] -= rate * (t - now)
+        now = t
+        if t_done <= t_op:
+            for i in list(left):
+                if i == first or left[i] <= max(1e-6, 1e-9 * size[i]):
+                    del left[i]
+                    finished[i] = now
+                    delivered += size[i]
+            continue
+        op, _, i, nbytes = ops[pos]
+        pos += 1
+        if op == "start":
+            size[i] = left[i] = nbytes
+        elif i in left:
+            cancelled[i] = now
+            delivered += size[i] - left.pop(i)
+    return finished, cancelled, delivered
+
+
 @pytest.mark.parametrize("seed", range(N_SCHEDULES))
 def test_kernels_agree_and_conserve_work(seed):
     schedule = make_schedule(seed)
-    new = run_schedule("virtual-time", schedule)
-    old = run_schedule("legacy", schedule)
+    finished, cancelled, delivered, bytes_moved = run_schedule(schedule)
+    ref_finished, ref_cancelled, ref_delivered = fluid_model(schedule)
 
     # Same flows finish / are cancelled, at the same times (1e-9).
-    assert new[0].keys() == old[0].keys()
-    assert new[1].keys() == old[1].keys()
-    for i, t_new in new[0].items():
-        assert t_new == pytest.approx(old[0][i], rel=1e-9, abs=1e-9)
-    for i, t_new in new[1].items():
-        assert t_new == pytest.approx(old[1][i], rel=1e-9, abs=1e-9)
+    assert finished.keys() == ref_finished.keys()
+    assert cancelled.keys() == ref_cancelled.keys()
+    for i, t in finished.items():
+        assert t == pytest.approx(ref_finished[i], rel=1e-9, abs=1e-9)
+    for i, t in cancelled.items():
+        assert t == pytest.approx(ref_cancelled[i], rel=1e-9, abs=1e-9)
 
-    # Work conservation on both kernels: bytes_moved equals the bytes
-    # actually delivered (full size of finished flows + partial
-    # progress of cancelled ones).  The abs slack covers flows the
-    # epsilon completion test finishes with <= 1e-6 B residue each.
-    n_flows = len(new[0]) + len(new[1])
-    for finished, _c, total_delivered, bytes_moved in (new, old):
-        assert bytes_moved == pytest.approx(
-            total_delivered, rel=1e-9, abs=1e-5 * max(1, n_flows)
-        )
+    # Work conservation: bytes_moved equals the bytes actually
+    # delivered (full size of finished flows + partial progress of
+    # cancelled ones), which is what the rate law delivers.  The abs
+    # slack covers flows the epsilon completion test finishes with
+    # <= 1e-6 B residue each.
+    slack = 1e-5 * max(1, len(finished) + len(cancelled))
+    assert bytes_moved == pytest.approx(delivered, rel=1e-9, abs=slack)
+    assert delivered == pytest.approx(ref_delivered, rel=1e-9, abs=slack)
 
 
 class TestBytesMovedRegression:
-    """Satellite: `_advance` must credit only bytes actually delivered."""
-
-    def test_legacy_clamp_accounts_delivered_only(self):
-        # White-box reproduction of the defect condition: a flow whose
-        # residue is smaller than the interval's fair share.  The old
-        # code credited the full rate*dt (here 100 B) to _bytes_moved;
-        # only the 3 B that existed can have moved.
-        sim = Simulator()
-        res = LegacyBandwidthResource(sim, capacity=100.0)
-        flow = res.start_flow(1000.0, tag="a")
-        flow.remaining = 3.0
-        sim.call_at(1.0, lambda: None)
-        sim.run(until=1.0)
-        assert res.bytes_moved == pytest.approx(3.0, abs=1e-12)
+    """`_advance` must credit only bytes actually delivered."""
 
     def test_virtual_time_overshoot_refunded(self):
         # The virtual-time kernel credits aggregate service as it
-        # accrues and refunds any completion overshoot, so the same
-        # invariant holds by construction: with one 30 B and one 50 B
-        # flow, exactly 80 B move, regardless of wake-up arithmetic.
+        # accrues and refunds any completion overshoot, so with one
+        # 30 B and one 50 B flow exactly 80 B move, regardless of
+        # wake-up arithmetic.
         sim = Simulator()
         res = BandwidthResource(sim, capacity=100.0)
         res.transfer(30.0, tag="a")
@@ -150,53 +183,33 @@ class TestBytesMovedRegression:
         assert res.bytes_moved == pytest.approx(80.0, rel=1e-12)
 
     def test_cancel_midway_counts_partial_bytes(self):
-        for name in ("virtual-time", "legacy"):
-            sim = Simulator()
-            res = kernel_class(name)(sim, capacity=100.0)
-            flow = res.start_flow(1000.0, tag="a")
-            sim.call_at(2.0, lambda: res.cancel(flow))
-            sim.run()
-            assert res.bytes_moved == pytest.approx(200.0, rel=1e-12)
+        sim = Simulator()
+        res = BandwidthResource(sim, capacity=100.0)
+        flow = res.start_flow(1000.0, tag="a")
+        sim.call_at(2.0, lambda: res.cancel(flow))
+        sim.run()
+        assert res.bytes_moved == pytest.approx(200.0, rel=1e-12)
 
 
 class TestWakeupChurn:
-    """Satellite: superseded wake-ups must not accumulate in the heap."""
+    """Superseded wake-ups must not accumulate in the heap."""
 
-    def _churn(self, kernel_name: str, iterations: int = 2000) -> tuple[int, int]:
+    def test_heap_stays_bounded_under_churn(self):
         sim = Simulator()
-        res = kernel_class(kernel_name)(sim, capacity=100.0, name="churn")
+        res = BandwidthResource(sim, capacity=100.0, name="churn")
         # A long-lived flow keeps a wake-up armed, so every
         # start/cancel below supersedes it and re-arms.
         res.start_flow(1e12, tag="base")
         peak = 0
-        for i in range(iterations):
+        for i in range(2000):
             flow = res.start_flow(1e6, tag=f"churn{i}")
             res.cancel(flow)
             # Drain the cancellation's failure event.
             sim.run(until=sim.now + 1e-3)
             peak = max(peak, len(sim._heap))
-        return peak, len(sim._heap)
-
-    @pytest.mark.parametrize("kernel_name", ["virtual-time", "legacy"])
-    def test_heap_stays_bounded_under_churn(self, kernel_name):
         # Each iteration supersedes two wake-ups; without reclamation
         # the heap would hold ~4000 dead entries after 2000 rounds.
         # With discard + lazy compaction it stays around the
         # compaction threshold.
-        peak, final = self._churn(kernel_name)
         assert peak < 4 * Simulator.COMPACT_MIN_DISCARDED
-        assert final < 4 * Simulator.COMPACT_MIN_DISCARDED
-
-
-class TestKernelSelection:
-    def test_default_is_virtual_time(self):
-        assert kernel_class() is BandwidthResource
-
-    def test_use_kernel_context_swaps_default(self):
-        with use_kernel("legacy"):
-            assert kernel_class() is LegacyBandwidthResource
-        assert kernel_class() is BandwidthResource
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_class("no-such-kernel")
+        assert len(sim._heap) < 4 * Simulator.COMPACT_MIN_DISCARDED

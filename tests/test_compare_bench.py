@@ -45,29 +45,29 @@ def test_key_lists_disjoint():
 
 def test_load_extra_info(tmp_path):
     path = _bench_json(
-        tmp_path, "b.json", {"test_a": {"swim_speedup": 2.0}, "test_b": {}}
+        tmp_path, "b.json", {"test_a": {"archive_hit_ratio": 2.0}, "test_b": {}}
     )
     info = compare_bench.load_extra_info(path)
-    assert info == {"test_a": {"swim_speedup": 2.0}, "test_b": {}}
+    assert info == {"test_a": {"archive_hit_ratio": 2.0}, "test_b": {}}
 
 
 class TestCompare:
     def test_within_threshold_passes(self):
-        baseline = {"bench": {"swim_speedup": 2.0}}
-        current = {"bench": {"swim_speedup": 1.5}}  # -25% < 30%
+        baseline = {"bench": {"archive_hit_ratio": 2.0}}
+        current = {"bench": {"archive_hit_ratio": 1.5}}  # -25% < 30%
         assert compare_bench.compare(current, baseline, 0.30) == []
 
     def test_gated_drop_past_threshold_fails(self):
-        baseline = {"bench": {"swim_speedup": 2.0}}
-        current = {"bench": {"swim_speedup": 1.3}}  # -35%
+        baseline = {"bench": {"archive_hit_ratio": 2.0}}
+        current = {"bench": {"archive_hit_ratio": 1.3}}  # -35%
         failures = compare_bench.compare(current, baseline, 0.30)
         assert len(failures) == 1
-        assert "swim_speedup" in failures[0]
+        assert "archive_hit_ratio" in failures[0]
         assert "regressed" in failures[0]
 
     def test_gated_improvement_never_fails(self):
-        baseline = {"bench": {"swim_speedup": 2.0}}
-        current = {"bench": {"swim_speedup": 10.0}}
+        baseline = {"bench": {"archive_hit_ratio": 2.0}}
+        current = {"bench": {"archive_hit_ratio": 10.0}}
         assert compare_bench.compare(current, baseline, 0.30) == []
 
     def test_gated_lower_rise_past_threshold_fails(self):
@@ -84,35 +84,35 @@ class TestCompare:
         assert compare_bench.compare(current, baseline, 0.30) == []
 
     def test_missing_benchmark_fails(self):
-        baseline = {"bench": {"swim_speedup": 2.0}}
+        baseline = {"bench": {"archive_hit_ratio": 2.0}}
         failures = compare_bench.compare({}, baseline, 0.30)
         assert len(failures) == 1
         assert "not in this run" in failures[0]
 
     def test_missing_gated_key_fails(self):
-        baseline = {"bench": {"swim_speedup": 2.0, "churn_speedup": 3.0}}
-        current = {"bench": {"swim_speedup": 2.0}}
+        baseline = {"bench": {"archive_hit_ratio": 2.0, "shard_p99_ratio": 3.0}}
+        current = {"bench": {"archive_hit_ratio": 2.0}}
         failures = compare_bench.compare(current, baseline, 0.30)
         assert len(failures) == 1
-        assert "churn_speedup" in failures[0]
+        assert "shard_p99_ratio" in failures[0]
         assert "missing" in failures[0]
 
     def test_new_key_in_current_only_ignored(self):
         """Keys the baseline does not know about cannot gate -- a new
         metric lands with its baseline in the same PR."""
         baseline = {"bench": {}}
-        current = {"bench": {"swim_speedup": 0.01}}
+        current = {"bench": {"archive_hit_ratio": 0.01}}
         assert compare_bench.compare(current, baseline, 0.30) == []
 
     def test_informational_keys_never_gate(self):
-        baseline = {"bench": {"churn_events_per_sec": 1_000_000.0}}
-        current = {"bench": {"churn_events_per_sec": 1.0}}
+        baseline = {"bench": {"scale_events_per_sec_1000n": 1_000_000.0}}
+        current = {"bench": {"scale_events_per_sec_1000n": 1.0}}
         assert compare_bench.compare(current, baseline, 0.30) == []
 
     def test_threshold_is_exclusive(self):
         """A change of exactly the threshold does not gate."""
-        baseline = {"bench": {"swim_speedup": 2.0}}
-        current = {"bench": {"swim_speedup": 1.0}}  # exactly -50%
+        baseline = {"bench": {"archive_hit_ratio": 2.0}}
+        current = {"bench": {"archive_hit_ratio": 1.0}}  # exactly -50%
         assert compare_bench.compare(current, baseline, 0.50) == []
         failures = compare_bench.compare(current, baseline, 0.49)
         assert len(failures) == 1
@@ -143,12 +143,12 @@ class TestCompare:
 class TestMain:
     def test_main_exit_codes(self, tmp_path):
         baseline = _bench_json(
-            tmp_path, "base.json", {"bench": {"swim_speedup": 2.0}}
+            tmp_path, "base.json", {"bench": {"archive_hit_ratio": 2.0}}
         )
         good = _bench_json(
-            tmp_path, "good.json", {"bench": {"swim_speedup": 2.1}}
+            tmp_path, "good.json", {"bench": {"archive_hit_ratio": 2.1}}
         )
-        bad = _bench_json(tmp_path, "bad.json", {"bench": {"swim_speedup": 0.5}})
+        bad = _bench_json(tmp_path, "bad.json", {"bench": {"archive_hit_ratio": 0.5}})
         assert compare_bench.main([str(good), str(baseline)]) == 0
         assert compare_bench.main([str(bad), str(baseline)]) == 1
 
@@ -169,10 +169,10 @@ class TestMain:
 
     def test_main_threshold_flag(self, tmp_path):
         baseline = _bench_json(
-            tmp_path, "base.json", {"bench": {"swim_speedup": 2.0}}
+            tmp_path, "base.json", {"bench": {"archive_hit_ratio": 2.0}}
         )
         current = _bench_json(
-            tmp_path, "cur.json", {"bench": {"swim_speedup": 1.5}}
+            tmp_path, "cur.json", {"bench": {"archive_hit_ratio": 1.5}}
         )  # -25%
         assert compare_bench.main([str(current), str(baseline)]) == 0
         assert (
