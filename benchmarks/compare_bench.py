@@ -8,7 +8,7 @@ Usage::
 Both files are pytest-benchmark JSON exports holding the
 machine-independent headline numbers in ``benchmarks[].extra_info``:
 simulated quantities (``archive_hit_ratio``, ``reheat_latency_s``,
-the shard p99 ratios) and engine event counts (``events_per_task_1k``,
+the shard p99 ratio) and engine event counts (``events_per_task_1k``,
 ``idle_notify_event_ratio``), all deterministic per seed.  Absolute
 wall-clock numbers like ``scale_wall_s_1000n`` vary with the runner and
 are reported but never gated.
@@ -31,7 +31,6 @@ from pathlib import Path
 GATED = (
     "archive_hit_ratio",
     "shard_p99_ratio",
-    "shard_async_p99_ratio",
     "idle_notify_event_ratio",
 )
 #: extra_info keys that gate, lower is better (latencies, overheads).

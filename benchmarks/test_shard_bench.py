@@ -11,11 +11,7 @@ Two layers:
 * the **pull-index micro-bench** -- satellite of the same PR: the
   per-target index must beat the legacy full-scan candidate selection
   by >= 2x at 1k pending records (wall-clock ratio on one machine, so
-  runner speed cancels out);
-* the **async-pull chaos point** -- synchronous rotation vs the async
-  per-shard window while one shard's RPC legs are delayed.  The gate
-  ``shard_async_p99_ratio`` = p99(sync) / p99(async) must show the
-  window isolating the slow shard instead of serializing behind it.
+  runner speed cancels out).
 """
 
 import time
@@ -49,47 +45,6 @@ def test_shard_sweep(run_experiment, benchmark):
         benchmark.extra_info[f"binding_p99_s_{k}shards"] = point.binding_p99
         benchmark.extra_info[f"queue_depth_max_{k}shards"] = point.queue_depth_max
         benchmark.extra_info[f"bind_events_{k}shards"] = point.n_bindings
-
-
-def _async_chaos_report(result):
-    s, a = result.sync, result.async_
-    return "\n".join(
-        [
-            "async pull under shard RPC delay "
-            f"(+{shard_sweep.ASYNC_CHAOS_EXTRA:.0f}s on shard "
-            f"{shard_sweep.ASYNC_CHAOS_SHARD} of {shard_sweep.ASYNC_CHAOS_SHARDS})",
-            "=" * 72,
-            f"{'mode':>6s} {'window':>6s} {'binds':>6s} {'p50':>8s} {'p99':>8s}",
-            f"{'sync':>6s} {1:6d} {s.n_bindings:6d} "
-            f"{s.binding_p50:7.2f}s {s.binding_p99:7.2f}s",
-            f"{'async':>6s} {shard_sweep.ASYNC_CHAOS_SHARDS:6d} {a.n_bindings:6d} "
-            f"{a.binding_p50:7.2f}s {a.binding_p99:7.2f}s",
-            "-" * 72,
-            f"p99 ratio (sync / async): {result.p99_ratio:.2f}x",
-            "PASS" if result.ok else "FAIL: invariant violations",
-        ]
-    )
-
-
-def test_async_pull_chaos(run_experiment, benchmark):
-    result = run_experiment(
-        lambda: shard_sweep.run_async_chaos(seed=0), report_fn=_async_chaos_report
-    )
-
-    assert result.ok, result.sync.violations + result.async_.violations
-    # Measured ratio is ~4.2x; the bar leaves headroom for parameter
-    # drift while still proving real isolation (sync must pay at least
-    # double the tail the async window pays).
-    assert result.p99_ratio >= 2.0, result.p99_ratio
-    # The async run must not trade the tail for coverage: it binds at
-    # least as many records as the degraded synchronous rotation.
-    assert result.async_.n_bindings >= result.sync.n_bindings
-
-    benchmark.extra_info["shard_async_p99_ratio"] = result.p99_ratio
-    benchmark.extra_info["async_binding_p99_s"] = result.async_.binding_p99
-    benchmark.extra_info["sync_binding_p99_s"] = result.sync.binding_p99
-    benchmark.extra_info["async_bind_events"] = result.async_.n_bindings
-    benchmark.extra_info["sync_bind_events"] = result.sync.n_bindings
 
 
 def _pool_of(n_records, n_nodes):

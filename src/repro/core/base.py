@@ -11,9 +11,11 @@ The class is split along the sharding seam the federated master needs:
 
 * :class:`RecordLedger` is the **record bookkeeping + binding** half --
   the per-block record table, the append-only log, the discard /
-  re-migrate plumbing, and the subclass hooks a binding strategy
-  implements.  This is the state a :class:`~repro.shard.MasterShard`
-  partitions.
+  re-migrate plumbing, the subclass hooks a binding strategy
+  implements, and the master side of the slave's pull leg (one
+  endpoint here; the :class:`~repro.shard.ShardCoordinator` answers
+  with one endpoint per shard).  This is the state a
+  :class:`~repro.shard.MasterShard` partitions.
 * :class:`MigrationMaster` layers the **cluster-wide policy** on top --
   reference tracking, eviction, the memory directory, the read path,
   GC, and slave-failure handling.  This is the state the
@@ -51,6 +53,12 @@ class RecordLedger:
     binding strategy shares.  Subclasses implement the binding strategy
     by overriding :meth:`_on_new_records` (what happens when migrations
     arrive) and :meth:`request_work` (what a pulling slave receives).
+
+    Slaves pull through legs (:meth:`pull_plan`,
+    :meth:`bind_from_shard`, :meth:`pull_service_seconds`,
+    :meth:`shard_rpc_extra`).  Here the ledger is one endpoint, id 0,
+    that never changes generation, with no service time and no extra
+    delay.
     """
 
     #: Whether the master process is up.  A crashed master (§III-C1)
@@ -162,18 +170,35 @@ class RecordLedger:
         raise NotImplementedError
 
     def request_work(self, node_id: int, max_blocks: int) -> list[MigrationRecord]:
-        """A slave pulls up to ``max_blocks`` migrations."""
+        """Bind up to ``max_blocks`` migrations to ``node_id``."""
         raise NotImplementedError
 
-    def pull_service_seconds(self, node_id: int) -> float:
-        """Master-side service time for one pull RPC (modeling hook).
+    # -- the pull leg's endpoint API ---------------------------------------------
+
+    def pull_plan(self, node_id: int) -> list[tuple[int, int]]:
+        """The ``(endpoint, generation)`` pairs a pull from ``node_id``
+        opens legs to: this master's single endpoint."""
+        return [(0, 0)]
+
+    def bind_from_shard(
+        self, shard_id: int, generation: int, node_id: int, max_blocks: int
+    ) -> list[MigrationRecord]:
+        """The bind half of one pull leg, with the budget the slave
+        computed at bind time."""
+        return self.request_work(node_id, max_blocks)
+
+    def pull_service_seconds(self, shard_id: int) -> float:
+        """Master-side service time of one leg (modeling hook).
 
         0 by default: the paper's master answers pulls instantly.  The
         DYRS master scales this with its pending-map size when
         ``pull_service_cost`` is configured, which is what the shard
-        sweep measures (a sharded master services a pull from one
-        shard-local map).
+        sweep measures (a shard services a leg from its own map).
         """
+        return 0.0
+
+    def shard_rpc_extra(self, shard_id: int) -> float:
+        """Extra outbound delay (chaos) on legs to this endpoint."""
         return 0.0
 
 

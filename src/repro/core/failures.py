@@ -409,10 +409,9 @@ class FailureInjector:
         for ``clear_after`` seconds (a congestion spike).
 
         With ``shard_id`` the spike targets the master side instead:
-        every node's pull leg *to that shard* is slowed (and, for the
-        synchronous rotation, the whole combined pull -- it cannot
-        return before its slowest leg).  Degrades to a no-op on flat
-        masters, which have no shard legs to slow.
+        every node's pull leg *to that shard* is slowed, while its legs
+        to the other shards run at full speed.  Degrades to a no-op on
+        flat masters, which have no shards to slow.
         """
         if self.master is None:
             raise RuntimeError("no migration master attached")

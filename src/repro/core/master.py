@@ -69,24 +69,9 @@ class DyrsConfig:
         updated the estimate upon the completion of a migration which
         resulted in a slow update", §V-F2); the ablation bench flips
         this off to reproduce that comparison.
-    rpc_timeout:
-        Budget for one pull RPC round trip.  ``None`` (the default)
-        reproduces the paper's unbounded RPC: the slave waits however
-        long the round trip takes.  With a budget, a pull that exceeds
-        it is abandoned -- any grant the master made is requeued when
-        the lost response would have arrived -- and retried per
-        ``rpc_max_retries``.  Chaos campaigns set this so partitions
-        and delayed-RPC spikes cannot wedge the pull loop.
-    rpc_max_retries:
-        Timed-out pull attempts retried before giving up (the worker
-        loop re-polls at heartbeat cadence anyway, so giving up only
-        costs latency, never liveness).  0 disables retry.
-    rpc_backoff_base / rpc_backoff_factor:
-        Delay before retry ``n`` (1-based) is
-        ``base * factor ** (n - 1)`` -- classic exponential backoff.
     pull_service_cost:
         Master-side service time, per pending record, that one pull
-        RPC spends inside the master before it can answer (scanning /
+        leg spends inside the master before it can answer (scanning /
         locking the pending map).  0 (the default) reproduces the
         paper's instant master and changes nothing; the shard sweep
         sets it to expose how partitioning the pending map shrinks the
@@ -103,17 +88,15 @@ class DyrsConfig:
         tick), so this is a modeled protocol change, not an
         equivalence-preserving fast path.
     shard_pull_window:
-        Per-shard outstanding-leg budget for the sharded master's pull
-        protocol.  ``None`` (the default) resolves to the scheme
-        default when built through :class:`repro.system.SystemConfig`
-        (1 for ``dyrs-sharded``, the shard count for
-        ``dyrs-sharded-async``); standalone it behaves as 1.  At 1 the
-        slave issues the synchronous combined-RPC rotation of PR 7 --
-        the same code path, so the configuration is byte-identical to
-        the stock sharded master.  At >= 2 each pull opens detached
-        per-shard RPC legs, at most ``window`` outstanding per shard,
-        so one slow or delayed shard endpoint never stalls the legs to
-        the healthy shards.
+        Outstanding pull legs a slave may hold per master endpoint
+        (the flat master is one endpoint, a federation one per live
+        shard).  ``None`` (the default) resolves to the scheme default
+        when built through :class:`repro.system.SystemConfig` (the
+        shard count for ``dyrs-sharded-async``, 1 for every other
+        scheme); standalone it behaves as 1.  Legs are detached, so
+        one slow or delayed shard endpoint never stalls the legs to
+        the healthy shards at any window; a wider window lets a node
+        keep several legs in flight to the same shard.
     shard_dead_after:
         Seconds a crashed shard may stay down before the coordinator
         declares it permanently dead (``None`` = never).  Declaration
@@ -132,10 +115,6 @@ class DyrsConfig:
     gc_threshold: float = 0.9
     reference_block_size: float = DEFAULT_BLOCK_SIZE
     estimator_refresh: bool = True
-    rpc_timeout: Optional[float] = None
-    rpc_max_retries: int = 0
-    rpc_backoff_base: float = 0.1
-    rpc_backoff_factor: float = 2.0
     pull_service_cost: float = 0.0
     idle_pull: str = "poll"
     shard_pull_window: Optional[int] = None
@@ -164,22 +143,6 @@ class DyrsConfig:
             raise ValueError(
                 f"reference_block_size must be positive, "
                 f"got {self.reference_block_size}"
-            )
-        if self.rpc_timeout is not None and self.rpc_timeout <= 0:
-            raise ValueError(
-                f"rpc_timeout must be positive or None, got {self.rpc_timeout}"
-            )
-        if self.rpc_max_retries < 0:
-            raise ValueError(
-                f"rpc_max_retries must be >= 0, got {self.rpc_max_retries}"
-            )
-        if self.rpc_backoff_base < 0:
-            raise ValueError(
-                f"rpc_backoff_base must be >= 0, got {self.rpc_backoff_base}"
-            )
-        if self.rpc_backoff_factor < 1:
-            raise ValueError(
-                f"rpc_backoff_factor must be >= 1, got {self.rpc_backoff_factor}"
             )
         if self.pull_service_cost < 0:
             raise ValueError(
@@ -469,9 +432,9 @@ class DyrsMaster(MigrationMaster):
             self._record_grant(node_id, granted)
         return granted
 
-    def pull_service_seconds(self, node_id: int) -> float:
-        """Service time one pull spends inside this master: linear in
-        the pending map the pull must scan/lock (see
+    def pull_service_seconds(self, shard_id: int) -> float:
+        """Service time one pull leg spends inside this master: linear
+        in the pending map the leg must scan/lock (see
         ``DyrsConfig.pull_service_cost``; 0 keeps the paper's instant
         master)."""
         cost = self.config.pull_service_cost

@@ -15,12 +15,6 @@ not a fair-weather fast path; trace invariants gate every point.
 
 Reported per shard count: binding-latency p50/p99, mean/max slave
 queue depth at bind time, migrated bytes, and makespan.
-
-A second experiment (:func:`run_async_chaos`) holds the shard count at
-4 and compares the synchronous pull rotation (``shard_pull_window=1``)
-against the async per-shard legs (window 4) while one shard's RPC legs
-are delayed -- the failure-isolation scenario the async protocol
-exists for, gated in CI as a p99 binding-latency ratio.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.failures import ChaosCampaign, FailureInjector
-from repro.experiments.chaos import CHAOS_DYRS_OVERRIDES
 from repro.experiments.common import PaperSetup, build_system
 from repro.obs import trace as obs
 from repro.obs.analyze import TraceAnalyzer
@@ -40,10 +33,7 @@ from repro.units import GB, MB
 __all__ = [
     "ShardPoint",
     "ShardSweepResult",
-    "AsyncChaosResult",
     "run",
-    "run_async_chaos_point",
-    "run_async_chaos",
     "report",
     "SHARD_COUNTS",
     "PULL_SERVICE_COST",
@@ -83,12 +73,9 @@ class ShardPoint:
 class ShardSweepResult:
     seed: int
     points: list[ShardPoint] = field(default_factory=list)
-    async_chaos: "AsyncChaosResult | None" = None
 
     @property
     def ok(self) -> bool:
-        if self.async_chaos is not None and not self.async_chaos.ok:
-            return False
         return all(not p.violations for p in self.points)
 
     @property
@@ -109,8 +96,6 @@ def run_point(
     from repro.workloads.sort import sort_job
 
     point = ShardPoint(shards=shards)
-    overrides = dict(CHAOS_DYRS_OVERRIDES)
-    overrides["pull_service_cost"] = PULL_SERVICE_COST
     with obs.tracing() as tracer:
         system = build_system(
             PaperSetup(
@@ -118,7 +103,7 @@ def run_point(
                 seed=seed,
                 interference="none",
                 block_size=SWEEP_BLOCK_SIZE,
-                dyrs_overrides=overrides,
+                dyrs_overrides={"pull_service_cost": PULL_SERVICE_COST},
                 shards=shards,
             )
         )
@@ -158,121 +143,11 @@ def run_point(
 
 
 def run(seed: int = 0, chaos: bool = True) -> ShardSweepResult:
-    """The full sweep over :data:`SHARD_COUNTS`, plus the sync-vs-
-    async pull comparison under the shard-targeted RPC delay."""
+    """The full sweep over :data:`SHARD_COUNTS`."""
     result = ShardSweepResult(seed=seed)
     for shards in SHARD_COUNTS:
         result.points.append(run_point(shards, seed=seed, chaos=chaos))
-    result.async_chaos = run_async_chaos(seed=seed)
     return result
-
-
-# -- sync vs async pull under a shard-targeted RPC delay ---------------------------
-
-#: The delayed shard's extra one-way leg delay and its active window.
-#: The spike lands at t=0.5 -- inside the sort job's binding burst --
-#: and outlives it, so every pull that matters runs degraded.
-ASYNC_CHAOS_EXTRA = 3.0
-ASYNC_CHAOS_AT = 0.5
-ASYNC_CHAOS_CLEAR_AFTER = 55.0
-ASYNC_CHAOS_SHARD = 2
-ASYNC_CHAOS_SHARDS = 4
-#: Shallow local queues spread the pulls across the whole run (the
-#: default target would bind the entire pending map in one first-pull
-#: round, before the spike can touch anything).
-ASYNC_CHAOS_QUEUE_DEPTH = 4
-
-
-def run_async_chaos_point(window: int, seed: int = 0) -> ShardPoint:
-    """One sort run at 4 shards with one shard's RPC legs delayed.
-
-    ``window=1`` is the synchronous combined-RPC rotation: every pull
-    of every node waits out the slowest shard leg, so the delay shows
-    up in *all* binding latencies.  ``window > 1`` opens detached
-    per-shard legs: the delayed shard slows only its own legs while
-    the rest of the federation binds at full speed -- the failure
-    isolation this point quantifies (as a p99 binding-latency gap).
-    """
-    from repro.workloads.sort import sort_job
-
-    point = ShardPoint(shards=ASYNC_CHAOS_SHARDS)
-    overrides = dict(CHAOS_DYRS_OVERRIDES)
-    overrides["pull_service_cost"] = PULL_SERVICE_COST
-    overrides["shard_pull_window"] = window
-    overrides["queue_depth"] = ASYNC_CHAOS_QUEUE_DEPTH
-    with obs.tracing() as tracer:
-        system = build_system(
-            PaperSetup(
-                scheme="dyrs-sharded",
-                seed=seed,
-                interference="none",
-                block_size=SWEEP_BLOCK_SIZE,
-                dyrs_overrides=overrides,
-                shards=ASYNC_CHAOS_SHARDS,
-            )
-        )
-        injector = FailureInjector(system.cluster, master=system.master)
-        injector.delay_rpc_at(
-            ASYNC_CHAOS_AT,
-            node_id=0,
-            extra=ASYNC_CHAOS_EXTRA,
-            clear_after=ASYNC_CHAOS_CLEAR_AFTER,
-            shard_id=ASYNC_CHAOS_SHARD,
-        )
-        jobs = [
-            sort_job(system, size=SWEEP_SORT_SIZE, job_id=f"asyncw{window}-sort"),
-        ]
-        system.runtime.run_to_completion(jobs)
-        system.sim.run(until=max(system.sim.now, 90.0) + 30.0)
-
-        point.makespan = system.sim.now
-        point.migrated_bytes = system.master.migrated_bytes()
-        point.faults_fired = len(injector.log)
-
-        analyzer = TraceAnalyzer(tracer.events)
-        latencies = analyzer.binding_latencies()
-        point.n_bindings = len(latencies)
-        if latencies:
-            point.binding_p50 = float(np.percentile(latencies, 50))
-            point.binding_p99 = float(np.percentile(latencies, 99))
-        depths = [depth for _, depth in analyzer.queue_depth_series()]
-        if depths:
-            point.queue_depth_mean = float(np.mean(depths))
-            point.queue_depth_max = int(max(depths))
-
-        checker = TraceInvariants(tracer.events)
-        point.violations.extend(checker.violations())
-        point.violations.extend(checker.shard_violations())
-    return point
-
-
-@dataclass
-class AsyncChaosResult:
-    """Sync-vs-async comparison under the shard-targeted delay."""
-
-    seed: int
-    sync: ShardPoint
-    async_: ShardPoint
-
-    @property
-    def ok(self) -> bool:
-        return not self.sync.violations and not self.async_.violations
-
-    @property
-    def p99_ratio(self) -> float:
-        """Sync p99 binding latency over async (higher = async wins)."""
-        if not self.async_.binding_p99:
-            return 0.0
-        return self.sync.binding_p99 / self.async_.binding_p99
-
-
-def run_async_chaos(seed: int = 0) -> AsyncChaosResult:
-    """The gated comparison: window 1 (sync) vs window 4 (async)."""
-    return AsyncChaosResult(
-        seed=seed,
-        sync=run_async_chaos_point(1, seed=seed),
-        async_=run_async_chaos_point(ASYNC_CHAOS_SHARDS, seed=seed),
-    )
 
 
 def report(result: ShardSweepResult) -> str:
@@ -297,21 +172,5 @@ def report(result: ShardSweepResult) -> str:
         f"p99 binding-latency speedup (1 shard / {max(SHARD_COUNTS)} shards): "
         f"{result.p99_speedup:.2f}x"
     )
-    if result.async_chaos is not None:
-        ac = result.async_chaos
-        lines.append("-" * 72)
-        lines.append(
-            f"sync vs async pull under a {ASYNC_CHAOS_EXTRA:.0f}s delay on "
-            f"shard {ASYNC_CHAOS_SHARD}'s RPC legs ({ASYNC_CHAOS_SHARDS} shards):"
-        )
-        arms = (("sync w=1", ac.sync), (f"async w={ASYNC_CHAOS_SHARDS}", ac.async_))
-        for label, p in arms:
-            lines.append(
-                f"  {label:>9s}: {p.n_bindings:4d} binds  "
-                f"p50 {p.binding_p50:6.2f}s  p99 {p.binding_p99:6.2f}s"
-            )
-            for v in p.violations:
-                lines.append(f"    ! {v}")
-        lines.append(f"  p99 isolation ratio (sync/async): {ac.p99_ratio:.2f}x")
     lines.append("PASS" if result.ok else "FAIL: invariant violations")
     return "\n".join(lines)

@@ -18,7 +18,7 @@ call site:
 * :data:`GUARD_TOKENS` -- identifier fragments whose appearance in a
   branch test marks it as a revalidation guard: epoch/generation
   compares, ``alive``/``is_available`` checks, record ``status``
-  re-checks, ``_async_space`` recomputation, ``triggered`` event
+  re-checks, ``_pull_space`` recomputation, ``triggered`` event
   state.
 * :data:`MUTATOR_METHODS` -- method names that mutate a container in
   place; a call through a protocol-state attribute
@@ -93,7 +93,7 @@ GUARD_TOKENS = (
     "is_available",
     "triggered",
     "status",
-    "_async_space",
+    "_pull_space",
 )
 
 #: In-place container mutators: a call through a protocol-state

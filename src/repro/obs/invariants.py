@@ -274,8 +274,8 @@ class TraceInvariants:
             a mid-run reshard (which would silently re-home records).
         13. **Monotone incarnations** -- each ``shard_recover`` bumps
             that shard's generation by exactly one.
-        14. **Window never exceeded** -- per (node, shard), open async
-            pull legs (``pull_leg_open`` minus ``pull_leg_close``)
+        14. **Window never exceeded** -- per (node, shard), open pull
+            legs (``pull_leg_open`` minus ``pull_leg_close``)
             never exceed the window carried on the open event.  A
             ``slave_crash`` zeroes the node's counters: the old
             incarnation's closes still arrive, but the new epoch opens

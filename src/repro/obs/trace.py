@@ -85,11 +85,6 @@ MASTER_CRASH = "master_crash"
 MASTER_RECOVER = "master_recover"
 FAILOVER = "failover"
 ORPHAN_EVICTED = "orphan_evicted"
-#: Pull-protocol hardening events: a pull RPC attempt exceeded its
-#: configured budget, and the slave scheduling another attempt after
-#: backoff.  Only emitted when ``DyrsConfig.rpc_timeout`` is set.
-RPC_TIMEOUT = "rpc_timeout"
-RPC_RETRY = "rpc_retry"
 #: Chaos-campaign fault markers: a fault taking effect and clearing.
 #: ``kind`` names the fault (slave-crash, node-crash, master-crash,
 #: degrade-disk, degrade-nic, partition, rpc-delay).
@@ -139,11 +134,11 @@ SHARD_DEAD = "shard_dead"
 #: ``expected``).  The report is dropped instead of poisoning the
 #: per-shard freshness map.
 SHARD_REPORT_MISMATCH = "shard_report_mismatch"
-#: Async cross-shard pull protocol (``shard_pull_window > 1``): one
-#: per-shard RPC leg opening (``node``, ``shard``, ``window``,
-#: ``outstanding``) and landing (``node``, ``shard``).  The checker
-#: proves per-(node, shard) open legs never exceed the window carried
-#: on the open event.
+#: The slave's pull protocol: one RPC leg to a master endpoint (the
+#: flat master's endpoint 0, or a shard) opening (``node``, ``shard``,
+#: ``window``, ``outstanding``) and landing (``node``, ``shard``).  The
+#: checker proves per-(node, shard) open legs never exceed the window
+#: carried on the open event.
 PULL_LEG_OPEN = "pull_leg_open"
 PULL_LEG_CLOSE = "pull_leg_close"
 

@@ -15,8 +15,9 @@ coordinator-owned:
   with shard-local Algorithm 1 retargeting and pull binding.
 * :class:`ShardCoordinator` -- a drop-in
   :class:`~repro.core.master.DyrsMaster` that routes records to
-  shards, fans a slave's pull budget across them, and owns every
-  cluster-wide concern, including per-shard crash/recover.
+  shards, answers a slave's pull with one endpoint per live shard (the
+  slave opens a detached leg to each), and owns every cluster-wide
+  concern, including per-shard crash/recover.
 
 Correctness anchor: ``dyrs-sharded`` with ``shards=1`` is
 byte-identical to ``dyrs`` (pinned by the equivalence tests in

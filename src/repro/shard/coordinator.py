@@ -6,16 +6,17 @@ partitions instead of one flat pool.  The split follows the
 ``RecordLedger`` / ``MigrationMaster`` seam in ``core/base.py``:
 
 * **shard-local** -- the pending map, Algorithm 1 retargeting over it,
-  and the bind half of a pull;
+  and the bind half of a pull leg;
 * **coordinator-owned** -- everything cluster-wide: the record ledger,
   reference tracking, eviction and memory pressure, the load view from
   heartbeats, global reclaim of work bound to dead slaves, and the
   crash/recover machinery (whole-master *and* per-shard).
 
-A slave's single pull budget is fanned across shards starting from the
-node's *home shard* (``node_id % n_shards``), so concurrent pulls from
-different nodes start on different shards instead of all draining
-shard 0 first.
+Each live shard is one endpoint of the slave's pull: a pull opens a
+detached leg per shard, in rotation order from the node's *home shard*
+(``node_id % n_shards``), so concurrent pulls from different nodes
+start on different shards instead of all draining shard 0 first, and a
+slow shard delays only its own legs.
 
 At ``shards=1`` every code path reduces to the flat master's --
 same pool, same selection (:func:`~repro.core.pending.bind_from_pool`),
@@ -77,9 +78,8 @@ class ShardCoordinator(DyrsMaster):
         #: incarnation; ``recover_shard`` clears the entry.
         self._shards_declared_dead: set[int] = set()
         #: Chaos hook: per-shard extra RPC delay (seconds) applied to
-        #: that shard's leg of every pull (``delay_rpc_at(...,
-        #: shard_id=...)``).  Empty in normal operation, in which case
-        #: every pull path is byte-identical to the un-hooked code.
+        #: every pull leg to that shard (``delay_rpc_at(...,
+        #: shard_id=...)``).  Empty in normal operation.
         self._shard_rpc_extra: dict[int, float] = {}
 
     # -- shard topology (the public cross-shard API, lint SM203) ---------------
@@ -291,70 +291,15 @@ class ShardCoordinator(DyrsMaster):
                 targeted |= shard.targeted_nodes()
         return frozenset(targeted)
 
-    # -- the pull protocol, fanned ------------------------------------------------
-
-    def request_work(self, node_id: int, max_blocks: int) -> list[MigrationRecord]:
-        """Fan one pull budget across the shards targeting this node.
-
-        Rotation starts at the node's home shard so simultaneous pulls
-        from different nodes drain different shards first; the budget
-        is spent in rotation order until exhausted.  Binding and grant
-        accounting are the flat master's own code paths.
-        """
-        if max_blocks <= 0:
-            return []
-        granted: list[MigrationRecord] = []
-        n = self.n_shards
-        start = self.home_shard_of(node_id)
-        for offset in range(n):
-            remaining = max_blocks - len(granted)
-            if remaining <= 0:
-                break
-            shard = self._shards[(start + offset) % n]
-            if not shard.alive:
-                continue
-            granted.extend(shard.take(node_id, remaining, self.policy, self.sim.now))
-        if granted:
-            # Guarded like the flat master: an empty grant must be a
-            # strict no-op (no load-view churn, no phantom accounting).
-            self._record_grant(node_id, granted)
-        return granted
-
-    def pull_service_seconds(self, node_id: int) -> float:
-        """Pull service with a partitioned pending map.
-
-        Shards are independent processes, so the fan-out is serviced
-        in parallel: the pull waits for the *slowest* shard -- linear
-        in the largest shard-local map, not in the global total.  This
-        is the control-plane win the shard sweep measures.
-
-        A shard-targeted RPC delay (chaos) extends the combined pull by
-        the worst live-shard extra: the synchronous rotation cannot
-        return until its slowest shard leg does.  The term is zero with
-        no injections, keeping the path byte-identical.
-        """
-        cost = self.config.pull_service_cost
-        extras = self._shard_rpc_extra
-        extra = 0.0
-        if extras:
-            extra = max(
-                (extras.get(s.shard_id, 0.0) for s in self._shards if s.alive),
-                default=0.0,
-            )
-        if not cost:
-            return extra
-        depths = [len(shard) for shard in self._shards if shard.alive]
-        return cost * max(depths, default=0) + extra
-
-    # -- the async pull protocol (shard_pull_window > 1) ---------------------------
+    # -- the pull protocol: one leg per live shard ---------------------------------
 
     def pull_plan(self, node_id: int) -> list[tuple[int, int]]:
         """The shards a pull from ``node_id`` should open legs to.
 
-        Live shards in the same rotation order the synchronous pull
-        walks (home shard first), each paired with its current
-        generation so a leg that lands after a crash/recover cycle can
-        be fenced out (the shard-level analogue of the slave epoch).
+        Live shards in rotation order (home shard first), each paired
+        with its current generation so a leg that lands after a
+        crash/recover cycle can be fenced out (the shard-level analogue
+        of the slave epoch).
         """
         n = self.n_shards
         start = self.home_shard_of(node_id)
@@ -368,13 +313,13 @@ class ShardCoordinator(DyrsMaster):
     def bind_from_shard(
         self, shard_id: int, generation: int, node_id: int, max_blocks: int
     ) -> list[MigrationRecord]:
-        """The bind half of one async pull leg, generation-fenced.
+        """The bind half of one pull leg, generation-fenced.
 
         Returns nothing when the budget is gone, the coordinator or
         shard is down, or the leg was planned against a previous shard
         incarnation -- a stale leg must not bind from a shard it never
-        talked to.  Grants go through the same accounting as the
-        synchronous path.
+        talked to.  Grants go through the flat master's accounting
+        (``_record_grant``).
         """
         if max_blocks <= 0 or not self.alive:
             return []
@@ -386,10 +331,34 @@ class ShardCoordinator(DyrsMaster):
             self._record_grant(node_id, granted)
         return granted
 
-    def shard_pull_service_seconds(self, shard_id: int) -> float:
-        """Service time of one shard's leg: linear in *that* shard's
-        pending map only (a dead shard costs nothing -- its leg binds
-        nothing)."""
+    def request_work(self, node_id: int, max_blocks: int) -> list[MigrationRecord]:
+        """Bind up to ``max_blocks`` across the whole federation.
+
+        Walks the live shards in :meth:`pull_plan` order until the
+        budget is spent.  Slaves never call this -- they bind shard by
+        shard through their legs -- but it answers the flat master's
+        question for callers that want one federation-wide grant.
+        """
+        if max_blocks <= 0:
+            return []
+        granted: list[MigrationRecord] = []
+        for shard_id, _ in self.pull_plan(node_id):
+            remaining = max_blocks - len(granted)
+            if remaining <= 0:
+                break
+            granted.extend(
+                self._shards[shard_id].take(
+                    node_id, remaining, self.policy, self.sim.now
+                )
+            )
+        if granted:
+            self._record_grant(node_id, granted)
+        return granted
+
+    def pull_service_seconds(self, shard_id: int) -> float:
+        """Service time of one leg: linear in *that* shard's pending
+        map only -- the control-plane win the shard sweep measures (a
+        dead shard costs nothing; its leg binds nothing)."""
         cost = self.config.pull_service_cost
         if not cost:
             return 0.0
@@ -412,8 +381,6 @@ class ShardCoordinator(DyrsMaster):
         if remaining:
             self._shard_rpc_extra[shard_id] = remaining
         else:
-            # Drop the key entirely: an empty dict is the marker that
-            # restores the byte-identical no-chaos pull paths.
             self._shard_rpc_extra.pop(shard_id, None)
 
     # -- teardown / failover -------------------------------------------------------

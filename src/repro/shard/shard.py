@@ -110,5 +110,5 @@ class MasterShard:
         now: float,
     ) -> list["MigrationRecord"]:
         """Bind up to ``max_blocks`` of this shard's records targeted
-        at ``node_id`` (the shard-local half of ``request_work``)."""
+        at ``node_id`` (the shard-local half of a pull leg)."""
         return bind_from_pool(self._pending, policy, node_id, max_blocks, now)

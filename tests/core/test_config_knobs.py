@@ -31,10 +31,6 @@ class TestFieldBounds:
             ("gc_threshold", 1.0, 0.0),
             ("gc_threshold", 0.9, 1.1),
             ("reference_block_size", 1.0, 0.0),
-            ("rpc_timeout", 0.5, 0.0),
-            ("rpc_max_retries", 0, -1),
-            ("rpc_backoff_base", 0.0, -0.1),
-            ("rpc_backoff_factor", 1.0, 0.99),
             ("pull_service_cost", 0.0, -1.0),
             ("idle_pull", "notify", "busywait"),
             ("shard_pull_window", 1, 0),
@@ -47,8 +43,8 @@ class TestFieldBounds:
             make(**{field: bad})
 
     @pytest.mark.parametrize(
-        "field", ["queue_depth", "memory_limit", "rpc_timeout",
-                  "shard_pull_window", "shard_dead_after"]
+        "field", ["queue_depth", "memory_limit", "shard_pull_window",
+                  "shard_dead_after"]
     )
     def test_none_means_disabled(self, field):
         assert getattr(make(**{field: None}), field) is None
@@ -66,8 +62,7 @@ class TestFieldBounds:
         pinned = {
             "ewma_alpha", "retarget_interval", "heartbeat_interval",
             "queue_depth", "rpc_latency", "memory_limit", "gc_threshold",
-            "reference_block_size", "estimator_refresh", "rpc_timeout",
-            "rpc_max_retries", "rpc_backoff_base", "rpc_backoff_factor",
+            "reference_block_size", "estimator_refresh",
             "pull_service_cost", "idle_pull", "shard_pull_window",
             "shard_dead_after",
         }

@@ -1,15 +1,21 @@
-"""The async cross-shard pull: pins, window accounting, isolation.
+"""The pull leg under a sharded master: pins, windows, isolation.
 
-Two anchors hold the protocol to the ground truth:
+Every slave pulls through detached legs, one per master endpoint (a
+shard here).  Three anchors hold the protocol to the ground truth:
 
-* **byte-identity at window 1** -- ``shard_pull_window=1`` selects the
-  synchronous combined-RPC rotation (the same code path, not an
-  emulation), so ``dyrs-sharded-async`` pinned to window 1 must replay
-  stock ``dyrs-sharded`` exactly, on sort and on the SWIM mix;
-* **isolation at window > 1** -- a chaos delay on one shard's legs
+* **byte-identity at window 1** -- the two sharded schemes differ only
+  by the window default, so ``dyrs-sharded-async`` pinned to window 1
+  must replay stock ``dyrs-sharded`` exactly, on sort and on the SWIM
+  mix;
+* **isolation at every window** -- a chaos delay on one shard's legs
   must leave the other shards' legs landing inside the delayed leg's
-  open interval, which is the whole point of detaching them.
+  open interval, which is the whole point of detaching them;
+* **collected legs stay silent** -- a leg left suspended by an
+  abandoned run must not write into the trace of whatever run is
+  recording when the garbage collector closes it.
 """
+
+import gc
 
 from repro.core import DyrsConfig
 from repro.core.failures import FailureInjector
@@ -141,13 +147,7 @@ def _run_async_sort(overrides, arm=None):
 
 
 class TestAsyncProtocol:
-    OVERRIDES = {
-        "pull_service_cost": 0.02,
-        "queue_depth": 4,
-        "rpc_timeout": 1.0,
-        "rpc_max_retries": 2,
-        "rpc_backoff_base": 0.1,
-    }
+    OVERRIDES = {"pull_service_cost": 0.02, "queue_depth": 4}
 
     def test_legs_open_close_and_respect_window(self):
         events = _run_async_sort(self.OVERRIDES)
@@ -163,6 +163,17 @@ class TestAsyncProtocol:
         assert checker.shard_violations() == []
 
     def test_delayed_shard_leg_does_not_stall_the_others(self):
+        """At the scheme's default window (the shard count)."""
+        self._assert_delayed_shard_isolated(self.OVERRIDES)
+
+    def test_window_one_still_isolates_a_delayed_shard(self):
+        """Window 1 bounds legs per shard, not per pull: a node's legs
+        to the healthy shards still land while its shard-2 leg waits."""
+        self._assert_delayed_shard_isolated(
+            {**self.OVERRIDES, "shard_pull_window": 1}
+        )
+
+    def _assert_delayed_shard_isolated(self, overrides):
         """The isolation property, stated on the trace: while the
         delayed shard's leg interval is open on some node, another
         shard's leg *on the same node* opens and lands inside it."""
@@ -173,7 +184,7 @@ class TestAsyncProtocol:
                 0.5, node_id=0, extra=3.0, clear_after=55.0, shard_id=2
             )
 
-        events = _run_async_sort(self.OVERRIDES, arm=arm)
+        events = _run_async_sort(overrides, arm=arm)
         checker = TraceInvariants(events)
         assert checker.violations() == []
         assert checker.shard_violations() == []
@@ -206,3 +217,48 @@ class TestAsyncProtocol:
             if overlapped:
                 break
         assert overlapped, "no other-shard leg landed inside a delayed interval"
+
+
+def _traced_dyrs_sort(during_build=None):
+    """One traced flat-``dyrs`` sort; ``during_build`` runs inside the
+    trace scope before the simulation starts."""
+    with obs.tracing() as tracer:
+        system = build_system(PaperSetup(scheme="dyrs", seed=3, interference="none"))
+        if during_build is not None:
+            during_build()
+        job = sort_job(system, size=1 * GB, job_id="clean-sort")
+        system.runtime.run_to_completion([job])
+    return [(e.type, e.time, e.fields) for e in tracer.events]
+
+
+class TestCollectedLegs:
+    def test_collected_legs_do_not_write_into_another_trace(self):
+        clean = _traced_dyrs_sort()
+        # An untraced async run stopped at t=2 s with legs suspended.
+        system = build_system(
+            PaperSetup(
+                scheme="dyrs-sharded-async",
+                seed=0,
+                interference="none",
+                block_size=16 * MB,
+                shards=4,
+                dyrs_overrides=TestAsyncProtocol.OVERRIDES,
+            )
+        )
+        system.runtime.submit(sort_job(system, size=2 * GB, job_id="abandoned"))
+        system.sim.run(until=2.0)
+        open_legs = sum(
+            sum(slave._leg_outstanding.values())
+            for slave in system.master.slaves.values()
+        )
+        assert open_legs > 0
+        abandoned = [system]
+        del system
+
+        def collect_abandoned_run():
+            abandoned.clear()
+            gc.collect()
+
+        polluted = _traced_dyrs_sort(during_build=collect_abandoned_run)
+        assert polluted == clean
+        assert any(e[0] == obs.PULL_LEG_OPEN for e in clean), "flat runs pull by legs"
