@@ -12,7 +12,7 @@ Layout:
 * :mod:`repro.core.master` -- the DYRS master (delayed binding, pull
   protocol, retargeting loop);
 * :mod:`repro.core.slave` -- the DYRS slave (serialized migrations,
-  local queue, heartbeat piggybacking);
+  local queue, the load each heartbeat reports);
 * :mod:`repro.core.policies` -- pending-queue ordering policies (FIFO
   per the paper, plus the future-work alternatives);
 * :mod:`repro.core.baselines` -- Ignem, the naive balancer, and the

@@ -7,8 +7,9 @@ pulls: the master hands over only blocks whose current target is that
 slave, and "only assign[s] enough migrations so that the slave does not
 go idle before the next time it queries for more work" (§III-A2).
 
-Heartbeats deliver each slave's ``(estimate, queued)`` pair, which the
-retargeting pass consumes as :class:`~repro.core.targeting.SlaveLoad`.
+Each heartbeat tick refreshes every reporting slave's ``(estimate,
+queued)`` pair, which the retargeting pass consumes as
+:class:`~repro.core.targeting.SlaveLoad`.
 """
 
 from __future__ import annotations
@@ -184,9 +185,9 @@ class DyrsMaster(MigrationMaster):
         self._loads: dict[int, SlaveLoad] = {}
         #: When each slave last reported via heartbeat.  A slave whose
         #: *process* died while its node keeps heartbeating stops
-        #: contributing payloads; staleness here is how the master
-        #: notices and reclaims its bound work (§III-C2's "missed
-        #: heartbeats" at process granularity).
+        #: reporting; staleness here is how the master notices and
+        #: reclaims its bound work (§III-C2's "missed heartbeats" at
+        #: process granularity).
         self._last_slave_report: dict[int, float] = {}
         self.binding_log: list[BindingEvent] = []
         self.retarget_passes = 0
@@ -205,22 +206,37 @@ class DyrsMaster(MigrationMaster):
         self._last_slave_report[slave.node_id] = self.sim.now
 
     def attach_heartbeats(self, service: "HeartbeatService") -> None:
-        """Subscribe to heartbeat payloads and register slave
-        contributors."""
-        self.namenode.add_heartbeat_observer(self.on_heartbeat)
-        for node_id, slave in self.slaves.items():
-            service.add_contributor(node_id, slave.heartbeat_payload)
+        """Observe every heartbeat tick of ``service``'s NameNode."""
+        service.namenode.add_heartbeat_observer(self.on_heartbeat)
 
     def on_heartbeat(self, report: "HeartbeatReport") -> None:
-        """Harvest ``(estimate, queued)`` from a slave heartbeat."""
-        spb = report.payload.get("dyrs.seconds_per_byte")
-        queued = report.payload.get("dyrs.queued_blocks")
-        if spb is None or queued is None:
-            return
-        self._last_slave_report[report.node_id] = report.time
-        self._loads[report.node_id] = SlaveLoad(
-            seconds_per_byte=spb, queued_blocks=queued
-        )
+        """Harvest ``(estimate, queued)`` from every live slave whose
+        node reported this tick (§III-D).
+
+        A slave whose process is down reports nothing, so its
+        ``_last_slave_report`` goes stale.  The stored
+        :class:`SlaveLoad` is replaced only when the reported pair
+        differs from it: the slave's own count still overwrites any
+        grant-adjusted view (``_record_grant``), and an idle slave
+        keeps the same object tick after tick.
+        """
+        time = report.time
+        slaves = self.slaves
+        loads = self._loads
+        last_report = self._last_slave_report
+        for node_id in report.node_ids:
+            slave = slaves.get(node_id)
+            if slave is None or not slave.alive:
+                continue
+            spb, queued = slave.heartbeat_load()
+            last_report[node_id] = time
+            load = loads.get(node_id)
+            if (
+                load is None
+                or load.seconds_per_byte != spb
+                or load.queued_blocks != queued
+            ):
+                loads[node_id] = SlaveLoad(seconds_per_byte=spb, queued_blocks=queued)
 
     def start(self) -> None:
         """Launch the periodic retargeting thread (idempotent)."""
@@ -375,9 +391,9 @@ class DyrsMaster(MigrationMaster):
         next retarget tick pulls its unfinished bindings back
         (§III-C2).  Also covers *process* deaths on a live node: the
         node keeps heartbeating (so it stays available) but a dead
-        slave contributes no ``dyrs.*`` payload, so its entry in
-        ``_last_slave_report`` goes stale and its bound work is
-        reclaimed here.  Returns the number of records reclaimed.
+        slave reports no load, so its entry in ``_last_slave_report``
+        goes stale and its bound work is reclaimed here.  Returns the
+        number of records reclaimed.
         """
         stale_after = (
             self.namenode.heartbeat_interval * self.namenode.heartbeat_miss_limit

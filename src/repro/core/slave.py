@@ -15,7 +15,7 @@ Responsibilities (§III, §IV):
   detached leg per master endpoint -- the flat master is a single
   endpoint, a sharded federation one per live shard -- at most
   ``shard_pull_window`` legs outstanding per endpoint;
-* piggyback ``(estimate, queue depth)`` on heartbeats (§III-D);
+* report ``(estimate, queue depth)`` at every heartbeat (§III-D);
 * respect the **memory hard limit**: when space is short, hold
   migrations until eviction frees memory or the migration is
   discarded by a missed read (§IV-A1);
@@ -258,50 +258,28 @@ class DyrsSlave:
         ):
             self._ssd_space_signal.succeed()
 
-    def heartbeat_payload(self) -> dict:
-        """Heartbeat contributor: refresh the estimator against the
-        active migration (§IV-A) and report load (§III-D)."""
-        if not self.alive:
-            # The node's DataNode keeps heartbeating, but a dead slave
-            # process contributes nothing; the master notices the
-            # missing dyrs.* keys as report staleness and reclaims the
-            # process's bound work.
-            return {}
-        if (
-            self.config.estimator_refresh
-            and self._active is not None
-            and self._active.started_at is not None
-        ):
-            elapsed = self.sim.now - self._active.started_at
-            self.estimator.refresh(elapsed, self._active.block.size, now=self.sim.now)
-        payload = {
-            "dyrs.seconds_per_byte": self.estimator.seconds_per_byte,
-            "dyrs.queued_blocks": self.queued_blocks,
-        }
-        if self.ssd_estimator is not None:
-            if (
-                self.config.estimator_refresh
-                and self._ssd_active is not None
-                and self._ssd_active.started_at is not None
-            ):
-                elapsed = self.sim.now - self._ssd_active.started_at
-                self.ssd_estimator.refresh(
-                    elapsed, self._ssd_active.block.size, now=self.sim.now
+    def heartbeat_load(self) -> tuple[float, int]:
+        """Refresh both lanes' estimators against their active copies
+        (§IV-A) and return the disk lane's ``(seconds_per_byte,
+        queued_blocks)`` -- the load a heartbeat carries to the master
+        (§III-D)."""
+        if self.config.estimator_refresh:
+            now = self.sim.now
+            active = self._active
+            if active is not None and active.started_at is not None:
+                self.estimator.refresh(
+                    now - active.started_at, active.block.size, now=now
                 )
-            payload["dyrs.ssd_seconds_per_byte"] = self.ssd_estimator.seconds_per_byte
-            payload["dyrs.ssd_queued_blocks"] = self.ssd_queued_blocks
-        return payload
-
-    def shard_heartbeat_payload(self) -> dict:
-        """Shard-addressed heartbeat fields (sharded masters only).
-
-        The :class:`~repro.shard.ShardCoordinator` registers this as an
-        extra contributor under the ``dyrs.`` prefix, so the wire key is
-        ``dyrs.shard``: the home shard this node's pull rotation starts
-        from.  Flat masters never register it, which keeps their
-        heartbeat payloads byte-identical to the paper's.
-        """
-        return {"shard": self.master.home_shard_of(self.node_id)}
+            ssd_active = self._ssd_active
+            if (
+                ssd_active is not None
+                and ssd_active.started_at is not None
+                and self.ssd_estimator is not None
+            ):
+                self.ssd_estimator.refresh(
+                    now - ssd_active.started_at, ssd_active.block.size, now=now
+                )
+        return self.estimator.seconds_per_byte, self.queued_blocks
 
     # -- worker internals --------------------------------------------------------------
 
@@ -457,13 +435,12 @@ class DyrsSlave:
                     else:
                         # Idle: wait for work, re-polling the master at
                         # heartbeat cadence (periodic query, §III-A1).
-                        yield AnyOf(
-                            sim,
-                            [
-                                self._work_signal,
-                                sim.timeout(self.config.heartbeat_interval),
-                            ],
-                        )
+                        # Work that arrives first leaves the re-poll
+                        # timer nothing to wake, so drop it.
+                        repoll = sim.timeout(self.config.heartbeat_interval)
+                        yield AnyOf(sim, [self._work_signal, repoll])
+                        if not repoll.processed:
+                            sim.discard(repoll)
                     self._work_signal = None
                     continue
                 record = self._queue.popleft()
@@ -528,10 +505,10 @@ class DyrsSlave:
                     self._ssd_space_signal = signal
                 else:
                     self._space_signal = signal
-                yield AnyOf(
-                    sim,
-                    [signal, sim.timeout(self.config.heartbeat_interval)],
-                )
+                recheck = sim.timeout(self.config.heartbeat_interval)
+                yield AnyOf(sim, [signal, recheck])
+                if not recheck.processed:
+                    sim.discard(recheck)
                 if lane == "ssd":
                     self._ssd_space_signal = None
                 else:

@@ -15,7 +15,7 @@ inconsistent but reads still succeed (§III-C1/C2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.dfs.block import Block, BlockId
@@ -31,15 +31,17 @@ __all__ = ["NameNode", "HeartbeatReport"]
 
 @dataclass(slots=True)
 class HeartbeatReport:
-    """One heartbeat from a DataNode to the NameNode.
+    """One heartbeat tick as the NameNode receives it.
 
-    ``payload`` carries piggybacked extension data; the DYRS slave adds
-    its migration-time estimate and local queue depth (§III-D).
+    ``node_ids`` lists the DataNodes whose heartbeat arrived at
+    ``time``, in ``NameNode.datanodes`` order; failed and partitioned
+    nodes are absent.  Observers read whatever else they need (the
+    DYRS master: each slave's estimate and queue depth, §III-D) from
+    the nodes themselves.
     """
 
-    node_id: int
     time: float
-    payload: dict = field(default_factory=dict)
+    node_ids: list[int]
 
 
 class NameNode:
@@ -120,8 +122,8 @@ class NameNode:
         #: arrive, so the miss-counting detector eventually flags them
         #: even though the node itself is up and serving local tasks.
         self.partitioned: set[int] = set()
-        #: Heartbeat observers, called with each report (the DYRS
-        #: master registers here to harvest slave estimates).
+        #: Heartbeat observers, called once per tick with its report
+        #: (the DYRS master registers here to harvest slave estimates).
         self._heartbeat_observers: list = []
 
     # -- namespace operations -------------------------------------------------
@@ -154,15 +156,14 @@ class NameNode:
     # -- heartbeats and liveness --------------------------------------------------
 
     def receive_heartbeat(self, report: HeartbeatReport) -> None:
-        """Record a heartbeat and fan it out to observers."""
-        if report.node_id in self.partitioned:
-            return  # lost on the wire; the miss counter keeps climbing
-        self._last_heartbeat[report.node_id] = report.time
+        """Stamp every reporting node live, then hand the tick to each
+        observer once."""
+        self._last_heartbeat.update(dict.fromkeys(report.node_ids, report.time))
         for observer in self._heartbeat_observers:
             observer(report)
 
     def add_heartbeat_observer(self, observer) -> None:
-        """Register ``observer(report)`` for every future heartbeat."""
+        """Register ``observer(report)`` for every future heartbeat tick."""
         self._heartbeat_observers.append(observer)
 
     def is_available(self, node_id: int) -> bool:

@@ -78,7 +78,6 @@ PROTOCOL_STATE_ATTRS = frozenset(
         "memory_directory",
         "ssd_directory",
         "archive_directory",
-        "_contributors",
     }
 )
 

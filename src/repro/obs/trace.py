@@ -129,11 +129,6 @@ SHARD_RECOVER = "shard_recover"
 #: ``shard_assign`` naming a declared-dead shard before a matching
 #: ``shard_recover``.
 SHARD_DEAD = "shard_dead"
-#: A shard-addressed heartbeat payload claimed a home shard that
-#: disagrees with ``home_shard_of(node)`` (``node``, ``claimed``,
-#: ``expected``).  The report is dropped instead of poisoning the
-#: per-shard freshness map.
-SHARD_REPORT_MISMATCH = "shard_report_mismatch"
 #: The slave's pull protocol: one RPC leg to a master endpoint (the
 #: flat master's endpoint 0, or a shard) opening (``node``, ``shard``,
 #: ``window``, ``outstanding``) and landing (``node``, ``shard``).  The

@@ -1,8 +1,8 @@
 """Sharded migration master: a federated control plane for DYRS.
 
 The paper's single master is the scalability wall its 8-node testbed
-never hit: every pending migration, heartbeat payload, and pull RPC
-funnels through one process (§III-C assumes one authority).  This
+never hit: every pending migration, heartbeat, and pull RPC funnels
+through one process (§III-C assumes one authority).  This
 package partitions the *binding* half of the master -- the pending map
 and Algorithm 1 -- across N :class:`MasterShard`\\ s behind a thin
 :class:`ShardCoordinator`, while cluster-wide policy (reference

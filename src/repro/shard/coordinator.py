@@ -38,7 +38,6 @@ from repro.shard.shard import MasterShard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import Cluster
-    from repro.dfs.heartbeat import HeartbeatService
     from repro.dfs.namenode import HeartbeatReport, NameNode
 
 __all__ = ["ShardCoordinator"]
@@ -67,10 +66,8 @@ class ShardCoordinator(DyrsMaster):
         #: invariant checker convicts anything else): resharding would
         #: silently re-home records mid-flight.
         self._shards = [MasterShard(i) for i in range(n_shards)]
-        #: Per-shard freshness from shard-addressed heartbeat payloads
-        #: (``dyrs.shard``): when a shard's *home nodes* last reported.
-        #: Reports are validated against ``home_shard_of`` before they
-        #: land (a forged or buggy tag must not refresh another shard).
+        #: Per-shard freshness: when a shard's *home nodes* (those with
+        #: ``home_shard_of(node) == shard``) last heartbeat.
         self._shard_reports: dict[int, float] = {}
         #: Shards declared permanently lost (stayed down past
         #: ``shard_dead_after``).  Declaration is lazy -- evaluated on
@@ -89,8 +86,8 @@ class ShardCoordinator(DyrsMaster):
         return self._router.n_shards
 
     def home_shard_of(self, node_id: int) -> int:
-        """Where node ``node_id``'s pull rotation starts (also its
-        shard-addressed heartbeat tag)."""
+        """Where node ``node_id``'s pull rotation starts (also the shard
+        whose freshness its heartbeats refresh)."""
         return node_id % self.n_shards
 
     def shard_of_block(self, block) -> int:
@@ -188,36 +185,19 @@ class ShardCoordinator(DyrsMaster):
         )
         return 0.5 if self.shard_staleness(shard_id) > horizon else 1.0
 
-    # -- heartbeats (shard-addressed payloads) ---------------------------------
-
-    def attach_heartbeats(self, service: "HeartbeatService") -> None:
-        super().attach_heartbeats(service)
-        for node_id, slave in self.slaves.items():
-            service.add_contributor(
-                node_id, slave.shard_heartbeat_payload, prefix="dyrs."
-            )
+    # -- heartbeats (per-shard freshness) -------------------------------------
 
     def on_heartbeat(self, report: "HeartbeatReport") -> None:
+        """Refresh the load view, then the home shard of every reporting
+        node that hosts a slave -- its process up or not, since the
+        node itself got through."""
         super().on_heartbeat(report)
-        claimed = report.payload.get("dyrs.shard")
-        if claimed is None:
-            return
-        # The home shard is a pure function of the node id, so the
-        # self-reported tag is redundant -- which makes it checkable.
-        # A mismatched claim (stale contributor, forged payload) is
-        # dropped rather than refreshing the wrong shard's staleness.
-        expected = self.home_shard_of(report.node_id)
-        if claimed != expected:
-            if obs.enabled():
-                obs.emit(
-                    obs.SHARD_REPORT_MISMATCH,
-                    report.time,
-                    node=report.node_id,
-                    claimed=claimed,
-                    expected=expected,
-                )
-            return
-        self._shard_reports[expected] = report.time
+        slaves = self.slaves
+        shard_reports = self._shard_reports
+        time = report.time
+        for node_id in report.node_ids:
+            if node_id in slaves:
+                shard_reports[self.home_shard_of(node_id)] = time
 
     # -- routing ----------------------------------------------------------------
 

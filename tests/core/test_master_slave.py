@@ -244,3 +244,74 @@ class TestMasterBookkeeping:
         rig.master.start()  # second start: no-op
         rig.master.stop()
         rig.master.stop()
+
+
+class TestHeartbeatTicks:
+    """One heartbeat tick refreshes the master's view of every live
+    slave whose node got through (§III-D)."""
+
+    def test_tick_reports_every_live_slave(self, rig):
+        rig.client.create_file("input", 2 * GB)
+        rig.master.migrate(["input"], job_id="j1")
+        seen = []
+
+        def check(report):
+            # Observers run in registration order, so the master has
+            # already harvested this tick.
+            for slave in rig.slaves:
+                load = rig.master._loads[slave.node_id]
+                seen.append(
+                    (
+                        (load.seconds_per_byte, load.queued_blocks),
+                        (slave.estimator.seconds_per_byte, slave.queued_blocks),
+                        rig.master._last_slave_report[slave.node_id],
+                        report.time,
+                    )
+                )
+
+        rig.namenode.add_heartbeat_observer(check)
+        rig.sim.run(until=30)
+        assert len(seen) == 10 * len(rig.slaves)  # ticks at t = 3, 6, ..., 30
+        for held, actual, reported_at, tick in seen:
+            assert held == actual
+            assert reported_at == tick
+        assert any(held[1] > 0 for held, *_ in seen)  # the loads moved
+
+    def test_down_process_and_partitioned_node(self, rig):
+        """A node whose slave process is down still heartbeats (the
+        NameNode stamps it) but its slave reports nothing; a
+        partitioned node's heartbeat is lost, so neither is stamped."""
+        interval = rig.namenode.heartbeat_interval
+        rig.sim.run(until=1)
+        rig.slaves[1].crash()
+        rig.namenode.partitioned.add(2)
+        rig.sim.run(until=interval + 0.1)
+        stamped = rig.namenode._last_heartbeat
+        reported = rig.master._last_slave_report
+        assert (stamped[0], reported[0]) == (interval, interval)
+        assert (stamped[1], reported[1]) == (interval, 0.0)
+        assert (stamped[2], reported[2]) == (0.0, 0.0)
+
+    def test_grant_between_ticks_overwritten_at_next_tick(self, rig):
+        interval = rig.namenode.heartbeat_interval
+        rig.sim.run(until=1)
+        rig.client.create_file("one", 64 * MB)
+        (record,) = rig.master.migrate(["one"], job_id="j1")
+        node = record.target_node
+        # Bind on the master only: the grant never reaches the slave.
+        assert rig.master.request_work(node, 1) == [record]
+        assert rig.master._loads[node].queued_blocks == 1
+        assert rig.slaves[node].queued_blocks == 0
+        rig.sim.run(until=interval + 0.1)
+        assert rig.master._loads[node].queued_blocks == 0
+
+    def test_unchanged_load_keeps_its_slave_load(self, rig):
+        """An idle cluster's loads never move, so ticks leave the
+        stored :class:`SlaveLoad` objects in place."""
+        last_tick = 3 * rig.namenode.heartbeat_interval
+        rig.sim.run(until=1)
+        before = dict(rig.master._loads)
+        rig.sim.run(until=last_tick + 0.1)
+        assert rig.master._last_slave_report == dict.fromkeys(before, last_tick)
+        for node_id, load in before.items():
+            assert rig.master._loads[node_id] is load

@@ -2,7 +2,21 @@
 
 from repro.core import DyrsConfig, MigrationStatus
 from repro.dfs import EvictionMode
+from repro.sim.events import AnyOf, Timeout
 from repro.units import GB, MB
+
+
+def _orphaned_timers(sim):
+    """Scheduled timers whose every waiter has already fired: each
+    would pop later and wake nothing."""
+    orphans = []
+    for _when, _priority, _seq, event in sim._heap:
+        if event._discarded or not isinstance(event, Timeout):
+            continue
+        waiters = [getattr(cb, "__self__", None) for cb in event.callbacks or ()]
+        if waiters and all(isinstance(w, AnyOf) and w.triggered for w in waiters):
+            orphans.append(event)
+    return orphans
 
 
 class TestPullProtocol:
@@ -116,3 +130,34 @@ class TestMemoryPressure:
         rig.sim.process(watcher())
         rig.sim.run(until=200)
         assert violations == []
+
+
+class TestIdleWaits:
+    """A wait that its signal ends early leaves no timer behind."""
+
+    def test_work_ends_the_poll_wait(self, make_rig):
+        rig = make_rig(n_workers=1)
+        slave = rig.slaves[0]
+        rig.sim.run(until=1)  # idle; the next re-poll is due at t=2
+        rig.client.create_file("a", 64 * MB)
+        rig.master.migrate(["a"], job_id="j1")
+        # The t=2 re-poll binds the block; its grant lands at t=2.1 and
+        # ends the wait that began at t=2, well before its t=4 timer.
+        rig.sim.run(until=2.2)
+        assert slave._active is not None
+        assert _orphaned_timers(rig.sim) == []
+
+    def test_freed_memory_ends_the_space_wait(self, make_rig):
+        config = DyrsConfig(memory_limit=64 * MB, reference_block_size=64 * MB)
+        rig = make_rig(n_workers=1, config=config)
+        slave = rig.slaves[0]
+        rig.client.create_file("a", 64 * MB)
+        rig.client.create_file("b", 64 * MB)
+        rig.master.migrate(["a"], job_id="j1", eviction=EvictionMode.EXPLICIT)
+        rig.master.migrate(["b"], job_id="j2", eviction=EvictionMode.EXPLICIT)
+        rig.sim.run(until=10)
+        assert slave._space_signal is not None  # "b" waits for "a"'s space
+        rig.master.evict(["a"], job_id="j1")
+        rig.sim.run(until=rig.sim.now + 0.01)
+        assert slave._space_signal is None
+        assert _orphaned_timers(rig.sim) == []

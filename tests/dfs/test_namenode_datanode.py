@@ -7,24 +7,17 @@ from repro.dfs.heartbeat import HeartbeatService
 from repro.units import MB
 
 
-def _start_recording_service(namenode, cluster):
+def _start_recording_service(namenode):
     """Move node 0 to the end of ``namenode.datanodes`` and start a
-    heartbeat service.  Returns ``(order, seen, assembled)``: the
-    datanode order, then ``(time, node_id)`` per delivered report and
-    per assembled payload."""
+    heartbeat service.  Returns ``(order, seen)``: the datanode order,
+    then ``(time, node_ids)`` per delivered tick."""
     namenode.datanodes[0] = namenode.datanodes.pop(0)
     order = list(namenode.datanodes)
     assert order == [1, 2, 3, 0]
-    service = HeartbeatService(namenode)
-    assembled = []
-    for node_id in order:
-        service.add_contributor(
-            node_id, lambda n=node_id: assembled.append((cluster.sim.now, n)) or {}
-        )
     seen = []
-    namenode.add_heartbeat_observer(lambda r: seen.append((r.time, r.node_id)))
-    service.start()
-    return order, seen, assembled
+    namenode.add_heartbeat_observer(lambda r: seen.append((r.time, r.node_ids)))
+    HeartbeatService(namenode).start()
+    return order, seen
 
 
 class TestCreateFile:
@@ -181,69 +174,49 @@ class TestHeartbeatsAndFailure:
         assert dn.node_id in block.replica_nodes
 
     def test_reports_follow_datanode_order(self, namenode, cluster):
-        """Each tick delivers one report per node, in
+        """Each tick delivers one report listing every node in
         ``namenode.datanodes`` order (not node-id order), stamped with
-        the tick time."""
-        order, seen, assembled = _start_recording_service(namenode, cluster)
+        the tick time, and the NameNode stamps all of them live."""
+        order, seen = _start_recording_service(namenode)
         interval = namenode.heartbeat_interval
         cluster.sim.run(until=3 * interval + 0.1)  # ticks 0-3
-        expected = [(tick * interval, n) for tick in range(4) for n in order]
-        assert seen == expected
-        assert assembled == expected
+        assert seen == [(tick * interval, order) for tick in range(4)]
+        assert namenode._last_heartbeat == dict.fromkeys(order, 3 * interval)
 
     def test_reports_skip_down_nodes(self, namenode, cluster):
-        """A failed or partitioned node is skipped without assembling its
-        payload while the others keep their order; a healed partition
-        resumes next tick."""
-        order, seen, assembled = _start_recording_service(namenode, cluster)
+        """A failed or partitioned node is left out of the tick (and not
+        stamped live) while the others keep their order; a healed
+        partition reports again at the next tick."""
+        order, seen = _start_recording_service(namenode)
         interval = namenode.heartbeat_interval
         failed, partitioned = order[1], order[2]
         cluster.sim.run(until=2 * interval + 0.1)  # ticks 0-2: everyone
         cluster.node(failed).fail()
         namenode.partitioned.add(partitioned)
         cluster.sim.run(until=4 * interval + 0.1)  # ticks 3-4: both skipped
+        assert namenode._last_heartbeat[failed] == 2 * interval
+        assert namenode._last_heartbeat[partitioned] == 2 * interval
         namenode.partitioned.discard(partitioned)
         cluster.sim.run(until=5 * interval + 0.1)  # tick 5: partition healed
         down = {3: {failed, partitioned}, 4: {failed, partitioned}, 5: {failed}}
         expected = [
-            (tick * interval, node_id)
+            (tick * interval, [n for n in order if n not in down.get(tick, ())])
             for tick in range(6)
-            for node_id in order
-            if node_id not in down.get(tick, ())
         ]
         assert seen == expected
-        assert assembled == expected
 
-    def test_heartbeat_payload_contributors(self, namenode, cluster):
-        service = HeartbeatService(namenode)
-        service.add_contributor(0, lambda: {"est": 1.5})
-        service.add_contributor(0, lambda: {"queued": 2})
-        seen = []
-        namenode.add_heartbeat_observer(lambda r: seen.append(r))
-        service.start()
-        cluster.sim.run(until=namenode.heartbeat_interval * 2 + 0.1)
-        reports0 = [r for r in seen if r.node_id == 0]
-        assert reports0
-        assert reports0[-1].payload == {"est": 1.5, "queued": 2}
-
-    def test_contributor_for_node_registered_after_construction(
-        self, namenode, cluster
-    ):
-        """Regression: the contributors map snapshotted
-        ``namenode.datanodes`` at construction, so ``add_contributor``
-        for a node registered *after* the service was built raised
-        KeyError and its payloads were unreachable."""
+    def test_late_datanode_reports_next_tick(self, namenode, cluster):
+        """The service reads ``namenode.datanodes`` afresh every tick, so
+        a DataNode registered after the service was built (and after
+        its first tick) appears in the next one."""
         late = namenode.datanodes.pop(3)
         service = HeartbeatService(namenode)
-        namenode.datanodes[3] = late
-        service.add_contributor(3, lambda: {"est": 2.5})  # raised KeyError
         seen = []
-        namenode.add_heartbeat_observer(lambda r: seen.append(r))
-        service.start()
-        cluster.sim.run(until=namenode.heartbeat_interval * 2 + 0.1)
-        reports3 = [r for r in seen if r.node_id == 3]
-        assert reports3
-        assert reports3[-1].payload == {"est": 2.5}
+        namenode.add_heartbeat_observer(lambda r: seen.append(r.node_ids))
+        service.start()  # tick 0 runs inside start()
+        namenode.datanodes[3] = late
+        cluster.sim.run(until=namenode.heartbeat_interval + 0.1)
+        assert seen == [[0, 1, 2], [0, 1, 2, 3]]
 
     def test_node_memory_drop(self, namenode, client):
         entry = client.create_file("f", 128 * MB)

@@ -174,6 +174,22 @@ class TestSsdSourcedPromotion:
         assert record.source_tier == "ssd"
         assert rig.namenode.memory_directory[block.block_id] == holder
 
+    def test_overrunning_copy_refreshes_the_ssd_estimator(self, tiered_rig):
+        """A heartbeat tick that lands while an ssd->memory copy runs
+        past its estimate raises the SSD lane's estimate (§IV-A)."""
+        rig = tiered_rig
+        block = self._block_on_ssd(rig)
+        holder = rig.namenode.ssd_directory[block.block_id]
+        slave = rig.master.slaves[holder]
+        channel = rig.cluster.node(holder).ssd.channel
+        channel.set_capacity(channel.capacity / 1000)
+        before = slave.ssd_estimator.seconds_per_byte
+        rig.master.migrate(["f"], job_id="j2")
+        rig.sim.run(until=rig.sim.now + 2 * rig.namenode.heartbeat_interval)
+        assert slave._ssd_active is not None  # still copying
+        assert slave.ssd_estimator.refreshes >= 1
+        assert slave.ssd_estimator.seconds_per_byte > before
+
     def test_reevicted_block_with_ssd_copy_drops_plainly(self, tiered_rig):
         rig = tiered_rig
         block = self._block_on_ssd(rig)
@@ -269,13 +285,6 @@ class TestDegradation:
         assert block.block_id not in rig.namenode.memory_directory
         assert rig.namenode.ssd_directory == {}
         assert set(rig.master.tier_moves) == {("disk", "memory")}
-
-    def test_heartbeat_payload_reports_ssd_lane(self, tiered_rig, make_tiered_rig):
-        payload = tiered_rig.slaves[0].heartbeat_payload()
-        assert "dyrs.ssd_seconds_per_byte" in payload
-        assert payload["dyrs.ssd_queued_blocks"] == 0
-        bare = make_tiered_rig(node=NodeSpec())
-        assert "dyrs.ssd_seconds_per_byte" not in bare.slaves[0].heartbeat_payload()
 
 
 class TestFailures:
