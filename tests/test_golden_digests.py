@@ -4,7 +4,7 @@ Each case runs one small seeded scheme x workload configuration and
 hashes everything the simulation decided:
 
 * the migration record log -- every status, binding and timestamp --
-  plus the lifecycle master's archive-move log;
+  plus the tier master's background-promotion and archive-move logs;
 * the master's binding log -- every Algorithm-1 decision;
 * the tiered masters' bytes moved per ladder edge;
 * each job's finish time, and the clock when the run ended.
@@ -25,6 +25,7 @@ import hashlib
 
 import pytest
 
+from repro.compute.job import mapreduce_job
 from repro.core.failures import ChaosCampaign, FailureInjector
 from repro.experiments.chaos import CHAOS_TIER_OVERRIDES
 from repro.experiments.common import PaperSetup, build_system
@@ -40,6 +41,7 @@ CASES = (
     ("ignem", "swim", 5, 0),
     ("dyrs-tiered", "sort", 3, 0),
     ("dyrs-tiered", "swim", 5, 0),
+    ("dyrs-tiered", "promote", 3, 0),
     ("dyrs-lifecycle", "sort", 3, 0),
     ("dyrs-lifecycle", "swim", 5, 0),
     ("dyrs-sharded-async", "sort", 3, 0),
@@ -63,6 +65,14 @@ IDLE_TAIL = 120.0
 TIER_OVERRIDES = {
     "dyrs-tiered": {"lifecycle_interval": 5.0, "hot_age": 10.0, "cold_age": 25.0},
     "dyrs-lifecycle": dict(CHAOS_TIER_OVERRIDES),
+}
+#: Timescales of the ``promote`` workload: a file read once is WARM at
+#: the 15 s pass (background disk->ssd promotion) and stays off COLD
+#: until its declared re-read at 45 s promotes it ssd->memory.
+PROMOTE_TIER_OVERRIDES = {
+    "lifecycle_interval": 15.0,
+    "hot_age": 10.0,
+    "cold_age": 40.0,
 }
 
 
@@ -89,6 +99,9 @@ GOLDEN = {
     ),
     "dyrs-tiered-swim-seed5": (
         "46ea8121ec89ba09c073113f9e69d38fec455d4c2dab2785f8064d6d58418906"
+    ),
+    "dyrs-tiered-promote-seed3": (
+        "59371b1b1c71767b2347cb6a7a067675c3b7c18d78f8b1389f4cb7ae38e53e7a"
     ),
     "dyrs-lifecycle-sort-seed3": (
         "5d50fea8ade84b650c019026f7d46cb71a89752f83efa2856b1b0ef2cfe57d8e"
@@ -118,6 +131,26 @@ GOLDEN = {
 
 
 def _jobs(system, workload: str):
+    if workload == "promote":
+        # Crosses every working-tier edge: the undeclared scan warms
+        # its file into a background disk->ssd fill, the sort migrates
+        # disk->memory and demotes memory->ssd on eviction, the
+        # declared re-scan promotes ssd->memory, and both SSD sets
+        # expire ssd->disk in the idle tail.
+        system.load_input("scan/input", 2 * GB)
+        blocks = system.client.blocks_of(["scan/input"])
+        return [
+            mapreduce_job("scan-0", blocks, [], shuffle_bytes=0, output_bytes=0),
+            sort_job(system, size=2 * GB, job_id="sort-0", submit_time=5.0),
+            mapreduce_job(
+                "scan-1",
+                blocks,
+                ["scan/input"],
+                shuffle_bytes=0,
+                output_bytes=0,
+                submit_time=45.0,
+            ),
+        ]
     if workload == "sort":
         return [
             sort_job(system, size=4 * GB, job_id="sort-0", extra_lead_time=10.0),
@@ -141,8 +174,8 @@ def _jobs(system, workload: str):
     return materialize_swim_jobs(system, descriptors)
 
 
-def run_case(scheme: str, workload: str, seed: int, faults: int) -> str:
-    """Run one case and return the sha256 of its outcome."""
+def _simulate(scheme: str, workload: str, seed: int, faults: int):
+    """Run one case to the end of its idle tail; returns the system."""
     system = build_system(
         PaperSetup(
             scheme=scheme,
@@ -150,7 +183,11 @@ def run_case(scheme: str, workload: str, seed: int, faults: int) -> str:
             interference="alt-10s-1",
             memory_limit=MEMCAP if workload == "swim-memcap" else None,
             shards=4 if scheme.startswith("dyrs-sharded") else 1,
-            tier_overrides=TIER_OVERRIDES.get(scheme, {}),
+            tier_overrides=(
+                PROMOTE_TIER_OVERRIDES
+                if workload == "promote"
+                else TIER_OVERRIDES.get(scheme, {})
+            ),
         )
     )
     master = system.master
@@ -161,8 +198,16 @@ def run_case(scheme: str, workload: str, seed: int, faults: int) -> str:
         ).arm()
     system.runtime.run_to_completion(_jobs(system, workload))
     system.sim.run(until=max(system.sim.now, CHAOS_HORIZON) + IDLE_TAIL)
+    return system
+
+
+def run_case(scheme: str, workload: str, seed: int, faults: int) -> str:
+    """Run one case and return the sha256 of its outcome."""
+    system = _simulate(scheme, workload, seed, faults)
+    master = system.master
     digest = hashlib.sha256()
     records = list(master.record_log)
+    records += getattr(master, "tier_record_log", [])
     records += getattr(master, "lifecycle_record_log", [])
     for r in records:
         digest.update(
@@ -194,6 +239,22 @@ def run_case(scheme: str, workload: str, seed: int, faults: int) -> str:
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_golden_digest(case):
     assert run_case(*case) == GOLDEN[_case_id(case)]
+
+
+def test_promote_case_crosses_every_working_tier_edge():
+    """The digest only pins what the case exercises: it must keep
+    moving blocks along all five working-tier edges, with background
+    promotions in the tier record log."""
+    master = _simulate("dyrs-tiered", "promote", 3, 0).master
+    assert set(master.tier_moves) == {
+        ("disk", "memory"),
+        ("disk", "ssd"),
+        ("memory", "ssd"),
+        ("ssd", "memory"),
+        ("ssd", "disk"),
+    }
+    assert master.tier_record_log
+    assert all(r.status.name == "DONE" for r in master.tier_record_log)
 
 
 if __name__ == "__main__":
