@@ -120,7 +120,8 @@ class MetricsCollector:
     def __init__(self) -> None:
         self.jobs: dict[str, JobMetrics] = {}
         #: Completed tier moves per ladder edge: (source, dest) -> count
-        #: (fed by the tiered master; empty for the paper's schemes).
+        #: (fed by the storage-ladder master; empty for the paper's
+        #: schemes).
         self.tier_moves: dict[tuple[str, str], int] = {}
         #: Unified metrics sink (the no-op registry unless a run scoped
         #: one in via ``repro.obs.metrics.collecting``).

@@ -131,8 +131,9 @@ class RecordLedger:
         self._on_record_discarded(record)
 
     def _new_record(self, block: Block) -> MigrationRecord:
-        """Record factory; the tiered master overrides this to route a
-        block already resident on a faster tier along the right edge."""
+        """Record factory; the storage-ladder master overrides this to
+        route a block already resident on a faster tier along the right
+        edge."""
         return MigrationRecord(block=block, requested_at=self.sim.now)
 
     def _remigrate(self, block: Block) -> MigrationRecord:

@@ -92,9 +92,9 @@ class DyrsConfig:
         Outstanding pull legs a slave may hold per master endpoint
         (the flat master is one endpoint, a federation one per live
         shard).  ``None`` (the default) resolves to the scheme default
-        when built through :class:`repro.system.SystemConfig` (the
-        shard count for ``dyrs-sharded-async``, 1 for every other
-        scheme); standalone it behaves as 1.  Legs are detached, so
+        when built through :class:`repro.system.SystemConfig`
+        (``max(2, shards)`` for ``dyrs-sharded-async``, 1 for every
+        other scheme); standalone it behaves as 1.  Legs are detached, so
         one slow or delayed shard endpoint never stalls the legs to
         the healthy shards at any window; a wider window lets a node
         keep several legs in flight to the same shard.

@@ -37,9 +37,10 @@ class StandbyCoordinator:
     """Manages a primary migration master and fails over to a standby.
 
     ``master_factory`` generalizes the coordinator beyond the flat
-    DYRS master: any :class:`DyrsMaster` subclass works -- the tiered
-    and lifecycle masters (whose teardown aborts in-flight tier
-    moves via ``shutdown``), and the sharded
+    DYRS master: any :class:`DyrsMaster` subclass works -- the
+    storage-ladder :class:`~repro.lifecycle.LifecycleMaster` (whose
+    teardown aborts in-flight tier moves via ``shutdown``), and the
+    sharded
     :class:`~repro.shard.ShardCoordinator` (per-shard *internal*
     failover is the coordinator's own ``crash_shard``/
     ``recover_shard``; this class replaces the whole federation when

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.cluster import ClusterSpec, InterferenceSchedule, NodeSpec
 from repro.compute import ComputeConfig
 from repro.core import DyrsConfig
+from repro.lifecycle import TierConfig
 from repro.system import System, SystemConfig
 from repro.units import GB, MB
 
@@ -73,8 +74,8 @@ class PaperSetup:
     memory_limit:
         Optional per-node migration memory cap (§IV-A1).
     tier_overrides:
-        :class:`~repro.tiers.TierConfig` field overrides for the
-        tiered/lifecycle schemes (empty = scheme defaults).  Chaos and
+        :class:`~repro.lifecycle.TierConfig` field overrides for the
+        tiered/lifecycle schemes (empty = defaults).  Chaos and
         lifecycle experiments use this to compress the temperature
         timescales into a CI-sized horizon.
     """
@@ -97,22 +98,6 @@ class PaperSetup:
     shards: int = 1
     #: Record -> shard routing for ``dyrs-sharded``.
     shard_router: str = "block"
-
-
-def _tier_config(scheme: str, overrides: dict):
-    """Build the tier config for ``scheme`` from field overrides.
-
-    Lifecycle-only fields (or the lifecycle scheme itself) select the
-    :class:`~repro.lifecycle.LifecycleConfig` variant so its defaults
-    (table policy, archive thresholds) apply.
-    """
-    from repro.lifecycle import LifecycleConfig
-    from repro.tiers import TierConfig
-
-    lifecycle_fields = {"archive_age", "cold_replication"}
-    if scheme == "dyrs-lifecycle" or (overrides.keys() & lifecycle_fields):
-        return LifecycleConfig(**overrides)
-    return TierConfig(**overrides)
 
 
 def build_system(setup: PaperSetup) -> System:
@@ -145,7 +130,7 @@ def build_system(setup: PaperSetup) -> System:
                 seed=setup.seed,
             ),
             dyrs=dyrs,
-            tiers=_tier_config(scheme, setup.tier_overrides),
+            tiers=TierConfig(**setup.tier_overrides),
             compute=ComputeConfig(
                 task_launch_overhead=setup.task_launch_overhead,
                 job_init_overhead=setup.job_init_overhead,

@@ -1,9 +1,10 @@
-"""Data-lifecycle management: the cold end of the storage ladder.
+"""Data-lifecycle management over the whole storage ladder.
 
-The paper's machinery only moves data *up* (disk to memory, and in the
-tiered extension disk to SSD to memory).  This package closes the
-loop: blocks are classified HOT/WARM/COLD from the temperature
-tracker's EWMAs, a declarative policy table says where each class
+The paper's machinery only moves data *up*, from disk to memory.  This
+package runs one lifecycle over every rung a cluster has: blocks are
+classified HOT/WARM/COLD from the temperature tracker's EWMAs, warm
+data is cached on the SSD and expired from it, and -- when the cluster
+has an archive rung -- a declarative policy table says where each class
 lives and how replicated it is, and a serialized, integrity-checked
 mover demotes cold data to the fabric-attached archive tier and
 restores it -- re-replicated first -- when it heats back up.
@@ -12,7 +13,7 @@ Modules
 -------
 ``policy``
     The per-temperature table (:class:`LifecycleTable`) and its
-    adapter onto the shared tier machinery (:class:`TablePolicy`).
+    adapter onto the tier policy interface (:class:`TablePolicy`).
 ``integrity``
     Checksums recorded at archival write and verified before any copy
     is deleted (:class:`ChecksumRegistry`).
@@ -20,12 +21,13 @@ Modules
     The temperature-driven replication scheduler
     (:class:`ReplicationScheduler`).
 ``master``
-    :class:`LifecycleMaster`, the tiered DYRS master extended with the
-    archive pass, and its :class:`LifecycleConfig`.
+    :class:`LifecycleMaster`, the DYRS master that runs the SSD
+    lifecycle and, given an archive rung, the archive pass; and its
+    :class:`TierConfig`.
 """
 
 from repro.lifecycle.integrity import ChecksumRegistry, block_checksum
-from repro.lifecycle.master import LifecycleConfig, LifecycleMaster
+from repro.lifecycle.master import LifecycleMaster, TierConfig
 from repro.lifecycle.policy import (
     LifecycleRule,
     LifecycleTable,
@@ -36,12 +38,12 @@ from repro.lifecycle.replication import ReplicationScheduler
 
 __all__ = [
     "ChecksumRegistry",
-    "LifecycleConfig",
     "LifecycleMaster",
     "LifecycleRule",
     "LifecycleTable",
     "ReplicationScheduler",
     "TablePolicy",
+    "TierConfig",
     "block_checksum",
     "default_table",
 ]

@@ -1,11 +1,32 @@
-"""The lifecycle master: HOT/WARM/COLD management over the full ladder.
+"""The storage-ladder master: DYRS over disk, SSD, memory and archive.
 
-:class:`LifecycleMaster` extends the tiered master with the *cold* end
-of the data lifecycle:
+:class:`LifecycleMaster` keeps every mechanism of the paper's master --
+delayed binding, Algorithm 1 targeting, the pull protocol, reference
+-list eviction -- and runs one lifecycle over whatever rungs the
+cluster has.  The working tiers (disk, SSD, memory) are always
+managed:
 
-* an **archive pass** runs after each tier lifecycle pass and selects
-  blocks that cooled past ``archive_age`` for demotion to the archive
-  tier;
+* **temperature tracking** -- every block read (and every migration
+  request, which announces an imminent read) feeds the
+  :class:`~repro.tiers.temperature.TemperatureTracker`;
+* **background promotion** -- a periodic lifecycle pass asks the
+  configured :class:`~repro.tiers.policy.TierPolicy` where each tracked
+  block belongs and enqueues disk->ssd promotions *through the same
+  pending pool Algorithm 1 targets*, so SSD fills are bandwidth-aware
+  exactly like the paper's disk->memory migrations.  Memory residency
+  stays reference-driven (§III-C3): the lifecycle never promotes into
+  RAM on its own, and a block already cached on SSD is promoted
+  ssd->memory when a job requests it -- bound directly to the cache
+  holder, the only node with the bytes;
+* **demotion** -- evicted-but-still-warm blocks drop one rung to the
+  SSD instead of all the way to disk, and the lifecycle pass expires
+  COLD blocks out of the SSD cache.
+
+When the cluster has an archive rung, the cold end of the lifecycle
+runs too:
+
+* an **archive pass** runs after each tier pass and selects blocks
+  that cooled past ``archive_age`` for demotion to the archive tier;
 * every archive move is **integrity-checked**: a checksum is recorded
   when the bytes are written and verified before any copy is deleted
   (demotion drops disk replicas only after verification; restoration
@@ -33,6 +54,9 @@ registry are block-map state stored with the data.  In-flight moves
 are aborted by a crash (``tier_move_abort`` with reason
 ``master-crash``) and re-planned by the next archive pass after
 recovery.
+
+Promotions and demotions are counted per ladder edge and mirrored into
+the run's :class:`~repro.compute.metrics.MetricsCollector`.
 """
 
 from __future__ import annotations
@@ -41,53 +65,106 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.master import DyrsConfig
+from repro.core.master import DyrsConfig, DyrsMaster
 from repro.core.policies import MigrationPolicy
-from repro.core.records import MigrationRecord
+from repro.core.records import BindingEvent, MigrationRecord, MigrationStatus
 from repro.dfs.block import Block, BlockId
+from repro.dfs.client import EvictionMode
 from repro.lifecycle.integrity import ChecksumRegistry
-from repro.lifecycle.policy import LifecycleTable, TablePolicy, default_table
+from repro.lifecycle.policy import TablePolicy, default_table
 from repro.lifecycle.replication import ReplicationScheduler
 from repro.obs import trace as obs
 from repro.sim.events import AllOf
 from repro.sim.process import Interrupt, Process
-from repro.tiers.master import TierConfig, TieredDyrsMaster
-from repro.tiers.temperature import Temperature
+from repro.tiers.policy import (
+    CostBenefitPolicy,
+    PlacementContext,
+    ThresholdPolicy,
+    TierPolicy,
+)
+from repro.tiers.temperature import Temperature, TemperatureTracker
+from repro.tiers.tier import is_promotion, rung_read_seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.archive import Archive
+    from repro.compute.metrics import MetricsCollector
+    from repro.core.slave import DyrsSlave
     from repro.dfs.namenode import NameNode
 
-__all__ = ["LifecycleConfig", "LifecycleMaster"]
+__all__ = ["TierConfig", "LifecycleMaster"]
 
 
 @dataclass(frozen=True)
-class LifecycleConfig(TierConfig):
-    """Tier tunables plus the archive/replication policy knobs.
+class TierConfig:
+    """Tunables of the storage-ladder lifecycle.
 
     Attributes
     ----------
+    lifecycle_interval:
+        Seconds between lifecycle passes (promotion/expiry scans).
+    temperature_alpha:
+        EWMA weight of the temperature tracker.
+    hot_age / cold_age:
+        The tracker's classification thresholds (seconds).
+    policy:
+        ``"threshold"`` (temperature ladder), ``"cost-benefit"``
+        (read-savings vs. move-cost arithmetic) or ``"table"`` (the
+        declarative per-temperature table).  None derives it from the
+        ladder: ``"table"`` when the cluster has an archive rung,
+        ``"threshold"`` when it has none.
+    horizon:
+        Decision horizon of the cost-benefit policy (seconds).
+    promote_warm_to_ssd:
+        Whether the lifecycle pass enqueues background disk->ssd
+        promotions.
+    demote_to_ssd:
+        Whether eviction demotes warm blocks memory->ssd instead of
+        dropping them to disk.
     archive_age:
         Temperature score (seconds) beyond which a COLD block is
         demoted to the archive tier.  Must be at least ``cold_age``
-        (only COLD blocks archive).
+        (only COLD blocks archive); unused without an archive rung.
     cold_replication:
         Durable copies a COLD archived block keeps.  The archive copy
         counts as one, so the default of 1 means *no* disk replicas
         remain -- restoration re-replicates before promotion.
-    policy:
-        Adds ``"table"`` (the declarative per-temperature table) to
-        the inherited choices; it is the default here.
     """
 
-    policy: str = "table"
+    lifecycle_interval: float = 10.0
+    temperature_alpha: float = 0.3
+    hot_age: float = 60.0
+    cold_age: float = 300.0
+    policy: Optional[str] = None
+    horizon: float = 120.0
+    promote_warm_to_ssd: bool = True
+    demote_to_ssd: bool = True
     archive_age: float = 900.0
     cold_replication: int = 1
 
-    _POLICIES = ("threshold", "cost-benefit", "table")
-
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if self.lifecycle_interval <= 0:
+            raise ValueError(
+                f"lifecycle_interval must be positive, got {self.lifecycle_interval}"
+            )
+        policies = ("threshold", "cost-benefit", "table")
+        if self.policy is not None and self.policy not in policies:
+            raise ValueError(
+                f"policy must be None or one of {policies}, got {self.policy!r}"
+            )
+        if self.horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        # Same rules as TemperatureTracker, enforced eagerly so a bad
+        # config fails at construction like every other spec dataclass.
+        if not 0 < self.temperature_alpha <= 1:
+            raise ValueError(
+                f"temperature_alpha must be in (0, 1], got {self.temperature_alpha}"
+            )
+        if self.hot_age <= 0:
+            raise ValueError(f"hot_age must be positive, got {self.hot_age}")
+        if self.cold_age <= self.hot_age:
+            raise ValueError(
+                f"cold_age ({self.cold_age}) must exceed hot_age ({self.hot_age})"
+            )
         if self.archive_age < self.cold_age:
             raise ValueError(
                 f"archive_age ({self.archive_age}) must be at least "
@@ -98,34 +175,43 @@ class LifecycleConfig(TierConfig):
                 f"cold_replication must be >= 1, got {self.cold_replication}"
             )
 
-    def build_table(self) -> LifecycleTable:
-        return default_table(cold_replication=self.cold_replication)
 
-    def build_policy(self):
-        if self.policy == "table":
-            return TablePolicy(self.build_table())
-        return super().build_policy()
-
-
-class LifecycleMaster(TieredDyrsMaster):
-    """Tiered DYRS master with archive demotion and re-heat restore."""
+class LifecycleMaster(DyrsMaster):
+    """DYRS master with the SSD lifecycle and, given an archive rung,
+    archive demotion and re-heat restore."""
 
     def __init__(
         self,
         namenode: "NameNode",
         config: Optional[DyrsConfig] = None,
         policy: Optional[MigrationPolicy] = None,
-        tier_config: Optional[LifecycleConfig] = None,
+        tier_config: Optional[TierConfig] = None,
     ) -> None:
-        lifecycle_config = tier_config or LifecycleConfig()
-        if not isinstance(lifecycle_config, LifecycleConfig):
-            raise TypeError(
-                "LifecycleMaster needs a LifecycleConfig, got "
-                f"{type(lifecycle_config).__name__}"
-            )
-        super().__init__(namenode, config, policy, lifecycle_config)
-        self.lifecycle_config = lifecycle_config
-        self.table = lifecycle_config.build_table()
+        super().__init__(namenode, config, policy)
+        self.tier_config = tier_config or TierConfig()
+        self._cluster_has_archive = any(
+            dn.node.archive is not None for dn in namenode.datanodes.values()
+        )
+        self.table = default_table(cold_replication=self.tier_config.cold_replication)
+        self.tier_policy: TierPolicy = self._build_tier_policy()
+        self.temperature = TemperatureTracker(
+            alpha=self.tier_config.temperature_alpha,
+            hot_age=self.tier_config.hot_age,
+            cold_age=self.tier_config.cold_age,
+        )
+        #: Live background promotion per block (disk->ssd records).
+        #: Kept apart from ``_records`` so a cache fill never blocks a
+        #: job's memory migration of the same block.
+        self._tier_records: dict[BlockId, MigrationRecord] = {}
+        #: Append-only log of every lifecycle record (metrics).
+        self.tier_record_log: list[MigrationRecord] = []
+        #: Completed moves per ladder edge: (source, dest) -> count.
+        self.tier_moves: dict[tuple[str, str], int] = {}
+        #: Bytes moved per ladder edge: (source, dest) -> bytes.
+        self.tier_bytes: dict[tuple[str, str], float] = {}
+        self.lifecycle_passes = 0
+        self._lifecycle_proc: Optional[Process] = None
+        self._metrics: Optional["MetricsCollector"] = None
         #: Checksum metadata, stored durably with the archived data.
         self.integrity = ChecksumRegistry()
         self.replication_scheduler = ReplicationScheduler(self.table, namenode)
@@ -145,17 +231,47 @@ class LifecycleMaster(TieredDyrsMaster):
         self.archived_blocks = 0
         self.restored_blocks = 0
         self.corrupt_moves = 0
-        self._cluster_has_archive = any(
-            dn.node.archive is not None for dn in namenode.datanodes.values()
-        )
 
-    # -- wiring --------------------------------------------------------------
+    def _build_tier_policy(self) -> TierPolicy:
+        name = self.tier_config.policy
+        if name is None:
+            # The table keeps WARM blocks on disk and expires them off
+            # the SSD; only the threshold ladder caches them there,
+            # which is what a ladder without an archive rung is for.
+            name = "table" if self._cluster_has_archive else "threshold"
+        if name == "table":
+            return TablePolicy(self.table)
+        if name == "cost-benefit":
+            return CostBenefitPolicy(horizon=self.tier_config.horizon)
+        return ThresholdPolicy()
+
+    # -- wiring ------------------------------------------------------------------
+
+    def attach_metrics(self, metrics: "MetricsCollector") -> None:
+        """Mirror tier-move counts into the run's metrics collector."""
+        self._metrics = metrics
+
+    def start(self) -> None:
+        super().start()
+        if self._lifecycle_proc is None or not self._lifecycle_proc.is_alive:
+            self._lifecycle_proc = self.sim.process(
+                self._lifecycle_loop(), name="tier-lifecycle"
+            )
 
     def stop(self) -> None:
         super().stop()
+        if self._lifecycle_proc is not None and self._lifecycle_proc.is_alive:
+            self._lifecycle_proc.interrupt(cause="stop")
+        self._lifecycle_proc = None
         if self._mover_proc is not None and self._mover_proc.is_alive:
             self._mover_proc.interrupt(cause="stop")
         self._mover_proc = None
+
+    def crash(self) -> None:
+        """Master failure also loses the tier soft state (§III-C1)."""
+        super().crash()
+        self._tier_records.clear()
+        self.namenode.ssd_directory.clear()
 
     def shutdown(self, reason: str) -> None:
         """Teardown (crash *or* failover): in-flight archive moves die
@@ -174,10 +290,102 @@ class LifecycleMaster(TieredDyrsMaster):
         self._move_queue.clear()
         self._reheat_started.clear()
 
-    # -- re-heat detection ---------------------------------------------------
+    def recover(self) -> None:
+        """Rebuild both fast-tier directories from slave pin state.
+
+        Registration goes through :meth:`_register_ssd_copy`: the outage
+        can leave two nodes physically holding one block (a duplicate
+        fill raced the crash), and the single-slot directory must not
+        silently orphan the loser's pin.
+        """
+        super().recover()
+        for slave in self.slaves.values():
+            for block_id in list(slave.datanode.ssd_block_ids()):
+                self._register_ssd_copy(block_id, slave.node_id)
+
+    # -- counters ----------------------------------------------------------------
+
+    def _count_move(self, source: str, dest: str, nbytes: float = 0.0) -> None:
+        key = (source, dest)
+        self.tier_moves[key] = self.tier_moves.get(key, 0) + 1
+        self.tier_bytes[key] = self.tier_bytes.get(key, 0.0) + nbytes
+        if self._metrics is not None:
+            self._metrics.record_tier_move(source, dest)
+
+    @property
+    def promotion_count(self) -> int:
+        """Completed moves that climbed the ladder."""
+        return sum(
+            n for (s, d), n in self.tier_moves.items() if is_promotion(s, d)
+        )
+
+    @property
+    def demotion_count(self) -> int:
+        """Completed moves that descended the ladder."""
+        return sum(
+            n for (s, d), n in self.tier_moves.items() if not is_promotion(s, d)
+        )
+
+    # -- temperature observation and re-heat detection ---------------------------
+
+    def on_block_read(self, block, job_id, read_event) -> None:
+        if block.block_id in self.namenode.archive_directory:
+            self._note_reheat(block)
+        self.temperature.record_access(block.block_id, self.sim.now)
+        super().on_block_read(block, job_id, read_event)
+
+    def migrate(self, files, job_id, eviction=EvictionMode.IMPLICIT):
+        # A migration request announces imminent reads; warm the blocks
+        # so the lifecycle sees them even before the first read lands.
+        for block in self.namenode.blocks_of(files):
+            self.temperature.record_access(block.block_id, self.sim.now)
+        return super().migrate(files, job_id, eviction)
+
+    def _note_reheat(self, block: Block) -> None:
+        """An archived block is wanted again: stamp the re-heat clock
+        and plan its restoration."""
+        self._reheat_started.setdefault(block.block_id, self.sim.now)
+        live = self._lifecycle_moves.get(block.block_id)
+        if live is not None and not live.status.is_terminal:
+            return
+        self._enqueue_move("restore", block)
+
+    # -- record routing ------------------------------------------------------------
+
+    def _verified_ssd_holder(self, block_id: BlockId) -> Optional[int]:
+        """The node whose SSD really holds ``block_id`` and whose slave
+        can serve a copy from it -- None otherwise (soft state verified
+        on use, like the memory directory)."""
+        node_id = self.namenode.ssd_directory.get(block_id)
+        if node_id is None or not self.namenode.is_available(node_id):
+            return None
+        dn = self.namenode.datanodes.get(node_id)
+        if dn is None or not dn.has_ssd_replica(block_id):
+            return None
+        slave = self.slaves.get(node_id)
+        if slave is None or not slave.alive:
+            return None
+        return node_id
+
+    def _new_record(self, block: Block) -> MigrationRecord:
+        """Route a job's migration along the right ladder edge: a block
+        already cached on SSD is copied ssd->memory from its holder."""
+        ssd_node = self._verified_ssd_holder(block.block_id)
+        if ssd_node is not None:
+            return MigrationRecord(
+                block=block,
+                requested_at=self.sim.now,
+                source_tier="ssd",
+                dest_tier="memory",
+                target_node=ssd_node,
+            )
+        return super()._new_record(block)
 
     def _on_new_records(self, records: list[MigrationRecord]) -> None:
-        pool: list[MigrationRecord] = []
+        # Archive checks run over the whole batch before any record is
+        # routed: a restore they start is scheduled ahead of the
+        # batch's SSD copies.
+        routable: list[MigrationRecord] = []
         for record in records:
             block = record.block
             if block.block_id in self.namenode.archive_directory:
@@ -197,30 +405,313 @@ class LifecycleMaster(TieredDyrsMaster):
                 # on disk for the next promotion pass.
                 self.discard(record, reason="lifecycle-move")
                 continue
-            pool.append(record)
+            routable.append(record)
+        pool: list[MigrationRecord] = []
+        for record in routable:
+            # A job asking for memory supersedes any background cache
+            # fill of the same block still in flight.
+            tier_rec = self._tier_records.get(record.block_id)
+            if tier_rec is not None and tier_rec.status in (
+                MigrationStatus.PENDING,
+                MigrationStatus.BOUND,
+            ):
+                self.discard(tier_rec, reason="superseded")
+            if record.source_tier == "ssd":
+                self._push_bind(record)
+            else:
+                pool.append(record)
         if pool:
             super()._on_new_records(pool)
 
-    def on_block_read(self, block, job_id, read_event) -> None:
-        if block.block_id in self.namenode.archive_directory:
-            self._note_reheat(block)
-        super().on_block_read(block, job_id, read_event)
+    def _push_bind(self, record: MigrationRecord) -> None:
+        """Bind an ssd-sourced promotion directly to the cache holder.
 
-    def _note_reheat(self, block: Block) -> None:
-        """An archived block is wanted again: stamp the re-heat clock
-        and plan its restoration."""
-        self._reheat_started.setdefault(block.block_id, self.sim.now)
-        live = self._lifecycle_moves.get(block.block_id)
-        if live is not None and not live.status.is_terminal:
+        Delayed binding buys nothing here: only one node has the SSD
+        copy, so the targeting choice is forced, and the copy runs on
+        the slave's separate SSD lane without disturbing disk work.
+        """
+        node_id = record.target_node
+        assert node_id is not None
+        record.mark_bound(node_id, self.sim.now)
+        slave = self.slaves[node_id]
+        slave.enqueue(record)
+        self.binding_log.append(
+            BindingEvent(
+                time=self.sim.now,
+                block_id=record.block_id,
+                node_id=node_id,
+                queue_depth_after=slave.ssd_queued_blocks,
+            )
+        )
+        obs.emit(
+            obs.BIND,
+            self.sim.now,
+            block=record.block_id,
+            node=node_id,
+            queue_depth=slave.ssd_queued_blocks,
+        )
+
+    def _on_record_discarded(self, record: MigrationRecord) -> None:
+        super()._on_record_discarded(record)
+        current = self._tier_records.get(record.block_id)
+        if current is record:
+            del self._tier_records[record.block_id]
+
+    # -- completion and eviction ---------------------------------------------------
+
+    def _register_ssd_copy(self, block_id: BlockId, node_id: int) -> None:
+        """Register the block's (single) SSD copy.
+
+        The directory holds one entry per block, but physical copies
+        can outlive their entry: a demotion on another node overwrites
+        the entry while the old holder still pins the bytes.  Dropping
+        the previous holder's pin here keeps pin state and directory in
+        lockstep -- an orphaned pin is both a leaked SSD budget and a
+        future double-pin crash when a fill lands on that node again.
+        """
+        prev = self.namenode.ssd_directory.get(block_id)
+        if prev is not None and prev != node_id:
+            dn = self.namenode.datanodes.get(prev)
+            if dn is not None:
+                dn.unpin_block_ssd(block_id)
+        self.namenode.record_ssd_replica(block_id, node_id)
+
+    def on_migration_complete(
+        self, record: MigrationRecord, node_id: int, duration: float
+    ) -> None:
+        if record.dest_tier == "ssd":
+            self._tier_records.pop(record.block_id, None)
+            self._register_ssd_copy(record.block_id, node_id)
+            self._count_move(record.source_tier, "ssd", record.block.size)
             return
-        self._enqueue_move("restore", block)
+        super().on_migration_complete(record, node_id, duration)
+        self._count_move(record.source_tier, "memory", record.block.size)
 
-    # -- the archive pass ----------------------------------------------------
+    def _evict_done_record(self, record: MigrationRecord) -> None:
+        """Eviction with a middle rung: still-warm blocks step down to
+        the SSD (write-back: the pin is immediate, the flash write is
+        charged in the background); COLD blocks and blocks that already
+        have an SSD copy fall through to the plain drop."""
+        node_id = self.namenode.memory_directory.get(record.block_id)
+        slave = self.slaves.get(node_id) if node_id is not None else None
+        if (
+            self.tier_config.demote_to_ssd
+            and node_id is not None
+            and self.namenode.is_available(node_id)
+            # The demotion is work the node's slave performs; a slave
+            # that crashed but is not yet flagged stale cannot write the
+            # SSD copy -- pinning to its node would strand bytes that
+            # staleness detection later orphans (directory dropped,
+            # physical pin already past its crash-time cleanup).
+            and slave is not None
+            and slave.alive
+        ):
+            dn = self.namenode.datanodes[node_id]
+            node = dn.node
+            if (
+                node.ssd is not None
+                and not dn.has_ssd_replica(record.block_id)
+                and self._verified_ssd_holder(record.block_id) is None
+                and node.ssd.fits(record.block.size)
+                and self.temperature.classify(record.block_id, self.sim.now)
+                is not Temperature.COLD
+            ):
+                dn.unpin_block(record.block_id)
+                self.namenode.drop_memory_replica(record.block_id)
+                dn.pin_block_ssd(record.block)
+                node.ssd.write(record.block.size, tag=f"demote:{record.block_id}")
+                self._register_ssd_copy(record.block_id, node_id)
+                self._count_move("memory", "ssd", record.block.size)
+                slave.notify_memory_freed()
+                record.mark_evicted()
+                obs.emit(
+                    obs.DEMOTE,
+                    self.sim.now,
+                    block=record.block_id,
+                    node=node_id,
+                    source="memory",
+                    dest="ssd",
+                )
+                obs.emit(
+                    obs.EVICTED, self.sim.now, block=record.block_id, node=node_id
+                )
+                return
+        super()._evict_done_record(record)
+
+    def on_slave_failed(self, node_id: int) -> None:
+        """Abort the dead slave's archive moves and reap its lifecycle
+        records; the directory entries for its SSD cache die with the
+        base cleanup (``drop_node_memory_state`` covers both fast
+        tiers).
+
+        The archive *media* survives (fabric-attached), but a move
+        reading the node's disk or writing through its accounting
+        partition loses its driver; demotions are re-planned by the
+        next archive pass, restores re-queued immediately (the block is
+        still archived and still wanted).
+        """
+        for record in list(self._lifecycle_moves.values()):
+            if record.status.is_terminal:
+                continue
+            if node_id not in (record.bound_node, record.target_node):
+                continue
+            restore = record.dest_tier == "disk"
+            self._abort_move(record, "slave-failure")
+            if restore and record.block_id in self.namenode.archive_directory:
+                self._enqueue_move("restore", record.block)
+        for record in list(self._tier_records.values()):
+            if (
+                record.status in (MigrationStatus.BOUND, MigrationStatus.ACTIVE)
+                and record.bound_node == node_id
+            ):
+                self.discard(record, reason="slave-failure")
+        super().on_slave_failed(node_id)
+
+    # -- the lifecycle pass ----------------------------------------------------------
+
+    def _block_index(self) -> dict[BlockId, Block]:
+        return {
+            block.block_id: block
+            for entry in self.namenode.namespace.files()
+            for block in entry.blocks
+        }
+
+    def _drop_unpinned_ssd_entry(self, block_id: BlockId) -> None:
+        """Forget an SSD directory entry whose holder no longer pins
+        the block.  A slave crash unpins its node's SSD, but only a
+        restart reaps the entries (``on_slave_failed``); a slave that
+        never comes back would otherwise leave them for good."""
+        node_id = self.namenode.ssd_directory.get(block_id)
+        if node_id is not None and not self.namenode.datanodes[
+            node_id
+        ].has_ssd_replica(block_id):
+            self.namenode.drop_ssd_replica(block_id)
+
+    def _promotion_candidate(
+        self, block: Block
+    ) -> Optional[tuple[int, "DyrsSlave"]]:
+        """A representative replica holder for policy evaluation:
+        Algorithm 1 still picks the actual target among all holders."""
+        for nid in sorted(block.replica_nodes):
+            if not self.namenode.accepts_new_replicas(nid):
+                continue
+            slave = self.slaves.get(nid)
+            if slave is None or not slave.alive or slave.node.ssd is None:
+                continue
+            return nid, slave
+        return None
+
+    def _placement_context(
+        self, block: Block, resident: str, slave: "DyrsSlave"
+    ) -> PlacementContext:
+        return PlacementContext(
+            block_size=block.size,
+            temperature=self.temperature.classify(block.block_id, self.sim.now),
+            access_rate=self.temperature.access_rate(block.block_id),
+            resident_tier=resident,
+            read_seconds=rung_read_seconds(slave.node, block.size),
+            move_seconds_per_byte=slave.estimator.seconds_per_byte,
+        )
+
+    def _pass_blocked(self, block_id: BlockId) -> bool:
+        """A live move (job migration, cache fill or archive move)
+        already owns this block's disk traffic; the lifecycle must not
+        start another."""
+        for live in (
+            self._records.get(block_id),
+            self._tier_records.get(block_id),
+            self._lifecycle_moves.get(block_id),
+        ):
+            if live is not None and not live.status.is_terminal:
+                return True
+        return False
 
     def lifecycle_pass(self) -> dict[str, int]:
-        actions = super().lifecycle_pass()
+        """One promotion/expiry scan over the tracked blocks, then the
+        archive pass.
+
+        Blocks with a live move are left alone; memory residency is
+        governed by reference lists, not by this pass.  Returns
+        ``{"promoted": n, "demoted": n, "archived": n}`` counts of
+        *initiated* actions (``archived`` is 0 without an archive rung).
+        """
+        self.lifecycle_passes += 1
+        now = self.sim.now
+        blocks = self._block_index()
+        actions = {"promoted": 0, "demoted": 0}
+        for block_id, temp in self.temperature.classify_all(now).items():
+            self._drop_unpinned_ssd_entry(block_id)
+            block = blocks.get(block_id)
+            if block is None:
+                continue
+            if self._pass_blocked(block_id):
+                continue
+            mem_node = self.namenode.memory_directory.get(block_id)
+            if mem_node is not None and self.namenode.datanodes[
+                mem_node
+            ].has_memory_replica(block_id):
+                continue
+            ssd_node = self._verified_ssd_holder(block_id)
+            if ssd_node is not None:
+                slave = self.slaves[ssd_node]
+                target = self.tier_policy.target_tier(
+                    self._placement_context(block, "ssd", slave)
+                )
+                if target == "disk":
+                    # Expired: the disk replicas are the ground truth,
+                    # so dropping the cache entry is free.
+                    self.namenode.datanodes[ssd_node].unpin_block_ssd(block_id)
+                    self.namenode.drop_ssd_replica(block_id)
+                    self._count_move("ssd", "disk", block.size)
+                    obs.emit(
+                        obs.DEMOTE,
+                        now,
+                        block=block_id,
+                        node=ssd_node,
+                        source="ssd",
+                        dest="disk",
+                    )
+                    actions["demoted"] += 1
+                # target "memory" is reference-driven; "ssd" is a keep.
+                continue
+            if not self.tier_config.promote_warm_to_ssd:
+                continue
+            candidate = self._promotion_candidate(block)
+            if candidate is None:
+                continue
+            _, slave = candidate
+            target = self.tier_policy.target_tier(
+                self._placement_context(block, "disk", slave)
+            )
+            if target == "disk":
+                continue
+            # Cap background promotions at the SSD rung: RAM placement
+            # without references would be evicted on arrival (§III-C3).
+            record = MigrationRecord(
+                block=block,
+                requested_at=now,
+                source_tier="disk",
+                dest_tier="ssd",
+            )
+            self._tier_records[block_id] = record
+            self.tier_record_log.append(record)
+            self._pending[block_id] = record
+            obs.emit(obs.PENDING, now, block=block_id)
+            actions["promoted"] += 1
+        if actions["promoted"]:
+            self.retarget()
         actions["archived"] = self.archive_pass()
         return actions
+
+    def _lifecycle_loop(self):
+        try:
+            while True:
+                yield self.sim.timeout(self.tier_config.lifecycle_interval)
+                self.lifecycle_pass()
+        except Interrupt:
+            return
+
+    # -- the archive pass ----------------------------------------------------
 
     def archive_pass(self) -> int:
         """Select blocks cold past ``archive_age`` for demotion;
@@ -233,9 +724,7 @@ class LifecycleMaster(TieredDyrsMaster):
         for block_id, temp in self.temperature.classify_all(now).items():
             if temp is not Temperature.COLD:
                 continue
-            if self.temperature.score(block_id, now) < (
-                self.lifecycle_config.archive_age
-            ):
+            if self.temperature.score(block_id, now) < self.tier_config.archive_age:
                 continue
             block = blocks.get(block_id)
             if block is None or self._archive_blocked(block):
@@ -244,12 +733,6 @@ class LifecycleMaster(TieredDyrsMaster):
             started += 1
         return started
 
-    def _pass_blocked(self, block_id) -> bool:
-        if super()._pass_blocked(block_id):
-            return True
-        live = self._lifecycle_moves.get(block_id)
-        return live is not None and not live.status.is_terminal
-
     def _archive_blocked(self, block: Block) -> bool:
         """Reasons *not* to archive right now (re-examined next pass)."""
         block_id = block.block_id
@@ -257,13 +740,8 @@ class LifecycleMaster(TieredDyrsMaster):
             return True
         if self.tracker.is_referenced(block_id):
             return True
-        for live in (
-            self._records.get(block_id),
-            self._tier_records.get(block_id),
-            self._lifecycle_moves.get(block_id),
-        ):
-            if live is not None and not live.status.is_terminal:
-                return True
+        if self._pass_blocked(block_id):
+            return True
         # Working-tier copies must drain first (the tier lifecycle
         # expires them); archiving under a fast copy would let a read
         # bypass the move.
@@ -537,28 +1015,6 @@ class LifecycleMaster(TieredDyrsMaster):
             # Re-replicated and wanted: promote through the normal
             # bandwidth-aware machinery.
             self._remigrate(block)
-
-    # -- failure handling ----------------------------------------------------
-
-    def on_slave_failed(self, node_id: int) -> None:
-        """Also abort in-flight archive moves touching the dead node.
-
-        The archive *media* survives (fabric-attached), but a move
-        reading the node's disk or writing through its accounting
-        partition loses its driver; demotions are re-planned by the
-        next archive pass, restores re-queued immediately (the block is
-        still archived and still wanted).
-        """
-        for record in list(self._lifecycle_moves.values()):
-            if record.status.is_terminal:
-                continue
-            if node_id not in (record.bound_node, record.target_node):
-                continue
-            restore = record.dest_tier == "disk"
-            self._abort_move(record, "slave-failure")
-            if restore and record.block_id in self.namenode.archive_directory:
-                self._enqueue_move("restore", record.block)
-        super().on_slave_failed(node_id)
 
     # -- trace plumbing ------------------------------------------------------
 

@@ -4,21 +4,20 @@ DLM-style storage policies are tables, not formulas: operators say
 "hot data lives on fast media with full replication, cold data moves
 to ARCHIVE with one durable copy" and the system executes it.  This
 module expresses that table as data -- one :class:`LifecycleRule` per
-:class:`~repro.tiers.temperature.Temperature` -- and adapts it to the
-two consumers:
+:class:`~repro.tiers.temperature.Temperature` -- and the
+:class:`~repro.lifecycle.master.LifecycleMaster` reads it two ways:
 
-* the **upward machinery** of
-  :class:`~repro.tiers.master.TieredDyrsMaster` (background disk->ssd
-  promotion, SSD expiry) via :class:`TablePolicy`, a
-  :class:`~repro.tiers.policy.TierPolicy`;
-* the **downward machinery** of
-  :class:`~repro.lifecycle.master.LifecycleMaster` (archival and the
-  replication scheduler) via :meth:`LifecycleTable.rule` directly.
+* its **working-tier pass** (background disk->ssd promotion, SSD
+  expiry) via :class:`TablePolicy`, a
+  :class:`~repro.tiers.policy.TierPolicy` -- the default policy on a
+  ladder with an archive rung;
+* its **archive pass** and replication scheduler via
+  :meth:`LifecycleTable.rule` directly.
 
 :class:`TablePolicy` maps an ``archive`` placement to ``disk`` on
-purpose: the shared tier ladder only drives moves between the working
+purpose: the working-tier pass only drives moves between the working
 tiers, while archive moves are integrity-checked, replication-aware
-operations the lifecycle master serializes itself.
+operations the master's mover serializes itself.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ def default_table(cold_replication: int = 1) -> LifecycleTable:
 
 class TablePolicy:
     """Adapter presenting a :class:`LifecycleTable` as a
-    :class:`~repro.tiers.policy.TierPolicy` for the shared tier
-    machinery."""
+    :class:`~repro.tiers.policy.TierPolicy` for the working-tier
+    pass."""
 
     def __init__(self, table: Optional[LifecycleTable] = None) -> None:
         self.table = table if table is not None else default_table()
@@ -118,7 +117,7 @@ class TablePolicy:
     def target_tier(self, ctx: PlacementContext) -> str:
         placement = self.table.rule(ctx.temperature).placement
         if placement == "archive":
-            # The working-tier machinery bottoms out at disk; the
-            # lifecycle master's archive pass owns the last step down.
+            # The working-tier pass bottoms out at disk; the archive
+            # pass owns the last step down.
             placement = "disk"
-        return _best_available(placement, ctx.tiers)
+        return _best_available(placement, ctx.read_seconds)

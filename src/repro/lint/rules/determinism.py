@@ -21,7 +21,7 @@ classes silently break that:
   literals, comprehensions, constructors, and set-algebra results.)
 
 Scope: the simulation packages (``sim``, ``core``, ``dfs``,
-``cluster``, ``tiers``).  Experiments and analysis code may read the
+``cluster``, ``tiers``, ``lifecycle``).  Experiments and analysis code may read the
 wall clock for progress reporting; the simulated world may not.
 """
 
@@ -34,7 +34,7 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
 from repro.lint.runner import ModuleContext
 
-_SIM_SCOPES = ("sim", "core", "dfs", "cluster", "tiers")
+_SIM_SCOPES = ("sim", "core", "dfs", "cluster", "tiers", "lifecycle")
 
 _CLOCK_MODULES = {"time", "datetime"}
 _RANDOM_MODULES = {"random"}

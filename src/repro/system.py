@@ -20,15 +20,17 @@ Two more schemes support specific figures:
 ``"instant"``
     The zero-cost hypothetical migrator (Fig 7b).
 
-Three schemes are extensions beyond the paper:
+Four schemes are extensions beyond the paper:
 
 ``"dyrs-tiered"``
-    DYRS plus the SSD tier of :mod:`repro.tiers` -- block-temperature
+    DYRS plus an SSD rung, run by the
+    :class:`~repro.lifecycle.LifecycleMaster` -- block-temperature
     tracking, background disk->ssd promotion, and demote-on-evict.
 ``"dyrs-lifecycle"``
-    The tiered scheme plus :mod:`repro.lifecycle` -- an archive tier,
-    the HOT/WARM/COLD policy table, integrity-checked archive moves,
-    and temperature-driven replication.
+    The same master on a ladder that also has an archive rung -- the
+    HOT/WARM/COLD policy table, integrity-checked archive moves, and
+    temperature-driven replication.  The two tier schemes differ only
+    in the devices they default.
 ``"dyrs-sharded"``
     DYRS with the federated master of :mod:`repro.shard`: pending
     state partitioned across ``SystemConfig.shards`` master shards
@@ -37,7 +39,7 @@ Three schemes are extensions beyond the paper:
 ``"dyrs-sharded-async"``
     The sharded scheme with a wider pull window: every slave pulls
     through detached per-shard RPC legs, and here
-    ``DyrsConfig.shard_pull_window`` defaults to the shard count
+    ``DyrsConfig.shard_pull_window`` defaults to ``max(2, shards)``
     instead of 1, so a node may keep several legs in flight to one
     shard.  At ``shard_pull_window=1`` it is byte-identical to
     ``"dyrs-sharded"``.
@@ -56,7 +58,7 @@ experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.cluster import ArchiveSpec, Cluster, ClusterSpec, SsdSpec
@@ -66,9 +68,8 @@ from repro.core.baselines import InstantMigrator
 from repro.dfs import DFSClient, NameNode, RandomPlacement
 from repro.dfs.heartbeat import HeartbeatService
 from repro.dfs.namespace import DEFAULT_BLOCK_SIZE
-from repro.lifecycle import LifecycleConfig, LifecycleMaster
+from repro.lifecycle import LifecycleMaster, TierConfig
 from repro.obs import trace as obs
-from repro.tiers import TierConfig, TieredDyrsMaster
 
 __all__ = ["System", "SystemConfig", "SCHEMES", "SCHEME_REGISTRY", "SchemeSpec"]
 
@@ -112,17 +113,9 @@ def _build_dyrs(system: "System"):
     return DyrsMaster(system.namenode, system.config.dyrs)
 
 
-def _build_tiered(system: "System"):
-    return TieredDyrsMaster(
-        system.namenode, system.config.dyrs, tier_config=system.config.tiers
-    )
-
-
 def _build_lifecycle(system: "System"):
     return LifecycleMaster(
-        system.namenode,
-        system.config.dyrs,
-        tier_config=_lifecycle_tier_config(system.config.tiers),
+        system.namenode, system.config.dyrs, tier_config=system.config.tiers
     )
 
 
@@ -150,22 +143,6 @@ def _build_instant(system: "System"):
     return InstantMigrator(system.namenode)
 
 
-def _lifecycle_tier_config(tiers: TierConfig) -> LifecycleConfig:
-    """Upgrade a plain :class:`TierConfig` to the lifecycle variant.
-
-    An explicit :class:`LifecycleConfig` passes through untouched.  A
-    plain config keeps every field it sets; only the stock
-    ``"threshold"`` policy (the :class:`TierConfig` default) is mapped
-    to the lifecycle default ``"table"``.
-    """
-    if isinstance(tiers, LifecycleConfig):
-        return tiers
-    kwargs = {f.name: getattr(tiers, f.name) for f in fields(TierConfig)}
-    if kwargs["policy"] == "threshold":
-        kwargs["policy"] = "table"
-    return LifecycleConfig(**kwargs)
-
-
 #: The scheme table; iteration order is the canonical scheme order.
 SCHEME_REGISTRY: dict[str, SchemeSpec] = {
     spec.name: spec
@@ -178,8 +155,11 @@ SCHEME_REGISTRY: dict[str, SchemeSpec] = {
         SchemeSpec("ignem", build_master=_build_ignem),
         SchemeSpec("naive", build_master=_build_naive),
         SchemeSpec("instant", build_master=_build_instant, has_slaves=False),
+        # One storage-ladder master; the tier schemes differ only in
+        # the rungs they default, and the tier policy follows the
+        # ladder (TierConfig.policy).
         SchemeSpec(
-            "dyrs-tiered", build_master=_build_tiered, default_devices=("ssd",)
+            "dyrs-tiered", build_master=_build_lifecycle, default_devices=("ssd",)
         ),
         SchemeSpec(
             "dyrs-lifecycle",
@@ -187,8 +167,8 @@ SCHEME_REGISTRY: dict[str, SchemeSpec] = {
             default_devices=("ssd", "archive"),
         ),
         SchemeSpec("dyrs-sharded", build_master=_build_sharded),
-        # Same federation, but ``shard_pull_window`` resolves to the
-        # shard count instead of 1; all other wiring is identical.
+        # Same federation, but ``shard_pull_window`` resolves to
+        # max(2, shards) instead of 1; all other wiring is identical.
         SchemeSpec("dyrs-sharded-async", build_master=_build_sharded),
     )
 }
@@ -317,7 +297,7 @@ class System:
             self.cluster, locality_delay=self.config.locality_delay
         )
         self.metrics = MetricsCollector()
-        if isinstance(self.master, TieredDyrsMaster):
+        if isinstance(self.master, LifecycleMaster):
             self.master.attach_metrics(self.metrics)
         self.runtime = JobRuntime(
             self.cluster,

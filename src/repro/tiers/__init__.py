@@ -1,24 +1,24 @@
-"""Tiered-storage extension: an SSD rung between disk and memory.
+"""Tiered-storage vocabulary: the rungs, temperatures and policies.
 
 This package generalizes DYRS's two-level disk->memory migration into
-a three-rung storage ladder (disk < ssd < memory):
+a storage ladder (archive < disk < ssd < memory):
 
-* :mod:`repro.tiers.tier` -- the :class:`StorageTier` facade over the
-  cluster's concrete devices;
+* :mod:`repro.tiers.tier` -- the rung order and each rung's nominal
+  read cost on a node;
 * :mod:`repro.tiers.temperature` -- per-block EWMA access tracking and
   the hot/warm/cold classification;
 * :mod:`repro.tiers.policy` -- pure placement policies (temperature
-  ladder, cost-benefit);
-* :mod:`repro.tiers.master` -- the lifecycle engine, a
-  :class:`~repro.core.master.DyrsMaster` subclass that routes every
-  tier edge through the paper's bandwidth-aware machinery.
+  ladder, cost-benefit).
+
+The engine that runs them is :class:`repro.lifecycle.LifecycleMaster`,
+configured by :class:`repro.lifecycle.TierConfig`.
 
 The package is an *extension*, not part of the reproduction: no scheme
-the paper evaluates touches it, and building a system without the
-``"dyrs-tiered"`` scheme creates none of its objects.
+the paper evaluates touches it, and a system built without a tier
+scheme (``"dyrs-tiered"`` or ``"dyrs-lifecycle"``) creates none of its
+objects.
 """
 
-from repro.tiers.master import TierConfig, TieredDyrsMaster
 from repro.tiers.policy import (
     CostBenefitPolicy,
     PlacementContext,
@@ -26,30 +26,16 @@ from repro.tiers.policy import (
     TierPolicy,
 )
 from repro.tiers.temperature import Temperature, TemperatureTracker
-from repro.tiers.tier import (
-    TIER_ORDER,
-    DiskTier,
-    MemoryTier,
-    SsdTier,
-    StorageTier,
-    is_promotion,
-    node_tiers,
-)
+from repro.tiers.tier import TIER_ORDER, is_promotion, rung_read_seconds
 
 __all__ = [
     "TIER_ORDER",
     "CostBenefitPolicy",
-    "DiskTier",
-    "MemoryTier",
     "PlacementContext",
-    "SsdTier",
-    "StorageTier",
     "Temperature",
     "TemperatureTracker",
     "ThresholdPolicy",
-    "TierConfig",
     "TierPolicy",
-    "TieredDyrsMaster",
     "is_promotion",
-    "node_tiers",
+    "rung_read_seconds",
 ]

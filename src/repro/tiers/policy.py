@@ -2,7 +2,8 @@
 
 Two policies, both pure functions from block statistics to a desired
 tier name, so they unit-test without a simulator and swap freely inside
-the tiered master:
+the lifecycle master (:mod:`repro.lifecycle.policy` adds the third,
+the declarative table):
 
 :class:`ThresholdPolicy`
     The classic temperature ladder (OctopusFS-style): HOT blocks belong
@@ -22,10 +23,10 @@ lists, and the mechanics of getting there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Container, Mapping, Protocol
 
 from repro.tiers.temperature import Temperature
-from repro.tiers.tier import TIER_ORDER, StorageTier
+from repro.tiers.tier import TIER_ORDER
 
 __all__ = [
     "PlacementContext",
@@ -50,8 +51,10 @@ class PlacementContext:
     resident_tier:
         Highest tier currently holding the block (``"disk"`` if only
         the DFS replicas exist).
-    tiers:
-        The candidate node's tier ladder (name -> :class:`StorageTier`).
+    read_seconds:
+        The candidate node's rungs, each mapped to the nominal seconds
+        to read the block from it (see
+        :func:`~repro.tiers.tier.rung_read_seconds`).
     move_seconds_per_byte:
         EWMA-estimated cost of copying one byte tier-to-tier on the
         candidate node (from the slave's migration estimator).
@@ -61,7 +64,7 @@ class PlacementContext:
     temperature: Temperature
     access_rate: float
     resident_tier: str
-    tiers: Mapping[str, StorageTier]
+    read_seconds: Mapping[str, float]
     move_seconds_per_byte: float
 
 
@@ -73,12 +76,12 @@ class TierPolicy(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _best_available(preferred: str, tiers: Mapping[str, StorageTier]) -> str:
+def _best_available(preferred: str, rungs: Container[str]) -> str:
     """``preferred`` if that rung exists on the node, else the highest
     existing rung at or below it (``disk`` always exists)."""
     start = TIER_ORDER.index(preferred)
     for name in reversed(TIER_ORDER[: start + 1]):
-        if name in tiers:
+        if name in rungs:
             return name
     return "disk"
 
@@ -93,7 +96,7 @@ class ThresholdPolicy:
     }
 
     def target_tier(self, ctx: PlacementContext) -> str:
-        return _best_available(self._LADDER[ctx.temperature], ctx.tiers)
+        return _best_available(self._LADDER[ctx.temperature], ctx.read_seconds)
 
 
 class CostBenefitPolicy:
@@ -116,17 +119,15 @@ class CostBenefitPolicy:
         self.horizon = horizon
 
     def target_tier(self, ctx: PlacementContext) -> str:
-        disk_read = ctx.tiers["disk"].read_seconds(ctx.block_size)
+        disk_read = ctx.read_seconds["disk"]
         expected_reads = ctx.access_rate * self.horizon
         move_cost = ctx.block_size * ctx.move_seconds_per_byte
         best_name, best_net = "disk", 0.0
         for name in TIER_ORDER[1:]:
-            tier = ctx.tiers.get(name)
-            if tier is None:
+            read = ctx.read_seconds.get(name)
+            if read is None:
                 continue
-            saving = expected_reads * (
-                disk_read - tier.read_seconds(ctx.block_size)
-            )
+            saving = expected_reads * (disk_read - read)
             net = saving - (0.0 if name == ctx.resident_tier else move_cost)
             if net > best_net:
                 best_name, best_net = name, net

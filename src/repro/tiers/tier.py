@@ -1,52 +1,28 @@
-"""The :class:`StorageTier` abstraction: one rung of the storage ladder.
+"""The storage ladder: rung order and nominal read costs.
 
-DYRS hard-codes a two-level hierarchy (disk below, RAM above).  This
-module generalizes the rungs into a uniform facade so the lifecycle
-policies in :mod:`repro.tiers.policy` can reason about *any* pair of
-adjacent tiers with the same code.
+DYRS hard-codes a two-level hierarchy (disk below, RAM above).  The
+tier extensions generalize it into a ladder ordered by
+:data:`TIER_ORDER` (``archive`` < ``disk`` < ``ssd`` < ``memory``);
+moving a block to a higher rung is a *promotion*, to a lower rung a
+*demotion*.  The ``archive`` rung (the lifecycle extension) sits
+*below* disk: fabric-attached cold storage that only the lifecycle
+manager writes.
 
-A rung is described entirely in the unified device vocabulary
-(:mod:`repro.cluster.device`): an optional
-:class:`~repro.cluster.device.ByteStore` for residency accounting and
-an optional :class:`~repro.cluster.device.Channel` for read transfers.
-The base class implements the whole tier protocol over that pair --
-capacity, occupancy, pin/unpin, reads, nominal read cost -- and the
-subclasses only bind a concrete device and define what a *write*
-charges.  Queueing/contention behaviour comes from the wrapped
-devices' existing channels -- a tier adds no second model of the
-hardware.
-
-Tiers are ordered by :data:`TIER_ORDER` (``archive`` < ``disk`` <
-``ssd`` < ``memory``); moving a block to a higher rung is a
-*promotion*, to a lower rung a *demotion*.  The ``archive`` rung (the
-lifecycle extension) sits *below* disk: fabric-attached cold storage
-that only the lifecycle manager writes.
+The policies in :mod:`repro.tiers.policy` need two facts about a
+node's ladder: which rungs it has, and what reading a block from each
+costs.  :func:`rung_read_seconds` answers both from the node's
+devices; pins, reads and writes go to the devices themselves
+(:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Hashable, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.archive import Archive
-    from repro.cluster.device import ByteStore, Channel
-    from repro.cluster.disk import Disk
-    from repro.cluster.memory import MemoryStore
     from repro.cluster.node import Node
-    from repro.cluster.ssd import Ssd
-    from repro.sim.events import Event
 
-__all__ = [
-    "StorageTier",
-    "ArchiveTier",
-    "DiskTier",
-    "SsdTier",
-    "MemoryTier",
-    "TIER_ORDER",
-    "is_promotion",
-    "node_tiers",
-]
+__all__ = ["TIER_ORDER", "is_promotion", "rung_read_seconds"]
 
 #: Canonical rung order: index 0 is the slowest/bottom tier.
 TIER_ORDER: tuple[str, ...] = ("archive", "disk", "ssd", "memory")
@@ -57,192 +33,23 @@ def is_promotion(source: str, dest: str) -> bool:
     return TIER_ORDER.index(dest) > TIER_ORDER.index(source)
 
 
-class StorageTier:
-    """Uniform facade over one node-local storage rung.
-
-    Parameters
-    ----------
-    store:
-        Residency budget, or None for a tier whose residency is
-        managed elsewhere (disk replicas live in the DFS block map):
-        then pins are no-ops and capacity is infinite.
-    channel:
-        Read channel, or None for a tier with no read path of its own.
-
-    Policies never need to know which device a tier wraps; everything
-    below is expressed against the (store, channel) pair.
-    """
-
-    #: Tier name, one of :data:`TIER_ORDER`.
-    name: str = ""
-
-    def __init__(
-        self,
-        store: Optional["ByteStore"] = None,
-        channel: Optional["Channel"] = None,
-    ) -> None:
-        self.store = store
-        self.channel = channel
-
-    @property
-    def rank(self) -> int:
-        """Position in the ladder (higher is faster)."""
-        return TIER_ORDER.index(self.name)
-
-    # -- residency ---------------------------------------------------------
-
-    @property
-    def capacity(self) -> float:
-        return self.store.capacity if self.store is not None else math.inf
-
-    @property
-    def used(self) -> float:
-        return self.store.used if self.store is not None else 0.0
-
-    @property
-    def free(self) -> float:
-        return self.capacity - self.used
-
-    def fits(self, nbytes: float) -> bool:
-        if self.store is None:
-            return True
-        return self.store.fits(nbytes)
-
-    def pin(self, key: Hashable, nbytes: float) -> None:
-        if self.store is not None:
-            self.store.pin(key, nbytes)
-
-    def unpin(self, key: Hashable) -> float:
-        if self.store is None:
-            return 0.0
-        return self.store.unpin(key)
-
-    def is_resident(self, key: Hashable) -> bool:
-        if self.store is None:
-            return False
-        return self.store.is_pinned(key)
-
-    def resident_keys(self) -> tuple[Hashable, ...]:
-        if self.store is None:
-            return ()
-        return self.store.pinned_keys()
-
-    # -- I/O ---------------------------------------------------------------
-
-    @property
-    def read_bandwidth(self) -> float:
-        """Nominal unloaded read throughput, bytes/second."""
-        if self.channel is None:
-            raise NotImplementedError(f"{type(self).__name__} has no read channel")
-        return self.channel.capacity
-
-    def read(self, nbytes: float, tag: str = "tier-read") -> "Event":
-        """Start a read of ``nbytes``; returns the completion event."""
-        if self.channel is None:
-            raise NotImplementedError(f"{type(self).__name__} has no read channel")
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def write(self, nbytes: float, tag: str = "tier-write") -> Optional["Event"]:
-        """Start a write of ``nbytes``; None when the tier's writes are
-        pure accounting (memory pins charge no device transfer)."""
-        raise NotImplementedError
-
-    # -- cost model ----------------------------------------------------------
-
-    def read_seconds(self, nbytes: float) -> float:
-        """Nominal time to read ``nbytes`` from an idle device.
-
-        The policies' cost-benefit arithmetic uses this as the
-        *optimistic* per-tier read cost; load-aware costs come from the
-        slaves' EWMA estimators instead.
-        """
-        return nbytes / self.read_bandwidth
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cap = "inf" if math.isinf(self.capacity) else f"{self.capacity:.3g}"
-        return f"<{type(self).__name__} used={self.used:.3g}/{cap}B>"
-
-
-class ArchiveTier(StorageTier):
-    """The bottom rung: the node's slice of fabric-attached cold
-    storage (see :mod:`repro.cluster.archive`).
-
-    ``read_seconds`` includes the archival per-operation latency, so
-    cost-benefit policies see archive reads as expensive even for tiny
-    blocks.
-    """
-
-    name = "archive"
-
-    def __init__(self, archive: "Archive") -> None:
-        super().__init__(store=archive.store, channel=archive.channel)
-        self.archive = archive
-
-    def write(self, nbytes: float, tag: str = "tier-write") -> "Event":
-        return self.archive.write(nbytes, tag=tag)
-
-    def read_seconds(self, nbytes: float) -> float:
-        return self.archive.read_seconds(nbytes)
-
-
-class DiskTier(StorageTier):
-    """The bottom rung: the node's spinning disk.
-
-    Disk replicas are the DFS's ground truth -- they are never "pinned"
-    or evicted by tier lifecycle, so there is no store (residency is a
-    no-op with infinite capacity); the tier exists to give the ladder a
-    floor and the cost model a disk entry.
-    """
-
-    name = "disk"
-
-    def __init__(self, disk: "Disk") -> None:
-        super().__init__(store=None, channel=disk.channel)
-        self.disk = disk
-
-    def write(self, nbytes: float, tag: str = "tier-write") -> "Event":
-        return self.disk.write(nbytes, tag=tag)
-
-
-class SsdTier(StorageTier):
-    """The middle rung: the node's SSD cache partition."""
-
-    name = "ssd"
-
-    def __init__(self, ssd: "Ssd") -> None:
-        super().__init__(store=ssd.store, channel=ssd.channel)
-        self.ssd = ssd
-
-    def write(self, nbytes: float, tag: str = "tier-write") -> "Event":
-        return self.ssd.write(nbytes, tag=tag)
-
-
-class MemoryTier(StorageTier):
-    """The top rung: the node's migrated-data memory store."""
-
-    name = "memory"
-
-    def __init__(self, memory: "MemoryStore") -> None:
-        super().__init__(store=memory.store, channel=memory.read_channel)
-        self.memory = memory
-
-    def write(self, nbytes: float, tag: str = "tier-write") -> None:
-        return None  # pinning is the write; mlock charges no transfer
-
-
-def node_tiers(node: "Node") -> dict[str, StorageTier]:
-    """The tier ladder present on ``node``, keyed by tier name.
+def rung_read_seconds(node: "Node", nbytes: float) -> dict[str, float]:
+    """Nominal seconds to read ``nbytes`` from each rung ``node`` has.
 
     Always contains ``disk`` and ``memory``; ``ssd`` only when the node
     spec carries an SSD cache, ``archive`` only when it owns an archive
-    partition.
+    partition.  Each figure is the idle-device time at the read
+    channel's bandwidth; an archive read also pays the per-operation
+    setup latency, so archive reads look expensive even for tiny
+    blocks.  Load-aware costs come from the slaves' EWMA estimators
+    instead.
     """
-    tiers: dict[str, StorageTier] = {
-        "disk": DiskTier(node.disk),
-        "memory": MemoryTier(node.memory),
+    seconds = {
+        "disk": nbytes / node.disk.channel.capacity,
+        "memory": nbytes / node.memory.read_channel.capacity,
     }
     if node.ssd is not None:
-        tiers["ssd"] = SsdTier(node.ssd)
+        seconds["ssd"] = nbytes / node.ssd.channel.capacity
     if node.archive is not None:
-        tiers["archive"] = ArchiveTier(node.archive)
-    return tiers
+        seconds["archive"] = node.archive.read_seconds(nbytes)
+    return seconds

@@ -107,7 +107,7 @@ class TestFailover:
         non-terminal forever."""
         from repro.cluster import Cluster, ClusterSpec, NodeSpec
         from repro.cluster.archive import ArchiveSpec
-        from repro.lifecycle import LifecycleConfig, LifecycleMaster
+        from repro.lifecycle import LifecycleMaster, TierConfig
 
         # A slow archive link (4 MB/s -> a 64 MB demotion takes ~16 s)
         # guarantees the failover below lands mid-move.
@@ -127,14 +127,14 @@ class TestFailover:
         )
         client = DFSClient(namenode)
         config = DyrsConfig(reference_block_size=64 * MB)
-        lifecycle_config = LifecycleConfig(
+        tier_config = TierConfig(
             lifecycle_interval=5.0, hot_age=10.0, cold_age=25.0, archive_age=45.0
         )
         coordinator = StandbyCoordinator(
             namenode,
             config,
             master_factory=lambda nn, cfg: LifecycleMaster(
-                nn, cfg, tier_config=lifecycle_config
+                nn, cfg, tier_config=tier_config
             ),
         )
         slaves = [

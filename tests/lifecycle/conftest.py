@@ -7,7 +7,7 @@ from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.core import DyrsConfig, DyrsSlave
 from repro.dfs import DFSClient, NameNode, RandomPlacement
 from repro.dfs.heartbeat import HeartbeatService
-from repro.lifecycle import LifecycleConfig, LifecycleMaster
+from repro.lifecycle import LifecycleMaster, TierConfig
 from repro.units import MB
 
 
@@ -20,10 +20,10 @@ FAST_LIFECYCLE = dict(
 
 class LifecycleRig:
     """Like the tiers tests' TieredRig, but every node also carries an
-    archive partition and the master is the lifecycle variant."""
+    archive partition, so the master runs the archive pass too."""
 
     def __init__(self, n_workers=4, seed=3, block_size=64 * MB, config=None,
-                 lifecycle_config=None, node=None, overrides=None):
+                 tier_config=None, node=None, overrides=None):
         self.cluster = Cluster(
             ClusterSpec(
                 n_workers=n_workers,
@@ -43,11 +43,9 @@ class LifecycleRig:
         )
         self.client = DFSClient(self.namenode)
         self.config = config or DyrsConfig(reference_block_size=block_size)
-        self.lifecycle_config = lifecycle_config or LifecycleConfig(
-            **FAST_LIFECYCLE
-        )
+        self.tier_config = tier_config or TierConfig(**FAST_LIFECYCLE)
         self.master = LifecycleMaster(
-            self.namenode, self.config, tier_config=self.lifecycle_config
+            self.namenode, self.config, tier_config=self.tier_config
         )
         self.slaves = [
             DyrsSlave(self.namenode.datanodes[n.node_id], self.master, self.config)

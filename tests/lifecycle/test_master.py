@@ -1,10 +1,9 @@
 """End-to-end tests for the lifecycle master: archive and restore."""
 
-import pytest
-
 from repro.cluster import NodeSpec
 from repro.core.records import MigrationStatus
-from repro.lifecycle import LifecycleConfig
+from repro.lifecycle import TierConfig
+from repro.tiers import Temperature, ThresholdPolicy
 
 from .conftest import FAST_LIFECYCLE
 
@@ -32,7 +31,7 @@ class TestDemotion:
 
     def test_cold_replication_two_keeps_a_disk_copy(self, make_lifecycle_rig):
         rig = make_lifecycle_rig(
-            lifecycle_config=LifecycleConfig(**FAST_LIFECYCLE, cold_replication=2)
+            tier_config=TierConfig(**FAST_LIFECYCLE, cold_replication=2)
         )
         block = rig.cold_block()
         rig.run_until(lambda: archived(rig, block))
@@ -199,3 +198,22 @@ class TestDegradation:
         assert not archived(rig, block)
         assert rig.master.archived_blocks == 0
         assert rig.master.lifecycle_record_log == []
+
+    def test_archiveless_ladder_skips_the_archive_pass(self, make_lifecycle_rig):
+        """Even with ``archive_age`` at ``cold_age``, so every COLD block
+        qualifies at once, a ladder without an archive rung never plans
+        an archive move or starts the mover."""
+        rig = make_lifecycle_rig(
+            node=NodeSpec().with_ssd(),
+            tier_config=TierConfig(**{**FAST_LIFECYCLE, "archive_age": 25.0}),
+        )
+        block = rig.cold_block()
+        rig.sim.run(until=rig.sim.now + 60.0)
+        master = rig.master
+        assert master.temperature.classify(block.block_id, rig.sim.now) is (
+            Temperature.COLD
+        )
+        assert master.lifecycle_pass()["archived"] == 0
+        assert master.lifecycle_record_log == []
+        assert master._mover_proc is None
+        assert isinstance(master.tier_policy, ThresholdPolicy)

@@ -1,17 +1,30 @@
-"""Unit tests for the declarative lifecycle policy table."""
+"""Unit tests for the declarative lifecycle policy table and for the
+tier policy the ladder master derives from its config."""
 
 import pytest
 
+from repro.cluster import ClusterSpec, NodeSpec
 from repro.lifecycle import (
-    LifecycleConfig,
     LifecycleRule,
     LifecycleTable,
     TablePolicy,
+    TierConfig,
     default_table,
 )
-from repro.tiers import TierConfig
+from repro.system import System, SystemConfig
+from repro.tiers import CostBenefitPolicy, ThresholdPolicy
 from repro.tiers.policy import PlacementContext
 from repro.tiers.temperature import Temperature
+
+
+def master(scheme="dyrs-lifecycle", cluster=None, **tiers):
+    """The ladder master ``scheme`` builds from ``TierConfig(**tiers)``."""
+    config = SystemConfig(
+        scheme=scheme,
+        cluster=cluster or ClusterSpec(n_workers=2),
+        tiers=TierConfig(**tiers),
+    )
+    return System(config).master
 
 
 class TestLifecycleRule:
@@ -65,7 +78,7 @@ class TestTablePolicy:
             temperature=temperature,
             access_rate=0.0,
             resident_tier="disk",
-            tiers=dict.fromkeys(tiers),
+            read_seconds=dict.fromkeys(tiers, 1.0),
             move_seconds_per_byte=0.0,
         )
 
@@ -85,31 +98,41 @@ class TestTablePolicy:
 
 
 class TestLifecycleConfig:
+    """The archive knobs of :class:`TierConfig` and the tier policy the
+    ladder master derives from it."""
+
     def test_defaults_pick_the_table_policy(self):
-        config = LifecycleConfig()
-        assert config.policy == "table"
-        assert isinstance(config.build_policy(), TablePolicy)
+        assert TierConfig().policy is None
+        assert isinstance(master().tier_policy, TablePolicy)
 
-    def test_inherited_policies_still_available(self):
-        from repro.tiers import ThresholdPolicy
+    def test_derived_default_follows_the_ladder(self):
+        """None means the table on a ladder with an archive rung and
+        the threshold ladder without one -- whichever scheme built it."""
+        assert isinstance(master("dyrs-tiered").tier_policy, ThresholdPolicy)
+        archived = ClusterSpec(n_workers=2, node=NodeSpec().with_archive())
+        assert isinstance(
+            master("dyrs-tiered", cluster=archived).tier_policy, TablePolicy
+        )
 
-        config = LifecycleConfig(policy="threshold")
-        assert isinstance(config.build_policy(), ThresholdPolicy)
+    def test_explicit_policy_is_honoured(self):
+        assert isinstance(master(policy="threshold").tier_policy, ThresholdPolicy)
+        assert isinstance(
+            master(policy="cost-benefit").tier_policy, CostBenefitPolicy
+        )
+        assert isinstance(
+            master("dyrs-tiered", policy="table").tier_policy, TablePolicy
+        )
 
     def test_archive_age_must_cover_cold_age(self):
         with pytest.raises(ValueError):
-            LifecycleConfig(cold_age=300.0, archive_age=200.0)
+            TierConfig(cold_age=300.0, archive_age=200.0)
 
     def test_cold_replication_must_be_positive(self):
         with pytest.raises(ValueError):
-            LifecycleConfig(cold_replication=0)
+            TierConfig(cold_replication=0)
 
-    def test_build_table_threads_cold_replication(self):
-        config = LifecycleConfig(cold_replication=2)
-        assert config.build_table().cold.replication == 2
-
-    def test_master_rejects_plain_tier_config(self):
-        from repro.lifecycle import LifecycleMaster
-
-        with pytest.raises(TypeError):
-            LifecycleMaster(namenode=None, tier_config=TierConfig())
+    def test_cold_replication_reaches_the_master_table(self):
+        built = master(cold_replication=2)
+        assert built.table.cold.replication == 2
+        assert built.tier_policy.table is built.table
+        assert built.replication_scheduler.table is built.table

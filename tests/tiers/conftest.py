@@ -1,4 +1,4 @@
-"""Shared fixtures: a wired mini-cluster with SSDs and the tiered master."""
+"""Shared fixtures: a wired mini-cluster with SSDs and no archive rung."""
 
 import pytest
 
@@ -6,13 +6,14 @@ from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.core import DyrsConfig, DyrsSlave
 from repro.dfs import DFSClient, NameNode, RandomPlacement
 from repro.dfs.heartbeat import HeartbeatService
-from repro.tiers import TierConfig, TieredDyrsMaster
+from repro.lifecycle import LifecycleMaster, TierConfig
 from repro.units import MB
 
 
 class TieredRig:
     """Like the core tests' Rig, but every node carries an SSD cache
-    and the master is the tiered variant."""
+    and the master runs the storage ladder (no archive rung, so only
+    the working tiers)."""
 
     def __init__(self, n_workers=4, seed=3, block_size=64 * MB, config=None,
                  tier_config=None, node=None, overrides=None):
@@ -34,7 +35,7 @@ class TieredRig:
         self.client = DFSClient(self.namenode)
         self.config = config or DyrsConfig(reference_block_size=block_size)
         self.tier_config = tier_config or TierConfig()
-        self.master = TieredDyrsMaster(
+        self.master = LifecycleMaster(
             self.namenode, self.config, tier_config=self.tier_config
         )
         self.slaves = [

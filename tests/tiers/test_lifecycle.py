@@ -1,13 +1,15 @@
-"""Integration tests for the tiered master's lifecycle behaviours."""
+"""Integration tests for the working-tier lifecycle: the storage-ladder
+master on an SSD ladder with no archive rung."""
 
 import pytest
 
 from repro.cluster import NodeSpec, SsdSpec
 from repro.compute.metrics import MetricsCollector
 from repro.core import DyrsConfig
+from repro.core.failures import quiesce_violations
 from repro.core.records import MigrationRecord, MigrationStatus
 from repro.dfs.client import EvictionMode
-from repro.tiers import TierConfig
+from repro.lifecycle import TierConfig
 from repro.units import MB
 
 
@@ -267,13 +269,13 @@ class TestLifecyclePass:
         rig.master.migrate(["f"], job_id="j1", eviction=EvictionMode.EXPLICIT)
         run_until_done(rig, block.block_id)
         actions = rig.master.lifecycle_pass()
-        assert actions == {"promoted": 0, "demoted": 0}
+        assert actions == {"promoted": 0, "demoted": 0, "archived": 0}
         assert block.block_id not in rig.namenode.ssd_directory
 
 
 class TestDegradation:
     def test_tiered_master_works_on_ssdless_nodes(self, make_tiered_rig):
-        """Without SSDs the tiered master must behave like plain DYRS:
+        """Without SSDs the ladder master must behave like plain DYRS:
         no promotions, no demotions, migration still works."""
         rig = make_tiered_rig(node=NodeSpec())
         entry = rig.client.create_file("f", 64 * MB)
@@ -327,6 +329,30 @@ class TestFailures:
         rig.master.recover()
         assert rig.namenode.ssd_directory[block.block_id] == holder
 
+    def test_permanent_slave_crash_leaves_no_ssd_entry(self, make_tiered_rig):
+        """A crash unpins the node's SSD, but only a restart reaps the
+        directory; a slave that never returns must not leave its
+        entries behind once the block has cooled off."""
+        # No background promotion: a WARM pass would re-promote the
+        # block over the stale entry and hide it.
+        rig = make_tiered_rig(
+            tier_config=TierConfig(
+                lifecycle_interval=5.0,
+                hot_age=10.0,
+                cold_age=25.0,
+                promote_warm_to_ssd=False,
+            )
+        )
+        block = self._block_on_ssd(rig)
+        holder = rig.namenode.ssd_directory[block.block_id]
+        rig.master.slaves[holder].crash()
+        rig.sim.run(until=rig.sim.now + 60.0)
+        assert rig.master.temperature.classify(
+            block.block_id, rig.sim.now
+        ).name == "COLD"
+        assert block.block_id not in rig.namenode.ssd_directory
+        assert quiesce_violations(rig.master) == []
+
 
 class TestTierConfigValidation:
     def test_rejects_bad_values_eagerly(self):
@@ -341,10 +367,12 @@ class TestTierConfigValidation:
         with pytest.raises(ValueError):
             TierConfig(hot_age=500.0, cold_age=300.0)
 
-    def test_build_policy_selects_variant(self):
+    def test_master_builds_the_configured_policy(self, make_tiered_rig):
         from repro.tiers import CostBenefitPolicy, ThresholdPolicy
 
-        assert isinstance(TierConfig().build_policy(), ThresholdPolicy)
-        policy = TierConfig(policy="cost-benefit", horizon=60.0).build_policy()
-        assert isinstance(policy, CostBenefitPolicy)
-        assert policy.horizon == 60.0
+        assert isinstance(make_tiered_rig().master.tier_policy, ThresholdPolicy)
+        rig = make_tiered_rig(
+            tier_config=TierConfig(policy="cost-benefit", horizon=60.0)
+        )
+        assert isinstance(rig.master.tier_policy, CostBenefitPolicy)
+        assert rig.master.tier_policy.horizon == 60.0

@@ -10,7 +10,7 @@ from repro.tiers import (
     PlacementContext,
     Temperature,
     ThresholdPolicy,
-    node_tiers,
+    rung_read_seconds,
 )
 from repro.units import MB
 
@@ -22,15 +22,15 @@ def sim():
 
 @pytest.fixture
 def full_ladder(sim):
-    return node_tiers(Node(sim, 0, NodeSpec().with_ssd(SsdSpec())))
+    return rung_read_seconds(Node(sim, 0, NodeSpec().with_ssd(SsdSpec())), 64 * MB)
 
 
 @pytest.fixture
 def two_rungs(sim):
-    return node_tiers(Node(sim, 0, NodeSpec()))
+    return rung_read_seconds(Node(sim, 0, NodeSpec()), 64 * MB)
 
 
-def ctx(tiers, temperature=Temperature.WARM, access_rate=0.0,
+def ctx(read_seconds, temperature=Temperature.WARM, access_rate=0.0,
         resident="disk", spb=None):
     if spb is None:
         spb = 1.0 / (150 * MB)  # one nominal-disk byte-copy
@@ -39,7 +39,7 @@ def ctx(tiers, temperature=Temperature.WARM, access_rate=0.0,
         temperature=temperature,
         access_rate=access_rate,
         resident_tier=resident,
-        tiers=tiers,
+        read_seconds=read_seconds,
         move_seconds_per_byte=spb,
     )
 

@@ -1,21 +1,12 @@
-"""Unit tests for the SSD device and the StorageTier facade."""
-
-import math
+"""Unit tests for the SSD device and the ladder the tier policies read."""
 
 import pytest
 
 from repro.cluster import NodeSpec, Ssd, SsdFull, SsdSpec
 from repro.cluster.node import Node
 from repro.sim import Simulator
-from repro.tiers import (
-    TIER_ORDER,
-    DiskTier,
-    MemoryTier,
-    SsdTier,
-    is_promotion,
-    node_tiers,
-)
-from repro.units import GB, MB
+from repro.tiers import TIER_ORDER, is_promotion, rung_read_seconds
+from repro.units import MB
 
 
 @pytest.fixture
@@ -77,6 +68,9 @@ class TestSsdDevice:
 
 
 class TestTierFacade:
+    """What is left of the tier facade: the rung order and each rung's
+    nominal read cost, the two facts the policies read."""
+
     def test_ladder_order_and_promotion(self):
         assert TIER_ORDER == ("archive", "disk", "ssd", "memory")
         assert is_promotion("disk", "ssd")
@@ -87,45 +81,20 @@ class TestTierFacade:
         assert not is_promotion("disk", "archive")
 
     def test_node_tiers_with_ssd(self, sim):
-        node = Node(sim, 0, NodeSpec().with_ssd())
-        tiers = node_tiers(node)
-        assert set(tiers) == {"disk", "ssd", "memory"}
-        assert isinstance(tiers["disk"], DiskTier)
-        assert isinstance(tiers["ssd"], SsdTier)
-        assert isinstance(tiers["memory"], MemoryTier)
-        assert tiers["disk"].rank < tiers["ssd"].rank < tiers["memory"].rank
+        node = Node(sim, 0, NodeSpec().with_ssd().with_archive())
+        seconds = rung_read_seconds(node, 64 * MB)
+        assert set(seconds) == {"archive", "disk", "ssd", "memory"}
+        assert seconds["disk"] == 64 * MB / node.disk.channel.capacity
+        assert seconds["ssd"] == 64 * MB / node.ssd.channel.capacity
+        assert seconds["memory"] == 64 * MB / node.memory.read_channel.capacity
+        # Archive reads pay the per-operation setup latency on top.
+        assert seconds["archive"] == node.archive.read_seconds(64 * MB)
 
     def test_node_tiers_without_ssd(self, sim):
         node = Node(sim, 0, NodeSpec())
-        assert set(node_tiers(node)) == {"disk", "memory"}
-
-    def test_disk_tier_is_bottomless(self, sim):
-        tier = node_tiers(Node(sim, 0, NodeSpec()))["disk"]
-        assert math.isinf(tier.capacity)
-        assert tier.fits(1e18)
-        tier.pin("x", 64 * MB)  # no-op: replicas live in the block map
-        assert not tier.is_resident("x")
-        assert tier.unpin("x") == 0.0
-
-    def test_ssd_tier_delegates_residency(self, sim):
-        node = Node(sim, 0, NodeSpec().with_ssd(SsdSpec(capacity=1 * GB)))
-        tier = node_tiers(node)["ssd"]
-        tier.pin("blk", 64 * MB)
-        assert node.ssd.is_pinned("blk")
-        assert tier.is_resident("blk")
-        assert tier.used == pytest.approx(64 * MB)
-        assert tier.free == pytest.approx(1 * GB - 64 * MB)
-        assert tier.unpin("blk") == pytest.approx(64 * MB)
-
-    def test_memory_tier_write_is_pure_accounting(self, sim):
-        tier = node_tiers(Node(sim, 0, NodeSpec()))["memory"]
-        assert tier.write(64 * MB) is None
+        assert set(rung_read_seconds(node, 64 * MB)) == {"disk", "memory"}
 
     def test_read_seconds_orders_the_ladder(self, sim):
-        tiers = node_tiers(Node(sim, 0, NodeSpec().with_ssd()))
-        size = 64 * MB
-        assert (
-            tiers["memory"].read_seconds(size)
-            < tiers["ssd"].read_seconds(size)
-            < tiers["disk"].read_seconds(size)
-        )
+        node = Node(sim, 0, NodeSpec().with_ssd().with_archive())
+        seconds = rung_read_seconds(node, 64 * MB)
+        assert sorted(seconds, key=seconds.get, reverse=True) == list(TIER_ORDER)
