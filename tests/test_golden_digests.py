@@ -6,7 +6,7 @@ hashes everything the simulation decided:
 * the migration record log -- every status, binding and timestamp --
   plus the tier master's background-promotion and archive-move logs;
 * the master's binding log -- every Algorithm-1 decision;
-* the tiered masters' bytes moved per ladder edge;
+* the tier master's bytes moved per ladder edge;
 * each job's finish time, and the clock when the run ended.
 
 A change that only makes the simulator cheaper (fewer engine events,
