@@ -101,7 +101,7 @@ class TelemetryCollector:
             TelemetrySample(
                 time=self.sim.now,
                 disk_utilization=tuple(utils),
-                memory_used=tuple(n.memory.store.used for n in self.cluster.nodes),
+                memory_used=tuple(n.memory.used for n in self.cluster.nodes),
                 disk_bytes=tuple(bytes_delta),
                 queued_tasks=(
                     self.scheduler.queued_requests
@@ -109,7 +109,7 @@ class TelemetryCollector:
                     else None
                 ),
                 ssd_used=tuple(
-                    (n.ssd.store.used if n.ssd is not None else 0.0)
+                    (n.ssd.used if n.ssd is not None else 0.0)
                     for n in self.cluster.nodes
                 ),
             )

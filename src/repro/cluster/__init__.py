@@ -7,13 +7,13 @@ background reader streams stealing disk bandwidth, either persistently
 or in alternating on/off patterns.
 """
 
-from repro.cluster.archive import Archive, ArchiveFull, ArchiveSpec
-from repro.cluster.device import ByteStore, Channel, StoreFull
+from repro.cluster.archive import Archive, ArchiveSpec
+from repro.cluster.device import ByteStore, StoreFull
 from repro.cluster.disk import Disk, DiskSpec
-from repro.cluster.memory import MemoryStore, MemorySpec, OutOfMemory
+from repro.cluster.memory import MemoryStore, MemorySpec
 from repro.cluster.network import Fabric, Nic, NicSpec
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.ssd import Ssd, SsdFull, SsdSpec
+from repro.cluster.ssd import Ssd, SsdSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.cluster.interference import (
     AlternatingInterference,
@@ -25,10 +25,8 @@ from repro.cluster.interference import (
 __all__ = [
     "AlternatingInterference",
     "Archive",
-    "ArchiveFull",
     "ArchiveSpec",
     "ByteStore",
-    "Channel",
     "Cluster",
     "ClusterSpec",
     "Disk",
@@ -41,11 +39,9 @@ __all__ = [
     "NicSpec",
     "Node",
     "NodeSpec",
-    "OutOfMemory",
     "PersistentInterference",
     "Ssd",
     "StoreFull",
-    "SsdFull",
     "SsdSpec",
     "TraceInterference",
 ]

@@ -14,7 +14,8 @@ primitives at once:
 * a :class:`~repro.cluster.device.ByteStore` accounting the node's
   slice of the archive namespace (capacity is cheap: the default
   budget is an order of magnitude above the disk tier);
-* a :class:`~repro.cluster.device.Channel` charging every transfer.
+* a :class:`~repro.sim.bandwidth.BandwidthResource`
+  :attr:`~Archive.channel` charging every transfer.
 
 Unlike the SSD, the channel is normally **shared cluster-wide**: the
 archive is fabric-attached (an object store or tape head behind the
@@ -42,21 +43,16 @@ lifecycle master's tier moves) and is folded into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.device import ByteStore, Channel, StoreFull
-from repro.sim.bandwidth import Flow
-from repro.sim.events import Event
+from repro.cluster.device import ByteStore
+from repro.sim.bandwidth import BandwidthResource
 from repro.units import MB, TB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Archive", "ArchiveSpec", "ArchiveFull"]
-
-
-class ArchiveFull(StoreFull):
-    """Raised when a ``pin`` would exceed the archive capacity budget."""
+__all__ = ["Archive", "ArchiveSpec"]
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class ArchiveSpec:
             )
 
 
-class Archive:
+class Archive(ByteStore):
     """One node's archive partition: a budget plus the (shared) link."""
 
     def __init__(
@@ -114,18 +110,14 @@ class Archive:
         sim: "Simulator",
         spec: ArchiveSpec,
         name: str = "archive",
-        channel: Optional[Channel] = None,
+        channel: Optional[BandwidthResource] = None,
     ) -> None:
-        self.sim = sim
+        super().__init__(sim, capacity=spec.capacity, name=name)
         self.spec = spec
-        self.name = name
-        self.store = ByteStore(
-            sim, capacity=spec.capacity, name=name, full_error=ArchiveFull
-        )
-        #: Whether the transfer channel is a fabric-owned shared link
-        #: (cluster construction) or a private one (free-standing use).
-        self.shared_channel = channel is not None
-        self.channel = channel if channel is not None else Channel(
+        #: The fabric's shared archive link (cluster construction) or a
+        #: private one (free-standing use).  With a shared link its
+        #: ``bytes_moved`` counts *all* nodes' archive traffic.
+        self.channel = channel if channel is not None else BandwidthResource(
             sim,
             capacity=spec.bandwidth,
             seek_penalty=spec.seek_penalty,
@@ -133,102 +125,7 @@ class Archive:
             name=name,
         )
 
-    # -- budget ------------------------------------------------------------
-
-    @property
-    def used(self) -> float:
-        """Bytes currently pinned."""
-        return self.store.used
-
-    @property
-    def free(self) -> float:
-        """Bytes available before hitting the budget."""
-        return self.store.free
-
-    @property
-    def peak(self) -> float:
-        """High-water mark of :attr:`used`."""
-        return self.store.peak
-
-    @property
-    def usage_samples(self) -> list[tuple[float, float]]:
-        """(time, used_bytes) samples, recorded on every change."""
-        return self.store.usage_samples
-
-    def fits(self, nbytes: float) -> bool:
-        """Whether ``nbytes`` can currently be pinned."""
-        return self.store.fits(nbytes)
-
-    # -- residency ---------------------------------------------------------
-
-    def pin(self, key: Hashable, nbytes: float) -> None:
-        """Account ``nbytes`` of archived data under ``key``.
-
-        Raises :class:`ArchiveFull` when the budget would be exceeded
-        and ``KeyError`` on double pins, mirroring the other stores.
-        """
-        self.store.pin(key, nbytes)
-
-    def unpin(self, key: Hashable) -> float:
-        """Release the bytes pinned under ``key``; returns the size.
-
-        Idempotent: restore completion and explicit drops can race.
-        """
-        return self.store.unpin(key)
-
-    def is_pinned(self, key: Hashable) -> bool:
-        """Whether ``key`` currently resides in this partition."""
-        return self.store.is_pinned(key)
-
-    def pinned_keys(self) -> tuple[Hashable, ...]:
-        """Keys currently pinned (insertion order)."""
-        return self.store.pinned_keys()
-
-    # -- transfers ---------------------------------------------------------
-
-    def read(self, nbytes: float, tag: str = "archive-read") -> Event:
-        """Start reading ``nbytes``; returns the completion event.
-
-        Pure bandwidth charge -- callers modelling a full archival
-        operation must additionally wait :attr:`ArchiveSpec.latency`.
-        """
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def write(self, nbytes: float, tag: str = "archive-write") -> Event:
-        """Start writing ``nbytes``; returns the completion event."""
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def start_read(self, nbytes: float, tag: str = "archive-read") -> Flow:
-        """Flow-returning variant of :meth:`read` (cancellable)."""
-        return self.channel.start_flow(nbytes, tag=tag)
-
-    def cancel_read(self, flow: Flow) -> None:
-        """Abort a flow started with :meth:`start_read`."""
-        self.channel.cancel(flow)
-
     def read_seconds(self, nbytes: float) -> float:
         """Nominal uncontended seconds to fetch ``nbytes`` (latency
         plus line-rate transfer) -- the policy-layer cost estimate."""
         return self.spec.latency + nbytes / self.channel.capacity
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def active_streams(self) -> int:
-        """Streams currently sharing the link."""
-        return self.channel.active_flows
-
-    @property
-    def bytes_moved(self) -> float:
-        """Total bytes transferred over the link (reads + writes).
-
-        With a shared link this counts *all* nodes' archive traffic.
-        """
-        return self.channel.bytes_moved
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shared = "shared" if self.shared_channel else "private"
-        return (
-            f"<Archive {self.name!r} used={self.used:.3g}/"
-            f"{self.spec.capacity:.3g}B link={shared}>"
-        )

@@ -1,16 +1,15 @@
 """Hard-disk model.
 
-A disk is a :class:`~repro.cluster.device.Channel` with a nonzero seek
-penalty: concurrent streams cost aggregate throughput, which is why
-DYRS slaves serialize their migrations (§III-B) and why ``dd``
-interference readers (§V-C) slow everything else down.
+A disk is a :class:`~repro.sim.bandwidth.BandwidthResource` with a
+nonzero seek penalty: concurrent streams cost aggregate throughput,
+which is why DYRS slaves serialize their migrations (§III-B) and why
+``dd`` interference readers (§V-C) slow everything else down.
 
 Reads and writes share the single actuator, so both kinds of transfer
-are flows on the same channel.  A ``read_rate_hint`` helper exposes
-the per-stream throughput a *new* stream would currently get -- the
-quantity a bandwidth-aware scheduler would like to know but that DYRS
-deliberately *estimates from observed migration durations* instead
-(§IV-A); the hint is used only by oracle baselines and tests.
+are flows on the same :attr:`Disk.channel`.  The channel could report
+the rate a new stream would get (``expected_duration``), but DYRS
+deliberately *estimates it from observed migration durations* instead
+(§IV-A).
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cluster.device import Channel
-from repro.sim.bandwidth import Flow
-from repro.sim.events import Event
+from repro.sim.bandwidth import BandwidthResource
 from repro.units import MB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,13 +61,11 @@ class DiskSpec:
 
 
 class Disk:
-    """One spinning disk on a node: a seek-penalized :class:`Channel`."""
+    """One spinning disk on a node: a seek-penalized bandwidth pipe."""
 
     def __init__(self, sim: "Simulator", spec: DiskSpec, name: str = "disk") -> None:
-        self.sim = sim
         self.spec = spec
-        self.name = name
-        self.channel = Channel(
+        self.channel = BandwidthResource(
             sim,
             capacity=spec.bandwidth,
             seek_penalty=spec.seek_penalty,
@@ -78,59 +73,5 @@ class Disk:
             name=name,
         )
 
-    # -- transfers -------------------------------------------------------
-
-    def read(self, nbytes: float, tag: str = "read") -> Event:
-        """Start reading ``nbytes``; returns the completion event."""
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def write(self, nbytes: float, tag: str = "write") -> Event:
-        """Start writing ``nbytes``; returns the completion event."""
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def start_stream(self, nbytes: float, tag: str = "stream") -> Flow:
-        """Low-level flow handle (used by interference generators)."""
-        return self.channel.start_flow(nbytes, tag=tag)
-
-    def cancel_stream(self, flow: Flow) -> None:
-        """Abort a flow started with :meth:`start_stream`."""
-        self.channel.cancel(flow)
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def active_streams(self) -> int:
-        """Streams currently sharing the actuator."""
-        return self.channel.active_flows
-
-    def read_rate_hint(self, extra_streams: int = 0) -> float:
-        """Per-stream rate a new stream would get right now (bytes/s).
-
-        Oracle knowledge -- see module docstring.
-        """
-        return self.channel.rate_hint(extra_flows=extra_streams)
-
-    def expected_read_time(self, nbytes: float) -> float:
-        """Oracle estimate of reading ``nbytes`` under current load."""
-        return nbytes / self.read_rate_hint()
-
-    @property
-    def bytes_moved(self) -> float:
-        """Total bytes transferred (reads + writes)."""
-        return self.channel.bytes_moved
-
-    @property
-    def busy_time(self) -> float:
-        """Cumulative seconds the actuator spent with active flows.
-
-        Public accessor for telemetry; interval busy fractions are
-        computed from deltas of this counter.
-        """
-        return self.channel.busy_time
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Busy fraction of wall time since ``since``."""
-        return self.channel.utilization(since)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Disk {self.name!r} streams={self.active_streams}>"
+        return f"<Disk {self.channel.name!r} streams={self.channel.active_flows}>"

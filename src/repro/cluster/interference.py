@@ -14,7 +14,8 @@ two nodes.  We reproduce both:
   patterns.
 
 Interference consumes bandwidth through ordinary flows on the node's
-disk :class:`~repro.cluster.device.Channel`, so migrations, task reads
+disk channel (a :class:`~repro.sim.bandwidth.BandwidthResource`), so
+migrations, task reads
 and interference all contend exactly like they would on a real
 actuator.
 """

@@ -4,15 +4,15 @@ DYRS migrates blocks into the OS buffer cache with ``mmap``/``mlock``
 (§IV).  We model that cache with the unified device vocabulary
 (:mod:`repro.cluster.device`): a :class:`MemoryStore` is a
 :class:`~repro.cluster.device.ByteStore` budget plus a very fast
-read :class:`~repro.cluster.device.Channel`:
+read :attr:`~MemoryStore.channel`:
 
 * ``pin(key, nbytes)`` accounts for a migrated block (the data itself
   is irrelevant to the simulation);
 * ``unpin(key)`` releases it (the ``munmap`` in §IV -- read-only data
   is simply discarded);
-* reads of pinned data go through the read channel; the paper
-  measured memory block reads ~160x faster than disk at the
-  application level (§I), which is our default ratio.
+* reads of pinned data go through the channel; the paper measured
+  memory block reads ~160x faster than disk at the application level
+  (§I), which is our default ratio.
 
 The store also samples its usage over time so Fig 7 (per-server memory
 footprint) can be reproduced.
@@ -21,20 +21,16 @@ footprint) can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
-from repro.cluster.device import ByteStore, Channel, StoreFull
-from repro.sim.events import Event
+from repro.cluster.device import ByteStore
+from repro.sim.bandwidth import BandwidthResource
 from repro.units import GB, MB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["MemoryStore", "MemorySpec", "OutOfMemory"]
-
-
-class OutOfMemory(StoreFull):
-    """Raised when a ``pin`` would exceed the configured budget."""
+__all__ = ["MemoryStore", "MemorySpec"]
 
 
 @dataclass(frozen=True)
@@ -64,97 +60,13 @@ class MemorySpec:
             )
 
 
-class MemoryStore:
-    """Byte-budgeted store of pinned (migrated) blocks."""
+class MemoryStore(ByteStore):
+    """Byte-budgeted store of pinned (migrated) blocks plus their read
+    channel."""
 
     def __init__(self, sim: "Simulator", spec: MemorySpec, name: str = "mem") -> None:
-        self.sim = sim
+        super().__init__(sim, capacity=spec.capacity, name=name)
         self.spec = spec
-        self.name = name
-        self.store = ByteStore(
-            sim, capacity=spec.capacity, name=name, full_error=OutOfMemory
-        )
-        self.read_channel = Channel(
+        self.channel = BandwidthResource(
             sim, capacity=spec.read_bandwidth, seek_penalty=0.0, name=f"{name}.read"
-        )
-
-    # -- budget ------------------------------------------------------------
-
-    @property
-    def used(self) -> float:
-        """Bytes currently pinned."""
-        return self.store.used
-
-    @property
-    def free(self) -> float:
-        """Bytes available before hitting the budget."""
-        return self.store.free
-
-    @property
-    def peak(self) -> float:
-        """High-water mark of :attr:`used`."""
-        return self.store.peak
-
-    @property
-    def usage_samples(self) -> list[tuple[float, float]]:
-        """(time, used_bytes) samples, recorded on every change."""
-        return self.store.usage_samples
-
-    def fits(self, nbytes: float) -> bool:
-        """Whether ``nbytes`` can currently be pinned."""
-        return self.store.fits(nbytes)
-
-    # -- pinning -------------------------------------------------------------
-
-    def pin(self, key: Hashable, nbytes: float) -> None:
-        """Account ``nbytes`` of pinned data under ``key``.
-
-        Raises
-        ------
-        OutOfMemory
-            If the budget would be exceeded.  Callers (the DYRS slave)
-            are expected to check :meth:`fits` first and queue instead
-            -- §IV-A1: "migration commands are queued until buffer
-            space is available".
-        KeyError
-            If ``key`` is already pinned (double migration is a
-            protocol bug upstream).
-        """
-        self.store.pin(key, nbytes)
-
-    def unpin(self, key: Hashable) -> float:
-        """Release the bytes pinned under ``key``; returns the size.
-
-        Unpinning an unknown key is a no-op returning 0 -- eviction is
-        idempotent because explicit and implicit eviction can race
-        (§III-C3).
-        """
-        return self.store.unpin(key)
-
-    def is_pinned(self, key: Hashable) -> bool:
-        """Whether ``key`` currently resides in memory."""
-        return self.store.is_pinned(key)
-
-    def pinned_keys(self) -> tuple[Hashable, ...]:
-        """Keys currently pinned (insertion order)."""
-        return self.store.pinned_keys()
-
-    # -- read path -----------------------------------------------------------
-
-    def read(self, nbytes: float, tag: str = "mem-read") -> Event:
-        """Serve ``nbytes`` from memory; returns the completion event."""
-        return self.read_channel.transfer(nbytes, tag=tag)
-
-    def start_read(self, nbytes: float, tag: str = "mem-read"):
-        """Flow-returning variant of :meth:`read` (cancellable)."""
-        return self.read_channel.start_flow(nbytes, tag=tag)
-
-    def cancel_read(self, flow) -> None:
-        """Abort a flow from :meth:`start_read`."""
-        self.read_channel.cancel(flow)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MemoryStore {self.name!r} used={self.used:.3g}/"
-            f"{self.spec.capacity:.3g}B pins={len(self.pinned_keys())}>"
         )

@@ -3,8 +3,8 @@
 The paper's testbed has a 10 Gbps network between 8 servers (§V-A) --
 small enough that the fabric core is never the bottleneck, so we model
 only NIC capacity.  Each node has one full-duplex NIC: an egress and
-an ingress :class:`~repro.cluster.device.Channel` (no seek penalty --
-packet-switched links share cleanly).
+an ingress :class:`~repro.sim.bandwidth.BandwidthResource` (no seek
+penalty -- packet-switched links share cleanly).
 
 Transfer charging
 -----------------
@@ -13,11 +13,12 @@ A cross-node transfer in reality is limited by ``min`` of the sender's
 egress share and the receiver's ingress share, a coupled max-min
 problem.  We use the standard single-charge simplification:
 
-* **remote reads** (a task pulling a block from another node's memory
-  or disk) charge the *source egress* -- the served node's uplink is
-  the contended side when many tasks fan in on one in-memory replica;
-* **shuffle fetches** charge the *destination ingress* -- a reducer
-  pulling from many mappers is limited by its own downlink.
+* **remote reads** (a task pulling a block from another node's memory)
+  charge the *source egress* -- the served node's uplink is the
+  contended side when many tasks fan in on one in-memory replica;
+* **shuffle fetches** and replica pipelines charge the *destination
+  ingress* -- a reducer pulling from many mappers is limited by its
+  own downlink.
 
 Both patterns keep the dominant bottleneck and stay deterministic.
 """
@@ -27,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cluster.device import Channel
-from repro.sim.events import Event
+from repro.sim.bandwidth import BandwidthResource
 from repro.units import Gbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,45 +55,28 @@ class NicSpec:
 
 
 class Nic:
-    """A full-duplex NIC: independent egress and ingress channels."""
+    """A full-duplex NIC: independent egress and ingress pipes."""
 
     def __init__(self, sim: "Simulator", spec: NicSpec, name: str = "nic") -> None:
-        self.sim = sim
         self.spec = spec
-        self.name = name
-        self.egress = Channel(sim, capacity=spec.bandwidth, name=f"{name}.egress")
-        self.ingress = Channel(sim, capacity=spec.bandwidth, name=f"{name}.ingress")
-
-    def send(self, nbytes: float, tag: str = "send") -> Event:
-        """Charge an egress transfer (source-charged remote read)."""
-        return self.egress.transfer(nbytes, tag=tag)
-
-    def receive(self, nbytes: float, tag: str = "recv") -> Event:
-        """Charge an ingress transfer (destination-charged shuffle)."""
-        return self.ingress.transfer(nbytes, tag=tag)
-
-    def start_send(self, nbytes: float, tag: str = "send"):
-        """Flow-returning variant of :meth:`send` (cancellable)."""
-        return self.egress.start_flow(nbytes, tag=tag)
-
-    def start_receive(self, nbytes: float, tag: str = "recv"):
-        """Flow-returning variant of :meth:`receive` (cancellable)."""
-        return self.ingress.start_flow(nbytes, tag=tag)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Nic {self.name!r}>"
+        self.egress = BandwidthResource(
+            sim, capacity=spec.bandwidth, name=f"{name}.egress"
+        )
+        self.ingress = BandwidthResource(
+            sim, capacity=spec.bandwidth, name=f"{name}.ingress"
+        )
 
 
 class Fabric:
     """The cluster interconnect.
 
     Single-rack clusters (the paper's testbed) are full-bisection: the
-    fabric only routes a transfer to the right NIC channel.  With
-    ``n_racks > 1`` each rack gets a pair of uplink channels (up and
-    down through its ToR switch) and cross-rack transfers additionally
+    fabric only routes a transfer to the right NIC pipe.  With
+    ``n_racks > 1`` each rack gets a pair of uplink pipes (up and down
+    through its ToR switch) and cross-rack transfers additionally
     traverse both racks' uplinks -- the standard oversubscription
     model.  A pipelined cross-rack transfer runs at the minimum share
-    along its path, which we model by charging all path channels
+    along its path, which we model by charging all path pipes
     concurrently and completing when the slowest does.
     """
 
@@ -108,24 +91,24 @@ class Fabric:
             raise ValueError(f"n_racks must be >= 1, got {n_racks}")
         self.sim = sim
         self.n_racks = n_racks
-        self.uplinks: dict[int, Channel] = {}
-        self.downlinks: dict[int, Channel] = {}
+        self.uplinks: dict[int, BandwidthResource] = {}
+        self.downlinks: dict[int, BandwidthResource] = {}
         if n_racks > 1:
             for rack in range(n_racks):
-                self.uplinks[rack] = Channel(
+                self.uplinks[rack] = BandwidthResource(
                     sim, capacity=rack_uplink_bandwidth, name=f"rack{rack}.up"
                 )
-                self.downlinks[rack] = Channel(
+                self.downlinks[rack] = BandwidthResource(
                     sim, capacity=rack_uplink_bandwidth, name=f"rack{rack}.down"
                 )
-        #: The shared archive link (lifecycle extension): one channel
+        #: The shared archive link (lifecycle extension): one pipe
         #: behind the core switch that every node's archive partition
         #: charges, built only when the cluster has an archive tier.
         #: ``archive_spec`` is an :class:`~repro.cluster.archive.
         #: ArchiveSpec` (duck-typed to avoid an import cycle).
-        self.archive_link: "Channel | None" = None
+        self.archive_link: "BandwidthResource | None" = None
         if archive_spec is not None:
-            self.archive_link = Channel(
+            self.archive_link = BandwidthResource(
                 sim,
                 capacity=archive_spec.bandwidth,
                 seek_penalty=archive_spec.seek_penalty,
@@ -150,13 +133,3 @@ class Fabric:
             self.uplinks[src_rack].start_flow(nbytes, tag=tag),
             self.downlinks[dst_rack].start_flow(nbytes, tag=tag),
         ]
-
-    def remote_read(self, source: Nic, nbytes: float, tag: str = "remote-read") -> Event:
-        """A task on some node pulls ``nbytes`` served by ``source``."""
-        return source.send(nbytes, tag=tag)
-
-    def shuffle_fetch(
-        self, destination: Nic, nbytes: float, tag: str = "shuffle"
-    ) -> Event:
-        """A reducer behind ``destination`` pulls ``nbytes`` of map output."""
-        return destination.receive(nbytes, tag=tag)

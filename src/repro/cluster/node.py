@@ -1,8 +1,8 @@
-"""A worker node: disk + memory + NIC + task slots.
+"""A worker node: disk + memory + NIC (+ optional SSD and archive).
 
 Matches the paper's servers (§V-A): one HDD, 128 GB RAM, a 6-core/12-
 thread CPU (we default to 12 task slots per node, one per hardware
-thread), and a 10 Gbps NIC.
+thread, counted by the compute scheduler), and a 10 Gbps NIC.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.cluster.disk import Disk, DiskSpec
 from repro.cluster.memory import MemorySpec, MemoryStore
 from repro.cluster.network import Nic, NicSpec
 from repro.cluster.ssd import Ssd, SsdSpec
-from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -98,7 +97,6 @@ class Node:
             else None
         )
         self.nic = Nic(sim, spec.nic, name=f"{self.name}.nic")
-        self.slots = Resource(sim, capacity=spec.task_slots, name=f"{self.name}.slots")
         #: Set by the DFS layer when a DataNode is attached.
         self.datanode = None
         #: Whether the node (the whole server) is up.  Failure handling
@@ -140,4 +138,4 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "DOWN"
-        return f"<Node {self.name} {status} slots={self.slots.in_use}/{self.spec.task_slots}>"
+        return f"<Node {self.name} {status}>"

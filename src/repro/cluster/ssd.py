@@ -13,30 +13,26 @@ In the unified device vocabulary (:mod:`repro.cluster.device`) an
 * a :class:`~repro.cluster.device.ByteStore` with ``pin``/``unpin``
   residency accounting (an SSD cache partition, not the boot volume),
   like :class:`~repro.cluster.memory.MemoryStore`;
-* a shared :class:`~repro.cluster.device.Channel` charging every
-  transfer, like :class:`~repro.cluster.disk.Disk` -- flash has no
-  seek arm, so the default concurrency penalty is tiny, but the
-  controller channel is still finite.
+* a shared :class:`~repro.sim.bandwidth.BandwidthResource`
+  :attr:`~Ssd.channel` charging every transfer, like
+  :class:`~repro.cluster.disk.Disk` -- flash has no seek arm, so the
+  default concurrency penalty is tiny, but the controller channel is
+  still finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
-from repro.cluster.device import ByteStore, Channel, StoreFull
-from repro.sim.bandwidth import Flow
-from repro.sim.events import Event
+from repro.cluster.device import ByteStore
+from repro.sim.bandwidth import BandwidthResource
 from repro.units import GB, MB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Ssd", "SsdSpec", "SsdFull"]
-
-
-class SsdFull(StoreFull):
-    """Raised when a ``pin`` would exceed the SSD cache budget."""
+__all__ = ["Ssd", "SsdSpec"]
 
 
 @dataclass(frozen=True)
@@ -77,118 +73,16 @@ class SsdSpec:
             )
 
 
-class Ssd:
+class Ssd(ByteStore):
     """One SSD cache device on a node: a budget plus a channel."""
 
     def __init__(self, sim: "Simulator", spec: SsdSpec, name: str = "ssd") -> None:
-        self.sim = sim
+        super().__init__(sim, capacity=spec.capacity, name=name)
         self.spec = spec
-        self.name = name
-        self.store = ByteStore(
-            sim, capacity=spec.capacity, name=name, full_error=SsdFull
-        )
-        self.channel = Channel(
+        self.channel = BandwidthResource(
             sim,
             capacity=spec.bandwidth,
             seek_penalty=spec.seek_penalty,
             min_efficiency=spec.min_efficiency,
             name=name,
-        )
-
-    # -- budget ------------------------------------------------------------
-
-    @property
-    def used(self) -> float:
-        """Bytes currently pinned."""
-        return self.store.used
-
-    @property
-    def free(self) -> float:
-        """Bytes available before hitting the budget."""
-        return self.store.free
-
-    @property
-    def peak(self) -> float:
-        """High-water mark of :attr:`used`."""
-        return self.store.peak
-
-    @property
-    def usage_samples(self) -> list[tuple[float, float]]:
-        """(time, used_bytes) samples, recorded on every change."""
-        return self.store.usage_samples
-
-    def fits(self, nbytes: float) -> bool:
-        """Whether ``nbytes`` can currently be pinned."""
-        return self.store.fits(nbytes)
-
-    # -- residency ---------------------------------------------------------
-
-    def pin(self, key: Hashable, nbytes: float) -> None:
-        """Account ``nbytes`` of resident data under ``key``.
-
-        Raises :class:`SsdFull` when the budget would be exceeded and
-        ``KeyError`` on double pins, mirroring
-        :meth:`repro.cluster.memory.MemoryStore.pin`.
-        """
-        self.store.pin(key, nbytes)
-
-    def unpin(self, key: Hashable) -> float:
-        """Release the bytes pinned under ``key``; returns the size.
-
-        Idempotent for the same reason memory eviction is: explicit and
-        implicit tier demotion can race.
-        """
-        return self.store.unpin(key)
-
-    def is_pinned(self, key: Hashable) -> bool:
-        """Whether ``key`` currently resides on this SSD."""
-        return self.store.is_pinned(key)
-
-    def pinned_keys(self) -> tuple[Hashable, ...]:
-        """Keys currently pinned (insertion order)."""
-        return self.store.pinned_keys()
-
-    # -- transfers ---------------------------------------------------------
-
-    def read(self, nbytes: float, tag: str = "ssd-read") -> Event:
-        """Start reading ``nbytes``; returns the completion event."""
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def write(self, nbytes: float, tag: str = "ssd-write") -> Event:
-        """Start writing ``nbytes``; returns the completion event."""
-        return self.channel.transfer(nbytes, tag=tag)
-
-    def start_read(self, nbytes: float, tag: str = "ssd-read") -> Flow:
-        """Flow-returning variant of :meth:`read` (cancellable)."""
-        return self.channel.start_flow(nbytes, tag=tag)
-
-    def cancel_read(self, flow: Flow) -> None:
-        """Abort a flow started with :meth:`start_read`."""
-        self.channel.cancel(flow)
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def active_streams(self) -> int:
-        """Streams currently sharing the controller channel."""
-        return self.channel.active_flows
-
-    @property
-    def bytes_moved(self) -> float:
-        """Total bytes transferred (reads + writes)."""
-        return self.channel.bytes_moved
-
-    @property
-    def busy_time(self) -> float:
-        """Cumulative seconds the device spent with active flows."""
-        return self.channel.busy_time
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Busy fraction of wall time since ``since``."""
-        return self.channel.utilization(since)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Ssd {self.name!r} used={self.used:.3g}/"
-            f"{self.spec.capacity:.3g}B streams={self.active_streams}>"
         )

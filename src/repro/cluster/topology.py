@@ -151,7 +151,7 @@ class Cluster:
 
     def disk_utilizations(self, since: float = 0.0) -> list[float]:
         """Per-node disk busy fraction since ``since``."""
-        return [n.disk.utilization(since) for n in self.nodes]
+        return [n.disk.channel.utilization(since) for n in self.nodes]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster workers={len(self.nodes)} t={self.sim.now:.6g}>"

@@ -114,7 +114,7 @@ def execute_task(
         elif task.intermediate_input > 0:
             if task.kind is TaskKind.REDUCE:
                 # Shuffle: fan-in over this node's downlink.
-                flow = node.nic.start_receive(
+                flow = node.nic.ingress.start_flow(
                     task.intermediate_input, tag=f"shuffle:{job_id}"
                 )
                 try:
@@ -124,13 +124,13 @@ def execute_task(
                     raise
             else:
                 # Later-stage map reading intermediate data off disk.
-                flow = node.disk.start_stream(
+                flow = node.disk.channel.start_flow(
                     task.intermediate_input, tag=f"intermediate:{job_id}"
                 )
                 try:
                     yield flow.done
                 except Interrupt:
-                    node.disk.cancel_stream(flow)
+                    node.disk.channel.cancel(flow)
                     raise
         tm.read_done_at = sim.now
 
@@ -140,11 +140,13 @@ def execute_task(
 
         # ---- output -------------------------------------------------------
         if task.local_output > 0:
-            flow = node.disk.start_stream(task.local_output, tag=f"spill:{job_id}")
+            flow = node.disk.channel.start_flow(
+                task.local_output, tag=f"spill:{job_id}"
+            )
             try:
                 yield flow.done
             except Interrupt:
-                node.disk.cancel_stream(flow)
+                node.disk.channel.cancel(flow)
                 raise
         if task.dfs_output > 0:
             # The replica pipeline is not abortable mid-write (neither

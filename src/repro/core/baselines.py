@@ -39,17 +39,9 @@ class IgnemMaster(MigrationMaster):
     #: nothing, wasting the bound node's bandwidth.
     discards_on_missed_read = False
 
-    def __init__(
-        self,
-        namenode: "NameNode",
-        rng: "np.random.Generator",
-        pin_reads: bool = True,
-    ) -> None:
+    def __init__(self, namenode: "NameNode", rng: "np.random.Generator") -> None:
         super().__init__(namenode)
         self.rng = rng
-        #: Whether reads are steered to the selected replica even
-        #: before its migration completes (see ``_on_new_records``).
-        self.pin_reads = pin_reads
 
     def migrate(self, files, job_id, eviction=None):
         """Ignem also predates implicit (evict-on-read) mode: block
@@ -81,8 +73,7 @@ class IgnemMaster(MigrationMaster):
             # steered to the chosen replica whether or not the copy has
             # finished -- the behaviour behind Fig 8b's uniform read
             # distribution and the slow-node convoy of §V-D/§V-E.
-            if self.pin_reads:
-                self.namenode.read_directives[record.block_id] = node_id
+            self.namenode.read_directives[record.block_id] = node_id
             self.slaves[node_id].enqueue(record)
             obs.emit(
                 obs.BIND,

@@ -287,11 +287,15 @@ class DyrsMaster(MigrationMaster):
         self._pending.clear()
 
     def recover(self) -> None:
-        """Restart after :meth:`crash`: re-learn slave state.
+        """Restart after :meth:`crash` (or promotion of a standby):
+        re-learn slave state.
 
         The rebuilt directory comes from the slaves' actual pin state
         ("its state eventually becomes consistent as slaves clean up
-        their buffers", §III-C1).
+        their buffers", §III-C1).  Buffers nobody references any more
+        -- their last reference dropped during the outage, or their
+        reference lists died with a failed-over primary -- are then
+        evicted rather than leaked.
         """
         self.alive = True
         for slave in self.slaves.values():
@@ -311,6 +315,14 @@ class DyrsMaster(MigrationMaster):
                 directory_size=len(self.namenode.memory_directory),
             )
         self.start()
+        for block_id in list(self.namenode.memory_directory):
+            if self.tracker.is_referenced(block_id):
+                continue
+            node_id = self.namenode.memory_directory[block_id]
+            self.namenode.datanodes[node_id].unpin_block(block_id)
+            self.namenode.drop_memory_replica(block_id)
+            self.slaves[node_id].notify_memory_freed()
+            obs.emit(obs.ORPHAN_EVICTED, self.sim.now, block=block_id, node=node_id)
 
     # -- pending management -------------------------------------------------------
 

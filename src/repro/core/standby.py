@@ -14,6 +14,9 @@ and can fail over to a fresh master that
   died with the primary ("slaves clean up their buffers", §III-C1);
   keeping them would leak memory since no job will ever release them.
 
+The last two steps are :meth:`~repro.core.master.DyrsMaster.recover`,
+the same code a master restarted in place runs.
+
 Failover takes ``failover_delay`` simulated seconds (failure detection
 plus client re-routing); during the gap migration requests are lost
 and reads simply fall back to disk, the paper's stated worst case.
@@ -108,19 +111,9 @@ class StandbyCoordinator:
             slave.master = new
             new.register_slave(slave)
         self.namenode.add_heartbeat_observer(new.on_heartbeat)
-        new.recover()  # rebuild directory from slave pin state
-
-        # "Slaves clean up their buffers": blocks whose reference lists
-        # died with the old primary are evicted rather than leaked.
-        for block_id in list(self.namenode.memory_directory):
-            if not new.tracker.is_referenced(block_id):
-                node_id = self.namenode.memory_directory[block_id]
-                self.namenode.datanodes[node_id].unpin_block(block_id)
-                self.namenode.drop_memory_replica(block_id)
-                new.slaves[node_id].notify_memory_freed()
-                obs.emit(
-                    obs.ORPHAN_EVICTED, self.sim.now, block=block_id, node=node_id
-                )
+        # Rebuild the directory from slave pin state and evict the
+        # buffers whose reference lists died with the old primary.
+        new.recover()
 
         self.primary = new
         self.log.append((self.sim.now, f"standby-gen{self.generation}-promoted"))

@@ -147,10 +147,12 @@ class DFSClient:
         for block in entry.blocks:
             for node_id in block.replica_nodes:
                 node = self.namenode.cluster.node(node_id)
-                events.append(node.disk.write(block.size, tag=f"write:{name}"))
+                events.append(
+                    node.disk.channel.transfer(block.size, tag=f"write:{name}")
+                )
                 if node_id != writer_node:
                     events.append(
-                        node.nic.receive(block.size, tag=f"repl:{name}")
+                        node.nic.ingress.transfer(block.size, tag=f"repl:{name}")
                     )
         return AllOf(self.sim, events)
 

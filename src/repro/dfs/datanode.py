@@ -140,16 +140,6 @@ class DataNode:
 
     # -- migration support (used by the DYRS slave) -----------------------------
 
-    def migrate_block_to_memory(self, block: Block, tag: str = "migration") -> Event:
-        """Start the disk->memory copy; completion event returned.
-
-        The caller pins the block *after* the copy completes --
-        mirroring ``mlock`` returning only once the data is resident
-        (§IV-A: "migration time [is] the time it takes the mlock
-        system call to return").
-        """
-        return self.copy_block(block, source_tier="disk", tag=tag)
-
     def copy_block(
         self, block: Block, source_tier: str = "disk", tag: str = "migration"
     ) -> Event:
@@ -158,27 +148,30 @@ class DataNode:
 
         Charges the *source* device -- the bottleneck of every upward
         tier edge (disk < ssd < memory write absorption); the caller
-        pins the block on the destination tier after completion.
+        pins the block on the destination tier after completion --
+        mirroring ``mlock`` returning only once the data is resident
+        (§IV-A: "migration time [is] the time it takes the mlock
+        system call to return").
         """
         if source_tier == "disk":
             if block.block_id not in self._disk_blocks:
                 raise KeyError(
                     f"node{self.node_id} has no disk replica of block {block.block_id}"
                 )
-            return self.node.disk.read(block.size, tag=tag)
+            return self.node.disk.channel.transfer(block.size, tag=tag)
         if source_tier == "ssd":
             if not self.has_ssd_replica(block.block_id):
                 raise KeyError(
                     f"node{self.node_id} has no SSD replica of block {block.block_id}"
                 )
-            return self.node.ssd.read(block.size, tag=tag)
+            return self.node.ssd.channel.transfer(block.size, tag=tag)
         if source_tier == "archive":
             if not self.has_archive_replica(block.block_id):
                 raise KeyError(
                     f"node{self.node_id} has no archived copy of block "
                     f"{block.block_id}"
                 )
-            return self.node.archive.read(block.size, tag=tag)
+            return self.node.archive.channel.transfer(block.size, tag=tag)
         raise ValueError(f"unknown source tier {source_tier!r}")
 
     def pin_block(self, block: Block) -> None:
@@ -252,7 +245,7 @@ class DataNode:
         """
         from repro.sim.events import AllOf
 
-        flows = [self.node.nic.start_send(nbytes, tag=tag)]
+        flows = [self.node.nic.egress.start_flow(nbytes, tag=tag)]
         cluster = self.node.cluster
         if (
             cluster is not None
@@ -300,7 +293,7 @@ class DataNode:
         if self.has_memory_replica(block.block_id):
             if reader_node == self.node_id:
                 source = ReadSource.LOCAL_MEMORY
-                channel = self.node.memory.read_channel
+                channel = self.node.memory.channel
                 flow = channel.start_flow(block.size, tag=tag)
                 cancel = lambda: channel.cancel(flow)  # noqa: E731
                 event = flow.done

@@ -379,7 +379,7 @@ class NameNode:
                 available,
                 key=lambda nid: (
                     not self.cluster.same_rack(nid, reader_node),
-                    self.cluster.node(nid).disk.active_streams,
+                    self.cluster.node(nid).disk.channel.active_flows,
                     nid,
                 ),
             )

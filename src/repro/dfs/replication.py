@@ -162,12 +162,13 @@ class ReplicationMonitor:
             started = self.sim.now
             src_node = self.namenode.cluster.node(source)
             dst_node = self.namenode.cluster.node(target)
+            tag = f"repair:{block.block_id}"
             yield AllOf(
                 self.sim,
                 [
-                    src_node.disk.read(block.size, tag=f"repair:{block.block_id}"),
-                    dst_node.nic.receive(block.size, tag=f"repair:{block.block_id}"),
-                    dst_node.disk.write(block.size, tag=f"repair:{block.block_id}"),
+                    src_node.disk.channel.transfer(block.size, tag=tag),
+                    dst_node.nic.ingress.transfer(block.size, tag=tag),
+                    dst_node.disk.channel.transfer(block.size, tag=tag),
                 ],
             )
             dead = [

@@ -56,9 +56,10 @@ def _timed_block_read(node_spec: NodeSpec, from_memory: bool, remote: bool = Fal
     node = cluster.node(0)
     size = 256 * MB
     if from_memory:
-        event = node.nic.send(size) if remote else node.memory.read(size)
+        channel = node.nic.egress if remote else node.memory.channel
     else:
-        event = node.disk.read(size)
+        channel = node.disk.channel
+    event = channel.transfer(size)
     cluster.sim.run_until_processed(event)
     return cluster.sim.now
 

@@ -519,7 +519,9 @@ class LifecycleMaster(DyrsMaster):
                 dn.unpin_block(record.block_id)
                 self.namenode.drop_memory_replica(record.block_id)
                 dn.pin_block_ssd(record.block)
-                node.ssd.write(record.block.size, tag=f"demote:{record.block_id}")
+                node.ssd.channel.transfer(
+                    record.block.size, tag=f"demote:{record.block_id}"
+                )
                 self._register_ssd_copy(record.block_id, node_id)
                 self._count_move("memory", "ssd", record.block.size)
                 slave.notify_memory_freed()
@@ -865,7 +867,7 @@ class LifecycleMaster(DyrsMaster):
         # Digest of the source bytes, recorded before the media write;
         # verification below models the post-write read-back.
         checksum = self.integrity.record(block)
-        yield archive.write(block.size, tag=f"archive:{block_id}")
+        yield archive.channel.transfer(block.size, tag=f"archive:{block_id}")
         if record.status.is_terminal:
             return
         # The block may have re-heated while the bytes were in flight:
@@ -977,10 +979,10 @@ class LifecycleMaster(DyrsMaster):
             for node_id in new_targets:
                 node = namenode.cluster.node(node_id)
                 transfers.append(
-                    node.nic.receive(block.size, tag=f"restore:{block_id}")
+                    node.nic.ingress.transfer(block.size, tag=f"restore:{block_id}")
                 )
                 transfers.append(
-                    node.disk.write(block.size, tag=f"restore:{block_id}")
+                    node.disk.channel.transfer(block.size, tag=f"restore:{block_id}")
                 )
             yield AllOf(self.sim, transfers)
             if record.status.is_terminal:

@@ -9,8 +9,7 @@ resource primitives the cluster model is built from:
   (clock + event heap + run loop).
 * :mod:`repro.sim.process` -- generator-based processes with
   interrupt support.
-* :mod:`repro.sim.resources` -- counted resources, stores, and
-  containers.
+* :mod:`repro.sim.resources` -- counted resources.
 * :mod:`repro.sim.bandwidth` -- a fair-share (processor-sharing)
   bandwidth resource with a configurable concurrency (seek) penalty;
   this is the model for disks and NICs.  It tracks a virtual-time
@@ -31,12 +30,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import (
-    Container,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Resource
 from repro.sim.bandwidth import BandwidthResource, Flow, FlowCancelled
 from repro.sim.rng import RngRegistry
 
@@ -44,17 +38,14 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BandwidthResource",
-    "Container",
     "Event",
     "EventAlreadyTriggered",
     "Flow",
     "FlowCancelled",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngRegistry",
     "Simulator",
-    "Store",
     "Timeout",
 ]

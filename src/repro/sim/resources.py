@@ -1,21 +1,9 @@
-"""Shared-resource primitives: counted resources, stores, containers.
+"""Counted resources: the one SimPy-style primitive the model needs.
 
-These mirror the SimPy trio but are trimmed to what the cluster model
-needs:
-
-* :class:`Resource` -- ``capacity`` interchangeable slots (CPU/task
-  slots on a node).  Requests queue FIFO.
-* :class:`PriorityResource` -- same, but requests carry a priority and
-  lower values are served first (used by schedulers that prefer
-  data-local tasks).
-* :class:`Store` -- an unbounded (or bounded) FIFO queue of items with
-  blocking ``get``; this is the message-queue primitive used for
-  master/slave RPC channels.
-* :class:`Container` -- a continuous level with blocking ``put``/
-  ``get``; models memory budgets.
-
-All waiting is expressed through events so processes simply
-``yield resource.request()`` / ``yield store.get()``.
+:class:`Resource` holds ``capacity`` interchangeable slots (the DFS
+re-replication throttle).  Requests queue by priority, FIFO among
+equals, and all waiting is expressed through events so processes
+simply ``yield resource.request()``.
 """
 
 from __future__ import annotations
@@ -25,14 +13,14 @@ from __future__ import annotations
 # seq is a local monotonic counter, so pop order is already total.
 import heapq
 from itertools import count
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Resource", "PriorityResource", "Request", "Store", "Container"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -109,143 +97,3 @@ class Resource:
                 continue
             self._users.add(req)
             req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority.
-
-    Lower ``priority`` values are granted first; ties are FIFO.  The
-    base class already implements this -- the subclass exists so call
-    sites say what they mean.
-    """
-
-
-class Store:
-    """A FIFO queue of Python objects with blocking ``get``.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum items held; ``put`` beyond this raises (the simulation
-        layer never needs blocking puts, and an unbounded silent queue
-        hides protocol bugs).
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        name: str = "",
-    ) -> None:
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter, if any."""
-        if len(self._items) >= self.capacity:
-            raise OverflowError(f"store {self.name!r} is full ({self.capacity})")
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next item."""
-        event = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        while self._items and self._getters:
-            getter = self._getters.pop(0)
-            if getter.triggered:  # canceled by a timeout race
-                continue
-            getter.succeed(self._items.pop(0))
-
-
-class Container:
-    """A continuous quantity with blocking ``get`` and immediate ``put``.
-
-    Used for memory accounting: ``get(amount)`` waits until ``amount``
-    units are free, ``put(amount)`` returns units.  Waiters are served
-    FIFO to avoid starvation.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float,
-        init: float = 0.0,
-        name: str = "",
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = float(capacity)
-        self.name = name
-        self._level = float(init)
-        self._getters: list[tuple[float, Event]] = []
-
-    @property
-    def level(self) -> float:
-        """Units currently available."""
-        return self._level
-
-    def put(self, amount: float) -> None:
-        """Add ``amount`` units (may unblock waiting getters)."""
-        if amount < 0:
-            raise ValueError(f"negative put: {amount}")
-        if self._level + amount > self.capacity + 1e-9:
-            raise OverflowError(
-                f"container {self.name!r}: put {amount} over capacity "
-                f"(level {self._level}/{self.capacity})"
-            )
-        self._level += amount
-        self._dispatch()
-
-    def get(self, amount: float) -> Event:
-        """Return an event that triggers once ``amount`` is available."""
-        if amount < 0:
-            raise ValueError(f"negative get: {amount}")
-        if amount > self.capacity:
-            raise ValueError(
-                f"get {amount} can never be satisfied (capacity {self.capacity})"
-            )
-        event = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append((amount, event))
-        self._dispatch()
-        return event
-
-    def try_get(self, amount: float) -> bool:
-        """Non-blocking variant: take ``amount`` now or return False."""
-        if self._getters:
-            return False  # respect FIFO fairness
-        if amount <= self._level + 1e-9:
-            self._level -= amount
-            return True
-        return False
-
-    def _dispatch(self) -> None:
-        # FIFO: stop at the first waiter that cannot be satisfied.
-        while self._getters:
-            amount, event = self._getters[0]
-            if event.triggered:  # canceled externally
-                self._getters.pop(0)
-                continue
-            if amount > self._level + 1e-9:
-                break
-            self._getters.pop(0)
-            self._level -= amount
-            event.succeed(amount)

@@ -23,7 +23,7 @@ lists, and the mechanics of getting there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Mapping, Protocol
+from typing import Mapping, Protocol
 
 from repro.tiers.temperature import Temperature
 from repro.tiers.tier import TIER_ORDER
@@ -76,7 +76,7 @@ class TierPolicy(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _best_available(preferred: str, rungs: Container[str]) -> str:
+def _best_available(preferred: str, rungs: Mapping[str, float]) -> str:
     """``preferred`` if that rung exists on the node, else the highest
     existing rung at or below it (``disk`` always exists)."""
     start = TIER_ORDER.index(preferred)

@@ -46,7 +46,7 @@ def rung_read_seconds(node: "Node", nbytes: float) -> dict[str, float]:
     """
     seconds = {
         "disk": nbytes / node.disk.channel.capacity,
-        "memory": nbytes / node.memory.read_channel.capacity,
+        "memory": nbytes / node.memory.channel.capacity,
     }
     if node.ssd is not None:
         seconds["ssd"] = nbytes / node.ssd.channel.capacity

@@ -44,14 +44,14 @@ class TestTelemetry:
         collector = TelemetryCollector(cluster, interval=2.0)
         collector.start()
         # One read occupying exactly 1s of a 2s window.
-        cluster.node(0).disk.read(150 * MB)
+        cluster.node(0).disk.channel.transfer(150 * MB)
         cluster.sim.run(until=2)
         assert collector.samples[-1].disk_utilization[0] == pytest.approx(0.5)
 
     def test_disk_bytes_delta(self, cluster):
         collector = TelemetryCollector(cluster, interval=5.0)
         collector.start()
-        cluster.node(1).disk.read(64 * MB)
+        cluster.node(1).disk.channel.transfer(64 * MB)
         cluster.sim.run(until=5)
         assert collector.samples[0].disk_bytes[1] == pytest.approx(64 * MB)
         cluster.sim.run(until=10)

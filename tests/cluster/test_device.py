@@ -1,30 +1,30 @@
-"""The unified device layer: ByteStore, Channel, and the thin devices.
+"""The unified device layer: ByteStore, BandwidthResource, thin devices.
 
-Verifies that `Disk`/`Ssd`/`MemoryStore`/`Nic` are faithful
-configurations of the two primitives, that the historical exception
-types still work (now under the common `StoreFull` base), and that the
-PR-2 deprecated `_resource`/`_read_resource` aliases are gone for good
-(callers go through `channel` / `read_channel`).
+Verifies that `Disk`/`Ssd`/`MemoryStore`/`Archive`/`Nic` are faithful
+configurations of the two primitives -- the storage rungs *are*
+`ByteStore`s and every pipe *is* a `BandwidthResource` -- that a full
+store raises `StoreFull` naming itself, and that no old spelling
+(wrapper, forwarder or per-tier error) survives as an alias.
 """
 
 import pytest
 
+import repro.cluster
 from repro.cluster import (
+    Archive,
+    ArchiveSpec,
     ByteStore,
-    Channel,
     Disk,
     DiskSpec,
     MemorySpec,
     MemoryStore,
     Nic,
     NicSpec,
-    OutOfMemory,
     Ssd,
-    SsdFull,
     SsdSpec,
     StoreFull,
 )
-from repro.sim import Simulator
+from repro.sim import BandwidthResource, Simulator
 
 
 class TestByteStore:
@@ -47,13 +47,10 @@ class TestByteStore:
 
     def test_overflow_raises_configured_error(self):
         sim = Simulator()
-        store = ByteStore(sim, capacity=10.0, name="s", full_error=SsdFull)
-        with pytest.raises(SsdFull):
+        store = ByteStore(sim, capacity=10.0, name="s")
+        with pytest.raises(StoreFull, match=r"^s: "):
             store.pin("a", 11.0)
-        # ...which is still a StoreFull, so tier-agnostic code can
-        # catch the base.
-        with pytest.raises(StoreFull):
-            store.pin("a", 11.0)
+        assert not store.is_pinned("a")
 
     def test_double_pin_rejected(self):
         sim = Simulator()
@@ -75,9 +72,12 @@ class TestByteStore:
 
 
 class TestChannel:
+    """The ``channel`` every storage rung holds is the fair-share kernel
+    itself, configured from the device spec."""
+
     def test_transfer_duration(self):
         sim = Simulator()
-        chan = Channel(sim, capacity=100.0, name="c")
+        chan = Disk(sim, DiskSpec(bandwidth=100.0), name="c").channel
         done = chan.transfer(50.0)
         sim.run_until_processed(done)
         assert sim.now == pytest.approx(0.5)
@@ -85,18 +85,19 @@ class TestChannel:
 
     def test_rate_law_matches_kernel(self):
         sim = Simulator()
-        chan = Channel(
-            sim, capacity=120.0, seek_penalty=0.5, min_efficiency=0.25, name="c"
+        disk = Disk(
+            sim, DiskSpec(bandwidth=120.0, seek_penalty=0.5, min_efficiency=0.25)
         )
+        chan = disk.channel
+        assert isinstance(chan, BandwidthResource)
         assert chan.aggregate_rate(1) == pytest.approx(120.0)
         assert chan.aggregate_rate(2) == pytest.approx(80.0)
         assert chan.aggregate_rate(100) == pytest.approx(30.0)  # floored
-        assert chan.rate_hint() == pytest.approx(120.0)
         assert chan.expected_duration(120.0) == pytest.approx(1.0)
 
     def test_cancel_via_channel(self):
         sim = Simulator()
-        chan = Channel(sim, capacity=100.0)
+        chan = Ssd(sim, SsdSpec(bandwidth=100.0)).channel
         flow = chan.start_flow(1000.0)
         assert chan.active_flows == 1
         chan.cancel(flow)
@@ -109,40 +110,40 @@ class TestThinDevices:
         disk = Disk(sim, DiskSpec(bandwidth=150.0, seek_penalty=0.35))
         assert disk.channel.capacity == 150.0
         assert disk.channel.seek_penalty == 0.35
-        done = disk.read(75.0)
+        done = disk.channel.transfer(75.0)
         sim.run_until_processed(done)
-        assert disk.bytes_moved == pytest.approx(75.0)
-        assert disk.busy_time == pytest.approx(0.5)
+        assert disk.channel.bytes_moved == pytest.approx(75.0)
+        assert disk.channel.busy_time == pytest.approx(0.5)
 
     def test_memory_store_is_bytestore_plus_read_channel(self):
         sim = Simulator()
         mem = MemoryStore(sim, MemorySpec(capacity=100.0, read_bandwidth=1000.0))
+        assert isinstance(mem, ByteStore)
         mem.pin("blk", 40.0)
-        assert mem.store.used == 40.0
         assert mem.used == 40.0
-        with pytest.raises(OutOfMemory):
+        with pytest.raises(StoreFull):
             mem.pin("big", 100.0)
-        assert isinstance(OutOfMemory("x"), StoreFull)
-        done = mem.read(500.0)
+        done = mem.channel.transfer(500.0)
         sim.run_until_processed(done)
-        assert mem.read_channel.bytes_moved == pytest.approx(500.0)
+        assert mem.channel.bytes_moved == pytest.approx(500.0)
 
     def test_ssd_is_both_primitives(self):
         sim = Simulator()
         ssd = Ssd(sim, SsdSpec(capacity=100.0, bandwidth=500.0))
+        assert isinstance(ssd, ByteStore)
         ssd.pin("blk", 10.0)
-        assert ssd.store.used == 10.0
-        with pytest.raises(SsdFull):
+        assert ssd.used == 10.0
+        with pytest.raises(StoreFull):
             ssd.pin("big", 1000.0)
-        done = ssd.read(250.0)
+        done = ssd.channel.transfer(250.0)
         sim.run_until_processed(done)
         assert ssd.channel.bytes_moved == pytest.approx(250.0)
 
     def test_nic_directions_are_independent_channels(self):
         sim = Simulator()
         nic = Nic(sim, NicSpec(bandwidth=100.0))
-        nic.send(50.0)
-        nic.receive(80.0)
+        nic.egress.transfer(50.0)
+        nic.ingress.transfer(80.0)
         sim.run()
         assert nic.egress.bytes_moved == pytest.approx(50.0)
         assert nic.ingress.bytes_moved == pytest.approx(80.0)
@@ -150,36 +151,52 @@ class TestThinDevices:
     def test_error_message_format_preserved(self):
         sim = Simulator()
         mem = MemoryStore(sim, MemorySpec(capacity=100.0), name="mem0")
-        with pytest.raises(OutOfMemory, match=r"mem0: pin of 200B exceeds budget"):
+        with pytest.raises(StoreFull, match=r"mem0: pin of 200B exceeds budget"):
             mem.pin("blk", 200.0)
 
 
 class TestDeprecatedAliasesRemoved:
     def test_resource_aliases_are_gone(self):
-        # The PR-2 `_resource`/`_read_resource` deprecation shims were
-        # removed after two releases; the public spelling is `channel`
-        # (and `read_channel` for memory).
+        # One spelling per operation: the `Channel` wrapper, its
+        # forwarders, the private `store` of the rungs and the per-tier
+        # error subclasses are gone, and nothing re-exports them.
         sim = Simulator()
-        assert not hasattr(Disk(sim, DiskSpec()), "_resource")
-        assert not hasattr(Ssd(sim, SsdSpec()), "_resource")
-        assert not hasattr(MemoryStore(sim, MemorySpec()), "_read_resource")
+        disk = Disk(sim, DiskSpec())
+        mem = MemoryStore(sim, MemorySpec())
+        ssd = Ssd(sim, SsdSpec())
+        archive = Archive(sim, ArchiveSpec())
+        nic = Nic(sim, NicSpec())
+        for device, names in [
+            (disk, ["_resource", "read", "write", "start_stream", "utilization"]),
+            (mem, ["_read_resource", "read_channel", "store", "read"]),
+            (ssd, ["_resource", "store", "read", "write", "busy_time"]),
+            (archive, ["store", "read", "write", "shared_channel"]),
+            (nic, ["send", "receive", "start_send", "start_receive"]),
+        ]:
+            for name in names:
+                assert not hasattr(device, name), (type(device).__name__, name)
+        for name in ["Channel", "OutOfMemory", "SsdFull", "ArchiveFull"]:
+            assert not hasattr(repro.cluster, name), name
 
     def test_channel_spelling_is_the_public_path(self):
         sim = Simulator()
-        disk = Disk(sim, DiskSpec())
-        ssd = Ssd(sim, SsdSpec())
-        mem = MemoryStore(sim, MemorySpec())
-        assert disk.channel.kernel is not None
-        assert ssd.channel.kernel is not None
-        assert mem.read_channel.kernel is not None
+        pipes = [
+            Disk(sim, DiskSpec()).channel,
+            Ssd(sim, SsdSpec()).channel,
+            MemoryStore(sim, MemorySpec()).channel,
+            Archive(sim, ArchiveSpec()).channel,
+            Nic(sim, NicSpec()).egress,
+            Nic(sim, NicSpec()).ingress,
+        ]
+        assert all(isinstance(p, BandwidthResource) for p in pipes)
 
     def test_public_constructors_and_signatures_unchanged(self):
         # The estimator/targeting call sites rely on these exact
         # shapes; out-of-tree scripts construct devices directly.
         sim = Simulator()
         disk = Disk(sim, DiskSpec(), name="d0")
-        assert disk.expected_read_time(150e6) > 0
-        assert disk.read_rate_hint(extra_streams=2) > 0
+        assert disk.channel.name == "d0"
+        assert disk.channel.expected_duration(150e6, extra_flows=2) > 0
         mem = MemoryStore(sim, MemorySpec(), name="m0")
         assert mem.fits(1.0)
         ssd = Ssd(sim, SsdSpec(), name="s0")

@@ -23,7 +23,7 @@ class TestPersistentInterference:
         intf = PersistentInterference(node, streams=2)
         intf.start()
         cluster.sim.run(until=1)
-        assert node.disk.active_streams == 2
+        assert node.disk.channel.active_flows == 2
         assert intf.active
 
     def test_delayed_start(self, cluster):
@@ -31,9 +31,9 @@ class TestPersistentInterference:
         intf = PersistentInterference(node, streams=1, start=5.0)
         intf.start()
         cluster.sim.run(until=4)
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
         cluster.sim.run(until=6)
-        assert node.disk.active_streams == 1
+        assert node.disk.channel.active_flows == 1
 
     def test_stop_releases_disk(self, cluster):
         node = cluster.node(0)
@@ -41,7 +41,7 @@ class TestPersistentInterference:
         intf.start()
         cluster.sim.run(until=1)
         intf.stop()
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
         assert not intf.active
 
     def test_double_start_rejected(self, cluster):
@@ -53,14 +53,14 @@ class TestPersistentInterference:
     def test_slows_concurrent_reads(self, cluster):
         """Interference must actually steal bandwidth from readers."""
         node = cluster.node(0)
-        baseline_done = node.disk.read(150 * MB)
+        baseline_done = node.disk.channel.transfer(150 * MB)
         cluster.sim.run()
         baseline = cluster.sim.now
 
         cluster2 = Cluster(ClusterSpec(n_workers=1))
         node2 = cluster2.node(0)
         PersistentInterference(node2, streams=2).start()
-        done = node2.disk.read(150 * MB)
+        done = node2.disk.channel.transfer(150 * MB)
         finish = []
         done.add_callback(lambda e: finish.append(cluster2.sim.now))
         cluster2.sim.run(until=1000)
@@ -81,11 +81,11 @@ class TestAlternatingInterference:
         intf.start()
         sim = cluster.sim
         sim.run(until=5)
-        assert node.disk.active_streams == 2
+        assert node.disk.channel.active_flows == 2
         sim.run(until=15)
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
         sim.run(until=25)
-        assert node.disk.active_streams == 2
+        assert node.disk.channel.active_flows == 2
         intf.stop()
 
     def test_start_inactive_phase(self, cluster):
@@ -93,9 +93,9 @@ class TestAlternatingInterference:
         intf = AlternatingInterference(node, period=10.0, start_active=False)
         intf.start()
         cluster.sim.run(until=5)
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
         cluster.sim.run(until=15)
-        assert node.disk.active_streams == 2
+        assert node.disk.channel.active_flows == 2
         intf.stop()
 
     def test_transitions_recorded(self, cluster):
@@ -127,7 +127,7 @@ class TestInterferenceSchedule:
         gens = InterferenceSchedule("persistent-1").start(cluster)
         assert len(gens) == 1
         cluster.sim.run(until=1)
-        assert cluster.node(0).disk.active_streams == 2
+        assert cluster.node(0).disk.channel.active_flows == 2
 
     @pytest.mark.parametrize(
         "pattern,n_generators,period",
@@ -147,11 +147,11 @@ class TestInterferenceSchedule:
         gens = InterferenceSchedule("alt-10s-2").start(cluster)
         sim = cluster.sim
         sim.run(until=5)
-        assert cluster.node(0).disk.active_streams == 2
-        assert cluster.node(1).disk.active_streams == 0
+        assert cluster.node(0).disk.channel.active_flows == 2
+        assert cluster.node(1).disk.channel.active_flows == 0
         sim.run(until=15)
-        assert cluster.node(0).disk.active_streams == 0
-        assert cluster.node(1).disk.active_streams == 2
+        assert cluster.node(0).disk.channel.active_flows == 0
+        assert cluster.node(1).disk.channel.active_flows == 2
         for g in gens:
             g.stop()
 
@@ -163,6 +163,6 @@ class TestInterferenceSchedule:
         for t in (1, 11, 21, 31, 41):
             sim.run(until=t)
             active = sum(
-                1 for n in cluster.nodes if n.disk.active_streams > 0
+                1 for n in cluster.nodes if n.disk.channel.active_flows > 0
             )
             assert active == 1

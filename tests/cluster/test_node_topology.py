@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, Fabric, Nic, NicSpec, Node, NodeSpec
+from repro.cluster import Cluster, ClusterSpec, Nic, NicSpec, Node, NodeSpec
 from repro.sim import Simulator
 from repro.units import Gbps, MB
 
@@ -15,15 +15,15 @@ def sim():
 class TestNic:
     def test_send_duration(self, sim):
         nic = Nic(sim, NicSpec(bandwidth=10 * Gbps))
-        done = nic.send(1.25e9)  # exactly one second at 10 Gbps
+        done = nic.egress.transfer(1.25e9)  # exactly one second at 10 Gbps
         sim.run()
         assert done.processed
         assert sim.now == pytest.approx(1.0)
 
     def test_duplex_directions_independent(self, sim):
         nic = Nic(sim, NicSpec(bandwidth=100.0))
-        tx = nic.send(100.0)
-        rx = nic.receive(100.0)
+        tx = nic.egress.transfer(100.0)
+        rx = nic.ingress.transfer(100.0)
         sim.run()
         # Full duplex: both complete in one second, not two.
         assert tx.processed and rx.processed
@@ -34,30 +34,11 @@ class TestNic:
             NicSpec(bandwidth=0)
 
 
-class TestFabric:
-    def test_remote_read_charges_source_egress(self, sim):
-        fabric = Fabric(sim)
-        src = Nic(sim, NicSpec(bandwidth=100.0), name="src")
-        done = fabric.remote_read(src, 50.0)
-        sim.run()
-        assert done.processed
-        assert src.egress.bytes_moved == pytest.approx(50.0)
-
-    def test_shuffle_charges_destination_ingress(self, sim):
-        fabric = Fabric(sim)
-        dst = Nic(sim, NicSpec(bandwidth=100.0), name="dst")
-        done = fabric.shuffle_fetch(dst, 80.0)
-        sim.run()
-        assert done.processed
-        assert dst.ingress.bytes_moved == pytest.approx(80.0)
-
-
 class TestNode:
     def test_construction(self, sim):
         node = Node(sim, 3, NodeSpec())
         assert node.name == "node3"
         assert node.alive
-        assert node.slots.capacity == NodeSpec().task_slots
 
     def test_fail_drops_memory(self, sim):
         node = Node(sim, 0, NodeSpec())

@@ -41,11 +41,11 @@ class TestTraceInterference:
         intf.start()
         sim = cluster.sim
         sim.run(until=2)
-        assert node.disk.active_streams == 1
+        assert node.disk.channel.active_flows == 1
         sim.run(until=7)
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
         sim.run(until=12)  # second pass of the series
-        assert node.disk.active_streams == 1
+        assert node.disk.channel.active_flows == 1
         intf.stop()
 
     def test_no_repeat_ends_quiet(self, cluster):
@@ -53,7 +53,7 @@ class TestTraceInterference:
         intf = TraceInterference(node, [1.0], bin_width=5.0, repeat=False)
         intf.start()
         cluster.sim.run(until=20)
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
 
     def test_stop_releases_disk(self, cluster):
         node = cluster.node(0)
@@ -61,7 +61,7 @@ class TestTraceInterference:
         intf.start()
         cluster.sim.run(until=5)
         intf.stop()
-        assert node.disk.active_streams == 0
+        assert node.disk.channel.active_flows == 0
 
     def test_google_trace_replay_end_to_end(self, cluster):
         """Feed a generated Google-trace utilization row straight in."""

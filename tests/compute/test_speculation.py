@@ -74,7 +74,7 @@ class TestSpeculation:
         )
         # No abandoned transfers still spinning on any resource.
         for node in system.cluster.nodes:
-            assert node.disk.active_streams == 0
+            assert node.disk.channel.active_flows == 0
 
     def test_speculation_off_runs_single_attempts(self):
         system = build(speculation=False)

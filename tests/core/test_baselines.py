@@ -109,7 +109,7 @@ class TestInstantMigrator:
         rig, master = self.make(make_rig)
         rig.client.create_file("input", 256 * MB)
         master.migrate(["input"], job_id="j1")
-        assert all(n.disk.bytes_moved == 0.0 for n in rig.cluster.nodes)
+        assert all(n.disk.channel.bytes_moved == 0.0 for n in rig.cluster.nodes)
 
     def test_eviction_on_job_finish(self, make_rig):
         rig, master = self.make(make_rig)

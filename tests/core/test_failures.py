@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.failures import FailureInjector
+from repro.core.failures import FailureInjector, quiesce_violations
 from repro.dfs import ReadSource
 from repro.units import GB, MB
 
@@ -99,6 +99,26 @@ class TestMasterFailure:
         ev, source = rig.client.read_block(entry.blocks[0], reader_node=None)
         assert isinstance(source, ReadSource)
         rig.sim.run_until_processed(ev)  # completes without error
+
+    def test_recover_evicts_buffers_released_during_outage(self, rig):
+        """A job finishing while the master is down drops the last
+        reference of a migrated block, but the wiped directory leaves
+        nothing to evict.  Recovery must release that buffer: no later
+        reference will, and once its slave dies for good the rebuilt
+        directory entry would outlive the pin."""
+        entry = rig.client.create_file("input", 64 * MB)
+        rig.master.migrate(["input"], job_id="j1")
+        rig.sim.run(until=30)
+        block_id = entry.blocks[0].block_id
+        holder = rig.namenode.memory_directory[block_id]
+        rig.master.crash()
+        rig.master.notify_job_finished("j1")
+        rig.master.recover()
+        assert block_id not in rig.namenode.memory_directory
+        assert not rig.namenode.datanodes[holder].has_memory_replica(block_id)
+        rig.master.slaves[holder].crash()  # never restarted
+        rig.sim.run(until=rig.sim.now + 30)
+        assert quiesce_violations(rig.master) == []
 
 
 class TestFailureInjector:

@@ -31,7 +31,7 @@ class TestMigrationPipeline:
         rig.client.create_file("input", 256 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=60)
-        moved = sum(n.disk.bytes_moved for n in rig.cluster.nodes)
+        moved = sum(n.disk.channel.bytes_moved for n in rig.cluster.nodes)
         assert moved == pytest.approx(256 * MB)
 
     def test_duplicate_migrate_only_adds_reference(self, rig):

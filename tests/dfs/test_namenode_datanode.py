@@ -113,13 +113,13 @@ class TestMigrationSupport:
             nid for nid in namenode.datanodes if nid not in block.replica_nodes
         )
         with pytest.raises(KeyError):
-            namenode.datanodes[outside].migrate_block_to_memory(block)
+            namenode.datanodes[outside].copy_block(block)
 
     def test_migration_consumes_disk_bandwidth(self, namenode, client, cluster):
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         dn = namenode.datanodes[block.replica_nodes[0]]
-        done = dn.migrate_block_to_memory(block)
+        done = dn.copy_block(block)
         cluster.sim.run_until_processed(done)
         expected = block.size / dn.node.spec.disk.bandwidth
         assert cluster.sim.now == pytest.approx(expected)
@@ -250,7 +250,7 @@ class TestDFSClientFacade:
         block = entry.blocks[0]
         # Every replica node's disk saw the write.
         for nid in block.replica_nodes:
-            assert cluster.node(nid).disk.bytes_moved == pytest.approx(block.size)
+            assert cluster.node(nid).disk.channel.bytes_moved == pytest.approx(block.size)
 
     def test_blocks_of(self, client):
         client.create_file("a", 128 * MB)

@@ -59,7 +59,7 @@ class TestRepair:
         record = monitor.repair_log[0]
         assert record.completed_at > record.started_at
         target_disk = cluster.node(record.target_node).disk
-        assert target_disk.bytes_moved >= 64 * MB
+        assert target_disk.channel.bytes_moved >= 64 * MB
 
     def test_targets_avoid_existing_holders(self, dfs):
         namenode, client, cluster, monitor = dfs

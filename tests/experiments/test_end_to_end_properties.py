@@ -93,7 +93,7 @@ class TestSystemInvariants:
             n.spec.task_slots for n in system.cluster.nodes
         )
         for node in system.cluster.nodes:
-            assert node.disk.active_streams == 0
+            assert node.disk.channel.active_flows == 0
             assert node.nic.egress.active_flows == 0
             assert node.nic.ingress.active_flows == 0
 

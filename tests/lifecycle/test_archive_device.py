@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, NodeSpec
-from repro.cluster.archive import Archive, ArchiveFull, ArchiveSpec
+from repro.cluster import Cluster, ClusterSpec, NodeSpec, StoreFull
+from repro.cluster.archive import Archive, ArchiveSpec
 from repro.sim.engine import Simulator
 from repro.units import GB, MB
 
@@ -28,11 +28,12 @@ class TestFreeStandingDevice:
         assert archive.used == 64 * MB
         assert archive.fits(64 * MB)
         assert not archive.fits(65 * MB)
-        with pytest.raises(ArchiveFull):
+        with pytest.raises(StoreFull):
             archive.pin("b", 96 * MB)
         assert archive.unpin("a") == 64 * MB
         assert archive.used == 0.0
-        assert not archive.shared_channel
+        # Free-standing: a private link built from the spec.
+        assert archive.channel.capacity == ArchiveSpec().bandwidth
 
     def test_read_seconds_includes_the_setup_latency(self):
         sim = Simulator()
@@ -44,7 +45,7 @@ class TestFreeStandingDevice:
     def test_transfer_charges_the_channel(self):
         sim = Simulator()
         archive = Archive(sim, ArchiveSpec(bandwidth=100 * MB, latency=0.0))
-        event = archive.write(200 * MB)
+        event = archive.channel.transfer(200 * MB)
         sim.run(until=10.0)
         assert event.triggered
         assert sim.now >= 2.0  # 200 MB at 100 MB/s
@@ -67,7 +68,6 @@ class TestClusterWiring:
         assert link is not None
         for node in cluster.nodes:
             assert node.archive is not None
-            assert node.archive.shared_channel
             assert node.archive.channel is link
 
     def test_archiveless_cluster_has_no_link(self):

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Container."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 @pytest.fixture
@@ -83,136 +83,3 @@ class TestResource:
         sim.run()
         assert third.triggered  # second never got in the way
         assert res.in_use == 1
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("a")
-        got = store.get()
-        sim.run()
-        assert got.value == "a"
-        assert len(store) == 0
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        received = []
-
-        def consumer():
-            item = yield store.get()
-            received.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(4)
-            store.put("x")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert received == [(4.0, "x")]
-
-    def test_fifo_across_getters_and_items(self, sim):
-        store = Store(sim)
-        received = []
-
-        def consumer(i):
-            item = yield store.get()
-            received.append((i, item))
-
-        for i in range(3):
-            sim.process(consumer(i))
-
-        def producer():
-            for item in "abc":
-                yield sim.timeout(1)
-                store.put(item)
-
-        sim.process(producer())
-        sim.run()
-        assert received == [(0, "a"), (1, "b"), (2, "c")]
-
-    def test_capacity_overflow_raises(self, sim):
-        store = Store(sim, capacity=1)
-        store.put(1)
-        with pytest.raises(OverflowError):
-            store.put(2)
-
-    def test_items_snapshot(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.items == (1, 2)
-
-
-class TestContainer:
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=5, init=9)
-
-    def test_put_get_levels(self, sim):
-        c = Container(sim, capacity=100, init=50)
-        got = c.get(30)
-        sim.run()
-        assert got.triggered
-        assert c.level == 20
-        c.put(10)
-        assert c.level == 30
-
-    def test_get_blocks_until_level(self, sim):
-        c = Container(sim, capacity=100, init=0)
-        times = []
-
-        def getter():
-            yield c.get(40)
-            times.append(sim.now)
-
-        def putter():
-            yield sim.timeout(3)
-            c.put(20)
-            yield sim.timeout(3)
-            c.put(20)
-
-        sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert times == [6.0]
-
-    def test_fifo_no_starvation(self, sim):
-        """A big waiter at the head blocks later small waiters (FIFO)."""
-        c = Container(sim, capacity=100, init=0)
-        order = []
-
-        def getter(name, amount):
-            yield c.get(amount)
-            order.append(name)
-
-        sim.process(getter("big", 80))
-        sim.process(getter("small", 10))
-
-        def putter():
-            yield sim.timeout(1)
-            c.put(50)  # not enough for big; small must still wait
-            yield sim.timeout(1)
-            c.put(50)
-
-        sim.process(putter())
-        sim.run()
-        assert order == ["big", "small"]
-
-    def test_try_get(self, sim):
-        c = Container(sim, capacity=10, init=5)
-        assert c.try_get(3)
-        assert c.level == 2
-        assert not c.try_get(3)
-
-    def test_put_over_capacity_raises(self, sim):
-        c = Container(sim, capacity=10, init=8)
-        with pytest.raises(OverflowError):
-            c.put(5)
-
-    def test_impossible_get_raises(self, sim):
-        c = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            c.get(11)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import NodeSpec, Ssd, SsdFull, SsdSpec
+from repro.cluster import NodeSpec, Ssd, SsdSpec, StoreFull
 from repro.cluster.node import Node
 from repro.sim import Simulator
 from repro.tiers import TIER_ORDER, is_promotion, rung_read_seconds
@@ -44,7 +44,7 @@ class TestSsdDevice:
         ssd = Ssd(sim, SsdSpec(capacity=64 * MB))
         ssd.pin("a", 64 * MB)
         assert not ssd.fits(1.0)
-        with pytest.raises(SsdFull):
+        with pytest.raises(StoreFull):
             ssd.pin("b", 64 * MB)
 
     def test_double_pin_raises(self, sim):
@@ -60,11 +60,11 @@ class TestSsdDevice:
     def test_transfer_charges_device_time(self, sim):
         spec = SsdSpec(bandwidth=500 * MB)
         ssd = Ssd(sim, spec)
-        event = ssd.write(500 * MB)
+        event = ssd.channel.transfer(500 * MB)
         sim.run(until=10)
         assert event.triggered
-        assert ssd.busy_time == pytest.approx(1.0)
-        assert ssd.bytes_moved == pytest.approx(500 * MB)
+        assert ssd.channel.busy_time == pytest.approx(1.0)
+        assert ssd.channel.bytes_moved == pytest.approx(500 * MB)
 
 
 class TestTierFacade:
@@ -86,7 +86,7 @@ class TestTierFacade:
         assert set(seconds) == {"archive", "disk", "ssd", "memory"}
         assert seconds["disk"] == 64 * MB / node.disk.channel.capacity
         assert seconds["ssd"] == 64 * MB / node.ssd.channel.capacity
-        assert seconds["memory"] == 64 * MB / node.memory.read_channel.capacity
+        assert seconds["memory"] == 64 * MB / node.memory.channel.capacity
         # Archive reads pay the per-operation setup latency on top.
         assert seconds["archive"] == node.archive.read_seconds(64 * MB)
 
