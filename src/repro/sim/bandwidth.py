@@ -51,6 +51,17 @@ via :meth:`repro.sim.engine.Simulator.discard`, so stale wake-ups
 neither fire nor rot in the scheduler heap (the engine sweeps
 discarded entries once they outnumber live ones).
 
+Completions are delivered by the wake-up that finds them, with no
+event of their own.  The wake-up first settles every flow finished at
+that instant (detached, its overshoot refunded, removed) and re-arms
+the next wake-up; only then does it process each finished flow's
+``done`` in place, in flow-start order.  Waiters therefore resume
+inside the wake-up's step, before any other event of the same instant,
+and find the kernel consistent: the first waiter may start or cancel a
+flow at once.  A zero-byte flow's ``done`` and a cancelled flow's
+failure are triggered from inside the caller's step and still go
+through the engine heap.
+
 Work is conserved: total bytes delivered equals the integral of the
 aggregate rate over time minus the (float-residue-sized) overshoot
 refunded when a completing flow's last interval is clamped,
@@ -452,7 +463,7 @@ class BandwidthResource:
             heapq.heappop(self._finish_heap)
             del self._flows[head._id]
             finished.append(head)
-        # Deliver same-instant completions in flow-start order, so ties
+        # Same-instant completions go in flow-start order, so ties
         # break by admission rather than by heap layout.
         finished.sort(key=lambda f: f._id)
         for flow in finished:
@@ -462,8 +473,12 @@ class BandwidthResource:
             if overshoot > 0:
                 self._bytes_moved -= overshoot
             flow._detach(0.0)
-            flow.done.succeed(flow)
         self._reschedule()
+        # Deliver in place, only now that the kernel is settled and
+        # re-armed: waiters resume inside this step and may start or
+        # cancel flows here at once.
+        for flow in finished:
+            flow.done._fire(True, flow)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -88,8 +88,8 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback()`` to run at absolute time ``when``.
 
-        Returns the underlying event; ``remove_callback`` can be used
-        to cancel before it fires (the event still pops, harmlessly).
+        Returns the underlying event; pass it to :meth:`discard` to
+        cancel before it fires (a discarded event never pops).
         """
         if when < self._now:
             raise ValueError(f"call_at into the past: {when} < {self._now}")
@@ -119,10 +119,10 @@ class Simulator:
         lazily: dropped when it surfaces at the heap top, or swept in
         bulk once dead entries outnumber live ones (so a scheduler
         churning through wake-ups cannot grow the heap without bound).
-        Discarding an unscheduled or already-discarded event is a
-        no-op.
+        Discarding an untriggered, processed or already-discarded
+        event is a no-op.
         """
-        if event._discarded or event._processed:
+        if event._ok is None or event._discarded or event._processed:
             return
         event._discarded = True
         self._n_discarded += 1

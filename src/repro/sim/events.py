@@ -24,17 +24,25 @@ the current simulation time).  This makes ``yield``-ing an
 already-processed event safe.
 
 Only events that model something pass through the heap: timeouts,
-explicitly triggered events, interrupt carriers, ``call_at`` wake-ups,
-and the exit of a process something waits on.  Two kinds of event skip
+explicitly triggered events (slot grants, work and space signals),
+interrupt carriers, ``call_at`` and bandwidth-kernel wake-ups, and the
+``done`` of a zero-byte or cancelled flow.  An event triggered from
+inside another process's step keeps its heap trip, so it runs after
+the events already queued for that instant.  Three kinds of event skip
 the ``triggered`` state and go straight to ``processed`` at the current
-time, costing no simulator step:
+time, inside the step that decides them, costing no simulator step
+(:meth:`Event._fire` is the one spelling of that):
 
 * a condition (:class:`AllOf`/:class:`AnyOf`) is processed inside the
-  callback of the constituent that decides it, so its waiters resume
-  before any other event of the same instant;
-* a process that exits while nothing waits on it (see
+  callback of the constituent that decides it;
+* a process's exit, whether or not anything waits on it (see
   :mod:`repro.sim.process`, which also explains why starting a process
-  schedules nothing).
+  schedules nothing);
+* a finished flow's ``done``, inside the kernel wake-up that finds it
+  finished (see :mod:`repro.sim.bandwidth`).
+
+Their waiters therefore resume before any other event of the same
+instant.
 """
 
 from __future__ import annotations
@@ -186,6 +194,13 @@ class Event:
             for callback in callbacks:
                 callback(self)
 
+    def _fire(self, ok: bool, value: Any) -> None:
+        """Trigger and process in place: waiters resume inside the
+        caller's step, without a trip through the heap."""
+        self._ok = ok
+        self._value = value
+        self._process()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "processed"
@@ -247,16 +262,12 @@ class _Condition(Event):
         raise NotImplementedError
 
     def _fire(self, ok: bool, value: Any) -> None:
-        """Trigger and process in place: waiters resume inside the
-        constituent's callback, without a second trip through the heap."""
-        self._ok = ok
-        self._value = value
         # Release the constituents.  One that has not fired still holds
         # our ``_check``, and with our reference back to it the pair
         # would be a cycle only the garbage collector can reclaim --
         # on an idle poll loop, one per wait.
         self.events = ()
-        self._process()
+        super()._fire(ok, value)
 
     def _collect(self) -> dict[Event, Any]:
         """Values of all constituent events processed so far.

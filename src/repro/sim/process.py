@@ -22,12 +22,13 @@ Exiting
 
 A process is itself an event: it triggers when the generator returns
 (successfully, with the generator's return value) or raises (failed).
-This lets processes wait on each other: ``yield other_process``.  When
-something already waits on the process, its exit is scheduled like any
-other event.  When nothing does, the exit is marked processed in place
-and schedules nothing; a later ``yield proc`` (or ``add_callback``)
-still sees the value or exception at once, because callbacks added to
-a processed event run immediately.
+This lets processes wait on each other: ``yield other_process``.  The
+exit schedules nothing: the step that ends the generator triggers and
+processes the process's event in place, whether or not anything waits
+on it.  Waiters therefore resume inside that step, at the exit instant
+and before any other event of the same instant; a later ``yield proc``
+(or ``add_callback``) still sees the value or exception at once,
+because callbacks added to a processed event run immediately.
 
 Interrupts
 ----------
@@ -155,43 +156,27 @@ class Process(Event):
             else:
                 yielded = self._generator.throw(value)
         except StopIteration as stop:
-            sim._active_process = outer
-            self._exit(True, stop.value)
-            return
+            ok, value = True, stop.value
         except BaseException as exc:
+            ok, value = False, exc
+        else:
             sim._active_process = outer
-            self._exit(False, exc)
-            return
-        sim._active_process = outer
-        if not isinstance(yielded, Event):
-            # Fail the process with a clear diagnostic instead of
-            # letting a bare value wedge the generator forever.
-            error = TypeError(
-                f"process {self.name or self._generator!r} yielded "
-                f"{yielded!r}; processes must yield Event instances"
-            )
-            self._generator.close()
-            self._exit(False, error)
-            return
-        if yielded.sim is not sim:
-            self._generator.close()
-            self._exit(
-                False, ValueError("yielded event belongs to a different Simulator")
-            )
-            return
-        self._target = yielded
-        yielded.add_callback(self._resume)
-
-    def _exit(self, ok: bool, value: Any) -> None:
-        """Trigger the process's own event: scheduled when something
-        waits on it, processed in place when nothing does."""
-        if self.callbacks:
-            if ok:
-                self.succeed(value)
+            if not isinstance(yielded, Event):
+                # Fail the process with a clear diagnostic instead of
+                # letting a bare value wedge the generator forever.
+                error = TypeError(
+                    f"process {self.name or self._generator!r} yielded "
+                    f"{yielded!r}; processes must yield Event instances"
+                )
+            elif yielded.sim is not sim:
+                error = ValueError("yielded event belongs to a different Simulator")
             else:
-                self.fail(value)
-            return
-        self._ok = ok
-        self._value = value
-        self._processed = True
-        self.callbacks = None
+                self._target = yielded
+                yielded.add_callback(self._resume)
+                return
+            self._generator.close()
+            ok, value = False, error
+        sim._active_process = outer
+        # Exit outside the handler: waiters resume in place, and must
+        # not run inside it (their exceptions would chain to ours).
+        self._fire(ok, value)

@@ -168,6 +168,68 @@ class TestCancellation:
         assert flow.done.ok
 
 
+class TestInPlaceCompletion:
+    """The kernel wake-up that finds a flow finished also delivers it."""
+
+    def test_awaited_transfer_costs_one_step(self, sim):
+        disk = BandwidthResource(sim, capacity=100.0)
+        got = []
+
+        def reader():
+            flow = yield disk.transfer(100.0)
+            got.append((sim.now, flow.remaining))
+
+        sim.process(reader())
+        sim.run()
+        assert got == [(1.0, 0.0)]
+        assert sim.steps == 1  # the wake-up; no second hop for done
+
+    def test_same_instant_completions_share_one_step(self, sim):
+        disk = BandwidthResource(sim, capacity=100.0)
+        order = []
+
+        def waiter(label):
+            yield disk.transfer(50.0)
+            order.append((label, sim.now))
+
+        sim.process(waiter("first"))
+        sim.process(waiter("second"))
+        sim.run()
+        assert order == [("first", 1.0), ("second", 1.0)]
+        assert sim.steps == 1
+
+    def test_first_waiter_sees_settled_kernel(self, sim):
+        disk = BandwidthResource(sim, capacity=100.0)
+        seen = {}
+
+        def first():
+            yield disk.transfer(50.0)
+            # The other flow finished at this instant too; it is
+            # already gone when the first waiter runs.
+            seen["active"] = disk.active_flows
+            seen["moved"] = disk.bytes_moved
+            yield disk.transfer(100.0)
+            seen["again"] = sim.now
+
+        def second():
+            yield disk.transfer(50.0)
+
+        sim.process(first())
+        sim.process(second())
+        sim.run()
+        assert seen == {"active": 0, "moved": pytest.approx(100.0), "again": 2.0}
+
+    def test_zero_byte_and_cancelled_flows_are_heap_events(self, sim):
+        disk = BandwidthResource(sim, capacity=100.0)
+        empty = disk.transfer(0.0)
+        flow = disk.start_flow(100.0)
+        disk.cancel(flow)
+        assert empty.triggered and not empty.processed
+        assert flow.done.triggered and not flow.done.processed
+        sim.run()
+        assert sim.steps == 2
+
+
 class TestAccounting:
     def test_bytes_moved(self, sim):
         disk = BandwidthResource(sim, capacity=100.0)

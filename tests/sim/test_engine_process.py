@@ -368,7 +368,8 @@ class TestDirectStart:
 
 
 class TestUnawaitedExit:
-    """A process nobody waits on exits in place, costing no step."""
+    """A process exits in place, costing no step, whether or not
+    anything waits on it."""
 
     def test_unawaited_exit_adds_no_step(self, sim):
         def proc():
@@ -380,18 +381,42 @@ class TestUnawaitedExit:
         assert sim.steps == 1  # the timeout only
         assert p.processed and p.value == 5
 
-    def test_awaited_exit_is_still_an_event(self, sim):
-        def inner():
+    def test_awaited_exit_resumes_waiter_in_place(self, sim):
+        def inner(fail):
             yield sim.timeout(1)
+            if fail:
+                raise KeyError("kaput")
             return 5
 
+        got = []
+
         def outer():
-            return (yield sim.process(inner()))
+            value = yield sim.process(inner(False))
+            got.append((sim.now, sim.steps, value))
+            try:
+                yield sim.process(inner(True))
+            except KeyError as exc:
+                got.append((sim.now, sim.steps, exc.args[0]))
+
+        sim.process(outer())
+        sim.run()
+        # Each waiter resumes inside the step of the timeout that ended
+        # the awaited process: one step per timeout, none per exit.
+        assert got == [(1.0, 1, 5), (2.0, 2, "kaput")]
+        assert sim.steps == 2
+
+    def test_waiter_resumed_by_exit_does_not_chain_to_it(self, sim):
+        def inner():
+            yield sim.timeout(1)
+
+        def outer():
+            yield sim.process(inner())
+            raise ValueError("own")
 
         p = sim.process(outer())
         sim.run()
-        assert sim.steps == 2  # the timeout, then inner's exit
-        assert p.value == 5
+        assert isinstance(p.value, ValueError)
+        assert p.value.__context__ is None
 
     def test_late_yield_gets_value(self, sim):
         def quick():
@@ -427,3 +452,28 @@ class TestUnawaitedExit:
         sim.process(late())
         sim.run()
         assert caught == [(3.0, "kaput")]
+
+
+class TestDiscard:
+    def test_discarded_call_at_never_fires(self, sim):
+        seen = []
+        event = sim.call_at(2.0, lambda: seen.append(sim.now))
+        sim.discard(event)
+        assert sim.pending_events == 0
+        sim.run()
+        assert seen == [] and sim.steps == 0
+
+    def test_discard_untriggered_event_is_noop(self, sim):
+        ev = sim.event()
+        sim.discard(ev)
+        assert sim.pending_events == 0
+        got = []
+
+        def waiter():
+            got.append((yield ev))
+
+        sim.process(waiter())
+        ev.succeed("late")
+        sim.run()
+        assert got == ["late"]
+        assert sim.steps == 1
