@@ -50,6 +50,9 @@ CASES = (
     ("dyrs", "swim-paper", 5, 0),
     ("dyrs", "swim", 1, 8),
     ("dyrs-sharded-async", "swim", 2, 8),
+    ("dyrs", "swim-notify", 5, 0),
+    ("naive", "sort", 3, 0),
+    ("dyrs-sharded", "swim", 2, 8),
 )
 
 #: Horizon over which a chaos case spreads its faults, simulated seconds.
@@ -57,6 +60,11 @@ CHAOS_HORIZON = 60.0
 #: Per-node memory cap of the ``swim-memcap`` workload: migrations
 #: wait for eviction, and idle slaves keep re-polling.
 MEMCAP = 512 * MB
+#: Master shards per sharded scheme.  ``dyrs-sharded`` runs a
+#: one-shard federation: under chaos it must not replay the flat
+#: master, because the campaign samples shard faults only for a
+#: federation (at seed 2 it draws two ``shard-loss`` faults).
+SHARDS = {"dyrs-sharded": 1, "dyrs-sharded-async": 4}
 #: Simulated seconds every case idles after its last job, so tier
 #: demotions, archive moves and chaos recoveries land in the digest.
 IDLE_TAIL = 120.0
@@ -127,6 +135,15 @@ GOLDEN = {
     "dyrs-sharded-async-swim-seed2-chaos": (
         "d1152bb576defba45b31562bfdc550e1c74d891bde929e002f5eadee6ae980a3"
     ),
+    "dyrs-swim-notify-seed5": (
+        "9d8b9fa54751d66c1aff231892e2d2cd8b50fee1e224669c697df2810c7e3be0"
+    ),
+    "naive-sort-seed3": (
+        "6d60eae2d06daab6c822607565d5754ac24743dabfefac073f1c0c7b44c3b4c8"
+    ),
+    "dyrs-sharded-swim-seed2-chaos": (
+        "59212f3642c8d5f0981a2a07d4d4aa467218146de5ff2bf68cf3ab76580937a2"
+    ),
 }
 
 
@@ -182,7 +199,12 @@ def _simulate(scheme: str, workload: str, seed: int, faults: int):
             seed=seed,
             interference="alt-10s-1",
             memory_limit=MEMCAP if workload == "swim-memcap" else None,
-            shards=4 if scheme.startswith("dyrs-sharded") else 1,
+            # ``swim-notify`` parks idle slaves at the master, the
+            # idle-pull mode every 1k-node scale run uses.
+            dyrs_overrides=(
+                {"idle_pull": "notify"} if workload == "swim-notify" else {}
+            ),
+            shards=SHARDS.get(scheme, 1),
             tier_overrides=(
                 PROMOTE_TIER_OVERRIDES
                 if workload == "promote"
