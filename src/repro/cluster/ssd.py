@@ -1,11 +1,11 @@
 """Flash (SSD) tier device: a byte-budgeted store with real transfer cost.
 
 The paper's testbed has no flash tier -- DYRS moves data along a single
-disk->memory edge.  The tiered-storage extension (see
-:mod:`repro.tiers`) interposes an SSD between them, in the spirit of
-OctopusFS-style multi-tier management: warm data that does not justify
-RAM residency still reads several times faster than from the spinning
-disk.
+disk->memory edge.  The storage ladder (see :mod:`repro.lifecycle`)
+interposes an SSD between them, in the spirit of OctopusFS-style
+multi-tier management: warm data that does not justify RAM residency
+still reads several times faster than from the spinning disk.  A
+``dyrs`` system whose workers have an SSD runs the ladder's master.
 
 In the unified device vocabulary (:mod:`repro.cluster.device`) an
 :class:`Ssd` is simply *both* primitives at once:

@@ -149,9 +149,5 @@ class Cluster:
         """Bytes of migrated data pinned cluster-wide."""
         return sum(n.memory.used for n in self.nodes)
 
-    def disk_utilizations(self, since: float = 0.0) -> list[float]:
-        """Per-node disk busy fraction since ``since``."""
-        return [n.disk.channel.utilization(since) for n in self.nodes]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster workers={len(self.nodes)} t={self.sim.now:.6g}>"

@@ -119,37 +119,9 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.jobs: dict[str, JobMetrics] = {}
-        #: Completed tier moves per ladder edge: (source, dest) -> count
-        #: (fed by the storage-ladder master; empty for the paper's
-        #: schemes).
-        self.tier_moves: dict[tuple[str, str], int] = {}
         #: Unified metrics sink (the no-op registry unless a run scoped
         #: one in via ``repro.obs.metrics.collecting``).
         self.registry = obs_metrics.active_registry()
-
-    # -- tier lifecycle (the tiered-storage extension) -------------------------
-
-    def record_tier_move(self, source: str, dest: str) -> None:
-        """Count one completed ``source`` -> ``dest`` block move."""
-        key = (source, dest)
-        self.tier_moves[key] = self.tier_moves.get(key, 0) + 1
-        self.registry.counter("tier_moves_total", source=source, dest=dest).inc()
-
-    def promotion_count(self) -> int:
-        """Completed moves that climbed the tier ladder."""
-        from repro.tiers.tier import is_promotion
-
-        return sum(
-            n for (s, d), n in self.tier_moves.items() if is_promotion(s, d)
-        )
-
-    def demotion_count(self) -> int:
-        """Completed moves that descended the tier ladder."""
-        from repro.tiers.tier import is_promotion
-
-        return sum(
-            n for (s, d), n in self.tier_moves.items() if not is_promotion(s, d)
-        )
 
     def job(self, job_id: str) -> JobMetrics:
         """The metrics record for ``job_id`` (created on first use)."""
@@ -185,8 +157,3 @@ class MetricsCollector:
         return [
             d for j in self.finished_jobs() for d in j.map_durations()
         ]
-
-    def total_input_bytes(self) -> float:
-        return sum(
-            t.input_bytes for j in self.jobs.values() for t in j.tasks
-        )

@@ -91,13 +91,11 @@ class DyrsConfig:
     shard_pull_window:
         Outstanding pull legs a slave may hold per master endpoint
         (the flat master is one endpoint, a federation one per live
-        shard).  ``None`` (the default) resolves to the scheme default
-        when built through :class:`repro.system.SystemConfig`
-        (``max(2, shards)`` for ``dyrs-sharded-async``, 1 for every
-        other scheme); standalone it behaves as 1.  Legs are detached, so
-        one slow or delayed shard endpoint never stalls the legs to
-        the healthy shards at any window; a wider window lets a node
-        keep several legs in flight to the same shard.
+        shard).  :class:`repro.system.SystemConfig` accepts a window
+        above 1 only for a federation (``shards`` set).  Legs are
+        detached, so one slow or delayed shard endpoint never stalls
+        the legs to the healthy shards at any window; a wider window
+        lets a node keep several legs in flight to the same shard.
     shard_dead_after:
         Seconds a crashed shard may stay down before the coordinator
         declares it permanently dead (``None`` = never).  Declaration
@@ -118,7 +116,7 @@ class DyrsConfig:
     estimator_refresh: bool = True
     pull_service_cost: float = 0.0
     idle_pull: str = "poll"
-    shard_pull_window: Optional[int] = None
+    shard_pull_window: int = 1
     shard_dead_after: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -153,10 +151,9 @@ class DyrsConfig:
             raise ValueError(
                 f"idle_pull must be 'poll' or 'notify', got {self.idle_pull!r}"
             )
-        if self.shard_pull_window is not None and self.shard_pull_window < 1:
+        if self.shard_pull_window < 1:
             raise ValueError(
-                f"shard_pull_window must be >= 1 or None, "
-                f"got {self.shard_pull_window}"
+                f"shard_pull_window must be >= 1, got {self.shard_pull_window}"
             )
         if self.shard_dead_after is not None and self.shard_dead_after <= 0:
             raise ValueError(

@@ -101,8 +101,8 @@ class DyrsSlave:
         #: Extra one-way RPC delay (chaos fault: delayed-RPC spike).
         self._rpc_extra = 0.0
         #: Outstanding-leg budget per master endpoint (1 unless a
-        #: sharded scheme widens it).
-        self._pull_window = config.shard_pull_window or 1
+        #: federation widens it).
+        self._pull_window = config.shard_pull_window
         #: Open RPC legs per endpoint (the window the invariant checker
         #: proves is never exceeded) and records bound at the master but
         #: still riding an inbound leg -- space already spoken for, so

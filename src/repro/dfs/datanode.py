@@ -119,12 +119,6 @@ class DataNode:
             return ()
         return self.node.ssd.pinned_keys()  # type: ignore[return-value]
 
-    def archive_block_ids(self) -> tuple[BlockId, ...]:
-        """Blocks archived under this node's partition."""
-        if self.node.archive is None:
-            return ()
-        return self.node.archive.pinned_keys()  # type: ignore[return-value]
-
     @property
     def disk_replica_count(self) -> int:
         return len(self._disk_blocks)

@@ -16,7 +16,7 @@ inconsistent but reads still succeed (§III-C1/C2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.dfs.block import Block, BlockId
 from repro.dfs.datanode import DataNode
@@ -257,10 +257,6 @@ class NameNode:
         self.decommissioning.discard(node_id)
         self.decommissioned.add(node_id)
         return True
-
-    def available_datanodes(self) -> Sequence[DataNode]:
-        """DataNodes currently considered up."""
-        return [dn for nid, dn in self.datanodes.items() if self.is_available(nid)]
 
     # -- memory directory (soft state) --------------------------------------------
 

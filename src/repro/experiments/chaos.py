@@ -33,8 +33,8 @@ from repro.units import GB, MB
 __all__ = ["ChaosCaseResult", "run_case", "run", "report", "DEFAULT_SCHEMES"]
 
 #: CI default: the paper scheme, one push-binding baseline, and the
-#: lifecycle extension (whose campaigns add the archive fault kinds);
-#: the soak test suite widens this to dyrs-tiered as well.
+#: ``dyrs-lifecycle`` preset (whose campaigns add the archive fault
+#: kinds); the soak test suite widens this to the other presets.
 DEFAULT_SCHEMES = ("dyrs", "ignem", "dyrs-lifecycle")
 DEFAULT_WORKLOADS = ("sort", "swim", "aging")
 
@@ -44,7 +44,7 @@ DEFAULT_WORKLOADS = ("sort", "swim", "aging")
 #: because the repository benchmark (``bench/workloads.py``) imports it.
 CHAOS_DYRS_OVERRIDES: dict = {}
 
-#: Compressed temperature timescales for the lifecycle scheme: data
+#: Compressed temperature timescales for the lifecycle preset: data
 #: must cool to COLD and cross the archive threshold *inside* the
 #: CI-sized chaos horizon, or the archive faults have nothing to hit.
 CHAOS_TIER_OVERRIDES = {

@@ -173,8 +173,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--tiers",
         action="store_true",
         help=(
-            "run the dyrs scheme as dyrs-tiered (SSD tier + lifecycle "
-            "policies; extension beyond the paper, off by default)"
+            "run the dyrs scheme as the dyrs-tiered preset (SSD tier + "
+            "lifecycle policies; extension beyond the paper, off by default)"
         ),
     )
     parser.add_argument(

@@ -5,6 +5,10 @@ The evaluation cluster (§V-A): 7 worker nodes (1 TB HDD, 128 GB RAM,
 (implicit in our model).  Heterogeneity comes from the §V-C
 interference rig, applied through
 :class:`repro.cluster.interference.InterferenceSchedule` patterns.
+
+:data:`PRESETS` names the ``dyrs`` configurations that turn on an
+extension beyond the paper (the storage ladder, the shard federation),
+so experiments can label their rows by them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster import ClusterSpec, InterferenceSchedule, NodeSpec
+from repro.cluster import (
+    ArchiveSpec,
+    ClusterSpec,
+    DiskSpec,
+    InterferenceSchedule,
+    NodeSpec,
+    SsdSpec,
+)
 from repro.compute import ComputeConfig
 from repro.core import DyrsConfig
 from repro.lifecycle import TierConfig
@@ -20,6 +31,7 @@ from repro.system import System, SystemConfig
 from repro.units import GB, MB
 
 __all__ = [
+    "PRESETS",
     "PaperSetup",
     "build_system",
     "enable_tiered",
@@ -35,13 +47,45 @@ PAPER_WORKERS = 7
 SLOW_NODE = 0
 
 #: When set (the CLI's ``--tiers`` flag), :func:`build_system` swaps
-#: the ``"dyrs"`` scheme for its ``"dyrs-tiered"`` variant.  Off by
+#: the ``"dyrs"`` scheme for the ``"dyrs-tiered"`` preset.  Off by
 #: default: the paper's experiments must run the paper's system.
 _TIERED = False
 
 
+@dataclass(frozen=True)
+class Preset:
+    """A ``dyrs`` configuration that turns on an extension.
+
+    Attributes
+    ----------
+    ssd / archive:
+        Give every worker an SSD cache (the storage ladder) / an
+        archive partition too (its cold end).
+    sharded:
+        Run a federation of ``PaperSetup.shards`` master shards, even
+        at one shard.
+    wide_window:
+        Let each slave keep ``max(2, shards)`` pull legs in flight per
+        shard, unless ``dyrs_overrides`` sets the window.
+    """
+
+    ssd: bool = False
+    archive: bool = False
+    sharded: bool = False
+    wide_window: bool = False
+
+
+#: The extension presets, by the name experiments label their rows with.
+PRESETS: dict[str, Preset] = {
+    "dyrs-tiered": Preset(ssd=True),
+    "dyrs-lifecycle": Preset(ssd=True, archive=True),
+    "dyrs-sharded": Preset(sharded=True),
+    "dyrs-sharded-async": Preset(sharded=True, wide_window=True),
+}
+
+
 def enable_tiered(enabled: bool = True) -> None:
-    """Toggle the tiered-storage variant for subsequently built systems.
+    """Toggle the tiered-storage preset for subsequently built systems.
 
     Only the ``"dyrs"`` scheme is substituted; baselines (hdfs, ram,
     ignem, ...) are untouched so comparisons keep their meaning.
@@ -61,7 +105,7 @@ class PaperSetup:
     Attributes
     ----------
     scheme:
-        One of ``repro.system.SCHEMES``.
+        One of ``repro.system.SCHEMES``, or a :data:`PRESETS` name.
     interference:
         An :class:`InterferenceSchedule` pattern name (``"none"``,
         ``"persistent-1"``, ``"alt-10s-1"``, ...).
@@ -75,7 +119,7 @@ class PaperSetup:
         Optional per-node migration memory cap (§IV-A1).
     tier_overrides:
         :class:`~repro.lifecycle.TierConfig` field overrides for the
-        tiered/lifecycle schemes (empty = defaults).  Chaos and
+        storage-ladder presets (empty = defaults).  Chaos and
         lifecycle experiments use this to compress the temperature
         timescales into a CI-sized horizon.
     """
@@ -89,14 +133,13 @@ class PaperSetup:
     job_init_overhead: float = 12.0
     task_launch_overhead: float = 1.5
     memory_limit: Optional[float] = None
-    interference_streams: int = 4
     task_slots: int = 6
     seek_penalty: float = 0.3
     dyrs_overrides: dict = field(default_factory=dict)
     tier_overrides: dict = field(default_factory=dict)
-    #: Master shard count (``dyrs-sharded`` only; 1 elsewhere).
+    #: Master shard count of the sharded presets (1 elsewhere).
     shards: int = 1
-    #: Record -> shard routing for ``dyrs-sharded``.
+    #: Record -> shard routing of the sharded presets.
     shard_router: str = "block"
 
 
@@ -107,27 +150,35 @@ def build_system(setup: PaperSetup) -> System:
     workload runs, mirroring the paper's procedure of launching the
     ``dd`` readers ahead of each experiment.
     """
+    scheme = setup.scheme
+    if _TIERED and scheme == "dyrs":
+        scheme = "dyrs-tiered"
+    preset = PRESETS.get(scheme, Preset())
+    if setup.shards != 1 and not preset.sharded:
+        raise ValueError(
+            f"shards={setup.shards} requires a sharded preset, got {scheme!r}"
+        )
+    dyrs_overrides = dict(setup.dyrs_overrides)
+    if preset.wide_window:
+        dyrs_overrides.setdefault("shard_pull_window", max(2, setup.shards))
     dyrs = DyrsConfig(
         reference_block_size=setup.block_size,
         memory_limit=setup.memory_limit,
-        **setup.dyrs_overrides,
+        **dyrs_overrides,
     )
-    from repro.cluster import DiskSpec
-
     node = NodeSpec(
         disk=DiskSpec(seek_penalty=setup.seek_penalty),
         task_slots=setup.task_slots,
     )
-    scheme = setup.scheme
-    if _TIERED and scheme == "dyrs":
-        scheme = "dyrs-tiered"
     system = System(
         SystemConfig(
-            scheme=scheme,
+            scheme="dyrs" if scheme in PRESETS else scheme,
             cluster=ClusterSpec(
                 n_workers=setup.n_workers,
                 node=node,
                 seed=setup.seed,
+                ssd=SsdSpec() if preset.ssd else None,
+                archive=ArchiveSpec() if preset.archive else None,
             ),
             dyrs=dyrs,
             tiers=TierConfig(**setup.tier_overrides),
@@ -137,13 +188,12 @@ def build_system(setup: PaperSetup) -> System:
             ),
             block_size=setup.block_size,
             replication=setup.replication,
-            shards=setup.shards,
+            shards=setup.shards if preset.sharded else None,
             shard_router=setup.shard_router,
         )
     ).start()
     schedule = InterferenceSchedule(
-        setup.interference, node_a=SLOW_NODE, node_b=SLOW_NODE + 1,
-        streams=setup.interference_streams,
+        setup.interference, node_a=SLOW_NODE, node_b=SLOW_NODE + 1, streams=4
     )
     system.interference = schedule.start(system.cluster)  # type: ignore[attr-defined]
     return system

@@ -3,7 +3,8 @@
 Not a paper figure -- this exercises the extension of
 :mod:`repro.lifecycle`.  One aging workload (hot datasets that cool
 past the COLD threshold, half of them flash-re-heated later) runs under
-three schemes:
+the paper's scheme and two storage-ladder presets
+(:data:`~repro.experiments.common.PRESETS`):
 
 * ``dyrs`` -- the paper's system; no tiers, the control;
 * ``dyrs-tiered`` -- SSD tier but no archive (cold data squats on
@@ -24,7 +25,6 @@ latency, and bytes moved along each tier edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.experiments.common import PaperSetup, build_system
 from repro.units import GB, MB

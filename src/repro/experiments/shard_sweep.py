@@ -3,11 +3,13 @@
 Not a paper figure -- this measures the extension of
 :mod:`repro.shard`.  One fixed sort workload (small blocks, so the
 pending map is deep and master service time is the bottleneck) runs
-under ``dyrs-sharded`` at shard counts 1/2/4/8 with a non-zero
-``pull_service_cost``: each pull RPC pays a service delay linear in
-the pending map it scans.  The flat master (``shards=1``) scans the
-global map; a federation scans its shards in parallel and pays only
-for the deepest one, which is the win this sweep quantifies.
+under the ``dyrs-sharded`` preset at shard counts 1/2/4/8 with a
+non-zero ``pull_service_cost``: each pull RPC pays a service delay
+linear in the pending map it scans.  One shard scans the global map,
+as the flat master would; a wider federation scans its shards in
+parallel and pays only for the deepest one, which is the win this
+sweep quantifies.  The one-shard row is a federation all the same, so
+its chaos campaign draws shard faults.
 
 Each point also arms a small seeded chaos campaign (including the
 ``shard-crash`` fault) so the numbers reflect the failover machinery,

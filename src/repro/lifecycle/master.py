@@ -8,9 +8,9 @@ managed:
 
 * **temperature tracking** -- every block read (and every migration
   request, which announces an imminent read) feeds the
-  :class:`~repro.tiers.temperature.TemperatureTracker`;
+  :class:`~repro.lifecycle.temperature.TemperatureTracker`;
 * **background promotion** -- a periodic lifecycle pass asks the
-  configured :class:`~repro.tiers.policy.TierPolicy` where each tracked
+  configured :class:`~repro.lifecycle.policy.TierPolicy` where each tracked
   block belongs and enqueues disk->ssd promotions *through the same
   pending pool Algorithm 1 targets*, so SSD fills are bandwidth-aware
   exactly like the paper's disk->memory migrations.  Memory residency
@@ -55,8 +55,10 @@ are aborted by a crash (``tier_move_abort`` with reason
 ``master-crash``) and re-planned by the next archive pass after
 recovery.
 
-Promotions and demotions are counted per ladder edge and mirrored into
-the run's :class:`~repro.compute.metrics.MetricsCollector`.
+Promotions and demotions are counted per ladder edge
+(:attr:`LifecycleMaster.tier_moves`); each move also increments the
+``tier_moves_total`` counter of the metrics registry active when the
+master was built.
 """
 
 from __future__ import annotations
@@ -71,23 +73,25 @@ from repro.core.records import BindingEvent, MigrationRecord, MigrationStatus
 from repro.dfs.block import Block, BlockId
 from repro.dfs.client import EvictionMode
 from repro.lifecycle.integrity import ChecksumRegistry
-from repro.lifecycle.policy import TablePolicy, default_table
+from repro.lifecycle.policy import (
+    CostBenefitPolicy,
+    PlacementContext,
+    TablePolicy,
+    ThresholdPolicy,
+    TierPolicy,
+    default_table,
+    is_promotion,
+    rung_read_seconds,
+)
 from repro.lifecycle.replication import ReplicationScheduler
+from repro.lifecycle.temperature import Temperature, TemperatureTracker
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs
 from repro.sim.events import AllOf
 from repro.sim.process import Interrupt, Process
-from repro.tiers.policy import (
-    CostBenefitPolicy,
-    PlacementContext,
-    ThresholdPolicy,
-    TierPolicy,
-)
-from repro.tiers.temperature import Temperature, TemperatureTracker
-from repro.tiers.tier import is_promotion, rung_read_seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.archive import Archive
-    from repro.compute.metrics import MetricsCollector
     from repro.core.slave import DyrsSlave
     from repro.dfs.namenode import NameNode
 
@@ -102,8 +106,6 @@ class TierConfig:
     ----------
     lifecycle_interval:
         Seconds between lifecycle passes (promotion/expiry scans).
-    temperature_alpha:
-        EWMA weight of the temperature tracker.
     hot_age / cold_age:
         The tracker's classification thresholds (seconds).
     policy:
@@ -117,9 +119,6 @@ class TierConfig:
     promote_warm_to_ssd:
         Whether the lifecycle pass enqueues background disk->ssd
         promotions.
-    demote_to_ssd:
-        Whether eviction demotes warm blocks memory->ssd instead of
-        dropping them to disk.
     archive_age:
         Temperature score (seconds) beyond which a COLD block is
         demoted to the archive tier.  Must be at least ``cold_age``
@@ -131,13 +130,11 @@ class TierConfig:
     """
 
     lifecycle_interval: float = 10.0
-    temperature_alpha: float = 0.3
     hot_age: float = 60.0
     cold_age: float = 300.0
     policy: Optional[str] = None
     horizon: float = 120.0
     promote_warm_to_ssd: bool = True
-    demote_to_ssd: bool = True
     archive_age: float = 900.0
     cold_replication: int = 1
 
@@ -155,10 +152,6 @@ class TierConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         # Same rules as TemperatureTracker, enforced eagerly so a bad
         # config fails at construction like every other spec dataclass.
-        if not 0 < self.temperature_alpha <= 1:
-            raise ValueError(
-                f"temperature_alpha must be in (0, 1], got {self.temperature_alpha}"
-            )
         if self.hot_age <= 0:
             raise ValueError(f"hot_age must be positive, got {self.hot_age}")
         if self.cold_age <= self.hot_age:
@@ -195,7 +188,6 @@ class LifecycleMaster(DyrsMaster):
         self.table = default_table(cold_replication=self.tier_config.cold_replication)
         self.tier_policy: TierPolicy = self._build_tier_policy()
         self.temperature = TemperatureTracker(
-            alpha=self.tier_config.temperature_alpha,
             hot_age=self.tier_config.hot_age,
             cold_age=self.tier_config.cold_age,
         )
@@ -211,7 +203,9 @@ class LifecycleMaster(DyrsMaster):
         self.tier_bytes: dict[tuple[str, str], float] = {}
         self.lifecycle_passes = 0
         self._lifecycle_proc: Optional[Process] = None
-        self._metrics: Optional["MetricsCollector"] = None
+        #: Unified metrics sink (the no-op registry unless a run scoped
+        #: one in via ``repro.obs.metrics.collecting``).
+        self._registry = obs_metrics.active_registry()
         #: Checksum metadata, stored durably with the archived data.
         self.integrity = ChecksumRegistry()
         self.replication_scheduler = ReplicationScheduler(self.table, namenode)
@@ -246,10 +240,6 @@ class LifecycleMaster(DyrsMaster):
         return ThresholdPolicy()
 
     # -- wiring ------------------------------------------------------------------
-
-    def attach_metrics(self, metrics: "MetricsCollector") -> None:
-        """Mirror tier-move counts into the run's metrics collector."""
-        self._metrics = metrics
 
     def start(self) -> None:
         super().start()
@@ -309,8 +299,7 @@ class LifecycleMaster(DyrsMaster):
         key = (source, dest)
         self.tier_moves[key] = self.tier_moves.get(key, 0) + 1
         self.tier_bytes[key] = self.tier_bytes.get(key, 0.0) + nbytes
-        if self._metrics is not None:
-            self._metrics.record_tier_move(source, dest)
+        self._registry.counter("tier_moves_total", source=source, dest=dest).inc()
 
     @property
     def promotion_count(self) -> int:
@@ -495,8 +484,7 @@ class LifecycleMaster(DyrsMaster):
         node_id = self.namenode.memory_directory.get(record.block_id)
         slave = self.slaves.get(node_id) if node_id is not None else None
         if (
-            self.tier_config.demote_to_ssd
-            and node_id is not None
+            node_id is not None
             and self.namenode.is_available(node_id)
             # The demotion is work the node's slave performs; a slave
             # that crashed but is not yet flagged stale cannot write the

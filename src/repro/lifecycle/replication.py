@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.lifecycle.policy import LifecycleTable
-from repro.tiers.temperature import Temperature
+from repro.lifecycle.temperature import Temperature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dfs.block import Block

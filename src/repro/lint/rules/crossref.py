@@ -13,7 +13,8 @@ the whole observability and configuration surface:
   vocabulary attributes -- the ``etype = obs.READ_SSD if ... else
   obs.READ_DISK`` idiom of the datanode read path.
 * **CFG601 unvalidated-knob** -- every configuration knob (a
-  :class:`~repro.core.master.DyrsConfig` dataclass field, or a
+  :class:`~repro.core.master.DyrsConfig` or
+  :class:`~repro.lifecycle.master.TierConfig` dataclass field, or a
   module-level ``use_*`` registry context manager) must be referenced
   by at least one file under ``tests/`` and documented in
   ``DESIGN.md``.  An untested knob is a code path nothing exercises;
@@ -177,19 +178,23 @@ class TraceVocabDriftRule(Rule):
                 )
 
 
-def _config_fields(project: Project) -> tuple[Optional[ModuleContext], dict[str, int]]:
-    """``field -> lineno`` for the DyrsConfig dataclass, if linted."""
+#: The dataclasses whose fields are configuration knobs.
+_CONFIG_CLASSES = ("DyrsConfig", "TierConfig")
+
+
+def _config_fields(project: Project) -> dict[str, tuple[str, int]]:
+    """``field -> (path, line)`` over every linted config dataclass."""
+    knobs: dict[str, tuple[str, int]] = {}
     for ctx in project.modules:
         for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == "DyrsConfig":
-                fields = {
-                    stmt.target.id: stmt.lineno
+            if isinstance(node, ast.ClassDef) and node.name in _CONFIG_CLASSES:
+                knobs.update(
+                    (stmt.target.id, (ctx.path, stmt.lineno))
                     for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)
-                }
-                return ctx, fields
-    return None, {}
+                )
+    return knobs
 
 
 def _registry_knobs(project: Project) -> dict[str, tuple[str, int]]:
@@ -220,19 +225,11 @@ class UnvalidatedKnobRule(Rule):
     )
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        config_ctx, fields = _config_fields(project)
-        knobs: dict[str, tuple[str, int]] = {}
-        if config_ctx is not None:
-            knobs.update(
-                {name: (config_ctx.path, line) for name, line in fields.items()}
-            )
+        knobs = _config_fields(project)
         knobs.update(_registry_knobs(project))
         if not knobs:
             return
-        anchor = config_ctx.path if config_ctx is not None else (
-            next(iter(knobs.values()))[0]
-        )
-        root = _find_root(Path(anchor))
+        root = _find_root(Path(next(iter(knobs.values()))[0]))
         if root is None:
             return  # no surrounding repo (bare fixture run): nothing to check
         tests_text = "\n".join(

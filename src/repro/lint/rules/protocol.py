@@ -39,7 +39,7 @@ class StatusAssignmentRule(Rule):
         "call record.mark_bound/mark_active/mark_done/mark_discarded/"
         "mark_evicted so the transition guard runs"
     )
-    scopes = ("core", "tiers", "lifecycle")
+    scopes = ("core", "lifecycle")
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Diagnostic]:
         if ctx.parts[-2:] == ("core", "records.py"):

@@ -31,7 +31,7 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
 from repro.lint.runner import ModuleContext
 
-_SIM_SCOPES = ("sim", "core", "dfs", "cluster", "tiers", "lifecycle")
+_SIM_SCOPES = ("sim", "core", "dfs", "cluster", "lifecycle")
 
 #: Identifiers that denote a point in virtual time.
 _TIME_NAMES = {"now", "when", "deadline", "vtime", "vfinish"}

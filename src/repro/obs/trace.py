@@ -105,10 +105,6 @@ TIER_MOVE_CORRUPT = "tier_move_corrupt"
 #: moves never emit ``pending``, so reusing the migration-record
 #: vocabulary would corrupt the liveness ledger.
 TIER_MOVE_ABORT = "tier_move_abort"
-#: Configuration transparency: the system filled in a device spec the
-#: chosen scheme requires but the cluster spec omitted (e.g. the SSD
-#: for ``dyrs-tiered``, SSD + archive for ``dyrs-lifecycle``).
-CONFIG_DEFAULTED = "config_defaulted"
 #: Sharded-master vocabulary (:mod:`repro.shard`).  ``SHARD_ASSIGN``
 #: records a fresh pending record being routed to its owning shard
 #: (``block``, ``shard``, ``n_shards``); ``SHARD_CRASH`` /

@@ -19,9 +19,13 @@ coordinator-owned:
   slave opens a detached leg to each), and owns every cluster-wide
   concern, including per-shard crash/recover.
 
-Correctness anchor: ``dyrs-sharded`` with ``shards=1`` is
-byte-identical to ``dyrs`` (pinned by the equivalence tests in
-``tests/shard/``).
+The ``dyrs`` scheme builds the federation whenever
+``SystemConfig.shards`` is set; the experiments call it the
+``dyrs-sharded`` preset.  Correctness anchor: without faults, a
+one-shard federation is byte-identical to the flat master (pinned by
+the equivalence tests in ``tests/shard/``).  It is still a federation:
+a chaos campaign samples shard faults for it, never for the flat
+master.
 
 Encapsulation rule (lint SM203): outside this package, nothing may
 touch a shard's ``_pending``/``_records`` directly -- cross-shard

@@ -20,37 +20,26 @@ Two more schemes support specific figures:
 ``"instant"``
     The zero-cost hypothetical migrator (Fig 7b).
 
-Four schemes are extensions beyond the paper:
+The ``dyrs`` master follows the configuration it is given.  Two
+extensions beyond the paper turn on from configuration, not from a
+scheme name:
 
-``"dyrs-tiered"``
-    DYRS plus an SSD rung, run by the
-    :class:`~repro.lifecycle.LifecycleMaster` -- block-temperature
-    tracking, background disk->ssd promotion, and demote-on-evict.
-``"dyrs-lifecycle"``
-    The same master on a ladder that also has an archive rung -- the
-    HOT/WARM/COLD policy table, integrity-checked archive moves, and
-    temperature-driven replication.  The two tier schemes differ only
-    in the devices they default.
-``"dyrs-sharded"``
-    DYRS with the federated master of :mod:`repro.shard`: pending
-    state partitioned across ``SystemConfig.shards`` master shards
-    behind a coordinator.  At ``shards=1`` (the default) it is
-    byte-identical to ``"dyrs"``.
-``"dyrs-sharded-async"``
-    The sharded scheme with a wider pull window: every slave pulls
-    through detached per-shard RPC legs, and here
-    ``DyrsConfig.shard_pull_window`` defaults to ``max(2, shards)``
-    instead of 1, so a node may keep several legs in flight to one
-    shard.  At ``shard_pull_window=1`` it is byte-identical to
-    ``"dyrs-sharded"``.
+* with ``SystemConfig.shards`` set, the federated master of
+  :mod:`repro.shard`: pending state partitioned across that many
+  master shards behind a coordinator.  A one-shard federation is not
+  the flat master, because a chaos campaign samples shard faults only
+  for a federation.  ``DyrsConfig.shard_pull_window`` lets a slave
+  keep several pull legs in flight to one shard;
+* otherwise, when any worker has an SSD, the storage-ladder master
+  (:class:`~repro.lifecycle.LifecycleMaster`): block-temperature
+  tracking, background disk->ssd promotion and demote-on-evict, plus
+  the archive pass when a worker also has an archive partition.
 
-Each scheme is one :class:`SchemeSpec` entry in :data:`SCHEME_REGISTRY`
--- the master factory plus the wiring flags that used to live in
-scattered ``if scheme == ...`` chains.  Devices a scheme requires but
-the cluster spec omits (the SSD for the tiered schemes, SSD + archive
-for the lifecycle scheme) are filled in *visibly*: each default is
-announced with a ``config_defaulted`` trace event and recorded in
-:attr:`System.defaulted_devices`.
+The experiments name these configurations by preset
+(``repro.experiments.common.PRESETS``).  Each scheme is one
+:class:`SchemeSpec` entry in :data:`SCHEME_REGISTRY` -- the master
+factory plus the wiring flags that used to live in scattered
+``if scheme == ...`` chains.
 
 :class:`System` wires everything and exposes the handful of handles
 experiments need.
@@ -59,9 +48,9 @@ experiments need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from repro.cluster import ArchiveSpec, Cluster, ClusterSpec, SsdSpec
+from repro.cluster import Cluster, ClusterSpec
 from repro.compute import ComputeConfig, JobRuntime, MetricsCollector, TaskScheduler
 from repro.core import DyrsConfig, DyrsMaster, DyrsSlave, IgnemMaster, NaiveBalancerMaster
 from repro.core.baselines import InstantMigrator
@@ -89,46 +78,38 @@ class SchemeSpec:
     has_slaves:
         Whether a migration slave runs on every node (the instant
         migrator has a master but no slave processes).
-    migrate_on_submit:
-        Whether job submission triggers a migration RPC; forced off
-        for the master-less baselines so the compute config stays
-        honest.
     preload:
         Whether :meth:`System.load_input` locks every block in memory
         at creation (the ``ram`` upper bound).
-    default_devices:
-        Device specs the scheme needs on every node; any the cluster
-        spec omits are defaulted -- visibly -- at construction.
     """
 
     name: str
     build_master: Optional[Callable[["System"], object]]
     has_slaves: bool = True
-    migrate_on_submit: bool = True
     preload: bool = False
-    default_devices: tuple[str, ...] = ()
 
 
 def _build_dyrs(system: "System"):
-    return DyrsMaster(system.namenode, system.config.dyrs)
+    """The paper's master, unless the configuration asks for an
+    extension: a federation when ``shards`` is set, else the storage
+    ladder when any worker has an SSD."""
+    config = system.config
+    if config.shards is not None:
+        # Imported here so only a federation pays for the package.
+        from repro.shard import ShardCoordinator
 
-
-def _build_lifecycle(system: "System"):
-    return LifecycleMaster(
-        system.namenode, system.config.dyrs, tier_config=system.config.tiers
-    )
-
-
-def _build_sharded(system: "System"):
-    from repro.shard import ShardCoordinator
-
-    return ShardCoordinator(
-        system.namenode,
-        system.config.dyrs,
-        n_shards=system.config.shards,
-        router_mode=system.config.shard_router,
-        cluster=system.cluster,
-    )
+        return ShardCoordinator(
+            system.namenode,
+            config.dyrs,
+            n_shards=config.shards,
+            router_mode=config.shard_router,
+            cluster=system.cluster,
+        )
+    if any(node.ssd is not None for node in system.cluster.nodes):
+        return LifecycleMaster(
+            system.namenode, config.dyrs, tier_config=config.tiers
+        )
+    return DyrsMaster(system.namenode, config.dyrs)
 
 
 def _build_ignem(system: "System"):
@@ -147,37 +128,16 @@ def _build_instant(system: "System"):
 SCHEME_REGISTRY: dict[str, SchemeSpec] = {
     spec.name: spec
     for spec in (
-        SchemeSpec("hdfs", build_master=None, migrate_on_submit=False),
-        SchemeSpec(
-            "ram", build_master=None, migrate_on_submit=False, preload=True
-        ),
+        SchemeSpec("hdfs", build_master=None),
+        SchemeSpec("ram", build_master=None, preload=True),
         SchemeSpec("dyrs", build_master=_build_dyrs),
         SchemeSpec("ignem", build_master=_build_ignem),
         SchemeSpec("naive", build_master=_build_naive),
         SchemeSpec("instant", build_master=_build_instant, has_slaves=False),
-        # One storage-ladder master; the tier schemes differ only in
-        # the rungs they default, and the tier policy follows the
-        # ladder (TierConfig.policy).
-        SchemeSpec(
-            "dyrs-tiered", build_master=_build_lifecycle, default_devices=("ssd",)
-        ),
-        SchemeSpec(
-            "dyrs-lifecycle",
-            build_master=_build_lifecycle,
-            default_devices=("ssd", "archive"),
-        ),
-        SchemeSpec("dyrs-sharded", build_master=_build_sharded),
-        # Same federation, but ``shard_pull_window`` resolves to
-        # max(2, shards) instead of 1; all other wiring is identical.
-        SchemeSpec("dyrs-sharded-async", build_master=_build_sharded),
     )
 }
 
 SCHEMES = tuple(SCHEME_REGISTRY)
-
-#: Schemes that stand up the federated master (and may therefore set
-#: ``shards`` and a pull window above 1).
-_SHARDED_SCHEMES = ("dyrs-sharded", "dyrs-sharded-async")
 
 
 @dataclass(frozen=True)
@@ -194,11 +154,11 @@ class SystemConfig:
     #: Delay-scheduling locality wait for the task scheduler (seconds;
     #: 0 = strict capacity scheduler, the calibrated default).
     locality_delay: float = 0.0
-    #: Master shard count for the sharded schemes (ignored means
-    #: invalid: any other scheme must leave it at 1).  The count is
-    #: fixed for the life of the run.
-    shards: int = 1
-    #: Record -> shard routing mode for the sharded schemes:
+    #: Master shard count of the ``dyrs`` federation; None builds the
+    #: flat master.  Only ``dyrs`` accepts it, and not together with
+    #: an SSD.  The count is fixed for the life of the run.
+    shards: Optional[int] = None
+    #: Record -> shard routing mode for a federation:
     #: ``"block"`` (hash-by-block), ``"rack"`` (rack-affine) or
     #: ``"rendezvous"`` (weighted HRW over live shards, re-homing the
     #: slice of a shard declared permanently dead).
@@ -207,12 +167,26 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shards != 1 and self.scheme not in _SHARDED_SCHEMES:
+        if self.shards is not None:
+            if self.shards < 1:
+                raise ValueError(f"shards must be >= 1 or None, got {self.shards}")
+            if self.scheme != "dyrs":
+                raise ValueError(
+                    f"shards={self.shards} requires the 'dyrs' scheme, "
+                    f"got {self.scheme!r}"
+                )
+            if any(
+                self.cluster.spec_for(i).ssd is not None
+                for i in range(self.cluster.n_workers)
+            ):
+                raise ValueError(
+                    "shards and an SSD cannot be combined: the federation "
+                    "does not run the storage ladder"
+                )
+        elif self.dyrs.shard_pull_window > 1:
             raise ValueError(
-                f"shards={self.shards} requires a sharded scheme "
-                f"{_SHARDED_SCHEMES}, got {self.scheme!r}"
+                f"shard_pull_window={self.dyrs.shard_pull_window} requires "
+                "a federation (shards set)"
             )
         if self.shard_router not in ("block", "rack", "rendezvous"):
             raise ValueError(
@@ -229,23 +203,6 @@ class SystemConfig:
             object.__setattr__(
                 self, "dyrs", replace(self.dyrs, reference_block_size=self.block_size)
             )
-        if self.dyrs.shard_pull_window is None:
-            # Resolve the scheme default: ``dyrs-sharded-async`` allows
-            # max(2, shards) outstanding legs per (node, shard); every
-            # other scheme allows 1 per endpoint.  An *explicit* window
-            # survives resolution, so ``dyrs-sharded-async`` at window
-            # 1 can be pinned against stock ``dyrs-sharded``.
-            window = (
-                max(2, self.shards) if self.scheme == "dyrs-sharded-async" else 1
-            )
-            object.__setattr__(
-                self, "dyrs", replace(self.dyrs, shard_pull_window=window)
-            )
-        elif self.dyrs.shard_pull_window > 1 and self.scheme not in _SHARDED_SCHEMES:
-            raise ValueError(
-                f"shard_pull_window={self.dyrs.shard_pull_window} requires a "
-                f"sharded scheme {_SHARDED_SCHEMES}, got {self.scheme!r}"
-            )
 
     @property
     def scheme_spec(self) -> SchemeSpec:
@@ -258,18 +215,8 @@ class System:
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config or SystemConfig()
         scheme_spec = self.config.scheme_spec
-        cluster_spec, self.defaulted_devices = self._apply_device_defaults(
-            self.config.cluster, scheme_spec.default_devices
-        )
-        self.cluster = Cluster(cluster_spec)
+        self.cluster = Cluster(self.config.cluster)
         self.sim = self.cluster.sim
-        for device in self.defaulted_devices:
-            obs.emit(
-                obs.CONFIG_DEFAULTED,
-                self.sim.now,
-                scheme=self.config.scheme,
-                device=device,
-            )
         n = len(self.cluster.nodes)
         self.namenode = NameNode(
             self.cluster,
@@ -297,8 +244,6 @@ class System:
             self.cluster, locality_delay=self.config.locality_delay
         )
         self.metrics = MetricsCollector()
-        if isinstance(self.master, LifecycleMaster):
-            self.master.attach_metrics(self.metrics)
         self.runtime = JobRuntime(
             self.cluster,
             self.client,
@@ -308,26 +253,9 @@ class System:
         )
         self._started = False
 
-    @staticmethod
-    def _apply_device_defaults(
-        cluster_spec: ClusterSpec, devices: tuple[str, ...]
-    ) -> tuple[ClusterSpec, tuple[str, ...]]:
-        """Fill in device specs the scheme requires but the cluster
-        spec omits; returns the (possibly new) spec and the names of
-        the devices that were defaulted."""
-        defaulted: list[str] = []
-        for device in devices:
-            if device == "ssd" and cluster_spec.ssd is None:
-                cluster_spec = replace(cluster_spec, ssd=SsdSpec())
-                defaulted.append("ssd")
-            elif device == "archive" and cluster_spec.archive is None:
-                cluster_spec = replace(cluster_spec, archive=ArchiveSpec())
-                defaulted.append("archive")
-        return cluster_spec, tuple(defaulted)
-
     def _effective_compute_config(self) -> ComputeConfig:
         base = self.config.compute
-        if not self.config.scheme_spec.migrate_on_submit:
+        if self.config.scheme_spec.build_master is None:
             # No master to call; keep the flag honest.
             return replace(base, migrate_on_submit=False)
         return base
@@ -374,8 +302,3 @@ class System:
                     node=node_id,
                     nbytes=block.size,
                 )
-
-    def load_inputs(self, files: Sequence[tuple[str, float]]) -> None:
-        """Bulk :meth:`load_input`."""
-        for name, size in files:
-            self.load_input(name, size)

@@ -43,8 +43,7 @@ class TestFieldBounds:
             make(**{field: bad})
 
     @pytest.mark.parametrize(
-        "field", ["queue_depth", "memory_limit", "shard_pull_window",
-                  "shard_dead_after"]
+        "field", ["queue_depth", "memory_limit", "shard_dead_after"]
     )
     def test_none_means_disabled(self, field):
         assert getattr(make(**{field: None}), field) is None

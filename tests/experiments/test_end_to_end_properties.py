@@ -11,16 +11,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSpec, NodeSpec
+from repro.cluster import ArchiveSpec, ClusterSpec, NodeSpec, SsdSpec
 from repro.compute import ComputeConfig, mapreduce_job
-from repro.core import MigrationStatus
+from repro.core import DyrsConfig, MigrationStatus
 from repro.core.failures import FailureInjector
 from repro.dfs import EvictionMode
 from repro.system import SCHEMES, System, SystemConfig
 from repro.units import GB, MB
 
+#: Every scheme, plus the ``dyrs`` configurations that turn on an
+#: extension: an SSD; an SSD and an archive; a one-shard federation;
+#: and the same with a pull window of 2.  Each entry is
+#: ``(scheme, extra ClusterSpec fields, shards, pull window)``.
+CONFIGURATIONS = [(scheme, {}, None, 1) for scheme in SCHEMES] + [
+    ("dyrs", {"ssd": SsdSpec()}, None, 1),
+    ("dyrs", {"ssd": SsdSpec(), "archive": ArchiveSpec()}, None, 1),
+    ("dyrs", {}, 1, 1),
+    ("dyrs", {}, 1, 2),
+]
 
-def run_random_workload(scheme, seed, n_jobs, speculation, implicit):
+
+def run_random_workload(configuration, seed, n_jobs, speculation, implicit):
+    scheme, devices, shards, window = configuration
     system = System(
         SystemConfig(
             scheme=scheme,
@@ -29,7 +41,10 @@ def run_random_workload(scheme, seed, n_jobs, speculation, implicit):
                 seed=seed,
                 node=NodeSpec(task_slots=4),
                 overrides={0: NodeSpec(task_slots=4).with_disk_bandwidth(30 * MB)},
+                **devices,
             ),
+            dyrs=DyrsConfig(shard_pull_window=window),
+            shards=shards,
             block_size=64 * MB,
             compute=ComputeConfig(
                 job_init_overhead=3.0,
@@ -71,15 +86,17 @@ class TestSystemInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        scheme=st.sampled_from(SCHEMES),
+        configuration=st.sampled_from(CONFIGURATIONS),
         seed=st.integers(min_value=0, max_value=500),
         n_jobs=st.integers(min_value=1, max_value=6),
         speculation=st.booleans(),
         implicit=st.booleans(),
     )
-    def test_invariants_hold(self, scheme, seed, n_jobs, speculation, implicit):
+    def test_invariants_hold(
+        self, configuration, seed, n_jobs, speculation, implicit
+    ):
         system, metrics = run_random_workload(
-            scheme, seed, n_jobs, speculation, implicit
+            configuration, seed, n_jobs, speculation, implicit
         )
 
         # 1. Every job finished with complete task metrics.

@@ -3,7 +3,7 @@
 from repro.cluster import NodeSpec
 from repro.core.records import MigrationStatus
 from repro.lifecycle import TierConfig
-from repro.tiers import Temperature, ThresholdPolicy
+from repro.lifecycle import Temperature, ThresholdPolicy
 
 from .conftest import FAST_LIFECYCLE
 

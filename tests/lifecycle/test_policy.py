@@ -3,27 +3,29 @@ tier policy the ladder master derives from its config."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, NodeSpec
+from repro.cluster import ArchiveSpec, ClusterSpec, NodeSpec, SsdSpec
 from repro.lifecycle import (
+    CostBenefitPolicy,
     LifecycleRule,
     LifecycleTable,
+    PlacementContext,
     TablePolicy,
+    Temperature,
+    ThresholdPolicy,
     TierConfig,
     default_table,
 )
 from repro.system import System, SystemConfig
-from repro.tiers import CostBenefitPolicy, ThresholdPolicy
-from repro.tiers.policy import PlacementContext
-from repro.tiers.temperature import Temperature
+
+#: The two ladders: an SSD rung, and an SSD plus an archive rung.
+SSD = ClusterSpec(n_workers=2, ssd=SsdSpec())
+SSD_ARCHIVE = ClusterSpec(n_workers=2, ssd=SsdSpec(), archive=ArchiveSpec())
 
 
-def master(scheme="dyrs-lifecycle", cluster=None, **tiers):
-    """The ladder master ``scheme`` builds from ``TierConfig(**tiers)``."""
-    config = SystemConfig(
-        scheme=scheme,
-        cluster=cluster or ClusterSpec(n_workers=2),
-        tiers=TierConfig(**tiers),
-    )
+def master(cluster=SSD_ARCHIVE, **tiers):
+    """The ladder master ``dyrs`` builds on ``cluster`` from
+    ``TierConfig(**tiers)``."""
+    config = SystemConfig(cluster=cluster, tiers=TierConfig(**tiers))
     return System(config).master
 
 
@@ -107,21 +109,20 @@ class TestLifecycleConfig:
 
     def test_derived_default_follows_the_ladder(self):
         """None means the table on a ladder with an archive rung and
-        the threshold ladder without one -- whichever scheme built it."""
-        assert isinstance(master("dyrs-tiered").tier_policy, ThresholdPolicy)
-        archived = ClusterSpec(n_workers=2, node=NodeSpec().with_archive())
-        assert isinstance(
-            master("dyrs-tiered", cluster=archived).tier_policy, TablePolicy
+        the threshold ladder without one -- however the rung is
+        configured."""
+        assert isinstance(master(SSD).tier_policy, ThresholdPolicy)
+        archived = ClusterSpec(
+            n_workers=2, ssd=SsdSpec(), node=NodeSpec().with_archive()
         )
+        assert isinstance(master(archived).tier_policy, TablePolicy)
 
     def test_explicit_policy_is_honoured(self):
         assert isinstance(master(policy="threshold").tier_policy, ThresholdPolicy)
         assert isinstance(
             master(policy="cost-benefit").tier_policy, CostBenefitPolicy
         )
-        assert isinstance(
-            master("dyrs-tiered", policy="table").tier_policy, TablePolicy
-        )
+        assert isinstance(master(SSD, policy="table").tier_policy, TablePolicy)
 
     def test_archive_age_must_cover_cold_age(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""References good_knob and use_good_hook so CFG601 sees them tested.
+"""References the good knobs and use_good_hook so CFG601 sees them tested.
 
 (Not named ``test_*.py`` -- pytest must not collect fixture trees.)
 """
 
 GOOD = "good_knob"
+GOOD_TIER = "good_tier_knob"
 HOOK = "use_good_hook"

@@ -54,7 +54,7 @@ class TestCfg601:
         return findings("knobrepo", "CFG601")
 
     def test_fires_on_untested_and_undocumented_knobs(self):
-        diags = self.diags()
+        diags = [d for d in self.diags() if d.path.endswith("config.py")]
         assert [d.line for d in diags] == [10, 10, 20, 20]
         messages = [d.message for d in diags]
         assert "`bad_knob` is referenced by no test" in messages[0]
@@ -62,9 +62,16 @@ class TestCfg601:
         assert "`use_orphan_hook` is referenced by no test" in messages[2]
         assert "`use_orphan_hook` is not documented" in messages[3]
 
+    def test_tier_config_knobs_are_checked_too(self):
+        diags = [d for d in self.diags() if d.path.endswith("lifecycle.py")]
+        assert [d.line for d in diags] == [9, 9]
+        assert "`bad_tier_knob` is referenced by no test" in diags[0].message
+        assert "`bad_tier_knob` is not documented" in diags[1].message
+
     def test_tested_and_documented_knobs_stay_silent(self):
         names = " ".join(d.message for d in self.diags())
         assert "`good_knob`" not in names
+        assert "`good_tier_knob`" not in names
         assert "`use_good_hook`" not in names
 
     def test_real_tree_knobs_are_tested_and_documented(self):

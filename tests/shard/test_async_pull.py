@@ -3,10 +3,9 @@
 Every slave pulls through detached legs, one per master endpoint (a
 shard here).  Three anchors hold the protocol to the ground truth:
 
-* **byte-identity at window 1** -- the two sharded schemes differ only
-  by the window default, so ``dyrs-sharded-async`` pinned to window 1
-  must replay stock ``dyrs-sharded`` exactly, on sort and on the SWIM
-  mix;
+* **byte-identity at window 1** -- the two sharded presets differ only
+  by the window, so ``dyrs-sharded-async`` pinned to window 1 must
+  replay stock ``dyrs-sharded`` exactly, on sort and on the SWIM mix;
 * **isolation at every window** -- a chaos delay on one shard's legs
   must leave the other shards' legs landing inside the delayed leg's
   open interval, which is the whole point of detaching them;
@@ -93,28 +92,41 @@ class TestWindowOneByteIdentity:
         assert explicit == stock
 
 
+def _preset_window(scheme, shards, overrides=None):
+    """The pull window a preset builds, at ``shards`` shards."""
+    system = build_system(
+        PaperSetup(
+            scheme=scheme,
+            n_workers=2,
+            interference="none",
+            shards=shards,
+            dyrs_overrides=overrides or {},
+        )
+    )
+    return system.config.dyrs.shard_pull_window
+
+
 class TestWindowResolution:
     def test_async_scheme_defaults_to_shard_count(self):
-        config = SystemConfig(scheme="dyrs-sharded-async", shards=4)
-        assert config.dyrs.shard_pull_window == 4
+        assert _preset_window("dyrs-sharded-async", 4) == 4
+        assert _preset_window("dyrs-sharded-async", 1) == 2
 
     def test_stock_schemes_default_to_one(self):
-        assert SystemConfig(scheme="dyrs-sharded", shards=4).dyrs.shard_pull_window == 1
+        assert _preset_window("dyrs-sharded", 4) == 1
+        assert SystemConfig(shards=4).dyrs.shard_pull_window == 1
         assert SystemConfig(scheme="dyrs").dyrs.shard_pull_window == 1
 
     def test_explicit_window_survives_resolution(self):
-        config = SystemConfig(
-            scheme="dyrs-sharded-async",
-            shards=4,
-            dyrs=DyrsConfig(shard_pull_window=2),
-        )
-        assert config.dyrs.shard_pull_window == 2
+        overrides = {"shard_pull_window": 2}
+        assert _preset_window("dyrs-sharded-async", 4, overrides) == 2
 
     def test_wide_window_requires_sharded_scheme(self):
         import pytest
 
         with pytest.raises(ValueError):
             SystemConfig(scheme="dyrs", dyrs=DyrsConfig(shard_pull_window=3))
+        wide = SystemConfig(shards=1, dyrs=DyrsConfig(shard_pull_window=3))
+        assert wide.dyrs.shard_pull_window == 3
 
     def test_window_validated_positive(self):
         import pytest

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cluster import ClusterSpec, SsdSpec
 from repro.core import DyrsConfig
 from repro.dfs.namenode import HeartbeatReport
 from repro.obs import trace as obs
 from repro.obs.metrics import collecting
+from repro.shard import ShardCoordinator
 from repro.system import System, SystemConfig
 from repro.units import MB
 
@@ -135,10 +137,10 @@ class TestEmptyGrantGuard:
 
     @pytest.fixture(params=["dyrs", "dyrs-sharded"])
     def master(self, request):
-        shards = 4 if request.param == "dyrs-sharded" else 1
-        system = System(
-            SystemConfig(scheme=request.param, shards=shards)
-        ).start()
+        # The flat master sets no shard count: ``shards=1`` would build
+        # a one-shard federation.
+        shards = 4 if request.param == "dyrs-sharded" else None
+        system = System(SystemConfig(shards=shards)).start()
         return system.master
 
     def test_empty_pull_leaves_no_trace(self, master):
@@ -215,19 +217,25 @@ class TestPermanentLoss:
 
 class TestSystemWiring:
     def test_sharded_scheme_builds_and_runs(self):
-        system = System(
-            SystemConfig(scheme="dyrs-sharded", shards=2)
-        ).start()
+        system = System(SystemConfig(shards=2)).start()
         assert system.master.n_shards == 2
+
+    def test_one_shard_is_a_federation(self):
+        assert isinstance(System(SystemConfig(shards=1)).master, ShardCoordinator)
+        assert not isinstance(System(SystemConfig()).master, ShardCoordinator)
 
     def test_shards_require_the_sharded_scheme(self):
         with pytest.raises(ValueError):
-            SystemConfig(scheme="dyrs", shards=2)
+            SystemConfig(scheme="ignem", shards=2)
+
+    def test_shards_and_an_ssd_are_rejected(self):
+        with pytest.raises(ValueError):
+            SystemConfig(shards=2, cluster=ClusterSpec(ssd=SsdSpec()))
 
     def test_shard_count_validated(self):
         with pytest.raises(ValueError):
-            SystemConfig(scheme="dyrs-sharded", shards=0)
+            SystemConfig(shards=0)
 
     def test_router_mode_validated(self):
         with pytest.raises(ValueError):
-            SystemConfig(scheme="dyrs-sharded", shard_router="load")
+            SystemConfig(shards=2, shard_router="load")

@@ -1,10 +1,14 @@
-"""The correctness anchor: ``dyrs-sharded`` at ``shards=1`` IS ``dyrs``.
+"""The correctness anchor: without faults, ``dyrs-sharded`` at
+``shards=1`` IS ``dyrs``.
 
 The coordinator reuses the flat master's pool, selection, and grant
 accounting, so a one-shard federation must replay the paper scheme
 *byte-identically* -- every record timestamp, every binding decision,
 not approximately.  These tests pin that equivalence on the
-determinism suite's sort setup and on the SWIM mix.
+determinism suite's sort setup and on the SWIM mix.  (Under chaos the
+two differ by design: a campaign samples shard faults only for a
+federation; the ``dyrs-sharded-swim-seed2-chaos`` golden digest pins
+that.)
 """
 
 from repro.experiments import swim

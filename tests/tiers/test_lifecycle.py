@@ -4,12 +4,12 @@ master on an SSD ladder with no archive rung."""
 import pytest
 
 from repro.cluster import NodeSpec, SsdSpec
-from repro.compute.metrics import MetricsCollector
 from repro.core import DyrsConfig
 from repro.core.failures import quiesce_violations
 from repro.core.records import MigrationRecord, MigrationStatus
 from repro.dfs.client import EvictionMode
 from repro.lifecycle import TierConfig
+from repro.obs.metrics import collecting
 from repro.units import MB
 
 
@@ -34,16 +34,15 @@ class TestMigrationEdges:
         assert rig.master.promotion_count == 1
         assert rig.master.demotion_count == 0
 
-    def test_counts_mirror_into_metrics_collector(self, tiered_rig):
-        rig = tiered_rig
-        metrics = MetricsCollector()
-        rig.master.attach_metrics(metrics)
+    def test_counts_mirror_into_metrics_registry(self, make_tiered_rig):
+        with collecting() as registry:
+            rig = make_tiered_rig()
         entry = rig.client.create_file("f", 64 * MB)
         rig.master.migrate(["f"], job_id="j1")
         run_until_done(rig, entry.blocks[0].block_id)
-        assert metrics.tier_moves == rig.master.tier_moves
-        assert metrics.promotion_count() == rig.master.promotion_count
-        assert metrics.demotion_count() == rig.master.demotion_count
+        assert rig.master.tier_moves == {("disk", "memory"): 1}
+        moves = registry.counter("tier_moves_total", source="disk", dest="memory")
+        assert moves.value == 1
 
 
 class TestDemoteOnEvict:
@@ -363,12 +362,10 @@ class TestTierConfigValidation:
         with pytest.raises(ValueError):
             TierConfig(horizon=-1.0)
         with pytest.raises(ValueError):
-            TierConfig(temperature_alpha=0.0)
-        with pytest.raises(ValueError):
             TierConfig(hot_age=500.0, cold_age=300.0)
 
     def test_master_builds_the_configured_policy(self, make_tiered_rig):
-        from repro.tiers import CostBenefitPolicy, ThresholdPolicy
+        from repro.lifecycle import CostBenefitPolicy, ThresholdPolicy
 
         assert isinstance(make_tiered_rig().master.tier_policy, ThresholdPolicy)
         rig = make_tiered_rig(

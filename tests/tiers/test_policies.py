@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import NodeSpec, SsdSpec
 from repro.cluster.node import Node
 from repro.sim import Simulator
-from repro.tiers import (
+from repro.lifecycle import (
     CostBenefitPolicy,
     PlacementContext,
     Temperature,

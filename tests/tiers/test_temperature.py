@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.tiers import Temperature, TemperatureTracker
+from repro.lifecycle import Temperature, TemperatureTracker
 
 
 def make_tracker(**kw):

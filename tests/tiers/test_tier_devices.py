@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import NodeSpec, Ssd, SsdSpec, StoreFull
 from repro.cluster.node import Node
 from repro.sim import Simulator
-from repro.tiers import TIER_ORDER, is_promotion, rung_read_seconds
+from repro.lifecycle import TIER_ORDER, is_promotion, rung_read_seconds
 from repro.units import MB
 
 

@@ -1,25 +1,35 @@
-"""End-to-end tests of the ``dyrs-tiered`` scheme (acceptance criteria)."""
+"""End-to-end tests of ``dyrs`` on an SSD ladder (the ``dyrs-tiered``
+preset)."""
 
 import pytest
 
 from repro.analysis import TelemetryCollector
+from repro.cluster import ClusterSpec, SsdSpec
 from repro.experiments import common
 from repro.experiments.cli import main as cli_main
+from repro.lifecycle import LifecycleMaster
 from repro.system import SCHEMES, System, SystemConfig
 from repro.units import GB
 from repro.workloads.sort import sort_job
 
+#: What the ``dyrs-tiered`` preset builds: the stock cluster, every
+#: worker with an SSD cache.
+TIERED = SystemConfig(cluster=ClusterSpec(ssd=SsdSpec()))
+
 
 class TestSchemeWiring:
     def test_scheme_is_registered(self):
-        assert "dyrs-tiered" in SCHEMES
+        """The ladder is a preset of ``dyrs``, not a scheme of its own."""
+        assert "dyrs-tiered" in common.PRESETS
+        assert SCHEMES == ("hdfs", "ram", "dyrs", "ignem", "naive", "instant")
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(scheme="bogus")
 
     def test_tiered_system_gets_ssds_everywhere(self):
-        system = System(SystemConfig(scheme="dyrs-tiered"))
+        system = System(TIERED)
+        assert isinstance(system.master, LifecycleMaster)
         assert all(node.ssd is not None for node in system.cluster.nodes)
         assert all(slave.ssd_estimator is not None for slave in system.slaves)
 
@@ -37,7 +47,7 @@ class TestSchemeWiring:
 class TestSortEndToEnd:
     @pytest.fixture(scope="class")
     def sorted_system(self):
-        system = System(SystemConfig(scheme="dyrs-tiered")).start()
+        system = System(TIERED).start()
         telemetry = TelemetryCollector(system.cluster, interval=5.0)
         telemetry.start()
         job = sort_job(system, size=2 * GB, job_id="sort")
@@ -62,9 +72,8 @@ class TestSortEndToEnd:
 
     def test_promotions_and_demotions_are_counted(self, sorted_system):
         system, _ = sorted_system
-        assert system.metrics.promotion_count() > 0
-        assert system.metrics.demotion_count() > 0
-        assert system.metrics.tier_moves == system.master.tier_moves
+        assert system.master.promotion_count > 0
+        assert system.master.demotion_count > 0
         assert ("disk", "memory") in system.master.tier_moves
         assert ("memory", "ssd") in system.master.tier_moves
 
@@ -75,9 +84,13 @@ class TestTiersFlag:
         try:
             assert common.tiered_enabled()
             setup = common.PaperSetup(scheme="dyrs", n_workers=2)
-            assert common.build_system(setup).config.scheme == "dyrs-tiered"
+            tiered = common.build_system(setup)
+            assert isinstance(tiered.master, LifecycleMaster)
+            assert all(node.ssd is not None for node in tiered.cluster.nodes)
             baseline = common.PaperSetup(scheme="hdfs", n_workers=2)
-            assert common.build_system(baseline).config.scheme == "hdfs"
+            hdfs = common.build_system(baseline)
+            assert hdfs.config.scheme == "hdfs"
+            assert all(node.ssd is None for node in hdfs.cluster.nodes)
         finally:
             common.enable_tiered(False)
 
