@@ -26,3 +26,7 @@ __all__ = [
     "lint_paths",
     "register",
 ]
+
+# Imported last: each rule module registers itself through
+# ``repro.lint.registry``, so the package is complete on import.
+import repro.lint.rules  # noqa: E402, F401

@@ -18,7 +18,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import repro.lint.rules  # noqa: F401  (registers the rule battery)
 from repro.lint.registry import all_rules, get_rule
 from repro.lint.runner import lint_paths
 

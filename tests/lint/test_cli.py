@@ -92,6 +92,42 @@ def test_self_hosting_src_repro_is_clean():
     assert report.suppressed >= 6
 
 
+def test_package_import_registers_every_rule():
+    """A fresh interpreter that imports only ``repro.lint`` gets the
+    whole battery, so no caller depends on another module having
+    imported the rules first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.lint import all_rules; print(*(r.id for r in all_rules()))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "CFG601",
+        "OBS301",
+        "OBS302",
+        "SIM101",
+        "SIM102",
+        "SIM103",
+        "SIM501",
+        "SIM502",
+        "SIM503",
+        "SM201",
+        "SM202",
+        "SM203",
+        "VT401",
+        "VT402",
+    ]
+
+
 def test_console_entry_point_runs_as_module():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
