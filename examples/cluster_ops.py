@@ -51,7 +51,7 @@ def main() -> None:
     client.create_file("warehouse/events", 4 * GB)
     client.migrate(["warehouse/events"], job_id="etl")
     cluster.sim.run(until=40)
-    print(f"  blocks in memory: {len(namenode.memory_directory)}")
+    print(f"  blocks in memory: {len(namenode.directory['memory'])}")
 
     print("\n1) node4 dies; the ReplicationMonitor heals the block map...")
     cluster.node(4).fail()
@@ -76,7 +76,7 @@ def main() -> None:
     cluster.sim.run(until=cluster.sim.now + 30)
     migrated = sum(
         1 for b in client.blocks_of(["warehouse/new"])
-        if b.block_id in namenode.memory_directory
+        if b.block_id in namenode.directory["memory"]
     )
     print(f"  standby migrated {migrated} blocks of the new file")
 

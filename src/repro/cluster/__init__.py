@@ -12,7 +12,7 @@ from repro.cluster.device import ByteStore, StoreFull
 from repro.cluster.disk import Disk, DiskSpec
 from repro.cluster.memory import MemoryStore, MemorySpec
 from repro.cluster.network import Fabric, Nic, NicSpec
-from repro.cluster.node import Node, NodeSpec
+from repro.cluster.node import FAST_TIERS, TIER_ORDER, Node, NodeSpec
 from repro.cluster.ssd import Ssd, SsdSpec
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.cluster.interference import (
@@ -23,6 +23,8 @@ from repro.cluster.interference import (
 )
 
 __all__ = [
+    "FAST_TIERS",
+    "TIER_ORDER",
     "AlternatingInterference",
     "Archive",
     "ArchiveSpec",

@@ -19,7 +19,15 @@ from repro.cluster.ssd import Ssd, SsdSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Node", "NodeSpec"]
+__all__ = ["FAST_TIERS", "TIER_ORDER", "Node", "NodeSpec"]
+
+#: The storage ladder, slowest rung first: moving a block to a higher
+#: index is a promotion.  Each rung name is the :class:`Node` attribute
+#: holding that rung's device.
+TIER_ORDER: tuple[str, ...] = ("archive", "disk", "ssd", "memory")
+#: The rungs above disk, fastest first: caches a slave process fills,
+#: whose contents are soft state that dies with the process.
+FAST_TIERS: tuple[str, ...] = TIER_ORDER[: TIER_ORDER.index("disk") : -1]
 
 
 @dataclass(frozen=True)
@@ -116,21 +124,19 @@ class Node:
         :mod:`repro.cluster.archive`).
         """
         self.alive = False
-        # Route through the DataNode when attached so the buffer loss
-        # is traced (buffer_release events); the conservation invariant
-        # audits every byte that leaves memory, crashes included.
-        if self.datanode is not None:
-            for key in self.memory.pinned_keys():
-                self.datanode.unpin_block(key)
-            if self.ssd is not None:
-                for key in self.ssd.pinned_keys():
-                    self.datanode.unpin_block_ssd(key)
-        else:
-            for key in self.memory.pinned_keys():
-                self.memory.unpin(key)
-            if self.ssd is not None:
-                for key in self.ssd.pinned_keys():
-                    self.ssd.unpin(key)
+        for rung in FAST_TIERS:
+            store = getattr(self, rung)
+            if store is None:
+                continue
+            for key in store.pinned_keys():
+                # Route through the DataNode when attached so the buffer
+                # loss is traced (buffer_release events); the
+                # conservation invariant audits every byte that leaves
+                # memory, crashes included.
+                if self.datanode is not None:
+                    self.datanode.unpin(rung, key)
+                else:
+                    store.unpin(key)
 
     def recover(self) -> None:
         """Bring the server back up (with cold memory)."""

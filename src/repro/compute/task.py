@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.cluster.node import FAST_TIERS
 from repro.compute.job import TaskKind, TaskSpec
 from repro.compute.metrics import TaskMetrics
 from repro.compute.scheduler import SlotGrant
@@ -45,18 +46,10 @@ def _preferred_nodes(runtime: "JobRuntime", task: TaskSpec) -> tuple[int, ...]:
     """
     if task.block is None:
         return ()
-    preferred: list[int] = []
-    namenode = runtime.client.namenode
-    mem_node = namenode.memory_directory.get(task.block.block_id)
-    if mem_node is not None:
-        preferred.append(mem_node)
-    ssd_node = namenode.ssd_directory.get(task.block.block_id)
-    if ssd_node is not None and ssd_node not in preferred:
-        preferred.append(ssd_node)
-    for node_id in task.block.replica_nodes:
-        if node_id not in preferred:
-            preferred.append(node_id)
-    return tuple(preferred)
+    directory = runtime.client.namenode.directory
+    holders = [directory[rung].get(task.block.block_id) for rung in FAST_TIERS]
+    holders.extend(task.block.replica_nodes)
+    return tuple(dict.fromkeys(n for n in holders if n is not None))
 
 
 def execute_task(

@@ -277,13 +277,11 @@ class MigrationMaster(RecordLedger):
             existing = self._records.get(block.block_id)
             if existing is not None and not existing.status.is_terminal:
                 continue
-            resident = self.namenode.memory_directory.get(block.block_id)
+            resident = self.namenode.directory["memory"].get(block.block_id)
             if (
                 resident is not None
                 and self.namenode.cluster.node(resident).alive
-                and self.namenode.datanodes[resident].has_memory_replica(
-                    block.block_id
-                )
+                and self.namenode.datanodes[resident].holds("memory", block.block_id)
             ):
                 # Already served from memory: a second migration would
                 # double-pin the buffer (or, landing elsewhere, strand
@@ -351,7 +349,7 @@ class MigrationMaster(RecordLedger):
         If every reference disappeared while the copy ran, the data is
         dead on arrival -- evict immediately.
         """
-        self.namenode.record_memory_replica(record.block_id, node_id)
+        self.namenode.directory["memory"][record.block_id] = node_id
         if not self.tracker.is_referenced(record.block_id):
             self._evict_done_record(record)
 
@@ -368,7 +366,7 @@ class MigrationMaster(RecordLedger):
         """
         lost_ids = [
             block_id
-            for block_id, nid in self.namenode.memory_directory.items()
+            for block_id, nid in self.namenode.directory["memory"].items()
             if nid == node_id
         ]
         self.namenode.drop_node_memory_state(node_id)
@@ -464,10 +462,8 @@ class MigrationMaster(RecordLedger):
                 self.discard(record, reason="unreferenced")
 
     def _evict_done_record(self, record: MigrationRecord) -> None:
-        node_id = self.namenode.memory_directory.get(record.block_id)
+        node_id = self.namenode.release("memory", record.block_id)
         if node_id is not None:
-            self.namenode.datanodes[node_id].unpin_block(record.block_id)
-            self.namenode.drop_memory_replica(record.block_id)
             slave = self.slaves.get(node_id)
             if slave is not None:
                 slave.notify_memory_freed()

@@ -183,7 +183,7 @@ class InstantMigrator(MigrationMaster):
                 )
                 self.discard(record, reason="out-of-memory")
                 continue
-            datanode.pin_block(record.block)
+            datanode.pin("memory", record.block)
             record.mark_done(self.sim.now)
             obs.emit(
                 obs.MLOCK_DONE,

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.node import FAST_TIERS
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -677,8 +678,9 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
     * every migration record must be terminal -- a live PENDING/BOUND/
       ACTIVE record at quiesce is exactly a stranded binding;
     * every memory/SSD directory entry must point at a live node that
-      actually pins the block -- anything else is a leaked buffer or a
-      stale directory entry.
+      actually pins the block, and every archive entry at a node that
+      pins it; every pinned copy must have its entry -- anything else
+      is a leaked buffer or a stale directory entry.
     """
     problems: list[str] = []
     for record in master.record_log:
@@ -700,58 +702,28 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
                 f" (bound_node={record.bound_node})"
             )
     namenode = master.namenode
-    for block_id, node_id in namenode.memory_directory.items():
-        node = namenode.cluster.node(node_id)
-        if not node.alive:
-            problems.append(f"memory directory maps {block_id} to dead node{node_id}")
-        elif not node.memory.is_pinned(block_id):
-            problems.append(
-                f"memory directory maps {block_id} to node{node_id}"
-                " but nothing is pinned there"
-            )
-    for block_id, node_id in getattr(namenode, "ssd_directory", {}).items():
-        node = namenode.cluster.node(node_id)
-        if not node.alive:
-            problems.append(f"ssd directory maps {block_id} to dead node{node_id}")
-        elif node.ssd is None or not node.ssd.is_pinned(block_id):
-            problems.append(
-                f"ssd directory maps {block_id} to node{node_id}"
-                " but nothing is pinned there"
-            )
-    # Conversely: pinned bytes with no directory entry are invisible to
-    # the read path -- a silent leak of the memory budget.
-    for node in namenode.cluster.nodes:
-        for block_id in node.memory.pinned_keys():
-            if namenode.memory_directory.get(block_id) != node.node_id:
+    for rung, entries in namenode.directory.items():
+        # Archive entries are checked WITHOUT the liveness requirement:
+        # the archive is fabric-attached, so a copy owned (for
+        # accounting) by a dead node is still durable and still
+        # readable.
+        for block_id, node_id in entries.items():
+            if rung in FAST_TIERS and not namenode.cluster.node(node_id).alive:
                 problems.append(
-                    f"node{node.node_id} pins {block_id}"
-                    " with no matching memory-directory entry"
+                    f"{rung} directory maps {block_id} to dead node{node_id}"
                 )
-        if node.ssd is not None:
-            ssd_directory = getattr(namenode, "ssd_directory", {})
-            for block_id in node.ssd.pinned_keys():
-                if ssd_directory.get(block_id) != node.node_id:
+            elif not namenode.datanodes[node_id].holds(rung, block_id):
+                problems.append(
+                    f"{rung} directory maps {block_id} to node{node_id}"
+                    " but nothing is pinned there"
+                )
+        # Conversely: pinned bytes with no directory entry are invisible
+        # to the read path -- a silent leak of the budget.
+        for node_id, datanode in namenode.datanodes.items():
+            for block_id in datanode.pinned_ids(rung):
+                if entries.get(block_id) != node_id:
                     problems.append(
-                        f"node{node.node_id} pins {block_id} on ssd"
-                        " with no matching ssd-directory entry"
-                    )
-    # Archive consistency is checked WITHOUT the liveness requirement:
-    # the archive is fabric-attached, so a copy owned (for accounting)
-    # by a dead node is still durable and still readable.
-    archive_directory = getattr(namenode, "archive_directory", {})
-    for block_id, node_id in archive_directory.items():
-        node = namenode.cluster.node(node_id)
-        if node.archive is None or not node.archive.is_pinned(block_id):
-            problems.append(
-                f"archive directory maps {block_id} to node{node_id}"
-                " but nothing is pinned there"
-            )
-    for node in namenode.cluster.nodes:
-        if node.archive is not None:
-            for block_id in node.archive.pinned_keys():
-                if archive_directory.get(block_id) != node.node_id:
-                    problems.append(
-                        f"node{node.node_id} pins {block_id} on archive"
-                        " with no matching archive-directory entry"
+                        f"node{node_id} pins {block_id} on {rung}"
+                        f" with no matching {rung}-directory entry"
                     )
     return problems

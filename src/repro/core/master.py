@@ -260,7 +260,7 @@ class DyrsMaster(MigrationMaster):
             obs.emit(obs.MASTER_CRASH, self.sim.now, pending_lost=self.pending_count)
         self.shutdown(reason="master-crash")
         self._loads.clear()
-        self.namenode.memory_directory.clear()
+        self.namenode.directory["memory"].clear()
 
     def shutdown(self, reason: str) -> None:
         """Tear down the binding half: stop retargeting, refuse new
@@ -303,21 +303,19 @@ class DyrsMaster(MigrationMaster):
             # Grant slaves a fresh grace period: stale report times from
             # before the outage must not trigger an instant reclaim.
             self._last_slave_report[slave.node_id] = self.sim.now
-            for block_id in slave.datanode.memory_block_ids():
-                self.namenode.record_memory_replica(block_id, slave.node_id)
+            for block_id in slave.datanode.pinned_ids("memory"):
+                self.namenode.directory["memory"][block_id] = slave.node_id
         if obs.enabled():
             obs.emit(
                 obs.MASTER_RECOVER,
                 self.sim.now,
-                directory_size=len(self.namenode.memory_directory),
+                directory_size=len(self.namenode.directory["memory"]),
             )
         self.start()
-        for block_id in list(self.namenode.memory_directory):
+        for block_id in list(self.namenode.directory["memory"]):
             if self.tracker.is_referenced(block_id):
                 continue
-            node_id = self.namenode.memory_directory[block_id]
-            self.namenode.datanodes[node_id].unpin_block(block_id)
-            self.namenode.drop_memory_replica(block_id)
+            node_id = self.namenode.release("memory", block_id)
             self.slaves[node_id].notify_memory_freed()
             obs.emit(obs.ORPHAN_EVICTED, self.sim.now, block=block_id, node=node_id)
 

@@ -33,6 +33,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.node import FAST_TIERS
 from repro.core.estimator import MigrationTimeEstimator
 from repro.core.records import MigrationRecord, MigrationStatus
 from repro.obs import trace as obs
@@ -200,12 +201,11 @@ class DyrsSlave:
         self._ssd_worker = None
         self._ssd_active = None
         self._ssd_queue.clear()
-        for block_id in self.datanode.memory_block_ids():
-            self.datanode.unpin_block(block_id)
-        # The SSD cache is slave-managed soft state (like the memory
-        # directory); the replacement process starts it cold.
-        for block_id in self.datanode.ssd_block_ids():
-            self.datanode.unpin_block_ssd(block_id)
+        # The SSD cache is slave-managed soft state like the memory
+        # buffers; the replacement process starts both cold.
+        for rung in FAST_TIERS:
+            for block_id in self.datanode.pinned_ids(rung):
+                self.datanode.unpin(rung, block_id)
 
     def restart(self) -> None:
         """Start a fresh slave process after a crash.
@@ -562,14 +562,14 @@ class DyrsSlave:
                 )
                 self.master.discard(record, reason="ssd-full")
                 return False
-            if not self.datanode.has_ssd_replica(block.block_id):
+            if not self.datanode.holds("ssd", block.block_id):
                 # A copy may already be physically present when a stale
                 # fill lands on a node whose earlier copy lost its
                 # directory entry (e.g. overwritten by a demotion
                 # elsewhere); re-pinning would raise and kill the lane.
-                self.datanode.pin_block_ssd(block)
+                self.datanode.pin("ssd", block)
         else:
-            self.datanode.pin_block(block)
+            self.datanode.pin("memory", block)
         record.mark_done(sim.now)
         obs.emit(
             obs.MLOCK_DONE,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from repro.cluster.node import FAST_TIERS
 from repro.dfs.block import Block
 from repro.dfs.datanode import ReadSource
 from repro.dfs.namenode import NameNode
@@ -89,26 +90,14 @@ class DFSClient:
         """Fastest tier a read of ``block`` would be served from right
         now (``"memory"``, ``"ssd"``, or ``"disk"``).
 
-        Mirrors :meth:`NameNode.resolve_read`'s verification of the
-        soft-state directories, so the answer matches what a read
-        issued at this instant would hit.  Observability only -- the
-        read path never calls this.
+        Verifies the soft-state directories through
+        :meth:`NameNode.holder`, as :meth:`NameNode.resolve_read` does,
+        so the answer matches what a read issued at this instant would
+        hit.  Observability only -- the read path never calls this.
         """
-        nn = self.namenode
-        mem_node = nn.memory_directory.get(block.block_id)
-        if (
-            mem_node is not None
-            and nn.is_available(mem_node)
-            and nn.datanodes[mem_node].has_memory_replica(block.block_id)
-        ):
-            return "memory"
-        ssd_node = nn.ssd_directory.get(block.block_id)
-        if (
-            ssd_node is not None
-            and nn.is_available(ssd_node)
-            and nn.datanodes[ssd_node].has_ssd_replica(block.block_id)
-        ):
-            return "ssd"
+        for rung in FAST_TIERS:
+            if self.namenode.holder(rung, block.block_id) is not None:
+                return rung
         return "disk"
 
     def cancel_read(self, event: Event) -> bool:

@@ -1,19 +1,23 @@
 """DataNode: block storage and the tier-resolved read paths.
 
-A DataNode serves a block read from either
+A DataNode serves a block read from the fastest rung of the storage
+ladder (:data:`~repro.cluster.node.TIER_ORDER`) that holds a copy:
+memory > ssd > disk > archive.
 
-* its **disk** (the cold path DYRS wants to avoid),
-* its **SSD cache**, when the tiered-storage extension placed a warm
-  copy there (local or remote -- the SSD controller is the bottleneck
-  either way, as the disk is for disk reads), or
-* its **memory**, locally (the task runs on this node), or
-* its **memory**, remotely (the data crosses the source NIC --
-  §III: "reads will be directed to the in-memory replica whether it is
-  local or remote to the task making the read").
+* **memory**, locally (the task runs on this node) or remotely (the
+  data crosses the source NIC -- §III: "reads will be directed to the
+  in-memory replica whether it is local or remote to the task making
+  the read");
+* the **SSD cache**, when the tiered-storage extension placed a warm
+  copy there;
+* the **disk** (the cold path DYRS wants to avoid);
+* the **archive** partition, when the lifecycle extension demoted a
+  COLD block there.
 
-Tier resolution always prefers the fastest resident copy:
-memory > ssd > disk.  Each completed read is recorded for the Fig 8
-read-distribution analysis.
+Residency is one API keyed by rung name: :meth:`DataNode.holds`,
+:meth:`~DataNode.pin`, :meth:`~DataNode.unpin` and
+:meth:`~DataNode.pinned_ids`.  Each completed read is recorded for the
+Fig 8 read-distribution analysis.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.node import TIER_ORDER
 from repro.dfs.block import Block, BlockId
 from repro.obs import trace as obs
 from repro.sim.events import Event
@@ -30,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Node
 
 __all__ = ["DataNode", "ReadSource", "ReadRecord"]
+
+#: Read preference: the fastest rung holding a copy serves the read.
+_READ_ORDER = TIER_ORDER[::-1]
 
 
 class ReadSource(enum.Enum):
@@ -76,7 +84,7 @@ class DataNode:
         self.node_id = node.node_id
         node.datanode = self
         self._disk_blocks: set[BlockId] = set()
-        #: Reads served by this DataNode (disk or memory), in order.
+        #: Reads served by this DataNode, from any rung, in order.
         self.read_log: list[ReadRecord] = []
         #: Shared event -> cancel-callable registry (owned by the
         #: NameNode) so in-flight reads can be aborted, e.g. when a
@@ -89,35 +97,11 @@ class DataNode:
         """Record that this node stores a disk replica of ``block``."""
         self._disk_blocks.add(block.block_id)
 
-    def has_disk_replica(self, block_id: BlockId) -> bool:
-        return block_id in self._disk_blocks
-
-    def has_memory_replica(self, block_id: BlockId) -> bool:
-        return self.node.memory.is_pinned(block_id)
-
-    def has_ssd_replica(self, block_id: BlockId) -> bool:
-        return self.node.ssd is not None and self.node.ssd.is_pinned(block_id)
-
-    def has_archive_replica(self, block_id: BlockId) -> bool:
-        return self.node.archive is not None and self.node.archive.is_pinned(
-            block_id
-        )
-
     def remove_disk_replica(self, block_id: BlockId) -> None:
         """Forget the disk replica of ``block_id`` (lifecycle
         demotion); idempotent -- the block map is updated separately by
         the NameNode."""
         self._disk_blocks.discard(block_id)
-
-    def memory_block_ids(self) -> tuple[BlockId, ...]:
-        """Blocks currently pinned in this node's memory."""
-        return self.node.memory.pinned_keys()  # type: ignore[return-value]
-
-    def ssd_block_ids(self) -> tuple[BlockId, ...]:
-        """Blocks currently resident on this node's SSD cache."""
-        if self.node.ssd is None:
-            return ()
-        return self.node.ssd.pinned_keys()  # type: ignore[return-value]
 
     @property
     def disk_replica_count(self) -> int:
@@ -131,6 +115,56 @@ class DataNode:
         stay deterministic.
         """
         return sorted(self._disk_blocks)
+
+    # -- residency by rung ---------------------------------------------------
+
+    def _device(self, rung: str):
+        """This node's device on ``rung`` (None where it has none)."""
+        if rung not in TIER_ORDER:
+            raise ValueError(f"unknown storage rung {rung!r}")
+        return getattr(self.node, rung)
+
+    def holds(self, rung: str, block_id: BlockId) -> bool:
+        """Whether this node holds a copy of ``block_id`` on ``rung``."""
+        if rung == "disk":
+            return block_id in self._disk_blocks
+        store = self._device(rung)
+        return store is not None and store.is_pinned(block_id)
+
+    def pin(self, rung: str, block: Block) -> None:
+        """Account ``block`` as resident on ``rung`` -- ``memory``
+        (post-``mlock``), ``ssd`` or ``archive``; disk replicas are
+        block-map state (:meth:`add_disk_replica`)."""
+        store = self._device(rung)
+        if store is None:
+            raise RuntimeError(f"node{self.node_id} has no {rung} tier")
+        store.pin(block.block_id, block.size)
+
+    def unpin(self, rung: str, block_id: BlockId) -> float:
+        """Drop ``block_id`` from ``rung`` (``munmap`` for memory);
+        idempotent.  Returns the bytes freed; every buffer release in
+        the trace is emitted here."""
+        store = self._device(rung)
+        if store is None:
+            return 0.0
+        freed = store.unpin(block_id)
+        if freed > 0:
+            obs.emit(
+                obs.BUFFER_RELEASE,
+                self.node.sim.now,
+                block=block_id,
+                node=self.node_id,
+                tier=rung,
+                nbytes=freed,
+            )
+        return freed
+
+    def pinned_ids(self, rung: str) -> tuple[BlockId, ...]:
+        """Blocks currently resident on ``rung``, in pin order."""
+        store = self._device(rung)
+        if store is None:
+            return ()
+        return store.pinned_keys()  # type: ignore[return-value]
 
     # -- migration support (used by the DYRS slave) -----------------------------
 
@@ -147,88 +181,12 @@ class DataNode:
         (§IV-A: "migration time [is] the time it takes the mlock
         system call to return").
         """
-        if source_tier == "disk":
-            if block.block_id not in self._disk_blocks:
-                raise KeyError(
-                    f"node{self.node_id} has no disk replica of block {block.block_id}"
-                )
-            return self.node.disk.channel.transfer(block.size, tag=tag)
-        if source_tier == "ssd":
-            if not self.has_ssd_replica(block.block_id):
-                raise KeyError(
-                    f"node{self.node_id} has no SSD replica of block {block.block_id}"
-                )
-            return self.node.ssd.channel.transfer(block.size, tag=tag)
-        if source_tier == "archive":
-            if not self.has_archive_replica(block.block_id):
-                raise KeyError(
-                    f"node{self.node_id} has no archived copy of block "
-                    f"{block.block_id}"
-                )
-            return self.node.archive.channel.transfer(block.size, tag=tag)
-        raise ValueError(f"unknown source tier {source_tier!r}")
-
-    def pin_block(self, block: Block) -> None:
-        """Account the migrated block in memory (post-``mlock``)."""
-        self.node.memory.pin(block.block_id, block.size)
-
-    def unpin_block(self, block_id: BlockId) -> float:
-        """Evict a block from memory (``munmap``); idempotent."""
-        freed = self.node.memory.unpin(block_id)
-        if freed > 0:
-            obs.emit(
-                obs.BUFFER_RELEASE,
-                self.node.sim.now,
-                block=block_id,
-                node=self.node_id,
-                tier="memory",
-                nbytes=freed,
+        if not self.holds(source_tier, block.block_id):
+            raise KeyError(
+                f"node{self.node_id} has no {source_tier} replica of block "
+                f"{block.block_id}"
             )
-        return freed
-
-    def pin_block_ssd(self, block: Block) -> None:
-        """Account ``block`` as resident on this node's SSD cache."""
-        if self.node.ssd is None:
-            raise RuntimeError(f"node{self.node_id} has no SSD tier")
-        self.node.ssd.pin(block.block_id, block.size)
-
-    def unpin_block_ssd(self, block_id: BlockId) -> float:
-        """Drop a block from the SSD cache; idempotent."""
-        if self.node.ssd is None:
-            return 0.0
-        freed = self.node.ssd.unpin(block_id)
-        if freed > 0:
-            obs.emit(
-                obs.BUFFER_RELEASE,
-                self.node.sim.now,
-                block=block_id,
-                node=self.node_id,
-                tier="ssd",
-                nbytes=freed,
-            )
-        return freed
-
-    def pin_block_archive(self, block: Block) -> None:
-        """Account ``block`` as archived under this node's partition."""
-        if self.node.archive is None:
-            raise RuntimeError(f"node{self.node_id} has no archive tier")
-        self.node.archive.pin(block.block_id, block.size)
-
-    def unpin_block_archive(self, block_id: BlockId) -> float:
-        """Drop a block from the archive partition; idempotent."""
-        if self.node.archive is None:
-            return 0.0
-        freed = self.node.archive.unpin(block_id)
-        if freed > 0:
-            obs.emit(
-                obs.BUFFER_RELEASE,
-                self.node.sim.now,
-                block=block_id,
-                node=self.node_id,
-                tier="archive",
-                nbytes=freed,
-            )
-        return freed
+        return self._device(source_tier).channel.transfer(block.size, tag=tag)
 
     # -- read paths ----------------------------------------------------------
 
@@ -278,71 +236,43 @@ class DataNode:
     ) -> tuple[Event, ReadSource]:
         """Serve a read of ``block`` for a task on ``reader_node``.
 
-        Chooses memory over disk; charges the bottleneck resource for
-        the chosen path (see :mod:`repro.cluster.network` for the
-        single-charge rationale).  Returns the completion event and
-        which path was used.
+        Reads from the fastest rung holding a copy; charges the
+        bottleneck resource for the chosen path (see
+        :mod:`repro.cluster.network` for the single-charge rationale).
+        Returns the completion event and which path was used.
         """
         tag = f"read:{block.block_id}"
-        if self.has_memory_replica(block.block_id):
-            if reader_node == self.node_id:
-                source = ReadSource.LOCAL_MEMORY
-                channel = self.node.memory.channel
-                flow = channel.start_flow(block.size, tag=tag)
-                cancel = lambda: channel.cancel(flow)  # noqa: E731
-                event = flow.done
-            else:
-                source = ReadSource.REMOTE_MEMORY
-                event, cancel = self._remote_memory_transfer(
-                    block.size, reader_node, tag
-                )
-        elif self.has_ssd_replica(block.block_id):
-            # SSD reads charge the controller channel only -- like the
-            # disk path, the storage device (not the 10 Gbps NIC) is the
-            # bottleneck whether the reader is local or remote.
-            source = (
-                ReadSource.LOCAL_SSD
-                if reader_node == self.node_id
-                else ReadSource.REMOTE_SSD
-            )
-            flow = self.node.ssd.channel.start_flow(block.size, tag=tag)
-            cancel = lambda: self.node.ssd.channel.cancel(flow)  # noqa: E731
-            event = flow.done
-        elif self.has_disk_replica(block.block_id):
-            source = (
-                ReadSource.LOCAL_DISK
-                if reader_node == self.node_id
-                else ReadSource.REMOTE_DISK
-            )
-            flow = self.node.disk.channel.start_flow(block.size, tag=tag)
-            cancel = lambda: self.node.disk.channel.cancel(flow)  # noqa: E731
-            event = flow.done
-        elif self.has_archive_replica(block.block_id):
-            # The slowest rung: the shared archive link is the
-            # bottleneck for local and remote readers alike (the data
-            # is fabric-attached either way).  The per-operation setup
-            # latency is folded into policy cost estimates rather than
-            # each read, keeping the read path a cancellable pure flow.
-            source = (
-                ReadSource.LOCAL_ARCHIVE
-                if reader_node == self.node_id
-                else ReadSource.REMOTE_ARCHIVE
-            )
-            flow = self.node.archive.channel.start_flow(block.size, tag=tag)
-            cancel = lambda: self.node.archive.channel.cancel(flow)  # noqa: E731
-            event = flow.done
+        for rung in _READ_ORDER:
+            if self.holds(rung, block.block_id):
+                break
         else:
             raise KeyError(
                 f"node{self.node_id} holds no replica of block {block.block_id}"
             )
+        local = reader_node == self.node_id
+        source = ReadSource(f"{'local' if local else 'remote'}-{rung}")
+        if rung == "memory" and not local:
+            event, cancel = self._remote_memory_transfer(block.size, reader_node, tag)
+        else:
+            # A local memory read, and any ssd, disk or archive read,
+            # charges the rung's own channel: a storage device, not the
+            # 10 Gbps NIC, is the bottleneck for local and remote
+            # readers alike (the archive is fabric-attached either
+            # way).  The archive's per-operation setup latency is folded
+            # into policy cost estimates rather than each read, keeping
+            # the read path a cancellable pure flow.
+            channel = self._device(rung).channel
+            flow = channel.start_flow(block.size, tag=tag)
+            cancel = lambda: channel.cancel(flow)  # noqa: E731
+            event = flow.done
         self._cancellers[event] = cancel
         event.add_callback(lambda e: self._cancellers.pop(e, None))
         if obs.enabled():
-            if source.is_memory:
+            if rung == "memory":
                 etype = obs.READ_MEMORY
-            elif source.is_ssd:
+            elif rung == "ssd":
                 etype = obs.READ_SSD
-            elif source.is_archive:
+            elif rung == "archive":
                 etype = obs.READ_ARCHIVE
             else:
                 etype = obs.READ_DISK
@@ -380,5 +310,5 @@ class DataNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DataNode node{self.node_id} disk_blocks={len(self._disk_blocks)} "
-            f"mem_blocks={len(self.memory_block_ids())}>"
+            f"mem_blocks={len(self.pinned_ids('memory'))}>"
         )

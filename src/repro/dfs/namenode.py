@@ -5,12 +5,15 @@ heartbeats from DataNodes, and marks a node unavailable after several
 consecutive missed heartbeats (§III-C2; "HDFS handles DataNode failures
 in the same manner").
 
-It also keeps the **memory directory** -- soft state mapping block id
-to the node whose memory holds the migrated replica -- so block reads
-can be directed to in-memory replicas.  The directory is deliberately
-*advisory*: on resolve, the DataNode's actual pin state wins, modeling
-the paper's recovery story where a restarted master is temporarily
-inconsistent but reads still succeed (§III-C1/C2).
+It also keeps the **residency directory**: per storage rung above or
+below disk, block id -> the node holding that copy.  The memory entry
+is the paper's -- soft state naming the node whose memory holds the
+migrated replica, so block reads can be directed to in-memory
+replicas; the SSD entry works the same way for the storage ladder.
+Both are deliberately *advisory*: on use, the DataNode's actual pin
+state wins (:meth:`NameNode.holder`), modeling the paper's recovery
+story where a restarted master is temporarily inconsistent but reads
+still succeed (§III-C1/C2).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.cluster.node import FAST_TIERS, TIER_ORDER
 from repro.dfs.block import Block, BlockId
 from repro.dfs.datanode import DataNode
 from repro.dfs.namespace import DEFAULT_BLOCK_SIZE, FileEntry, Namespace
@@ -83,25 +87,24 @@ class NameNode:
         self._last_heartbeat: dict[int, float] = {
             nid: cluster.sim.now for nid in self.datanodes
         }
-        #: Soft state: block id -> node id of the in-memory replica.
-        self.memory_directory: dict[BlockId, int] = {}
-        #: Soft state: block id -> node id of the SSD-cached replica
-        #: (the tiered-storage extension; empty for the paper's schemes).
-        self.ssd_directory: dict[BlockId, int] = {}
-        #: Block id -> node id owning the archived copy (the lifecycle
-        #: extension; empty for the paper's schemes).  Unlike the fast-
-        #: tier directories this is *durable block-map state*, not
-        #: master soft state: archival migration rewrites the block map
-        #: (disk replicas are dropped), so losing the archive location
-        #: would orphan the data.  It therefore survives migration-
-        #: master crashes, and the owning node need not be alive to
-        #: serve it (the archive is fabric-attached).
-        self.archive_directory: dict[BlockId, int] = {}
+        #: Rung -> block id -> node id holding the copy, for every rung
+        #: but disk (disk replicas are the block map).  ``memory`` and
+        #: ``ssd`` are soft state of the migration master (``ssd`` is
+        #: empty for the paper's schemes).  ``archive`` -- the lifecycle
+        #: extension -- is *durable block-map state* instead: archival
+        #: migration rewrites the block map (disk replicas are
+        #: dropped), so losing the archive location would orphan the
+        #: data.  It therefore survives migration-master crashes, and
+        #: the owning node need not be alive to serve it (the archive
+        #: is fabric-attached).
+        self.directory: dict[str, dict[BlockId, int]] = {
+            rung: {} for rung in TIER_ORDER if rung != "disk"
+        }
         #: Per-block replication-factor overrides (lifecycle extension):
         #: the replication scheduler lowers a COLD archived block's disk
         #: complement here so the ReplicationMonitor stops "healing" the
         #: deliberate under-replication.  Durable block-map state, like
-        #: :attr:`archive_directory`.
+        #: the archive directory.
         self.replication_overrides: dict[BlockId, int] = {}
         #: Read directives: block id -> replica node reads should be
         #: steered to even before (or without) migration completing.
@@ -258,46 +261,40 @@ class NameNode:
         self.decommissioned.add(node_id)
         return True
 
-    # -- memory directory (soft state) --------------------------------------------
+    # -- residency directory ---------------------------------------------------
 
-    def record_memory_replica(self, block_id: BlockId, node_id: int) -> None:
-        """Slave notification: ``block_id`` is now pinned on ``node_id``."""
-        self.memory_directory[block_id] = node_id
+    def holder(self, rung: str, block_id: BlockId) -> Optional[int]:
+        """The node the directory names for ``block_id`` on ``rung``,
+        if it is available and really holds the copy; else None (soft
+        state verified on use)."""
+        node_id = self.directory[rung].get(block_id)
+        if (
+            node_id is not None
+            and self.is_available(node_id)
+            and self.datanodes[node_id].holds(rung, block_id)
+        ):
+            return node_id
+        return None
 
-    def drop_memory_replica(self, block_id: BlockId) -> None:
-        """Slave notification: the in-memory replica is gone."""
-        self.memory_directory.pop(block_id, None)
-
-    def record_ssd_replica(self, block_id: BlockId, node_id: int) -> None:
-        """Tier notification: ``block_id`` is cached on ``node_id``'s SSD."""
-        self.ssd_directory[block_id] = node_id
-
-    def drop_ssd_replica(self, block_id: BlockId) -> None:
-        """Tier notification: the SSD-cached replica is gone."""
-        self.ssd_directory.pop(block_id, None)
-
-    def record_archive_replica(self, block_id: BlockId, node_id: int) -> None:
-        """Lifecycle notification: ``block_id`` is archived, owned by
-        ``node_id``'s archive partition."""
-        self.archive_directory[block_id] = node_id
-
-    def drop_archive_replica(self, block_id: BlockId) -> None:
-        """Lifecycle notification: the archived copy is gone."""
-        self.archive_directory.pop(block_id, None)
+    def release(self, rung: str, block_id: BlockId) -> Optional[int]:
+        """Unpin the ``rung`` copy the directory names and drop the
+        entry; returns its holder (None when there was no entry)."""
+        node_id = self.directory[rung].pop(block_id, None)
+        if node_id is not None:
+            self.datanodes[node_id].unpin(rung, block_id)
+        return node_id
 
     def drop_node_memory_state(self, node_id: int) -> None:
         """A restarted slave asks the master to forget its blocks
-        (§III-C2).  Covers both fast-tier directories: the replacement
+        (§III-C2).  Covers every fast-tier directory: the replacement
         process starts with cold memory *and* a cold SSD cache.  The
         archive directory is deliberately untouched -- archived data is
         fabric-attached and survives the node (see
         :mod:`repro.cluster.archive`)."""
-        stale = [b for b, n in self.memory_directory.items() if n == node_id]
-        for block_id in stale:
-            del self.memory_directory[block_id]
-        stale_ssd = [b for b, n in self.ssd_directory.items() if n == node_id]
-        for block_id in stale_ssd:
-            del self.ssd_directory[block_id]
+        for rung in FAST_TIERS:
+            entries = self.directory[rung]
+            for block_id in [b for b, n in entries.items() if n == node_id]:
+                del entries[block_id]
 
     # -- read routing ------------------------------------------------------------
 
@@ -330,16 +327,10 @@ class NameNode:
         LookupError
             If no replica is on an available node.
         """
-        mem_node = self.memory_directory.get(block.block_id)
-        if mem_node is not None and self.is_available(mem_node):
-            dn = self.datanodes[mem_node]
-            if dn.has_memory_replica(block.block_id):
-                return dn
-        ssd_node = self.ssd_directory.get(block.block_id)
-        if ssd_node is not None and self.is_available(ssd_node):
-            dn = self.datanodes[ssd_node]
-            if dn.has_ssd_replica(block.block_id):
-                return dn
+        for rung in FAST_TIERS:
+            node_id = self.holder(rung, block.block_id)
+            if node_id is not None:
+                return self.datanodes[node_id]
         directed = (
             self.read_directives.get(block.block_id) if honor_directives else None
         )
@@ -353,10 +344,10 @@ class NameNode:
             nid for nid in block.replica_nodes if self.is_available(nid)
         ]
         if not available:
-            archive_node = self.archive_directory.get(block.block_id)
+            archive_node = self.directory["archive"].get(block.block_id)
             if archive_node is not None:
                 dn = self.datanodes[archive_node]
-                if dn.has_archive_replica(block.block_id):
+                if dn.holds("archive", block.block_id):
                     return dn
             raise LookupError(
                 f"no available replica for block {block.block_id} "

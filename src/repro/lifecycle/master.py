@@ -261,7 +261,7 @@ class LifecycleMaster(DyrsMaster):
         """Master failure also loses the tier soft state (§III-C1)."""
         super().crash()
         self._tier_records.clear()
-        self.namenode.ssd_directory.clear()
+        self.namenode.directory["ssd"].clear()
 
     def shutdown(self, reason: str) -> None:
         """Teardown (crash *or* failover): in-flight archive moves die
@@ -290,7 +290,7 @@ class LifecycleMaster(DyrsMaster):
         """
         super().recover()
         for slave in self.slaves.values():
-            for block_id in list(slave.datanode.ssd_block_ids()):
+            for block_id in slave.datanode.pinned_ids("ssd"):
                 self._register_ssd_copy(block_id, slave.node_id)
 
     # -- counters ----------------------------------------------------------------
@@ -318,7 +318,7 @@ class LifecycleMaster(DyrsMaster):
     # -- temperature observation and re-heat detection ---------------------------
 
     def on_block_read(self, block, job_id, read_event) -> None:
-        if block.block_id in self.namenode.archive_directory:
+        if block.block_id in self.namenode.directory["archive"]:
             self._note_reheat(block)
         self.temperature.record_access(block.block_id, self.sim.now)
         super().on_block_read(block, job_id, read_event)
@@ -345,11 +345,8 @@ class LifecycleMaster(DyrsMaster):
         """The node whose SSD really holds ``block_id`` and whose slave
         can serve a copy from it -- None otherwise (soft state verified
         on use, like the memory directory)."""
-        node_id = self.namenode.ssd_directory.get(block_id)
-        if node_id is None or not self.namenode.is_available(node_id):
-            return None
-        dn = self.namenode.datanodes.get(node_id)
-        if dn is None or not dn.has_ssd_replica(block_id):
+        node_id = self.namenode.holder("ssd", block_id)
+        if node_id is None:
             return None
         slave = self.slaves.get(node_id)
         if slave is None or not slave.alive:
@@ -377,7 +374,7 @@ class LifecycleMaster(DyrsMaster):
         routable: list[MigrationRecord] = []
         for record in records:
             block = record.block
-            if block.block_id in self.namenode.archive_directory:
+            if block.block_id in self.namenode.directory["archive"]:
                 # The restore owns this block's disk traffic; reads are
                 # served from the archive meanwhile, and the restore
                 # re-migrates once disk replicas exist if the block is
@@ -458,12 +455,11 @@ class LifecycleMaster(DyrsMaster):
         lockstep -- an orphaned pin is both a leaked SSD budget and a
         future double-pin crash when a fill lands on that node again.
         """
-        prev = self.namenode.ssd_directory.get(block_id)
+        entries = self.namenode.directory["ssd"]
+        prev = entries.get(block_id)
         if prev is not None and prev != node_id:
-            dn = self.namenode.datanodes.get(prev)
-            if dn is not None:
-                dn.unpin_block_ssd(block_id)
-        self.namenode.record_ssd_replica(block_id, node_id)
+            self.namenode.datanodes[prev].unpin("ssd", block_id)
+        entries[block_id] = node_id
 
     def on_migration_complete(
         self, record: MigrationRecord, node_id: int, duration: float
@@ -481,7 +477,7 @@ class LifecycleMaster(DyrsMaster):
         the SSD (write-back: the pin is immediate, the flash write is
         charged in the background); COLD blocks and blocks that already
         have an SSD copy fall through to the plain drop."""
-        node_id = self.namenode.memory_directory.get(record.block_id)
+        node_id = self.namenode.directory["memory"].get(record.block_id)
         slave = self.slaves.get(node_id) if node_id is not None else None
         if (
             node_id is not None
@@ -498,15 +494,14 @@ class LifecycleMaster(DyrsMaster):
             node = dn.node
             if (
                 node.ssd is not None
-                and not dn.has_ssd_replica(record.block_id)
+                and not dn.holds("ssd", record.block_id)
                 and self._verified_ssd_holder(record.block_id) is None
                 and node.ssd.fits(record.block.size)
                 and self.temperature.classify(record.block_id, self.sim.now)
                 is not Temperature.COLD
             ):
-                dn.unpin_block(record.block_id)
-                self.namenode.drop_memory_replica(record.block_id)
-                dn.pin_block_ssd(record.block)
+                self.namenode.release("memory", record.block_id)
+                dn.pin("ssd", record.block)
                 node.ssd.channel.transfer(
                     record.block.size, tag=f"demote:{record.block_id}"
                 )
@@ -547,7 +542,7 @@ class LifecycleMaster(DyrsMaster):
                 continue
             restore = record.dest_tier == "disk"
             self._abort_move(record, "slave-failure")
-            if restore and record.block_id in self.namenode.archive_directory:
+            if restore and record.block_id in self.namenode.directory["archive"]:
                 self._enqueue_move("restore", record.block)
         for record in list(self._tier_records.values()):
             if (
@@ -571,11 +566,12 @@ class LifecycleMaster(DyrsMaster):
         the block.  A slave crash unpins its node's SSD, but only a
         restart reaps the entries (``on_slave_failed``); a slave that
         never comes back would otherwise leave them for good."""
-        node_id = self.namenode.ssd_directory.get(block_id)
-        if node_id is not None and not self.namenode.datanodes[
-            node_id
-        ].has_ssd_replica(block_id):
-            self.namenode.drop_ssd_replica(block_id)
+        entries = self.namenode.directory["ssd"]
+        node_id = entries.get(block_id)
+        if node_id is not None and not self.namenode.datanodes[node_id].holds(
+            "ssd", block_id
+        ):
+            del entries[block_id]
 
     def _promotion_candidate(
         self, block: Block
@@ -636,10 +632,10 @@ class LifecycleMaster(DyrsMaster):
                 continue
             if self._pass_blocked(block_id):
                 continue
-            mem_node = self.namenode.memory_directory.get(block_id)
-            if mem_node is not None and self.namenode.datanodes[
-                mem_node
-            ].has_memory_replica(block_id):
+            mem_node = self.namenode.directory["memory"].get(block_id)
+            if mem_node is not None and self.namenode.datanodes[mem_node].holds(
+                "memory", block_id
+            ):
                 continue
             ssd_node = self._verified_ssd_holder(block_id)
             if ssd_node is not None:
@@ -650,8 +646,7 @@ class LifecycleMaster(DyrsMaster):
                 if target == "disk":
                     # Expired: the disk replicas are the ground truth,
                     # so dropping the cache entry is free.
-                    self.namenode.datanodes[ssd_node].unpin_block_ssd(block_id)
-                    self.namenode.drop_ssd_replica(block_id)
+                    self.namenode.release("ssd", block_id)
                     self._count_move("ssd", "disk", block.size)
                     obs.emit(
                         obs.DEMOTE,
@@ -726,7 +721,7 @@ class LifecycleMaster(DyrsMaster):
     def _archive_blocked(self, block: Block) -> bool:
         """Reasons *not* to archive right now (re-examined next pass)."""
         block_id = block.block_id
-        if block_id in self.namenode.archive_directory:
+        if block_id in self.namenode.directory["archive"]:
             return True
         if self.tracker.is_referenced(block_id):
             return True
@@ -735,7 +730,7 @@ class LifecycleMaster(DyrsMaster):
         # Working-tier copies must drain first (the tier lifecycle
         # expires them); archiving under a fast copy would let a read
         # bypass the move.
-        if self.namenode.memory_directory.get(block_id) is not None:
+        if self.namenode.directory["memory"].get(block_id) is not None:
             return True
         if self._verified_ssd_holder(block_id) is not None:
             return True
@@ -831,7 +826,7 @@ class LifecycleMaster(DyrsMaster):
         sources = [
             n
             for n in sorted(namenode.healthy_replicas(block))
-            if namenode.datanodes[n].has_disk_replica(block_id)
+            if namenode.datanodes[n].holds("disk", block_id)
         ]
         source = sources[0] if sources else None
         owner = self._archive_owner(source, block)
@@ -890,8 +885,8 @@ class LifecycleMaster(DyrsMaster):
             self._abort_move(record, "archive-full")
             return
         replicas_before = len(block.replica_nodes)
-        namenode.datanodes[owner].pin_block_archive(block)
-        namenode.record_archive_replica(block_id, owner)
+        namenode.datanodes[owner].pin("archive", block)
+        namenode.directory["archive"][block_id] = owner
         keep = self.replication_scheduler.lower_for_archive(block)
         kept = sources[:keep]
         for node_id in block.replica_nodes:
@@ -918,9 +913,9 @@ class LifecycleMaster(DyrsMaster):
         block = record.block
         block_id = block.block_id
         namenode = self.namenode
-        owner = namenode.archive_directory.get(block_id)
+        owner = namenode.directory["archive"].get(block_id)
         owner_dn = namenode.datanodes.get(owner) if owner is not None else None
-        if owner_dn is None or not owner_dn.has_archive_replica(block_id):
+        if owner_dn is None or not owner_dn.holds("archive", block_id):
             self._abort_move(record, "lost")
             return
         # Verify *before* reading back or deleting anything; a corrupt
@@ -945,7 +940,7 @@ class LifecycleMaster(DyrsMaster):
         new_targets = [
             n
             for n in targets
-            if not namenode.datanodes[n].has_disk_replica(block_id)
+            if not namenode.datanodes[n].holds("disk", block_id)
         ]
         if not targets:
             self._abort_move(record, "no-target")
@@ -982,8 +977,7 @@ class LifecycleMaster(DyrsMaster):
         )
         self.replication_scheduler.restore_factor(block)
         checksum = self.integrity.get(block_id)
-        owner_dn.unpin_block_archive(block_id)
-        namenode.drop_archive_replica(block_id)
+        namenode.release("archive", block_id)
         self.integrity.forget(block_id)
         self._finish_move(record)
         self.restored_blocks += 1
@@ -1015,19 +1009,12 @@ class LifecycleMaster(DyrsMaster):
         resident = set()
         if block.replica_nodes:
             resident.add("disk")
-        mem = namenode.memory_directory.get(block_id)
-        if mem is not None and namenode.datanodes[mem].has_memory_replica(
-            block_id
-        ):
-            resident.add("memory")
-        ssd = namenode.ssd_directory.get(block_id)
-        if ssd is not None and namenode.datanodes[ssd].has_ssd_replica(block_id):
-            resident.add("ssd")
-        arc = namenode.archive_directory.get(block_id)
-        if arc is not None and namenode.datanodes[arc].has_archive_replica(
-            block_id
-        ):
-            resident.add("archive")
+        for rung, entries in namenode.directory.items():
+            node_id = entries.get(block_id)
+            if node_id is not None and namenode.datanodes[node_id].holds(
+                rung, block_id
+            ):
+                resident.add(rung)
         return sorted(resident)
 
     def _emit_tier_move(

@@ -2,7 +2,8 @@
 
 DYRS hard-codes a two-level hierarchy (disk below, RAM above).  The
 storage-ladder extension generalizes it into a ladder ordered by
-:data:`TIER_ORDER` (``archive`` < ``disk`` < ``ssd`` < ``memory``);
+:data:`~repro.cluster.node.TIER_ORDER` (``archive`` < ``disk`` <
+``ssd`` < ``memory``, re-exported here);
 moving a block to a higher rung is a *promotion*, to a lower rung a
 *demotion*.  The ``archive`` rung sits *below* disk: fabric-attached
 cold storage that only the lifecycle master writes.
@@ -49,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Protocol
 
+from repro.cluster.node import TIER_ORDER
 from repro.lifecycle.temperature import Temperature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,9 +69,6 @@ __all__ = [
     "is_promotion",
     "rung_read_seconds",
 ]
-
-#: Canonical rung order: index 0 is the slowest/bottom tier.
-TIER_ORDER: tuple[str, ...] = ("archive", "disk", "ssd", "memory")
 
 
 def is_promotion(source: str, dest: str) -> bool:

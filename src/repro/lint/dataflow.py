@@ -63,7 +63,7 @@ __all__ = [
 #: Attribute names holding shared mutable protocol state.  Mirrors the
 #: encapsulation surface SM201/SM203 already classify: record ledgers,
 #: pending pools, shard maps, per-slave load/liveness views, and the
-#: NameNode's residency directories.
+#: NameNode's residency directory.
 PROTOCOL_STATE_ATTRS = frozenset(
     {
         "_pending",
@@ -75,9 +75,7 @@ PROTOCOL_STATE_ATTRS = frozenset(
         "_parked",
         "slaves",
         "datanodes",
-        "memory_directory",
-        "ssd_directory",
-        "archive_directory",
+        "directory",
     }
 )
 

@@ -293,8 +293,8 @@ class System:
         if self.config.scheme_spec.preload:
             for block in entry.blocks:
                 node_id = block.replica_nodes[0]
-                self.namenode.datanodes[node_id].pin_block(block)
-                self.namenode.record_memory_replica(block.block_id, node_id)
+                self.namenode.datanodes[node_id].pin("memory", block)
+                self.namenode.directory["memory"][block.block_id] = node_id
                 obs.emit(
                     obs.PRELOAD,
                     self.sim.now,

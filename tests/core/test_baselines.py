@@ -97,7 +97,7 @@ class TestInstantMigrator:
         rig, master = self.make(make_rig)
         rig.client.create_file("input", 256 * MB)
         master.migrate(["input"], job_id="j1")
-        assert len(rig.namenode.memory_directory) == 4
+        assert len(rig.namenode.directory["memory"]) == 4
         assert rig.cluster.total_memory_used() == pytest.approx(256 * MB)
         assert all(
             r.duration == 0.0

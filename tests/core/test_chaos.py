@@ -61,7 +61,7 @@ class TestStrandedBindingRegression:
         stuck = [r for r in captured["records"] if r.status is MigrationStatus.BOUND]
         assert stuck, "expected stranded BOUND records under old behavior"
         for record in stuck:
-            assert record.block_id not in rig.namenode.memory_directory
+            assert record.block_id not in rig.namenode.directory["memory"]
 
     def test_undelivered_grants_requeued_and_migrated_elsewhere(self, rig):
         """Fixed behavior: delivery failure requeues the grants; the
@@ -81,7 +81,7 @@ class TestStrandedBindingRegression:
         ]
         assert dropped, "delivery failure must trace the dropped path"
         for block in rig.client.blocks_of(["input"]):
-            node = rig.namenode.memory_directory.get(block.block_id)
+            node = rig.namenode.directory["memory"].get(block.block_id)
             assert node is not None and node != victim
 
     def test_requeue_skips_unreferenced_blocks(self, rig):
@@ -117,7 +117,7 @@ class TestSlaveEpochGuard:
             assert record.status is MigrationStatus.DISCARDED
         # ... and the restarted slave still works: everything migrates.
         for block in rig.client.blocks_of(["input"]):
-            assert block.block_id in rig.namenode.memory_directory
+            assert block.block_id in rig.namenode.directory["memory"]
 
     def test_crash_resets_pull_flag_for_next_incarnation(self, rig):
         """The leg counters belong to one incarnation: a crash clears
@@ -177,7 +177,7 @@ class TestSlaveEpochGuard:
         rig.sim.run(until=120)
         assert slave._undelivered == 0
         for block in rig.client.blocks_of(["input"]):
-            assert block.block_id in rig.namenode.memory_directory
+            assert block.block_id in rig.namenode.directory["memory"]
 
 
 class TestFailureTimingWindows:
@@ -204,7 +204,7 @@ class TestFailureTimingWindows:
                 rig.master.slaves[node.node_id].notify_memory_freed()
         rig.sim.run(until=rig.sim.now + 60)
         assert record.status.is_terminal
-        landed = rig.namenode.memory_directory.get(record.block_id)
+        landed = rig.namenode.directory["memory"].get(record.block_id)
         assert landed is not None and landed != victim
 
     def test_master_crash_discards_pending_records(self, rig):
@@ -329,7 +329,7 @@ class TestPartitionAndDelay:
         assert all(r.bound_node != 0 for r in rig.master.record_log)
         # ... and the work it would have taken lands elsewhere.
         for block in rig.client.blocks_of(["input"]):
-            landed = rig.namenode.memory_directory.get(block.block_id)
+            landed = rig.namenode.directory["memory"].get(block.block_id)
             assert landed is not None and landed != 0
 
     def test_rpc_delay_injected_and_cleared(self, rig):

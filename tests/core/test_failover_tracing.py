@@ -75,9 +75,9 @@ class TestSlaveCrashTracing:
             rig.master.migrate(["input"], job_id="j1")
             rig.sim.run(until=30)
             victim = next(
-                s for s in rig.slaves if s.datanode.memory_block_ids()
+                s for s in rig.slaves if s.datanode.pinned_ids("memory")
             )
-            held = set(victim.datanode.memory_block_ids())
+            held = set(victim.datanode.pinned_ids("memory"))
             victim.crash()
             victim.restart()
 
@@ -99,7 +99,7 @@ class TestMasterCrashTracing:
             injector.crash_master_at(5.0, recover_after=5.0)
             rig.master.migrate(["input"], job_id="j1")
             rig.sim.run(until=60)
-            directory_after = dict(rig.namenode.memory_directory)
+            directory_after = dict(rig.namenode.directory["memory"])
 
         crashes = tracer.of_type(T.MASTER_CRASH)
         assert len(crashes) == 1
@@ -147,7 +147,7 @@ class TestStandbyFailoverTracing:
             cluster.sim.run(until=20)
             coordinator.fail_primary()
             coordinator.fail_over()
-            rebuilt = dict(namenode.memory_directory)
+            rebuilt = dict(namenode.directory["memory"])
 
         failovers = tracer.of_type(T.FAILOVER)
         assert [e.fields["generation"] for e in failovers] == [1]
@@ -169,11 +169,11 @@ class TestStandbyFailoverTracing:
                 ["a"], job_id="j1", eviction=EvictionMode.EXPLICIT
             )
             cluster.sim.run(until=30)
-            orphaned = set(namenode.memory_directory)
+            orphaned = set(namenode.directory["memory"])
             assert orphaned
             coordinator.fail_primary()
             coordinator.fail_over()
-            assert namenode.memory_directory == {}
+            assert namenode.directory["memory"] == {}
 
         orphan_events = tracer.of_type(T.ORPHAN_EVICTED)
         assert {e.fields["block"] for e in orphan_events} == orphaned

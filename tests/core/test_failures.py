@@ -13,22 +13,22 @@ class TestSlaveFailure:
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=30)
         victim = next(
-            s for s in rig.slaves if s.datanode.memory_block_ids()
+            s for s in rig.slaves if s.datanode.pinned_ids("memory")
         )
-        held = set(victim.datanode.memory_block_ids())
+        held = set(victim.datanode.pinned_ids("memory"))
         victim.crash()
         assert victim.node.memory.used == 0.0
         # Restart tells the master to drop stale directory entries.
         victim.restart()
         for block_id in held:
-            assert rig.namenode.memory_directory.get(block_id) != victim.node_id
+            assert rig.namenode.directory["memory"].get(block_id) != victim.node_id
 
     def test_reads_fall_back_to_disk_after_crash(self, rig):
         entry = rig.client.create_file("input", 64 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=30)
         block = entry.blocks[0]
-        node_id = rig.namenode.memory_directory[block.block_id]
+        node_id = rig.namenode.directory["memory"][block.block_id]
         slave = rig.master.slaves[node_id]
         slave.crash()
         slave.restart()
@@ -45,7 +45,7 @@ class TestSlaveFailure:
         rig.sim.run(until=120)
         blocks = rig.client.blocks_of(["input"])
         # Every block eventually lands in memory despite the crash.
-        assert all(b.block_id in rig.namenode.memory_directory for b in blocks)
+        assert all(b.block_id in rig.namenode.directory["memory"] for b in blocks)
 
     def test_crash_is_idempotent(self, rig):
         slave = rig.slaves[0]
@@ -61,29 +61,29 @@ class TestMasterFailure:
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=30)
         in_memory_before = {
-            nid: set(rig.namenode.datanodes[nid].memory_block_ids())
+            nid: set(rig.namenode.datanodes[nid].pinned_ids("memory"))
             for nid in rig.namenode.datanodes
         }
         rig.master.crash()
         # Directory wiped, but slave buffers untouched.
-        assert rig.namenode.memory_directory == {}
+        assert rig.namenode.directory["memory"] == {}
         for nid, blocks in in_memory_before.items():
-            assert set(rig.namenode.datanodes[nid].memory_block_ids()) == blocks
+            assert set(rig.namenode.datanodes[nid].pinned_ids("memory")) == blocks
 
     def test_recover_rebuilds_directory_from_slaves(self, rig):
         rig.client.create_file("input", 256 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=30)
-        expected = dict(rig.namenode.memory_directory)
+        expected = dict(rig.namenode.directory["memory"])
         rig.master.crash()
         rig.master.recover()
-        assert rig.namenode.memory_directory == expected
+        assert rig.namenode.directory["memory"] == expected
         # New migration requests work again after recovery.
         rig.client.create_file("more", 64 * MB)
         rig.master.migrate(["more"], job_id="j2")
         rig.sim.run(until=rig.sim.now + 30)
         block = rig.client.blocks_of(["more"])[0]
-        assert block.block_id in rig.namenode.memory_directory
+        assert block.block_id in rig.namenode.directory["memory"]
 
     def test_reads_survive_master_outage(self, rig):
         """Reads still succeed during the outage -- "the only adverse
@@ -95,7 +95,7 @@ class TestMasterFailure:
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=30)
         rig.master.crash()
-        assert rig.namenode.memory_directory == {}
+        assert rig.namenode.directory["memory"] == {}
         ev, source = rig.client.read_block(entry.blocks[0], reader_node=None)
         assert isinstance(source, ReadSource)
         rig.sim.run_until_processed(ev)  # completes without error
@@ -110,12 +110,12 @@ class TestMasterFailure:
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=30)
         block_id = entry.blocks[0].block_id
-        holder = rig.namenode.memory_directory[block_id]
+        holder = rig.namenode.directory["memory"][block_id]
         rig.master.crash()
         rig.master.notify_job_finished("j1")
         rig.master.recover()
-        assert block_id not in rig.namenode.memory_directory
-        assert not rig.namenode.datanodes[holder].has_memory_replica(block_id)
+        assert block_id not in rig.namenode.directory["memory"]
+        assert not rig.namenode.datanodes[holder].holds("memory", block_id)
         rig.master.slaves[holder].crash()  # never restarted
         rig.sim.run(until=rig.sim.now + 30)
         assert quiesce_violations(rig.master) == []
@@ -173,7 +173,7 @@ class TestFailureInjector:
         rig.sim.run(until=240)
         blocks = rig.client.blocks_of(["input"])
         done = sum(
-            1 for b in blocks if b.block_id in rig.namenode.memory_directory
+            1 for b in blocks if b.block_id in rig.namenode.directory["memory"]
         )
         # All blocks migrated despite the outage window.
         assert done == len(blocks)

@@ -16,14 +16,14 @@ class TestMigrationPipeline:
         records = rig.master.record_log
         assert len(records) == 8
         assert all(r.status is MigrationStatus.DONE for r in records)
-        assert len(rig.namenode.memory_directory) == 8
+        assert len(rig.namenode.directory["memory"]) == 8
 
     def test_reads_served_from_memory_after_migration(self, rig):
         entry = rig.client.create_file("input", 128 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=60)
         block = entry.blocks[0]
-        node_in_mem = rig.namenode.memory_directory[block.block_id]
+        node_in_mem = rig.namenode.directory["memory"][block.block_id]
         ev, source = rig.client.read_block(block, reader_node=node_in_mem, job_id="j1")
         assert source is ReadSource.LOCAL_MEMORY
 
@@ -131,15 +131,15 @@ class TestEvictionIntegration:
         rig.master.migrate(["input"], job_id="j1", eviction=EvictionMode.IMPLICIT)
         rig.sim.run(until=30)
         block = entry.blocks[0]
-        assert block.block_id in rig.namenode.memory_directory
+        assert block.block_id in rig.namenode.directory["memory"]
         ev, source = rig.client.read_block(
-            block, reader_node=rig.namenode.memory_directory[block.block_id],
+            block, reader_node=rig.namenode.directory["memory"][block.block_id],
             job_id="j1",
         )
         assert source is ReadSource.LOCAL_MEMORY
         rig.sim.run_until_processed(ev)
         rig.sim.run(until=rig.sim.now + 1)
-        assert block.block_id not in rig.namenode.memory_directory
+        assert block.block_id not in rig.namenode.directory["memory"]
         assert rig.cluster.total_memory_used() == 0.0
 
     def test_explicit_eviction_keeps_until_evict_rpc(self, rig):
@@ -152,9 +152,9 @@ class TestEvictionIntegration:
         )
         rig.sim.run_until_processed(ev)
         rig.sim.run(until=rig.sim.now + 1)
-        assert block.block_id in rig.namenode.memory_directory  # still resident
+        assert block.block_id in rig.namenode.directory["memory"]  # still resident
         rig.client.evict(["input"], job_id="j1")
-        assert block.block_id not in rig.namenode.memory_directory
+        assert block.block_id not in rig.namenode.directory["memory"]
 
     def test_job_finish_clears_references(self, rig):
         rig.client.create_file("input", 128 * MB)
@@ -180,7 +180,7 @@ class TestEvictionIntegration:
         assert record.discard_reason == "missed-read"
         rig.sim.run(until=200)
         # The discarded block never reached memory.
-        assert block.block_id not in rig.namenode.memory_directory
+        assert block.block_id not in rig.namenode.directory["memory"]
 
     def test_missed_read_spares_multi_job_blocks(self, rig):
         entry = rig.client.create_file("input", 64 * MB)
@@ -210,7 +210,7 @@ class TestEvictionIntegration:
         rig.master.notify_job_finished("j1")
         rig.sim.run(until=90)
         b_block = rig.client.blocks_of(["b"])[0]
-        assert b_block.block_id in rig.namenode.memory_directory
+        assert b_block.block_id in rig.namenode.directory["memory"]
 
 
 class TestMasterBookkeeping:

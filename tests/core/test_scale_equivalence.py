@@ -70,7 +70,7 @@ class TestLedgerScanEquivalence:
         def crash_slave(node_id):
             done = [
                 master.record_of(block_id)
-                for block_id, holder in master.namenode.memory_directory.items()
+                for block_id, holder in master.namenode.directory["memory"].items()
                 if holder == node_id
             ]
             inflight = list(master._inflight_by_node[node_id].values())

@@ -69,7 +69,7 @@ class TestPullProtocol:
         rig.sim.run(until=60)
         blocks = rig.client.blocks_of(["late"])
         assert all(
-            b.block_id in rig.namenode.memory_directory for b in blocks
+            b.block_id in rig.namenode.directory["memory"] for b in blocks
         )
 
     def test_work_conserving_across_slaves(self, make_rig):
@@ -108,7 +108,7 @@ class TestMemoryPressure:
         # dead-job's references were swept, so b fit into memory.
         b_blocks = rig.client.blocks_of(["b"])
         done = sum(
-            1 for b in b_blocks if b.block_id in rig.namenode.memory_directory
+            1 for b in b_blocks if b.block_id in rig.namenode.directory["memory"]
         )
         assert done == len(b_blocks)
         assert "dead-job" not in rig.master.tracker.tracked_jobs()

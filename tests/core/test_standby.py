@@ -54,7 +54,7 @@ class TestFailover:
         assert client.migrate(["b"], job_id="j2") is True
         cluster.sim.run(until=60)
         for block in client.blocks_of(["b"]):
-            assert block.block_id in namenode.memory_directory
+            assert block.block_id in namenode.directory["memory"]
 
     def test_slaves_rewired_to_new_master(self, rig):
         cluster, _, client, coordinator, slaves = rig
@@ -78,7 +78,7 @@ class TestFailover:
         coordinator.fail_primary()
         coordinator.fail_over()
         assert cluster.total_memory_used() == 0.0
-        assert namenode.memory_directory == {}
+        assert namenode.directory["memory"] == {}
 
     def test_old_master_stops_harvesting_heartbeats(self, rig):
         cluster, namenode, client, coordinator, slaves = rig

@@ -25,7 +25,7 @@ class TestCreateFile:
         entry = client.create_file("f", 128 * MB)
         for block in entry.blocks:
             for nid in block.replica_nodes:
-                assert namenode.datanodes[nid].has_disk_replica(block.block_id)
+                assert namenode.datanodes[nid].holds("disk", block.block_id)
 
     def test_validation(self, namenode, cluster):
         from repro.dfs import NameNode, RoundRobinPlacement
@@ -60,8 +60,8 @@ class TestReadRouting:
         block = entry.blocks[0]
         mem_node = block.replica_nodes[0]
         other = block.replica_nodes[1]
-        namenode.datanodes[mem_node].pin_block(block)
-        namenode.record_memory_replica(block.block_id, mem_node)
+        namenode.datanodes[mem_node].pin("memory", block)
+        namenode.directory["memory"][block.block_id] = mem_node
         dn = namenode.resolve_read(block, reader_node=other)
         assert dn.node_id == mem_node
         ev, source = dn.read(block, reader_node=other)
@@ -72,7 +72,7 @@ class TestReadRouting:
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         mem_node = block.replica_nodes[0]
-        namenode.record_memory_replica(block.block_id, mem_node)  # stale
+        namenode.directory["memory"][block.block_id] = mem_node  # stale
         dn = namenode.resolve_read(block, reader_node=mem_node)
         ev, source = dn.read(block, reader_node=mem_node)
         assert source is ReadSource.LOCAL_DISK
@@ -129,18 +129,42 @@ class TestMigrationSupport:
         block = entry.blocks[0]
         nid = block.replica_nodes[0]
         dn = namenode.datanodes[nid]
-        dn.pin_block(block)
-        namenode.record_memory_replica(block.block_id, nid)
+        dn.pin("memory", block)
+        namenode.directory["memory"][block.block_id] = nid
         ev, source = client.read_block(block, reader_node=nid)
         assert source is ReadSource.LOCAL_MEMORY
+
+    def test_unknown_rung_raises(self, namenode, client):
+        entry = client.create_file("f", 64 * MB)
+        block = entry.blocks[0]
+        dn = namenode.datanodes[block.replica_nodes[0]]
+        with pytest.raises(ValueError):
+            dn.holds("tape", block.block_id)
+        with pytest.raises(ValueError):
+            dn.copy_block(block, source_tier="tape")
+        with pytest.raises(ValueError):
+            dn.pin("tape", block)
+
+    def test_release_unpins_the_holder_and_drops_the_entry(self, namenode, client):
+        entry = client.create_file("f", 64 * MB)
+        block = entry.blocks[0]
+        nid = block.replica_nodes[0]
+        namenode.datanodes[nid].pin("memory", block)
+        namenode.directory["memory"][block.block_id] = nid
+        assert namenode.holder("memory", block.block_id) == nid
+        assert namenode.release("memory", block.block_id) == nid
+        assert not namenode.datanodes[nid].holds("memory", block.block_id)
+        assert block.block_id not in namenode.directory["memory"]
+        assert namenode.holder("memory", block.block_id) is None
+        assert namenode.release("memory", block.block_id) is None
 
     def test_unpin_is_idempotent(self, namenode, client):
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         dn = namenode.datanodes[block.replica_nodes[0]]
-        dn.pin_block(block)
-        assert dn.unpin_block(block.block_id) == block.size
-        assert dn.unpin_block(block.block_id) == 0.0
+        dn.pin("memory", block)
+        assert dn.unpin("memory", block.block_id) == block.size
+        assert dn.unpin("memory", block.block_id) == 0.0
 
 
 class TestHeartbeatsAndFailure:
@@ -221,11 +245,11 @@ class TestHeartbeatsAndFailure:
     def test_node_memory_drop(self, namenode, client):
         entry = client.create_file("f", 128 * MB)
         b0, b1 = entry.blocks[0], entry.blocks[1]
-        namenode.record_memory_replica(b0.block_id, 1)
-        namenode.record_memory_replica(b1.block_id, 2)
+        namenode.directory["memory"][b0.block_id] = 1
+        namenode.directory["memory"][b1.block_id] = 2
         namenode.drop_node_memory_state(1)
-        assert b0.block_id not in namenode.memory_directory
-        assert namenode.memory_directory[b1.block_id] == 2
+        assert b0.block_id not in namenode.directory["memory"]
+        assert namenode.directory["memory"][b1.block_id] == 2
 
     def test_service_stop(self, namenode, cluster):
         service = HeartbeatService(namenode)

@@ -104,8 +104,8 @@ class TestCrossRackReads:
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         src = block.replica_nodes[0]
-        nn.datanodes[src].pin_block(block)
-        nn.record_memory_replica(block.block_id, src)
+        nn.datanodes[src].pin("memory", block)
+        nn.directory["memory"][block.block_id] = src
         # Reader in the other rack.
         reader = next(
             n.node_id
@@ -129,8 +129,8 @@ class TestCrossRackReads:
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         src = block.replica_nodes[0]
-        nn.datanodes[src].pin_block(block)
-        nn.record_memory_replica(block.block_id, src)
+        nn.datanodes[src].pin("memory", block)
+        nn.directory["memory"][block.block_id] = src
         reader = next(
             n.node_id
             for n in racked_cluster.nodes
@@ -157,8 +157,8 @@ class TestCrossRackReads:
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         src = block.replica_nodes[0]
-        nn.datanodes[src].pin_block(block)
-        nn.record_memory_replica(block.block_id, src)
+        nn.datanodes[src].pin("memory", block)
+        nn.directory["memory"][block.block_id] = src
         reader = next(
             n.node_id
             for n in cluster.nodes
@@ -175,8 +175,8 @@ class TestCrossRackReads:
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         src = block.replica_nodes[0]
-        nn.datanodes[src].pin_block(block)
-        nn.record_memory_replica(block.block_id, src)
+        nn.datanodes[src].pin("memory", block)
+        nn.directory["memory"][block.block_id] = src
         reader = next(
             n.node_id
             for n in racked_cluster.nodes

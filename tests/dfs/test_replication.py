@@ -46,8 +46,8 @@ class TestRepair:
         assert monitor.repair_log
         # The new replica is readable.
         record = monitor.repair_log[0]
-        assert namenode.datanodes[record.target_node].has_disk_replica(
-            record.block_id
+        assert namenode.datanodes[record.target_node].holds(
+            "disk", record.block_id
         )
 
     def test_repair_consumes_bandwidth(self, dfs):

@@ -115,15 +115,15 @@ class TestSystemInvariants:
             assert node.nic.ingress.active_flows == 0
 
         # 3. Directory truth: every directory entry is actually pinned.
-        for block_id, node_id in system.namenode.memory_directory.items():
-            assert system.namenode.datanodes[node_id].has_memory_replica(block_id)
+        for block_id, node_id in system.namenode.directory["memory"].items():
+            assert system.namenode.datanodes[node_id].holds("memory", block_id)
 
         # 4. Memory accounting: resident bytes equal the sum of pinned
         #    block sizes, and implicit jobs leave nothing behind.
         for node in system.cluster.nodes:
             pinned = sum(
                 system.namenode.namespace.block(b).size
-                for b in node.datanode.memory_block_ids()
+                for b in node.datanode.pinned_ids("memory")
             )
             assert node.memory.used == pytest.approx(pinned)
         if implicit and system.master is not None:
@@ -168,6 +168,6 @@ class TestSystemInvariants:
         metrics = system.runtime.run_to_completion([job])
         system.sim.run(until=system.sim.now + 30)
         assert metrics.jobs["big"].finished_at is not None
-        for block_id, node_id in system.namenode.memory_directory.items():
-            assert system.namenode.datanodes[node_id].has_memory_replica(block_id)
+        for block_id, node_id in system.namenode.directory["memory"].items():
+            assert system.namenode.datanodes[node_id].holds("memory", block_id)
         assert system.cluster.total_memory_used() == 0.0  # implicit default

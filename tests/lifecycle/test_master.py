@@ -9,7 +9,7 @@ from .conftest import FAST_LIFECYCLE
 
 
 def archived(rig, block):
-    return block.block_id in rig.namenode.archive_directory
+    return block.block_id in rig.namenode.directory["archive"]
 
 
 class TestDemotion:
@@ -18,8 +18,8 @@ class TestDemotion:
         block = rig.cold_block()
         rig.run_until(lambda: archived(rig, block))
         bid = block.block_id
-        owner = rig.namenode.archive_directory[bid]
-        assert rig.namenode.datanodes[owner].has_archive_replica(bid)
+        owner = rig.namenode.directory["archive"][bid]
+        assert rig.namenode.datanodes[owner].holds("archive", bid)
         assert rig.cluster.nodes[owner].archive.is_pinned(bid)
         # Default cold_replication=1: the archive copy is the only
         # durable one, every disk replica was reclaimed.
@@ -85,7 +85,7 @@ class TestRestore:
         # block re-enters the working set ...
         assert len(block.replica_nodes) == rig.namenode.replication
         for node_id in block.replica_nodes:
-            assert rig.namenode.datanodes[node_id].has_disk_replica(bid)
+            assert rig.namenode.datanodes[node_id].holds("disk", bid)
         # ... the override is gone, the checksum entry retired with the
         # archived copy, and the ledger closed.
         assert bid not in rig.namenode.replication_overrides
@@ -109,7 +109,7 @@ class TestRestore:
             r.status is MigrationStatus.DISCARDED for r in records
         )
         rig.run_until(
-            lambda: bid in rig.namenode.memory_directory, deadline=400.0
+            lambda: bid in rig.namenode.directory["memory"], deadline=400.0
         )
         # Restored to disk first, then promoted via the normal
         # bandwidth-aware machinery because the job still wants it.
@@ -137,7 +137,7 @@ class TestCorruption:
         assert not archived(rig, block)
         assert block.replica_nodes == replicas
         for node_id in replicas:
-            assert rig.namenode.datanodes[node_id].has_disk_replica(bid)
+            assert rig.namenode.datanodes[node_id].holds("disk", bid)
         assert bid not in rig.namenode.replication_overrides
         assert not rig.master.integrity.has(bid)
         assert rig.master.archived_blocks == 0
@@ -180,10 +180,10 @@ class TestFailures:
         rig = lifecycle_rig
         block = rig.cold_block()
         rig.run_until(lambda: archived(rig, block))
-        owner = rig.namenode.archive_directory[block.block_id]
+        owner = rig.namenode.directory["archive"][block.block_id]
         rig.cluster.nodes[owner].fail()
         rig.slaves[owner].crash()
-        assert rig.namenode.datanodes[owner].has_archive_replica(block.block_id)
+        assert rig.namenode.datanodes[owner].holds("archive", block.block_id)
         event, source = rig.client.read_block(block, reader_node=None, job_id="r")
         assert source.is_archive
         rig.sim.run(until=rig.sim.now + 30.0)

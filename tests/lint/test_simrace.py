@@ -51,6 +51,16 @@ class TestSim501:
         )
 
 
+class TestSim501Directory:
+    def diags(self):
+        return findings("simrace/stale_directory.py", "SIM501")
+
+    def test_fires_on_the_unguarded_holder_only(self):
+        diags = self.diags()
+        assert positions(diags) == [(10, 8)]  # not line 17, the guarded use
+        assert "captured from `directory` on line 8" in diags[0].message
+
+
 class TestSim502:
     def diags(self):
         return findings("simrace/unfenced.py", "SIM502")

@@ -55,7 +55,7 @@ class TestPullProtocol:
         rig.master.migrate(["a"], job_id="j1")
         rig.sim.run(until=90)
         for block in entry.blocks:
-            assert block.block_id in rig.namenode.memory_directory
+            assert block.block_id in rig.namenode.directory["memory"]
         assert rig.master.pending_count == 0
 
     def test_grants_come_from_multiple_shards(self, shard_rig):

@@ -42,7 +42,7 @@ class TestCrashShard:
         rig.sim.run(until=90)
         for block in entry.blocks:
             if block.block_id % 4 != 1:
-                assert block.block_id in rig.namenode.memory_directory
+                assert block.block_id in rig.namenode.directory["memory"]
 
     def test_requests_routed_to_dead_shard_are_discarded(self, shard_rig):
         rig = shard_rig
@@ -73,7 +73,7 @@ class TestRecoverShard:
         rig.master.migrate(["a"], job_id="j1")
         rig.sim.run(until=90)
         for block in entry.blocks:
-            assert block.block_id in rig.namenode.memory_directory
+            assert block.block_id in rig.namenode.directory["memory"]
 
     def test_recover_live_shard_is_noop(self, shard_rig):
         shard_rig.master.recover_shard(0)
@@ -183,4 +183,4 @@ class TestStandbyFederation:
         assert client.migrate(["b"], job_id="j2") is True
         cluster.sim.run(until=60)
         for block in client.blocks_of(["b"]):
-            assert block.block_id in namenode.memory_directory
+            assert block.block_id in namenode.directory["memory"]

@@ -54,15 +54,15 @@ class TestDemoteOnEvict:
         block = entry.blocks[0]
         rig.master.migrate(["f"], job_id="j1", eviction=EvictionMode.IMPLICIT)
         run_until_done(rig, block.block_id)
-        node_id = rig.namenode.memory_directory[block.block_id]
+        node_id = rig.namenode.directory["memory"][block.block_id]
         event, _ = rig.client.read_block(block, reader_node=None, job_id="j1")
         rig.sim.run(until=rig.sim.now + 5.0)
         assert event.triggered
         # The reference-list eviction fired and stepped the block down
         # one rung: out of RAM, onto the holder's SSD.
-        assert block.block_id not in rig.namenode.memory_directory
-        assert rig.namenode.ssd_directory[block.block_id] == node_id
-        assert rig.namenode.datanodes[node_id].has_ssd_replica(block.block_id)
+        assert block.block_id not in rig.namenode.directory["memory"]
+        assert rig.namenode.directory["ssd"][block.block_id] == node_id
+        assert rig.namenode.datanodes[node_id].holds("ssd", block.block_id)
         assert rig.master.tier_moves[("memory", "ssd")] == 1
         assert rig.client.resident_tier(block) == "ssd"
 
@@ -82,8 +82,8 @@ class TestDemoteOnEvict:
         event, _ = rig.client.read_block(block, reader_node=None, job_id="j1")
         rig.sim.run(until=rig.sim.now + 5.0)
         assert event.triggered
-        assert block.block_id not in rig.namenode.memory_directory
-        assert block.block_id not in rig.namenode.ssd_directory
+        assert block.block_id not in rig.namenode.directory["memory"]
+        assert block.block_id not in rig.namenode.directory["ssd"]
         assert ("memory", "ssd") not in rig.master.tier_moves
         assert rig.client.resident_tier(block) == "disk"
 
@@ -110,16 +110,16 @@ class TestDemoteOnEvict:
         rig.master.migrate(["b"], job_id="j2", eviction=EvictionMode.IMPLICIT)
         rig.sim.run(until=rig.sim.now + 30.0)
         # b is stalled on the memory hard limit; memory holds only a.
-        assert b.block_id not in rig.namenode.memory_directory
+        assert b.block_id not in rig.namenode.directory["memory"]
         assert node.memory.used == pytest.approx(64 * MB)
         # j1's read evicts a; the SSD is full, so no demotion happens --
         # a drops to disk and the freed memory un-stalls b.
         rig.client.read_block(a, reader_node=None, job_id="j1")
         rig.sim.run(until=rig.sim.now + 60.0)
-        assert a.block_id not in rig.namenode.memory_directory
-        assert a.block_id not in rig.namenode.ssd_directory
+        assert a.block_id not in rig.namenode.directory["memory"]
+        assert a.block_id not in rig.namenode.directory["ssd"]
         assert ("memory", "ssd") not in rig.master.tier_moves
-        assert b.block_id in rig.namenode.memory_directory
+        assert b.block_id in rig.namenode.directory["memory"]
         assert rig.master.record_of(b.block_id).status is MigrationStatus.DONE
 
 
@@ -132,13 +132,13 @@ class TestSsdSourcedPromotion:
         run_until_done(rig, block.block_id)
         rig.client.read_block(block, reader_node=None, job_id="j1")
         rig.sim.run(until=rig.sim.now + 5.0)
-        assert block.block_id in rig.namenode.ssd_directory
+        assert block.block_id in rig.namenode.directory["ssd"]
         return block
 
     def test_cached_block_promotes_from_its_ssd_holder(self, tiered_rig):
         rig = tiered_rig
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.ssd_directory[block.block_id]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         records = rig.master.migrate(["f"], job_id="j2")
         assert len(records) == 1
         record = records[0]
@@ -148,10 +148,10 @@ class TestSsdSourcedPromotion:
         assert record.dest_tier == "memory"
         assert record.bound_node == holder
         run_until_done(rig, block.block_id)
-        assert rig.namenode.memory_directory[block.block_id] == holder
+        assert rig.namenode.directory["memory"][block.block_id] == holder
         assert rig.master.tier_moves[("ssd", "memory")] == 1
         # The cache copy is retained alongside the memory replica.
-        assert rig.namenode.datanodes[holder].has_ssd_replica(block.block_id)
+        assert rig.namenode.datanodes[holder].holds("ssd", block.block_id)
 
     def test_lane_respawns_after_draining_a_terminal_record(self, tiered_rig):
         """Regression: a lane spawned for an already-terminal record
@@ -160,7 +160,7 @@ class TestSsdSourcedPromotion:
         spawn, or the SSD lane never runs again."""
         rig = tiered_rig
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.ssd_directory[block.block_id]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         slave = rig.master.slaves[holder]
         stale = MigrationRecord(
             block=block,
@@ -173,14 +173,14 @@ class TestSsdSourcedPromotion:
         rig.master.migrate(["f"], job_id="j2")  # push-binds to the holder
         record = run_until_done(rig, block.block_id)
         assert record.source_tier == "ssd"
-        assert rig.namenode.memory_directory[block.block_id] == holder
+        assert rig.namenode.directory["memory"][block.block_id] == holder
 
     def test_overrunning_copy_refreshes_the_ssd_estimator(self, tiered_rig):
         """A heartbeat tick that lands while an ssd->memory copy runs
         past its estimate raises the SSD lane's estimate (§IV-A)."""
         rig = tiered_rig
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.ssd_directory[block.block_id]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         slave = rig.master.slaves[holder]
         channel = rig.cluster.node(holder).ssd.channel
         channel.set_capacity(channel.capacity / 1000)
@@ -200,8 +200,8 @@ class TestSsdSourcedPromotion:
         rig.sim.run(until=rig.sim.now + 5.0)
         # Demotion is skipped (the SSD already has the copy); the drop
         # leaves the cache entry in place, so the edge counted once.
-        assert block.block_id not in rig.namenode.memory_directory
-        assert block.block_id in rig.namenode.ssd_directory
+        assert block.block_id not in rig.namenode.directory["memory"]
+        assert block.block_id in rig.namenode.directory["ssd"]
         assert rig.master.tier_moves[("memory", "ssd")] == 1
 
 
@@ -222,7 +222,7 @@ class TestLifecyclePass:
         block = self._warm_block(rig)
         rig.sim.run(until=rig.sim.now + 60.0)
         assert rig.master.lifecycle_passes > 0
-        assert block.block_id in rig.namenode.ssd_directory
+        assert block.block_id in rig.namenode.directory["ssd"]
         assert rig.master.tier_moves[("disk", "ssd")] == 1
         # Subsequent undeclared reads come off the flash.
         event, source = rig.client.read_block(block, reader_node=None, job_id="q")
@@ -238,19 +238,19 @@ class TestLifecyclePass:
         assert tier_record.status is MigrationStatus.DISCARDED
         assert tier_record.discard_reason == "superseded"
         run_until_done(rig, block.block_id)
-        assert block.block_id in rig.namenode.memory_directory
+        assert block.block_id in rig.namenode.directory["memory"]
 
     def test_cold_blocks_expire_off_the_ssd(self, make_tiered_rig):
         rig = make_tiered_rig(tier_config=TierConfig(cold_age=120.0))
         block = self._warm_block(rig)
         rig.sim.run(until=rig.sim.now + 60.0)
-        assert block.block_id in rig.namenode.ssd_directory
-        holder = rig.namenode.ssd_directory[block.block_id]
+        assert block.block_id in rig.namenode.directory["ssd"]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         # No further accesses: the block cools past cold_age and the
         # next pass expires it (a free drop; disk is the ground truth).
         rig.sim.run(until=rig.sim.now + 300.0)
-        assert block.block_id not in rig.namenode.ssd_directory
-        assert not rig.namenode.datanodes[holder].has_ssd_replica(block.block_id)
+        assert block.block_id not in rig.namenode.directory["ssd"]
+        assert not rig.namenode.datanodes[holder].holds("ssd", block.block_id)
         assert rig.master.tier_moves[("ssd", "disk")] >= 1
         assert rig.cluster.nodes[holder].ssd.used == 0.0
 
@@ -258,7 +258,7 @@ class TestLifecyclePass:
         rig = make_tiered_rig(tier_config=TierConfig(promote_warm_to_ssd=False))
         block = self._warm_block(rig)
         rig.sim.run(until=rig.sim.now + 60.0)
-        assert block.block_id not in rig.namenode.ssd_directory
+        assert block.block_id not in rig.namenode.directory["ssd"]
         assert ("disk", "ssd") not in rig.master.tier_moves
 
     def test_memory_resident_blocks_are_left_alone(self, tiered_rig):
@@ -269,7 +269,7 @@ class TestLifecyclePass:
         run_until_done(rig, block.block_id)
         actions = rig.master.lifecycle_pass()
         assert actions == {"promoted": 0, "demoted": 0, "archived": 0}
-        assert block.block_id not in rig.namenode.ssd_directory
+        assert block.block_id not in rig.namenode.directory["ssd"]
 
 
 class TestDegradation:
@@ -283,8 +283,8 @@ class TestDegradation:
         run_until_done(rig, block.block_id)
         rig.client.read_block(block, reader_node=None, job_id="j1")
         rig.sim.run(until=rig.sim.now + 60.0)
-        assert block.block_id not in rig.namenode.memory_directory
-        assert rig.namenode.ssd_directory == {}
+        assert block.block_id not in rig.namenode.directory["memory"]
+        assert rig.namenode.directory["ssd"] == {}
         assert set(rig.master.tier_moves) == {("disk", "memory")}
 
 
@@ -296,37 +296,37 @@ class TestFailures:
         run_until_done(rig, block.block_id)
         rig.client.read_block(block, reader_node=None, job_id="j1")
         rig.sim.run(until=rig.sim.now + 5.0)
-        assert block.block_id in rig.namenode.ssd_directory
+        assert block.block_id in rig.namenode.directory["ssd"]
         return block
 
     def test_slave_crash_loses_the_ssd_cache(self, tiered_rig):
         rig = tiered_rig
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.ssd_directory[block.block_id]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         slave = rig.master.slaves[holder]
         slave.crash()
         # The cache is slave-managed soft state: the pins die with the
         # process ...
-        assert rig.namenode.datanodes[holder].ssd_block_ids() == ()
+        assert rig.namenode.datanodes[holder].pinned_ids("ssd") == ()
         assert rig.cluster.nodes[holder].ssd.used == 0.0
         # ... and the replacement's registration drops the directory
         # entries (III-C2 generalized to both fast tiers).
         slave.restart()
-        assert block.block_id not in rig.namenode.ssd_directory
+        assert block.block_id not in rig.namenode.directory["ssd"]
         event, source = rig.client.read_block(block, reader_node=None, job_id="j2")
         assert not source.is_ssd
 
     def test_master_recovery_rebuilds_the_ssd_directory(self, tiered_rig):
         rig = tiered_rig
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.ssd_directory[block.block_id]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         rig.master.crash()
-        assert rig.namenode.ssd_directory == {}
+        assert rig.namenode.directory["ssd"] == {}
         # The SSD pins survive a master failure (only the *master's*
         # soft state is lost), so recovery re-learns them from slaves.
-        assert rig.namenode.datanodes[holder].has_ssd_replica(block.block_id)
+        assert rig.namenode.datanodes[holder].holds("ssd", block.block_id)
         rig.master.recover()
-        assert rig.namenode.ssd_directory[block.block_id] == holder
+        assert rig.namenode.directory["ssd"][block.block_id] == holder
 
     def test_permanent_slave_crash_leaves_no_ssd_entry(self, make_tiered_rig):
         """A crash unpins the node's SSD, but only a restart reaps the
@@ -343,13 +343,13 @@ class TestFailures:
             )
         )
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.ssd_directory[block.block_id]
+        holder = rig.namenode.directory["ssd"][block.block_id]
         rig.master.slaves[holder].crash()
         rig.sim.run(until=rig.sim.now + 60.0)
         assert rig.master.temperature.classify(
             block.block_id, rig.sim.now
         ).name == "COLD"
-        assert block.block_id not in rig.namenode.ssd_directory
+        assert block.block_id not in rig.namenode.directory["ssd"]
         assert quiesce_violations(rig.master) == []
 
 

@@ -61,7 +61,7 @@ class TestSortEndToEnd:
     def test_blocks_observably_reach_the_ssd(self, sorted_system):
         system, telemetry = sorted_system
         # Demote-on-evict parked the read-once input on the flash.
-        assert len(system.namenode.ssd_directory) > 0
+        assert len(system.namenode.directory["ssd"]) > 0
         occupancy = telemetry.tier_occupancy_totals()
         assert occupancy["ssd"].max() > 0
         per_node = [
