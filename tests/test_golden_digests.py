@@ -62,6 +62,7 @@ CASES = (
     ("naive", "sort", 3, 0),
     ("dyrs-sharded", "swim", 2, 8),
     ("dyrs-tiered", "reread", 3, 0),
+    ("dyrs-lifecycle", "promote", 3, 0),
 )
 
 #: Horizon over which a chaos case spreads its faults, simulated seconds.
@@ -156,6 +157,9 @@ GOLDEN = {
     "dyrs-tiered-reread-seed3": (
         "e8f9ac51640f4ffdcb54b511159e2074df3b8d2c7107ac22676063e86678b457"
     ),
+    "dyrs-lifecycle-promote-seed3": (
+        "7e4f8768604631806daf563bc60c6a62677d73af01eb84d83df05b226fc93591"
+    ),
 }
 
 #: Runs whose trace is pinned: the two SSD-reading ladder cases, the
@@ -208,7 +212,9 @@ def _jobs(system, workload: str):
         # its file into a background disk->ssd fill, the sort migrates
         # disk->memory and demotes memory->ssd on eviction, the
         # declared re-scan promotes ssd->memory, and both SSD sets
-        # expire ssd->disk in the idle tail.
+        # expire ssd->disk in the idle tail.  On the archive ladder
+        # (``dyrs-lifecycle``) only HOT blocks are filled, and WARM
+        # SSD copies expire at the next pass.
         system.load_input("scan/input", 2 * GB)
         blocks = system.client.blocks_of(["scan/input"])
         return [
@@ -354,6 +360,16 @@ def test_promote_case_crosses_every_working_tier_edge():
         ("ssd", "disk"),
     }
     assert master.tier_record_log
+    assert all(r.status.name == "DONE" for r in master.tier_record_log)
+
+
+def test_lifecycle_promote_case_promotes_and_expires_on_the_archive_ladder():
+    """On a ladder with an archive rung only a HOT block belongs on the
+    SSD.  The digest pins that arm of the rule only while the case
+    still promotes HOT disk-only blocks and expires WARM SSD copies."""
+    master = _simulate("dyrs-lifecycle", "promote", 3, 0).master
+    assert master.tier_moves[("disk", "ssd")] == 8
+    assert master.tier_moves[("ssd", "disk")] == 24
     assert all(r.status.name == "DONE" for r in master.tier_record_log)
 
 
