@@ -36,8 +36,7 @@ Latency is a first-class spec field: archival media pay a fixed
 per-operation setup cost (mount/seek/object-store round trip) that
 dwarfs a disk seek.  The channel itself stays a pure bandwidth model;
 the latency is charged explicitly by whoever drives the operation (the
-lifecycle master's tier moves) and is folded into
-:meth:`Archive.read_seconds` for policy cost estimates.
+lifecycle master's tier moves).
 """
 
 from __future__ import annotations
@@ -124,8 +123,3 @@ class Archive(ByteStore):
             min_efficiency=spec.min_efficiency,
             name=name,
         )
-
-    def read_seconds(self, nbytes: float) -> float:
-        """Nominal uncontended seconds to fetch ``nbytes`` (latency
-        plus line-rate transfer) -- the policy-layer cost estimate."""
-        return self.spec.latency + nbytes / self.channel.capacity

@@ -1,13 +1,15 @@
 """The storage ladder: data lifecycle over disk, SSD, memory and archive.
 
 The paper's machinery only moves data *up*, from disk to memory.  This
-package runs one lifecycle over every rung a cluster has: blocks are
-classified HOT/WARM/COLD from the temperature tracker's EWMAs, warm
-data is cached on the SSD and expired from it, and -- when the cluster
-has an archive rung -- a declarative policy table says where each class
-lives and how replicated it is, and a serialized, integrity-checked
-mover demotes cold data to the fabric-attached archive tier and
-restores it -- re-replicated first -- when it heats back up.
+package runs one lifecycle over every rung a cluster has, ordered by
+:data:`TIER_ORDER` (``archive`` < ``disk`` < ``ssd`` < ``memory``):
+blocks are classified HOT/WARM/COLD from the temperature tracker's
+EWMAs, and one rule says which of them the SSD holds -- HOT blocks,
+and WARM ones too on a ladder without an archive rung.  When the
+cluster has an archive rung, a serialized, integrity-checked mover
+demotes cold data to the fabric-attached archive tier, keeping no disk
+replica, and restores it -- re-replicated first -- when it heats back
+up.
 
 The package is an *extension*, not part of the reproduction: the
 ``dyrs`` scheme builds its master only when a worker has an SSD, so
@@ -15,12 +17,6 @@ no configuration the paper evaluates creates any of these objects.
 
 Modules
 -------
-``policy``
-    The rung order (:data:`TIER_ORDER`, :func:`rung_read_seconds`) and
-    the three placement policies: the temperature ladder
-    (:class:`ThresholdPolicy`), read-savings against move cost
-    (:class:`CostBenefitPolicy`), and the per-temperature table
-    (:class:`LifecycleTable`, read through :class:`TablePolicy`).
 ``temperature``
     Per-block EWMA access tracking and the HOT/WARM/COLD
     classification (:class:`TemperatureTracker`).
@@ -28,7 +24,7 @@ Modules
     Checksums recorded at archival write and verified before any copy
     is deleted (:class:`ChecksumRegistry`).
 ``replication``
-    The temperature-driven replication scheduler
+    The archive-aware replication scheduler
     (:class:`ReplicationScheduler`).
 ``master``
     :class:`LifecycleMaster`, the DYRS master that runs the SSD
@@ -36,41 +32,20 @@ Modules
     :class:`TierConfig`.
 """
 
+from repro.cluster.node import TIER_ORDER
 from repro.lifecycle.integrity import ChecksumRegistry, block_checksum
-from repro.lifecycle.master import LifecycleMaster, TierConfig
-from repro.lifecycle.policy import (
-    TIER_ORDER,
-    CostBenefitPolicy,
-    LifecycleRule,
-    LifecycleTable,
-    PlacementContext,
-    TablePolicy,
-    ThresholdPolicy,
-    TierPolicy,
-    default_table,
-    is_promotion,
-    rung_read_seconds,
-)
+from repro.lifecycle.master import LifecycleMaster, TierConfig, is_promotion
 from repro.lifecycle.replication import ReplicationScheduler
 from repro.lifecycle.temperature import Temperature, TemperatureTracker
 
 __all__ = [
     "TIER_ORDER",
     "ChecksumRegistry",
-    "CostBenefitPolicy",
     "LifecycleMaster",
-    "LifecycleRule",
-    "LifecycleTable",
-    "PlacementContext",
     "ReplicationScheduler",
-    "TablePolicy",
     "Temperature",
     "TemperatureTracker",
-    "ThresholdPolicy",
     "TierConfig",
-    "TierPolicy",
     "block_checksum",
-    "default_table",
     "is_promotion",
-    "rung_read_seconds",
 ]

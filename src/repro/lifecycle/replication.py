@@ -1,18 +1,15 @@
 """The temperature-driven replication scheduler.
 
-Replication factor is part of a lifecycle policy, not a constant: a
-COLD block archived to fabric storage does not need three disk
-replicas -- the archive copy is the durable one, and the policy table
-says how many extra copies to keep (default: none).  A re-heated block
-must be *re-replicated before promotion*: serving a hot working set
-from a single surviving copy recreates exactly the hotspot DYRS exists
-to avoid.
+Replication factor follows the lifecycle, not a constant: a COLD block
+archived to fabric storage keeps no disk replica -- the archive copy is
+its one durable copy.  A re-heated block must be *re-replicated before
+promotion*: serving a hot working set from a single surviving copy
+recreates exactly the hotspot DYRS exists to avoid.
 
 The scheduler owns both ends:
 
-* **demotion accounting** -- how many disk replicas to retain when a
-  block is archived, and registering the lowered target in the
-  NameNode's ``replication_overrides`` so the
+* **demotion accounting** -- registering an archived block's disk
+  target of zero in the NameNode's ``replication_overrides`` so the
   :class:`~repro.dfs.replication.ReplicationMonitor` stops "healing"
   the deliberate under-replication;
 * **restore planning** -- which nodes receive the re-replicated copies
@@ -24,9 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.lifecycle.policy import LifecycleTable
-from repro.lifecycle.temperature import Temperature
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dfs.block import Block
     from repro.dfs.namenode import NameNode
@@ -35,31 +29,16 @@ __all__ = ["ReplicationScheduler"]
 
 
 class ReplicationScheduler:
-    """Plans per-block replication from the lifecycle policy table."""
+    """Plans per-block replication across archive and restore."""
 
-    def __init__(self, table: LifecycleTable, namenode: "NameNode") -> None:
-        self.table = table
+    def __init__(self, namenode: "NameNode") -> None:
         self.namenode = namenode
 
     # -- demotion side -------------------------------------------------------
 
-    def archived_disk_copies(self, block: "Block") -> int:
-        """Disk replicas to *retain* while ``block`` is archived.
-
-        The archive copy counts toward the COLD durable-copy target, so
-        the disk complement is one less (never negative).
-        """
-        durable = self.table.replication(
-            Temperature.COLD, self.namenode.replication
-        )
-        return max(0, durable - 1)
-
-    def lower_for_archive(self, block: "Block") -> int:
-        """Register the archived block's lowered disk target; returns
-        the number of disk replicas to keep."""
-        keep = self.archived_disk_copies(block)
-        self.namenode.replication_overrides[block.block_id] = keep
-        return keep
+    def lower_for_archive(self, block: "Block") -> None:
+        """Register the archived block's disk target: no replicas."""
+        self.namenode.replication_overrides[block.block_id] = 0
 
     def restore_factor(self, block: "Block") -> None:
         """Drop the override: the block is durable on disk again and

@@ -108,13 +108,6 @@ class TemperatureTracker:
         """Smoothed inter-access interval; None before two accesses."""
         return self._ewma_interval.get(block_id)
 
-    def access_rate(self, block_id: BlockId) -> float:
-        """Smoothed accesses/second (0 for never/once-accessed blocks)."""
-        interval = self._ewma_interval.get(block_id)
-        if interval is None or interval <= 0:
-            return 0.0
-        return 1.0 / interval
-
     def score(self, block_id: BlockId, now: float) -> float:
         """Temperature score in seconds; ``inf`` if never accessed.
 

@@ -35,13 +35,6 @@ class TestFreeStandingDevice:
         # Free-standing: a private link built from the spec.
         assert archive.channel.capacity == ArchiveSpec().bandwidth
 
-    def test_read_seconds_includes_the_setup_latency(self):
-        sim = Simulator()
-        archive = Archive(
-            sim, ArchiveSpec(bandwidth=120 * MB, latency=0.5)
-        )
-        assert archive.read_seconds(120 * MB) == pytest.approx(1.5)
-
     def test_transfer_charges_the_channel(self):
         sim = Simulator()
         archive = Archive(sim, ArchiveSpec(bandwidth=100 * MB, latency=0.0))

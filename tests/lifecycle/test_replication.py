@@ -1,40 +1,19 @@
 """Unit tests for the temperature-driven replication scheduler."""
 
-from repro.lifecycle import LifecycleRule, LifecycleTable, default_table
 from repro.lifecycle.replication import ReplicationScheduler
 from repro.units import MB
 
 
-def make_scheduler(rig, cold_replication=1):
-    return ReplicationScheduler(
-        default_table(cold_replication=cold_replication), rig.namenode
-    )
+def make_scheduler(rig):
+    return ReplicationScheduler(rig.namenode)
 
 
 class TestDemotionAccounting:
-    def test_archive_copy_counts_toward_the_durable_target(self, lifecycle_rig):
-        rig = lifecycle_rig
-        block = rig.client.create_file("f", 64 * MB).blocks[0]
-        assert make_scheduler(rig).archived_disk_copies(block) == 0
-        assert make_scheduler(rig, cold_replication=3).archived_disk_copies(
-            block
-        ) == 2
-
-    def test_keep_configured_factor_when_rule_has_no_override(self, lifecycle_rig):
-        rig = lifecycle_rig
-        table = LifecycleTable(cold=LifecycleRule("archive", replication=None))
-        scheduler = ReplicationScheduler(table, rig.namenode)
-        block = rig.client.create_file("f", 64 * MB).blocks[0]
-        # No override: the file's factor stands, minus the archive copy.
-        assert scheduler.archived_disk_copies(block) == (
-            rig.namenode.replication - 1
-        )
-
     def test_lower_then_restore_round_trips_the_override(self, lifecycle_rig):
         rig = lifecycle_rig
         scheduler = make_scheduler(rig)
         block = rig.client.create_file("f", 64 * MB).blocks[0]
-        assert scheduler.lower_for_archive(block) == 0
+        scheduler.lower_for_archive(block)
         assert rig.namenode.replication_overrides[block.block_id] == 0
         assert rig.namenode.replication_target(block) == 0
         scheduler.restore_factor(block)

@@ -1,6 +1,8 @@
 """Integration tests for the working-tier lifecycle: the storage-ladder
 master on an SSD ladder with no archive rung."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import NodeSpec, SsdSpec
@@ -69,9 +71,7 @@ class TestDemoteOnEvict:
     def test_cold_block_drops_straight_to_disk(self, make_tiered_rig):
         """Eviction edge case: by read time the block has gone COLD, so
         the demotion is skipped and the plain drop runs."""
-        rig = make_tiered_rig(
-            tier_config=TierConfig(promote_warm_to_ssd=False, cold_age=300.0)
-        )
+        rig = make_tiered_rig(tier_config=TierConfig(cold_age=300.0))
         entry = rig.client.create_file("f", 64 * MB)
         block = entry.blocks[0]
         rig.master.migrate(["f"], job_id="j1", eviction=EvictionMode.IMPLICIT)
@@ -99,7 +99,6 @@ class TestDemoteOnEvict:
             n_workers=1,
             config=config,
             node=NodeSpec().with_ssd(SsdSpec(capacity=64 * MB)),
-            tier_config=TierConfig(promote_warm_to_ssd=False),
         )
         node = rig.cluster.nodes[0]
         node.ssd.pin("filler", 64 * MB)  # the cache is already full
@@ -254,13 +253,6 @@ class TestLifecyclePass:
         assert rig.master.tier_moves[("ssd", "disk")] >= 1
         assert rig.cluster.nodes[holder].ssd.used == 0.0
 
-    def test_promotion_disabled_by_config(self, make_tiered_rig):
-        rig = make_tiered_rig(tier_config=TierConfig(promote_warm_to_ssd=False))
-        block = self._warm_block(rig)
-        rig.sim.run(until=rig.sim.now + 60.0)
-        assert block.block_id not in rig.namenode.directory["ssd"]
-        assert ("disk", "ssd") not in rig.master.tier_moves
-
     def test_memory_resident_blocks_are_left_alone(self, tiered_rig):
         rig = tiered_rig
         entry = rig.client.create_file("f", 64 * MB)
@@ -332,19 +324,16 @@ class TestFailures:
         """A crash unpins the node's SSD, but only a restart reaps the
         directory; a slave that never returns must not leave its
         entries behind once the block has cooled off."""
-        # No background promotion: a WARM pass would re-promote the
-        # block over the stale entry and hide it.
         rig = make_tiered_rig(
-            tier_config=TierConfig(
-                lifecycle_interval=5.0,
-                hot_age=10.0,
-                cold_age=25.0,
-                promote_warm_to_ssd=False,
-            )
+            tier_config=TierConfig(lifecycle_interval=5.0, hot_age=10.0, cold_age=25.0)
         )
         block = self._block_on_ssd(rig)
-        holder = rig.namenode.directory["ssd"][block.block_id]
-        rig.master.slaves[holder].crash()
+        assert rig.namenode.directory["ssd"][block.block_id] in block.replica_nodes
+        # Every replica holder, the SSD holder among them, loses its
+        # slave for good: no live slave can re-promote the still-warm
+        # block over the stale entry and hide it.
+        for node_id in block.replica_nodes:
+            rig.master.slaves[node_id].crash()
         rig.sim.run(until=rig.sim.now + 60.0)
         assert rig.master.temperature.classify(
             block.block_id, rig.sim.now
@@ -358,18 +347,13 @@ class TestTierConfigValidation:
         with pytest.raises(ValueError):
             TierConfig(lifecycle_interval=0)
         with pytest.raises(ValueError):
-            TierConfig(policy="bogus")
-        with pytest.raises(ValueError):
-            TierConfig(horizon=-1.0)
+            TierConfig(hot_age=0.0)
         with pytest.raises(ValueError):
             TierConfig(hot_age=500.0, cold_age=300.0)
 
-    def test_master_builds_the_configured_policy(self, make_tiered_rig):
-        from repro.lifecycle import CostBenefitPolicy, ThresholdPolicy
-
-        assert isinstance(make_tiered_rig().master.tier_policy, ThresholdPolicy)
-        rig = make_tiered_rig(
-            tier_config=TierConfig(policy="cost-benefit", horizon=60.0)
-        )
-        assert isinstance(rig.master.tier_policy, CostBenefitPolicy)
-        assert rig.master.tier_policy.horizon == 60.0
+    def test_every_field_is_pinned_here(self):
+        # A field added to TierConfig needs a bound test (archive_age's
+        # is in tests/lifecycle/test_policy.py), and CFG601 flags a
+        # knob no test names.
+        pinned = {"lifecycle_interval", "hot_age", "cold_age", "archive_age"}
+        assert {f.name for f in dataclasses.fields(TierConfig)} == pinned

@@ -67,14 +67,13 @@ class TestScore:
 
 
 class TestBookkeeping:
-    def test_access_count_and_rate(self):
+    def test_access_count_and_interval(self):
         tracker = make_tracker()
-        assert tracker.access_rate("b") == 0.0
         tracker.record_access("b", now=0.0)
-        assert tracker.access_rate("b") == 0.0  # one touch: rate unknown
+        assert tracker.ewma_interval("b") is None  # one touch: unknown
         tracker.record_access("b", now=4.0)
         assert tracker.access_count("b") == 2
-        assert tracker.access_rate("b") == pytest.approx(0.25)
+        assert tracker.ewma_interval("b") == pytest.approx(4.0)
 
     def test_forget_drops_all_state(self):
         tracker = make_tracker()
@@ -115,7 +114,6 @@ class TestEdgeCases:
 
     def test_cold_start_queries_are_safe(self):
         tracker = make_tracker()
-        assert tracker.access_rate("never") == 0.0
         assert tracker.access_count("never") == 0
         assert tracker.last_access("never") is None
         assert tracker.ewma_interval("never") is None
@@ -126,17 +124,16 @@ class TestEdgeCases:
         tracker = make_tracker()
         tracker.record_access("b", now=10.0)
         assert tracker.ewma_interval("b") is None
-        assert tracker.access_rate("b") == 0.0
         assert tracker.score("b", now=10.0) == 0.0
 
-    def test_same_instant_accesses_do_not_blow_up_the_rate(self):
+    def test_same_instant_accesses_score_zero(self):
         """Two reads in the same sim instant give a zero smoothed
-        interval; the rate must stay 0, not divide by zero."""
+        interval, hence a zero score: the block is HOT."""
         tracker = make_tracker()
         tracker.record_access("b", now=5.0)
         tracker.record_access("b", now=5.0)
         assert tracker.ewma_interval("b") == 0.0
-        assert tracker.access_rate("b") == 0.0
+        assert tracker.score("b", now=5.0) == 0.0
         assert tracker.classify("b", now=5.0) is Temperature.HOT
 
     def test_out_of_order_access_clamps_the_interval(self):
