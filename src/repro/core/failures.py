@@ -618,9 +618,9 @@ class ChaosCampaign:
                 # just measures routed-request loss, not recovery.
                 duration = float(rng.uniform(0.05, 0.15) * self.horizon)
             elif kind == "shard-loss":
-                # Permanent loss: the shard never comes back, which is
-                # exactly what exercises the declared-dead rebalance
-                # path (the routing slice must re-home and stay there).
+                # Permanent loss: the shard never comes back.  Its
+                # routing slice does not re-home, so every request
+                # routed to it is discarded for the rest of the run.
                 duration = None
             plan.append(
                 ChaosFault(

@@ -96,13 +96,6 @@ class DyrsConfig:
         detached, so one slow or delayed shard endpoint never stalls
         the legs to the healthy shards at any window; a wider window
         lets a node keep several legs in flight to the same shard.
-    shard_dead_after:
-        Seconds a crashed shard may stay down before the coordinator
-        declares it permanently dead (``None`` = never).  Declaration
-        re-homes the shard's routing slice under the rendezvous
-        router; block/rack routing keeps discarding requests routed to
-        the dead shard (today's semantics) but still emits the
-        ``shard_dead`` trace event.
     """
 
     ewma_alpha: float = 0.4
@@ -117,7 +110,6 @@ class DyrsConfig:
     pull_service_cost: float = 0.0
     idle_pull: str = "poll"
     shard_pull_window: int = 1
-    shard_dead_after: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.ewma_alpha <= 1:
@@ -154,11 +146,6 @@ class DyrsConfig:
         if self.shard_pull_window < 1:
             raise ValueError(
                 f"shard_pull_window must be >= 1, got {self.shard_pull_window}"
-            )
-        if self.shard_dead_after is not None and self.shard_dead_after <= 0:
-            raise ValueError(
-                f"shard_dead_after must be positive or None, "
-                f"got {self.shard_dead_after}"
             )
 
 

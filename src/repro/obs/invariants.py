@@ -261,8 +261,8 @@ class TraceInvariants:
         """Sharded-master invariants (no-op on unsharded traces).
 
         The ``shard_assign``/``shard_crash``/``shard_recover``/
-        ``shard_dead``/``pull_leg_*`` vocabulary self-certifies the
-        partitioning contract:
+        ``pull_leg_*`` vocabulary self-certifies the partitioning
+        contract:
 
         11. **Single ownership** -- every ``shard_assign`` names an
             outstanding pending record, and a record admitted to one
@@ -280,10 +280,6 @@ class TraceInvariants:
             ``slave_crash`` zeroes the node's counters: the old
             incarnation's closes still arrive, but the new epoch opens
             fresh legs against a fresh count.
-        15. **No routing to the dead** -- after a ``shard_dead``
-            declaration and before a matching ``shard_recover``, no
-            ``shard_assign`` may name that shard (its slice must have
-            re-homed).
         """
         found: list[str] = []
         pending: dict[str, int] = defaultdict(int)
@@ -291,7 +287,6 @@ class TraceInvariants:
         n_shards: Optional[int] = None
         generations: dict[int, int] = {}
         open_legs: dict[tuple[int, int], int] = defaultdict(int)
-        dead: set[int] = set()
         segment = 0
 
         def reset() -> None:
@@ -300,7 +295,6 @@ class TraceInvariants:
             assigned.clear()
             generations.clear()
             open_legs.clear()
-            dead.clear()
             n_shards = None
 
         for i, event in enumerate(self.events):
@@ -342,12 +336,7 @@ class TraceInvariants:
                 if open_legs[key] > 0:
                     open_legs[key] -= 1
                 continue
-            if etype not in (
-                T.SHARD_ASSIGN,
-                T.SHARD_CRASH,
-                T.SHARD_RECOVER,
-                T.SHARD_DEAD,
-            ):
+            if etype not in (T.SHARD_ASSIGN, T.SHARD_CRASH, T.SHARD_RECOVER):
                 continue
 
             count = f.get("n_shards")
@@ -367,12 +356,6 @@ class TraceInvariants:
                 )
             if etype == T.SHARD_ASSIGN:
                 block = f["block"]
-                if shard in dead:
-                    found.append(
-                        f"{where}: block {block} assigned to shard "
-                        f"{shard} after it was declared dead "
-                        "(rebalance single-ownership violated)"
-                    )
                 if block in assigned:
                     found.append(
                         f"{where}: block {block} assigned to shard "
@@ -385,10 +368,7 @@ class TraceInvariants:
                         "outstanding pending record"
                     )
                 assigned[block] = shard
-            elif etype == T.SHARD_DEAD:
-                dead.add(shard)
             elif etype == T.SHARD_RECOVER:
-                dead.discard(shard)
                 generation = f.get("generation")
                 prior = generations.get(shard, 0)
                 if generation != prior + 1:

@@ -117,14 +117,6 @@ TIER_MOVE_ABORT = "tier_move_abort"
 SHARD_ASSIGN = "shard_assign"
 SHARD_CRASH = "shard_crash"
 SHARD_RECOVER = "shard_recover"
-#: Permanent shard loss: a crashed shard stayed down past
-#: ``DyrsConfig.shard_dead_after`` and the coordinator declared it
-#: dead (``shard``, ``n_shards``, ``dead_after``).  A rendezvous
-#: router re-homes the shard's routing slice to the survivors from
-#: this moment on; the invariant checker convicts any
-#: ``shard_assign`` naming a declared-dead shard before a matching
-#: ``shard_recover``.
-SHARD_DEAD = "shard_dead"
 #: The slave's pull protocol: one RPC leg to a master endpoint (the
 #: flat master's endpoint 0, or a shard) opening (``node``, ``shard``,
 #: ``window``, ``outstanding``) and landing (``node``, ``shard``).  The

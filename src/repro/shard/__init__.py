@@ -10,7 +10,7 @@ tracking, eviction, the memory directory, global reclaim) stays
 coordinator-owned:
 
 * :class:`ShardRouter` -- deterministic record -> shard assignment
-  (hash-by-block, or rack-affine for multi-rack clusters).
+  (hash-by-block, or weighted rendezvous by shard freshness).
 * :class:`MasterShard` -- one partition: a shard-local pending pool
   with shard-local Algorithm 1 retargeting and pull binding.
 * :class:`ShardCoordinator` -- a drop-in

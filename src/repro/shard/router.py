@@ -1,12 +1,11 @@
 """Deterministic record -> shard routing.
 
-The router is a pure function of the block and of explicitly named
-inputs (the static cluster topology in rack mode; the coordinator's
-shard-health view in rendezvous mode): no RNG, no wall clock, no
+The router is a pure function of the block and, in rendezvous mode, of
+the coordinator's shard-freshness view: no RNG, no wall clock, no
 hidden state.  That determinism is what makes the sharded master
 replayable and lets the coordinator recompute a record's owner at any
 time -- ownership never has to be stored per record, so it can never
-go stale.  Rendezvous routing *is* time-varying (health changes), so
+go stale.  Rendezvous routing *is* time-varying (freshness changes), so
 the coordinator's discard path treats it specially (forget-everywhere
 instead of recompute); see ``ShardCoordinator._on_record_discarded``.
 """
@@ -17,7 +16,6 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.topology import Cluster
     from repro.dfs.block import Block
     from repro.shard.coordinator import ShardCoordinator
 
@@ -52,77 +50,53 @@ class ShardRouter:
         sequence numbers, so this stripes uniformly and keeps one
         file's blocks spread across shards (no shard sees a whole
         job's burst alone).
-    ``rack``
-        Shard by the rack of the block's primary replica (lowest
-        replica node id), striped over shards.  Rack-affinity keeps a
-        rack's migration decisions on one shard, so a shard's pending
-        map co-locates with the uplink it contends for; on the paper's
-        single-rack testbed it degenerates to shard 0, so it requires
-        ``n_racks > 1`` to be meaningful (but is still valid).
     ``rendezvous``
-        Weighted rendezvous (highest-random-weight) hashing over the
-        shards the ``health`` provider still routes to, weighted by
-        shard freshness.  Load-aware without losing determinism: the
-        verdict is a pure function of (block id, routable shard set,
-        per-shard weights), all explicit simulation state.  A shard
-        declared permanently dead leaves the candidate set, so its
-        routing slice re-homes to the survivors with minimal churn --
-        the HRW property: only the dead shard's blocks move.
+        Weighted rendezvous (highest-random-weight) hashing over every
+        shard, weighted by shard freshness as the ``health`` provider
+        reports it.  Load-aware without losing determinism: the verdict
+        is a pure function of (block id, per-shard weights), all
+        explicit simulation state.
     """
 
-    MODES = ("block", "rack", "rendezvous")
+    MODES = ("block", "rendezvous")
 
     def __init__(
         self,
         n_shards: int,
         mode: str = "block",
-        cluster: Optional["Cluster"] = None,
         health: Optional["ShardCoordinator"] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if mode not in self.MODES:
             raise ValueError(f"router mode must be one of {self.MODES}, got {mode!r}")
-        if mode == "rack" and cluster is None:
-            raise ValueError("rack-affinity routing requires a cluster")
         if mode == "rendezvous" and health is None:
             raise ValueError(
-                "rendezvous routing requires a health provider "
-                "(routable_shards/shard_weight)"
+                "rendezvous routing requires a health provider (shard_weight)"
             )
         self.n_shards = n_shards
         self.mode = mode
-        self.cluster = cluster
         self.health = health
 
     def shard_of(self, block: "Block") -> int:
         """The owning shard of ``block`` -- total, deterministic."""
-        if self.mode == "rack":
-            primary = min(block.replica_nodes)
-            return self.cluster.rack_of(primary) % self.n_shards
         if self.mode == "rendezvous":
             return self._rendezvous(block.block_id)
         return block.block_id % self.n_shards
 
     def _rendezvous(self, block_id: int) -> int:
-        """Weighted HRW over the currently routable shards.
+        """Weighted HRW over every shard.
 
         Score per shard: ``weight / -ln(u)`` with ``u`` drawn from the
         splitmix64 mix of (block, shard) -- the standard weighted-
         rendezvous construction, so a shard with weight w receives a
         w-proportional slice of the key space.  Strict ``>`` breaks
-        (measure-zero) ties toward the earliest candidate, keeping the
+        (measure-zero) ties toward the lowest shard id, keeping the
         verdict order-stable.
         """
-        candidates = self.health.routable_shards()
-        if not candidates:
-            # Every shard declared dead: routing must stay total, so
-            # fall back to the block stripe; the coordinator discards
-            # what lands on a dead shard (the §III-C semantics).
-            return block_id % self.n_shards
-        best = candidates[0]
+        best = 0
         best_score = -1.0
-        for shard_id in candidates:
+        for shard_id in range(self.n_shards):
             h = _mix64(block_id * _GOLDEN + shard_id)
             # Map to (0, 1) strictly -- u = 1 would zero the log.
             u = ((h >> 11) + 0.5) / float(1 << 53)

@@ -16,7 +16,7 @@ deployment binds byte-identically to ``DyrsMaster``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.pending import PendingPool, bind_from_pool
 from repro.core.targeting import compute_targets
@@ -42,12 +42,6 @@ class MasterShard:
         #: Shard process liveness; a dead shard routes nothing and is
         #: skipped by retargeting and the pull fan-out.
         self.alive = True
-        #: When the shard crashed (simulation time); ``None`` while it
-        #: is up.  The coordinator compares this against
-        #: ``shard_dead_after`` to declare *permanent* loss -- the
-        #: rebalance trigger -- so the timestamp lives with the shard
-        #: incarnation it describes.
-        self.crashed_at: Optional[float] = None
         #: The shard-local pending map (same indexed pool as the flat
         #: master -- a shard at ``shards=1`` IS the flat pending map).
         self._pending = PendingPool()

@@ -103,7 +103,6 @@ def _build_dyrs(system: "System"):
             config.dyrs,
             n_shards=config.shards,
             router_mode=config.shard_router,
-            cluster=system.cluster,
         )
     if any(node.ssd is not None for node in system.cluster.nodes):
         return LifecycleMaster(
@@ -151,17 +150,13 @@ class SystemConfig:
     compute: ComputeConfig = field(default_factory=ComputeConfig)
     block_size: float = DEFAULT_BLOCK_SIZE
     replication: int = 3
-    #: Delay-scheduling locality wait for the task scheduler (seconds;
-    #: 0 = strict capacity scheduler, the calibrated default).
-    locality_delay: float = 0.0
     #: Master shard count of the ``dyrs`` federation; None builds the
     #: flat master.  Only ``dyrs`` accepts it, and not together with
     #: an SSD.  The count is fixed for the life of the run.
     shards: Optional[int] = None
-    #: Record -> shard routing mode for a federation:
-    #: ``"block"`` (hash-by-block), ``"rack"`` (rack-affine) or
-    #: ``"rendezvous"`` (weighted HRW over live shards, re-homing the
-    #: slice of a shard declared permanently dead).
+    #: Record -> shard routing mode for a federation: ``"block"``
+    #: (hash-by-block) or ``"rendezvous"`` (weighted HRW over every
+    #: shard, by shard freshness).
     shard_router: str = "block"
 
     def __post_init__(self) -> None:
@@ -188,9 +183,9 @@ class SystemConfig:
                 f"shard_pull_window={self.dyrs.shard_pull_window} requires "
                 "a federation (shards set)"
             )
-        if self.shard_router not in ("block", "rack", "rendezvous"):
+        if self.shard_router not in ("block", "rendezvous"):
             raise ValueError(
-                "shard_router must be 'block', 'rack' or 'rendezvous', "
+                "shard_router must be 'block' or 'rendezvous', "
                 f"got {self.shard_router!r}"
             )
         if self.replication < 1:
@@ -240,9 +235,7 @@ class System:
             ]
         if isinstance(self.master, DyrsMaster):
             self.master.attach_heartbeats(self.heartbeats)
-        self.scheduler = TaskScheduler(
-            self.cluster, locality_delay=self.config.locality_delay
-        )
+        self.scheduler = TaskScheduler(self.cluster)
         self.metrics = MetricsCollector()
         self.runtime = JobRuntime(
             self.cluster,

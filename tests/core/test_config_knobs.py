@@ -34,7 +34,6 @@ class TestFieldBounds:
             ("pull_service_cost", 0.0, -1.0),
             ("idle_pull", "notify", "busywait"),
             ("shard_pull_window", 1, 0),
-            ("shard_dead_after", 30.0, 0.0),
         ],
     )
     def test_bound(self, field, good, bad):
@@ -42,9 +41,7 @@ class TestFieldBounds:
         with pytest.raises(ValueError, match=field):
             make(**{field: bad})
 
-    @pytest.mark.parametrize(
-        "field", ["queue_depth", "memory_limit", "shard_dead_after"]
-    )
+    @pytest.mark.parametrize("field", ["queue_depth", "memory_limit"])
     def test_none_means_disabled(self, field):
         assert getattr(make(**{field: None}), field) is None
 
@@ -63,7 +60,6 @@ class TestFieldBounds:
             "queue_depth", "rpc_latency", "memory_limit", "gc_threshold",
             "reference_block_size", "estimator_refresh",
             "pull_service_cost", "idle_pull", "shard_pull_window",
-            "shard_dead_after",
         }
         actual = {f.name for f in dataclasses.fields(DyrsConfig)}
         assert actual == pinned

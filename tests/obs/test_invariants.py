@@ -320,40 +320,3 @@ class TestPullWindowInvariant:
              {"node": 0, "shard": 1, "window": 1, "outstanding": 2}),
         )
         assert len(v) == 1
-
-
-class TestDeadShardAssignInvariant:
-    """Check 15: no shard_assign to a declared-dead shard."""
-
-    def test_assign_after_declaration_convicted(self):
-        v = _shard_check(
-            (T.PENDING, 0.0, {"block": 7}),
-            (T.SHARD_DEAD, 1.0, {"shard": 2, "n_shards": 4, "dead_after": 5.0}),
-            (T.SHARD_ASSIGN, 2.0, {"block": 7, "shard": 2, "n_shards": 4}),
-        )
-        assert len(v) == 1
-        assert "after it was declared dead" in v[0]
-
-    def test_assign_to_survivor_passes(self):
-        assert (
-            _shard_check(
-                (T.PENDING, 0.0, {"block": 7}),
-                (T.SHARD_DEAD, 1.0,
-                 {"shard": 2, "n_shards": 4, "dead_after": 5.0}),
-                (T.SHARD_ASSIGN, 2.0, {"block": 7, "shard": 3, "n_shards": 4}),
-            )
-            == []
-        )
-
-    def test_recover_lifts_the_conviction(self):
-        assert (
-            _shard_check(
-                (T.PENDING, 0.0, {"block": 7}),
-                (T.SHARD_DEAD, 1.0,
-                 {"shard": 2, "n_shards": 4, "dead_after": 5.0}),
-                (T.SHARD_RECOVER, 3.0,
-                 {"shard": 2, "n_shards": 4, "generation": 1}),
-                (T.SHARD_ASSIGN, 4.0, {"block": 7, "shard": 2, "n_shards": 4}),
-            )
-            == []
-        )

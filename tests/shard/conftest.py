@@ -30,7 +30,6 @@ class ShardRig:
             self.config,
             n_shards=n_shards,
             router_mode=router_mode,
-            cluster=self.cluster,
         )
         self.slaves = [
             DyrsSlave(self.namenode.datanodes[n.node_id], self.master, self.config)

@@ -133,8 +133,6 @@ class TestWindowResolution:
 
         with pytest.raises(ValueError):
             DyrsConfig(shard_pull_window=0)
-        with pytest.raises(ValueError):
-            DyrsConfig(shard_dead_after=0.0)
 
 
 def _run_async_sort(overrides, arm=None):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import ClusterSpec, SsdSpec
-from repro.core import DyrsConfig
 from repro.dfs.namenode import HeartbeatReport
 from repro.obs import trace as obs
 from repro.obs.metrics import collecting
@@ -159,60 +158,20 @@ class TestEmptyGrantGuard:
         assert not tracer.of_type(obs.BIND)
 
 
-class TestPermanentLoss:
-    """shard_dead_after: declaration, rebalance, and recovery."""
-
-    @pytest.fixture
-    def rig(self, make_shard_rig):
-        return make_shard_rig(
-            router_mode="rendezvous",
-            config=DyrsConfig(
-                reference_block_size=64 * MB, shard_dead_after=5.0
-            ),
-        )
-
-    def test_crashed_shard_stays_routable_until_deadline(self, rig):
-        rig.sim.run(until=1)
-        rig.master.crash_shard(2)
-        rig.sim.run(until=3)  # 2s down < 5s deadline
-        assert rig.master.routable_shards() == [0, 1, 2, 3]
-
-    def test_declaration_rehomes_and_traces_once(self, rig):
-        rig.sim.run(until=1)
-        rig.master.crash_shard(2)
-        rig.sim.run(until=10)  # well past the deadline
-        with obs.tracing() as tracer:
-            assert rig.master.routable_shards() == [0, 1, 3]
-            assert rig.master.routable_shards() == [0, 1, 3]
-        # Sticky declaration: one shard_dead, not one per query.
-        dead = tracer.of_type(obs.SHARD_DEAD)
-        assert len(dead) == 1
-        assert dead[0].fields["shard"] == 2
-        assert dead[0].fields["dead_after"] == 5.0
-
-    def test_new_records_route_to_survivors(self, rig):
-        rig.sim.run(until=1)
-        rig.master.crash_shard(2)
-        rig.sim.run(until=10)
-        rig.client.create_file("a", 12 * 64 * MB)
-        rig.master.migrate(["a"], job_id="j1")
-        assert rig.master.shard_pending_count(2) == 0
-        assert rig.master.pending_count > 0
-
-    def test_recover_returns_the_slice(self, rig):
-        rig.sim.run(until=1)
-        rig.master.crash_shard(2)
-        rig.sim.run(until=10)
-        assert rig.master.routable_shards() == [0, 1, 3]
-        rig.master.recover_shard(2)
-        assert rig.master.routable_shards() == [0, 1, 2, 3]
-
-    def test_without_dead_after_crash_never_declares(self, make_shard_rig):
+class TestRendezvousRouting:
+    def test_crashed_shard_keeps_its_slice(self, make_shard_rig):
+        """The router scores every shard, a crashed one included: a
+        request whose block it names is discarded, not re-homed."""
         rig = make_shard_rig(router_mode="rendezvous")
         rig.sim.run(until=1)
         rig.master.crash_shard(2)
-        rig.sim.run(until=500)
-        assert rig.master.routable_shards() == [0, 1, 2, 3]
+        rig.sim.run(until=100)
+        rig.client.create_file("a", 12 * 64 * MB)
+        records = rig.master.migrate(["a"], job_id="j1")
+        lost = [r for r in records if rig.master.shard_of_block(r.block) == 2]
+        assert lost
+        assert all(r.discard_reason == "shard-down" for r in lost)
+        assert rig.master.shard_pending_count(2) == 0
 
 
 class TestSystemWiring:
@@ -239,3 +198,5 @@ class TestSystemWiring:
     def test_router_mode_validated(self):
         with pytest.raises(ValueError):
             SystemConfig(shards=2, shard_router="load")
+        with pytest.raises(ValueError):
+            SystemConfig(shards=2, shard_router="rack")
