@@ -69,9 +69,6 @@ def _run_swim(
         dyrs_overrides={"idle_pull": idle_pull},
     )
     system = build_system(setup)
-    # Nothing reads the queue-occupancy samples here and at 1M tasks
-    # the sample list is the run's largest allocation.
-    system.runtime.scheduler.sample_stride = 0
     swim_kwargs = {}
     if mean_interarrival is not None:
         swim_kwargs["mean_interarrival"] = mean_interarrival

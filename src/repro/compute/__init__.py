@@ -17,12 +17,11 @@ subpackage provides the matching compute model:
 
 from repro.compute.job import JobSpec, StageSpec, TaskKind, TaskSpec, mapreduce_job
 from repro.compute.metrics import JobMetrics, MetricsCollector, TaskMetrics
-from repro.compute.scheduler import FairTaskScheduler, TaskScheduler
+from repro.compute.scheduler import TaskScheduler
 from repro.compute.runtime import ComputeConfig, JobRuntime
 
 __all__ = [
     "ComputeConfig",
-    "FairTaskScheduler",
     "JobMetrics",
     "JobRuntime",
     "JobSpec",

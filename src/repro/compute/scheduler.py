@@ -29,19 +29,16 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import Cluster
 
-__all__ = ["TaskScheduler", "FairTaskScheduler", "SlotGrant"]
+__all__ = ["TaskScheduler", "SlotGrant"]
 
 
 class SlotGrant:
     """A granted task slot; release it when the task finishes."""
 
-    __slots__ = ("node_id", "job_id", "_scheduler", "_released")
+    __slots__ = ("node_id", "_scheduler", "_released")
 
-    def __init__(
-        self, node_id: int, scheduler: "TaskScheduler", job_id: str = ""
-    ) -> None:
+    def __init__(self, node_id: int, scheduler: "TaskScheduler") -> None:
         self.node_id = node_id
-        self.job_id = job_id
         self._scheduler = scheduler
         self._released = False
 
@@ -49,23 +46,21 @@ class SlotGrant:
         if self._released:
             raise RuntimeError("slot already released")
         self._released = True
-        self._scheduler._release(self.node_id, self.job_id)
+        self._scheduler._release(self.node_id)
 
 
 class _SlotRequest:
-    __slots__ = ("preferred", "banned", "job_id", "event", "queued_since")
+    __slots__ = ("preferred", "banned", "event", "queued_since")
 
     def __init__(
         self,
         preferred: tuple[int, ...],
         banned: frozenset[int],
-        job_id: str,
         event: Event,
         queued_since: float,
     ):
         self.preferred = preferred
         self.banned = banned
-        self.job_id = job_id
         self.event = event
         self.queued_since = queued_since
 
@@ -97,20 +92,10 @@ class TaskScheduler:
         self._queue: deque[_SlotRequest] = deque()
         self._cancelled: set[Event] = set()
         self._active_jobs: dict[str, int] = {}
-        #: Running-task counts per job (fair-share accounting).
-        self._running: dict[str, int] = {}
         #: Grants that went to a preferred node vs. anywhere (locality
         #: accounting, used by the delay-scheduling ablation).
         self.local_grants = 0
         self.nonlocal_grants = 0
-        #: (time, queued_requests) samples for utilization analysis.
-        self.queue_samples: list[tuple[float, int]] = []
-        #: Sample every Nth dispatch (1 = every dispatch, the
-        #: default; 0 disables sampling).  Scale runs turn this off:
-        #: at ~10 dispatches per task the sample list is the largest
-        #: allocation in a million-task run and nothing reads it.
-        self.sample_stride = 1
-        self._dispatch_count = 0
 
     # -- job registry (for GC, §III-C3) ------------------------------------------
 
@@ -156,7 +141,6 @@ class TaskScheduler:
             _SlotRequest(
                 tuple(preferred_nodes),
                 frozenset(banned_nodes),
-                job_id,
                 event,
                 queued_since=self.sim.now,
             )
@@ -174,21 +158,11 @@ class TaskScheduler:
         else:
             self._cancelled.add(event)
 
-    def running_tasks(self, job_id: str) -> int:
-        """Tasks of ``job_id`` currently holding slots."""
-        return self._running.get(job_id, 0)
-
-    def _release(self, node_id: int, job_id: str = "") -> None:
+    def _release(self, node_id: int) -> None:
         free = self._free[node_id] + 1
         self._free[node_id] = free
         self._total_free += 1
         heapq.heappush(self._free_heap, (-free, node_id))
-        if job_id:
-            count = self._running.get(job_id, 0) - 1
-            if count <= 0:
-                self._running.pop(job_id, None)
-            else:
-                self._running[job_id] = count
         self._dispatch()
 
     def _pick_node(
@@ -273,11 +247,7 @@ class TaskScheduler:
             self.local_grants += 1
         else:
             self.nonlocal_grants += 1
-        if request.job_id:
-            self._running[request.job_id] = (
-                self._running.get(request.job_id, 0) + 1
-            )
-        request.event.succeed(SlotGrant(node_id, self, request.job_id))
+        request.event.succeed(SlotGrant(node_id, self))
         return True
 
     def _dispatch(self) -> None:
@@ -291,15 +261,10 @@ class TaskScheduler:
         either... unless bans differ, which only speculative attempts
         use.
         """
-        stride = self.sample_stride
-        if stride:
-            self._dispatch_count += 1
-            if self._dispatch_count % stride == 0:
-                self.queue_samples.append((self.sim.now, len(self._queue)))
         index = 0
         queue = self._queue
         while index < len(queue):
-            request = self._next_request(index)
+            request = queue[index]
             if request.event in self._cancelled:
                 self._cancelled.discard(request.event)
                 queue.remove(request)
@@ -310,28 +275,3 @@ class TaskScheduler:
             if self.total_free_slots == 0:
                 return
             index += 1
-
-    def _next_request(self, index: int) -> _SlotRequest:
-        """The request to consider at scan position ``index``.
-
-        The base scheduler is FIFO: position order.  Subclasses may
-        reorder (the fair scheduler picks by running share).
-        """
-        return self._queue[index]
-
-
-class FairTaskScheduler(TaskScheduler):
-    """Fair sharing across jobs (the YARN FairScheduler analogue).
-
-    Among waiting requests, the job with the fewest currently running
-    tasks is served first, so small jobs stop queueing behind a large
-    job's task wave.  Ties fall back to FIFO.  Everything else
-    (locality, delay scheduling, bans) is inherited.
-    """
-
-    def _next_request(self, index: int) -> _SlotRequest:
-        remaining = list(self._queue)[index:]
-        return min(
-            remaining,
-            key=lambda r: (self._running.get(r.job_id, 0), r.queued_since),
-        )

@@ -31,7 +31,6 @@ __all__ = [
     "FifoPolicy",
     "LifoPolicy",
     "SmallestJobFirstPolicy",
-    "PriorityPolicy",
 ]
 
 
@@ -92,19 +91,4 @@ class SmallestJobFirstPolicy:
                 r.requested_at,
                 r.block_id,
             ),
-        )
-
-
-class PriorityPolicy:
-    """Explicit per-job priorities (lower serves first); FIFO within."""
-
-    subset_stable = True
-
-    def __init__(self, priority_of: Callable[[int], int]) -> None:
-        self.priority_of = priority_of
-
-    def order(self, pending: Sequence[MigrationRecord]) -> list[MigrationRecord]:
-        return sorted(
-            pending,
-            key=lambda r: (self.priority_of(r.block_id), r.requested_at, r.block_id),
         )

@@ -4,7 +4,6 @@ from repro.core import (
     FifoPolicy,
     LifoPolicy,
     MigrationRecord,
-    PriorityPolicy,
     ReferenceTracker,
     SmallestJobFirstPolicy,
 )
@@ -120,12 +119,6 @@ class TestPolicies:
         records = [_rec(0, 0.0), _rec(1, 1.0), _rec(2, 2.0)]
         ordered = SmallestJobFirstPolicy(job_of).order(records)
         assert [r.block_id for r in ordered] == [2, 0, 1]
-
-    def test_priority_policy(self):
-        prio = {0: 5, 1: 1, 2: 5}.__getitem__
-        records = [_rec(0, 0.0), _rec(1, 9.0), _rec(2, 1.0)]
-        ordered = PriorityPolicy(prio).order(records)
-        assert [r.block_id for r in ordered] == [1, 0, 2]
 
     def test_policies_do_not_mutate_input(self):
         records = [_rec(0, 5.0), _rec(1, 1.0)]
