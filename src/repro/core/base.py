@@ -7,19 +7,15 @@ discarding -- is common and lives here.  Keeping the base class honest
 makes the experimental comparisons apples-to-apples: a baseline cannot
 win or lose because of incidental bookkeeping differences.
 
-The class is split along the sharding seam the federated master needs:
-
-* :class:`RecordLedger` is the **record bookkeeping + binding** half --
-  the per-block record table, the append-only log, the discard /
-  re-migrate plumbing, the subclass hooks a binding strategy
-  implements, and the master side of the slave's pull leg (one
-  endpoint here; the :class:`~repro.shard.ShardCoordinator` answers
-  with one endpoint per shard).  This is the state a
-  :class:`~repro.shard.MasterShard` partitions.
-* :class:`MigrationMaster` layers the **cluster-wide policy** on top --
-  reference tracking, eviction, the memory directory, the read path,
-  GC, and slave-failure handling.  This is the state the
-  :class:`~repro.shard.ShardCoordinator` keeps global.
+:class:`MigrationMaster` owns the record ledger -- the per-block record
+table, the append-only log, the discard / re-migrate plumbing -- and
+the cluster-wide policy: reference tracking, eviction, the memory
+directory, the read path, GC, and slave-failure handling.  A binding
+strategy implements the subclass hooks; the master side of the slave's
+pull leg is one endpoint here (the :class:`~repro.shard.ShardCoordinator`
+answers with one endpoint per shard, each a
+:class:`~repro.shard.MasterShard` wrapping its own pending pool, while
+the ledger and everything else stays with the coordinator).
 
 Failure scans (a slave's death here, the DYRS master's reclaim pass)
 never walk the record table: the ledger keeps the BOUND/ACTIVE records
@@ -42,21 +38,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.slave import DyrsSlave
     from repro.dfs.namenode import NameNode
 
-__all__ = ["MigrationMaster", "RecordLedger"]
+__all__ = ["MigrationMaster"]
 
 
-class RecordLedger:
-    """Record bookkeeping: the shardable half of a migration master.
+class MigrationMaster:
+    """Abstract base for migration coordinators.
 
     Owns the authoritative per-block record table and the append-only
-    record log, plus the create / discard / re-migrate plumbing every
-    binding strategy shares.  Subclasses implement the binding strategy
-    by overriding :meth:`_on_new_records` (what happens when migrations
-    arrive) and :meth:`request_work` (what a pulling slave receives).
+    record log, the create / discard / re-migrate plumbing every
+    binding strategy shares, and the cluster-wide policy every scheme
+    shares.  Subclasses implement the binding strategy by overriding
+    :meth:`_on_new_records` (what happens when migrations arrive) and
+    :meth:`request_work` (what a pulling slave receives).
 
     Slaves pull through legs (:meth:`pull_plan`,
     :meth:`bind_from_shard`, :meth:`pull_service_seconds`,
-    :meth:`shard_rpc_extra`).  Here the ledger is one endpoint, id 0,
+    :meth:`shard_rpc_extra`).  Here the master is one endpoint, id 0,
     that never changes generation, with no service time and no extra
     delay.
     """
@@ -67,9 +64,15 @@ class RecordLedger:
     #: path ever flip this.
     alive = True
 
+    #: Whether a disk read of a block with an unstarted migration
+    #: cancels that migration (§IV-A1, "discarded due to missed
+    #: reads").  A DYRS-family feature; Ignem predates it.
+    discards_on_missed_read = True
+
     def __init__(self, namenode: "NameNode") -> None:
         self.namenode = namenode
         self.sim = namenode.sim
+        namenode.migration_master = self
         #: Live record per block (the latest, possibly terminal).
         self._records: dict[BlockId, MigrationRecord] = {}
         #: Append-only log of every record ever created (metrics).
@@ -84,6 +87,18 @@ class RecordLedger:
         #: victims in this order, so replacements are filed in the
         #: order the blocks first arrived.
         self._arrival_seq: dict[BlockId, int] = {}
+        self.slaves: dict[int, "DyrsSlave"] = {}
+        self.tracker = ReferenceTracker(
+            on_block_unreferenced=self._on_unreferenced,
+            clock=lambda: self.sim.now,
+        )
+        #: Optional hook returning currently active job ids, used by the
+        #: memory-pressure GC sweep (§III-C3); the compute scheduler
+        #: plugs in here.
+        self.active_jobs_provider: Optional[Callable[[], Sequence[str]]] = None
+        #: Idle slaves waiting to be woken when work targets them
+        #: (``idle_pull="notify"``); empty in the paper's poll mode.
+        self._parked: dict[int, Event] = {}
 
     # -- record plumbing --------------------------------------------------------
 
@@ -201,36 +216,6 @@ class RecordLedger:
     def shard_rpc_extra(self, shard_id: int) -> float:
         """Extra outbound delay (chaos) on legs to this endpoint."""
         return 0.0
-
-
-class MigrationMaster(RecordLedger):
-    """Abstract base for migration coordinators.
-
-    Extends the :class:`RecordLedger` bookkeeping with the cluster-wide
-    policy every scheme shares: reference tracking, eviction, the
-    memory directory, the read path, GC, and failure handling.
-    """
-
-    #: Whether a disk read of a block with an unstarted migration
-    #: cancels that migration (§IV-A1, "discarded due to missed
-    #: reads").  A DYRS-family feature; Ignem predates it.
-    discards_on_missed_read = True
-
-    def __init__(self, namenode: "NameNode") -> None:
-        super().__init__(namenode)
-        namenode.migration_master = self
-        self.slaves: dict[int, "DyrsSlave"] = {}
-        self.tracker = ReferenceTracker(
-            on_block_unreferenced=self._on_unreferenced,
-            clock=lambda: self.sim.now,
-        )
-        #: Optional hook returning currently active job ids, used by the
-        #: memory-pressure GC sweep (§III-C3); the compute scheduler
-        #: plugs in here.
-        self.active_jobs_provider: Optional[Callable[[], Sequence[str]]] = None
-        #: Idle slaves waiting to be woken when work targets them
-        #: (``idle_pull="notify"``); empty in the paper's poll mode.
-        self._parked: dict[int, Event] = {}
 
     # -- slave registry ------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.dfs.block import Block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.base import RecordLedger
+    from repro.core.base import MigrationMaster
 
 __all__ = ["MigrationStatus", "MigrationRecord", "BindingEvent"]
 
@@ -56,7 +56,7 @@ class MigrationRecord:
     disk->memory edge for the tiered-storage extension; the defaults
     make a plain DYRS record byte-for-byte identical to before.
 
-    Records filed into a :class:`~repro.core.base.RecordLedger` carry a
+    Records filed into a :class:`~repro.core.base.MigrationMaster` carry a
     ``ledger`` backref so status transitions can keep the ledger's
     per-node in-flight index exact without the ledger rescanning its
     whole record table (the 1k-node scaling fix); free-standing records
@@ -82,7 +82,7 @@ class MigrationRecord:
     discard_reason: Optional[str] = None
     #: Owning ledger, set when the record is filed; excluded from
     #: equality so records compare by their migration state alone.
-    ledger: Optional["RecordLedger"] = field(default=None, compare=False)
+    ledger: Optional["MigrationMaster"] = field(default=None, compare=False)
 
     @property
     def block_id(self) -> int:
