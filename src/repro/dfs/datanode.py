@@ -258,9 +258,9 @@ class DataNode:
             # charges the rung's own channel: a storage device, not the
             # 10 Gbps NIC, is the bottleneck for local and remote
             # readers alike (the archive is fabric-attached either
-            # way).  The archive's per-operation setup latency is folded
-            # into policy cost estimates rather than each read, keeping
-            # the read path a cancellable pure flow.
+            # way).  The archive's per-operation setup latency is
+            # charged on the lifecycle mover's moves, not on reads,
+            # keeping the read path a cancellable pure flow.
             channel = self._device(rung).channel
             flow = channel.start_flow(block.size, tag=tag)
             cancel = lambda: channel.cancel(flow)  # noqa: E731

@@ -174,7 +174,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         action="store_true",
         help=(
             "run the dyrs scheme as the dyrs-tiered preset (SSD tier + "
-            "lifecycle policies; extension beyond the paper, off by default)"
+            "its lifecycle; extension beyond the paper, off by default)"
         ),
     )
     parser.add_argument(

@@ -15,7 +15,7 @@ the paper's scheme and two storage-ladder presets
 
 Temperature timescales are compressed (seconds, not days) so the whole
 lifecycle fits a CI-sized run; the *ratios* between hot/cold/archive
-ages match the intent of an operator's policy table.
+ages match what an operator would set in days.
 
 The report shows per-scheme job timings plus the lifecycle ledger:
 blocks archived/restored, the archive hit ratio, re-heat promotion
