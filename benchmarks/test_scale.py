@@ -1,9 +1,9 @@
 """Production-scale sweep: nodes x blocks SWIM runs (DESIGN.md §12).
 
 Not a paper figure -- the paper's testbed tops out at 7 workers.  This
-bench pins the *simulator's* scalability so the repo can run
-production-shaped configs (1k nodes, ~1M blocks) in single-digit
-minutes:
+bench pins the *simulator's* scalability on production-shaped configs
+(1k nodes, ~1M blocks; the last full run took 816 s of wall time, 14
+min 49 s with setup, on a 2-vCPU Xeon VM):
 
 * the **scale sweep** runs the SWIM mix at 100/400/1000 nodes and
   records wall-clock, engine events/sec, and events-per-task.  The
@@ -194,7 +194,9 @@ def test_scale_memory(benchmark):
 )
 def test_full_scale_1m_blocks(benchmark):
     """The tentpole acceptance run: a full SWIM mix at 1,000 nodes and
-    >= 1M blocks must finish in single-digit minutes."""
+    >= 1M blocks must finish within ``FULL_BUDGET_S``.  The last full
+    run took 816 s of wall time on a 2-vCPU Xeon VM and failed this
+    budget; ROADMAP item 3 tracks the cut."""
 
     def full():
         # A 1-second mean interarrival keeps the 1k-node cluster

@@ -137,23 +137,10 @@ class JobSpec:
     def topo_stages(self) -> list[StageSpec]:
         """Stages in dependency order (stable; raises on cycles)."""
         by_name = {s.name: s for s in self.stages}
-        done: dict[str, bool] = {}
+        done: set[str] = set()
         order: list[StageSpec] = []
-
-        def visit(name: str, trail: tuple[str, ...]) -> None:
-            if done.get(name):
-                return
-            if name in trail:
-                raise ValueError(
-                    f"stage cycle in job {self.job_id}: {' -> '.join(trail + (name,))}"
-                )
-            for dep in by_name[name].depends_on:
-                visit(dep, trail + (name,))
-            done[name] = True
-            order.append(by_name[name])
-
         for stage in self.stages:
-            visit(stage.name, ())
+            _visit_stage(self.job_id, by_name, stage.name, (), done, order)
         return order
 
     @property
@@ -161,6 +148,29 @@ class JobSpec:
         return sum(
             1 for s in self.stages for t in s.tasks if t.kind is TaskKind.MAP
         )
+
+
+def _visit_stage(
+    job_id: str,
+    by_name: dict[str, StageSpec],
+    name: str,
+    trail: tuple[str, ...],
+    done: set[str],
+    order: list[StageSpec],
+) -> None:
+    """Depth-first step of :meth:`JobSpec.topo_stages`.  A module
+    function, not a closure: a recursive closure references itself
+    through its cell, a cycle only the garbage collector reclaims."""
+    if name in done:
+        return
+    if name in trail:
+        raise ValueError(
+            f"stage cycle in job {job_id}: {' -> '.join(trail + (name,))}"
+        )
+    for dep in by_name[name].depends_on:
+        _visit_stage(job_id, by_name, dep, trail + (name,), done, order)
+    done.add(name)
+    order.append(by_name[name])
 
 
 def mapreduce_job(

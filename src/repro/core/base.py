@@ -223,6 +223,11 @@ class MigrationMaster:
         """Attach a slave; subclasses may extend (e.g. seed load state)."""
         self.slaves[slave.node_id] = slave
 
+    def slave_changed(self, slave: "DyrsSlave") -> None:
+        """``slave``'s disk-lane queue, a copy slot or its liveness just
+        changed.  Only a master that harvests loads from heartbeats
+        (DYRS) keeps track; push-binding masters ignore it."""
+
     # -- idle-slave parking (idle_pull="notify") -----------------------------
 
     def park_idle_slave(self, node_id: int, signal: Event) -> None:

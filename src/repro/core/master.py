@@ -7,9 +7,15 @@ pulls: the master hands over only blocks whose current target is that
 slave, and "only assign[s] enough migrations so that the slave does not
 go idle before the next time it queries for more work" (§III-A2).
 
-Each heartbeat tick refreshes every reporting slave's ``(estimate,
-queued)`` pair, which the retargeting pass consumes as
-:class:`~repro.core.targeting.SlaveLoad`.
+Each heartbeat tick stamps every reporting live slave and re-reads
+the ``(estimate, queued)`` pair of those whose pair may have moved --
+the slaves that told the master they changed since their last read,
+and those with a copy in flight, whose §IV-A refresh runs at every
+tick.  The retargeting pass consumes the pairs as
+:class:`~repro.core.targeting.SlaveLoad` through a per-pass view that
+decides a node's eligibility when the pass first looks it up.  Both
+therefore cost what changed or what a pass reads, not the cluster
+size.
 """
 
 from __future__ import annotations
@@ -173,6 +179,13 @@ class DyrsMaster(MigrationMaster):
         #: reclaims its bound work (§III-C2's "missed heartbeats" at
         #: process granularity).
         self._last_slave_report: dict[int, float] = {}
+        #: The heartbeat harvest's bookkeeping (see :meth:`on_heartbeat`):
+        #: registered slaves whose process is up, slaves whose load may
+        #: differ from ``_loads``, and slaves last read with a copy in
+        #: flight.  :meth:`slave_changed` keeps the first two.
+        self._live_slaves: set[int] = set()
+        self._changed_slaves: set[int] = set()
+        self._copying_slaves: set[int] = set()
         self.binding_log: list[BindingEvent] = []
         self.retarget_passes = 0
         self._retarget_proc: Optional[Process] = None
@@ -188,32 +201,61 @@ class DyrsMaster(MigrationMaster):
             queued_blocks=slave.queued_blocks,
         )
         self._last_slave_report[slave.node_id] = self.sim.now
+        # A standby inherits running slaves: the next tick reads each
+        # once to learn which have a copy in flight.
+        self.slave_changed(slave)
+
+    def slave_changed(self, slave: "DyrsSlave") -> None:
+        """Note that ``slave``'s load or liveness may have moved: the
+        next tick that hears from its node re-reads it."""
+        node_id = slave.node_id
+        self._changed_slaves.add(node_id)
+        if slave.alive:
+            self._live_slaves.add(node_id)
+        else:
+            self._live_slaves.discard(node_id)
 
     def attach_heartbeats(self, service: "HeartbeatService") -> None:
         """Observe every heartbeat tick of ``service``'s NameNode."""
         service.namenode.add_heartbeat_observer(self.on_heartbeat)
 
     def on_heartbeat(self, report: "HeartbeatReport") -> None:
-        """Harvest ``(estimate, queued)`` from every live slave whose
+        """Harvest ``(estimate, queued)`` from the live slaves whose
         node reported this tick (§III-D).
 
-        A slave whose process is down reports nothing, so its
-        ``_last_slave_report`` goes stale.  The stored
-        :class:`SlaveLoad` is replaced only when the reported pair
+        Every such slave is stamped in ``_last_slave_report``; a slave
+        whose process is down reports nothing, so its stamp goes
+        stale.  Only two kinds are read (``heartbeat_load``), since no
+        other slave's pair can differ from the stored one:
+
+        * slaves marked by :meth:`slave_changed` since their last read
+          -- their queue, a copy slot or their liveness moved, or the
+          master's own view moved (``_record_grant``, :meth:`crash`);
+        * slaves last read with a copy in flight, on either lane: each
+          gets its §IV-A refresh exactly once per tick, and the end of
+          its copy is seen at the next tick.
+
+        A mark survives until its node's heartbeat gets through.  The
+        stored :class:`SlaveLoad` is replaced only when the read pair
         differs from it: the slave's own count still overwrites any
-        grant-adjusted view (``_record_grant``), and an idle slave
-        keeps the same object tick after tick.
+        grant-adjusted view, and an idle slave keeps the same object
+        tick after tick.
         """
         time = report.time
+        reported = self._live_slaves.intersection(report.node_ids)
+        # Every key exists since registration, so the bulk update
+        # changes values only, never the dict's order.
+        self._last_slave_report.update(dict.fromkeys(reported, time))
+        changed = self._changed_slaves
+        copying = self._copying_slaves
+        due = (changed | copying) & reported
+        if not due:
+            return
         slaves = self.slaves
         loads = self._loads
-        last_report = self._last_slave_report
-        for node_id in report.node_ids:
-            slave = slaves.get(node_id)
-            if slave is None or not slave.alive:
-                continue
+        for node_id in sorted(due):
+            slave = slaves[node_id]
             spb, queued = slave.heartbeat_load()
-            last_report[node_id] = time
             load = loads.get(node_id)
             if (
                 load is None
@@ -221,6 +263,11 @@ class DyrsMaster(MigrationMaster):
                 or load.queued_blocks != queued
             ):
                 loads[node_id] = SlaveLoad(seconds_per_byte=spb, queued_blocks=queued)
+            if slave.copy_in_flight:
+                copying.add(node_id)
+            else:
+                copying.discard(node_id)
+        changed -= due
 
     def start(self) -> None:
         """Launch the periodic retargeting thread (idempotent)."""
@@ -247,6 +294,8 @@ class DyrsMaster(MigrationMaster):
             obs.emit(obs.MASTER_CRASH, self.sim.now, pending_lost=self.pending_count)
         self.shutdown(reason="master-crash")
         self._loads.clear()
+        # Every load is gone, so every slave is re-read at its next tick.
+        self._changed_slaves.update(self.slaves)
         self.namenode.directory["memory"].clear()
 
     def shutdown(self, reason: str) -> None:
@@ -325,17 +374,11 @@ class DyrsMaster(MigrationMaster):
 
     # -- Algorithm 1 ---------------------------------------------------------------
 
-    def _eligible_loads(self) -> dict[int, SlaveLoad]:
-        """Slaves that are up and whose node may take new work --
-        available and not draining (a decommissioning node should shed
-        load, not buffer fresh migrations)."""
-        return {
-            node_id: load
-            for node_id, load in self._loads.items()
-            if node_id in self.slaves
-            and self.slaves[node_id].alive
-            and self.namenode.accepts_new_replicas(node_id)
-        }
+    def _eligible_loads(self) -> "EligibleLoads":
+        """This pass's view of the slaves that are up and whose node may
+        take new work -- available and not draining (a decommissioning
+        node should shed load, not buffer fresh migrations)."""
+        return EligibleLoads(self)
 
     def retarget(self) -> dict[int, int]:
         """One Algorithm 1 pass over the pending list."""
@@ -343,8 +386,8 @@ class DyrsMaster(MigrationMaster):
         if not self._pending:
             # Algorithm 1 over an empty list computes nothing, moves
             # nothing, and wakes nobody -- skipping it is observably
-            # identical and saves the O(nodes) eligible-loads walk on
-            # every idle periodic tick.
+            # identical and saves the ordering, the pass and the index
+            # rebuild on every idle periodic tick.
             return {}
         ordered = self.policy.order(list(self._pending.values()))
         targets = compute_targets(
@@ -486,9 +529,46 @@ class DyrsMaster(MigrationMaster):
                 queue_depth=depth,
             )
         # Granting work changes the slave's backlog; fold that into
-        # our view immediately rather than waiting a heartbeat.
+        # our view immediately rather than waiting a heartbeat.  The
+        # slave's own count replaces it at the next tick.
         load = self._loads[node_id]
         self._loads[node_id] = SlaveLoad(
             seconds_per_byte=load.seconds_per_byte,
             queued_blocks=load.queued_blocks + len(granted),
         )
+        self._changed_slaves.add(node_id)
+
+
+class EligibleLoads:
+    """One Algorithm 1 pass's view of a master's load table.
+
+    ``get(node_id)`` returns the stored :class:`SlaveLoad` of a node
+    whose slave is up and whose node takes new replicas, else None --
+    decided when the pass first asks, so a pass costs the replica
+    nodes of its pending records, not the cluster size.  A pass
+    changes nothing the decision reads, so each answer is kept for
+    the view's life (a federation's shards share one view).
+    """
+
+    __slots__ = ("_master", "_decided")
+
+    def __init__(self, master: DyrsMaster) -> None:
+        self._master = master
+        self._decided: dict[int, Optional[SlaveLoad]] = {}
+
+    def get(self, node_id: int) -> Optional[SlaveLoad]:
+        decided = self._decided
+        if node_id in decided:
+            return decided[node_id]
+        master = self._master
+        load = master._loads.get(node_id)
+        if load is not None:
+            slave = master.slaves.get(node_id)
+            if (
+                slave is None
+                or not slave.alive
+                or not master.namenode.accepts_new_replicas(node_id)
+            ):
+                load = None
+        decided[node_id] = load
+        return load

@@ -15,7 +15,10 @@ Responsibilities (§III, §IV):
   detached leg per master endpoint -- the flat master is a single
   endpoint, a sharded federation one per live shard -- at most
   ``shard_pull_window`` legs outstanding per endpoint;
-* report ``(estimate, queue depth)`` at every heartbeat (§III-D);
+* report ``(estimate, queue depth)`` at every heartbeat (§III-D), and
+  tell its master whenever that load may have moved, so a heartbeat
+  tick re-reads only the slaves that changed (see
+  :meth:`~repro.core.master.DyrsMaster.on_heartbeat`);
 * respect the **memory hard limit**: when space is short, hold
   migrations until eviction frees memory or the migration is
   discarded by a missed read (§IV-A1);
@@ -156,6 +159,7 @@ class DyrsSlave:
         if self.alive:
             return
         self.alive = True
+        self.master.slave_changed(self)
         self._worker = self.sim.process(self._run(), name=f"dyrs-slave:{self.node_id}")
 
     def crash(self) -> None:
@@ -206,6 +210,9 @@ class DyrsSlave:
         for rung in FAST_TIERS:
             for block_id in self.datanode.pinned_ids(rung):
                 self.datanode.unpin(rung, block_id)
+        # Simulator bookkeeping, not a message from the dead process:
+        # the master's heartbeat harvest stops reading this slave.
+        self.master.slave_changed(self)
 
     def restart(self) -> None:
         """Start a fresh slave process after a crash.
@@ -245,6 +252,7 @@ class DyrsSlave:
                 )
             return
         self._queue.append(record)
+        self.master.slave_changed(self)
         if self._work_signal is not None and not self._work_signal.triggered:
             self._work_signal.succeed()
 
@@ -257,6 +265,14 @@ class DyrsSlave:
             and not self._ssd_space_signal.triggered
         ):
             self._ssd_space_signal.succeed()
+
+    @property
+    def copy_in_flight(self) -> bool:
+        """Whether either lane holds a claimed copy.  Such a slave's
+        load moves without a notification (its estimator is refreshed
+        at every heartbeat, and the copy's end clears the slot), so
+        the master re-reads it at every tick while this holds."""
+        return self._active is not None or self._ssd_active is not None
 
     def heartbeat_load(self) -> tuple[float, int]:
         """Refresh both lanes' estimators against their active copies
@@ -444,12 +460,14 @@ class DyrsSlave:
                     self._work_signal = None
                     continue
                 record = self._queue.popleft()
-                if record.status.is_terminal:
+                if not record.status.is_terminal:
+                    # Claim the slot *before* pulling, so the in-flight
+                    # record counts against the queue-depth target and
+                    # a racing pull cannot overshoot it.
+                    self._active = record
+                self.master.slave_changed(self)
+                if self._active is not record:
                     continue  # discarded while queued (missed read etc.)
-                # Claim the slot *before* pulling, so the in-flight
-                # record counts against the queue-depth target and a
-                # racing pull cannot overshoot it.
-                self._active = record
                 self._maybe_pull()  # space just opened
                 try:
                     done = yield from self._migrate_one(record)
@@ -471,6 +489,7 @@ class DyrsSlave:
                 if record.status.is_terminal:
                     continue
                 self._ssd_active = record
+                self.master.slave_changed(self)
                 try:
                     yield from self._migrate_one(record)
                 finally:

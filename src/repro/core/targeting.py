@@ -24,20 +24,24 @@ bench measures the Python equivalent.
 
 :func:`compute_targets` is the pseudo-code above with
 ``locWithMinFinishTime`` unrolled into two scalar comparisons per
-replica (no per-record closure or ``min(key=...)`` call).  Its float
-arithmetic is the pseudo-code's, operation for operation; the
-line-by-line transcription lives in ``tests/core/test_targeting.py``
-as the reference of a property test that requires identical targets.
+replica (no per-record closure or ``min(key=...)`` call), and with
+each node's ``finishTime`` initialized when a pending block's replica
+first names it instead of for every DataNode up front: the value a
+node starts from is the same either way, and a node no pending block
+can use is never read.  Its float arithmetic is the pseudo-code's,
+operation for operation; the line-by-line transcription lives in
+``tests/core/test_targeting.py`` as the reference of a property test
+that requires identical targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Optional, Protocol
 
 from repro.core.records import MigrationRecord
 
-__all__ = ["SlaveLoad", "compute_targets"]
+__all__ = ["LoadLookup", "SlaveLoad", "compute_targets"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +70,16 @@ class SlaveLoad:
             )
 
 
+class LoadLookup(Protocol):
+    """What Algorithm 1 reads of the load table: a plain dict, or the
+    master's per-pass eligibility view."""
+
+    def get(self, node_id: int, /) -> Optional[SlaveLoad]: ...
+
+
 def compute_targets(
     pending: Iterable[MigrationRecord],
-    loads: Mapping[int, SlaveLoad],
+    loads: LoadLookup,
     reference_block_size: float,
 ) -> dict[int, int]:
     """Run Algorithm 1; returns ``{block_id: target_node}``.
@@ -80,15 +91,19 @@ def compute_targets(
         ``target_node`` field is updated in place, mirroring
         ``block.migrationTarget = target``.
     loads:
-        Per-node :class:`SlaveLoad` for every node eligible to migrate.
-        Nodes absent from ``loads`` (dead or unregistered) are never
-        targeted.
+        Per-node :class:`SlaveLoad` for every node eligible to migrate,
+        read only through ``loads.get``.  Nodes for which it returns
+        None (dead, draining or unregistered) are never targeted.
     reference_block_size:
         Size used to convert per-byte estimates into the paper's
         per-block ``migTime`` for the queue-backlog initialization.
 
     Notes
     -----
+    ``finishTime[node]`` is initialized, with the pseudo-code's
+    expression, when a replica of a pending block first names the
+    node: nodes no pending block can use are never looked up, so a
+    pass costs the replica nodes it reads, not the cluster size.
     Ties in estimated finish time go to the lowest node id.  Blocks
     whose replicas are all on ineligible nodes keep
     ``target_node = None`` and are skipped by the binding step until a
@@ -98,13 +113,10 @@ def compute_targets(
         raise ValueError(
             f"reference_block_size must be positive, got {reference_block_size}"
         )
-    # finishTime[node] = migTime[node] x (numQueued[node] + 1)
-    finish_time = {
-        node_id: load.seconds_per_byte
-        * reference_block_size
-        * (load.queued_blocks + 1)
-        for node_id, load in loads.items()
-    }
+    loads_get = loads.get
+    # The load behind each node looked up so far (None: ineligible).
+    looked_up: dict[int, Optional[SlaveLoad]] = {}
+    finish_time: dict[int, float] = {}
     ft_get = finish_time.get
     targets: dict[int, int] = {}
     for record in pending:
@@ -113,7 +125,17 @@ def compute_targets(
         for node_id in record.block.replica_nodes:
             ft = ft_get(node_id)
             if ft is None:
-                continue
+                if node_id in looked_up:
+                    continue
+                load = looked_up[node_id] = loads_get(node_id)
+                if load is None:
+                    continue
+                # finishTime[node] = migTime[node] x (numQueued[node] + 1)
+                ft = finish_time[node_id] = (
+                    load.seconds_per_byte
+                    * reference_block_size
+                    * (load.queued_blocks + 1)
+                )
             if best < 0 or ft < best_ft or (ft == best_ft and node_id < best):
                 best = node_id
                 best_ft = ft
@@ -122,5 +144,7 @@ def compute_targets(
             continue
         record.target_node = best
         targets[record.block_id] = best
-        finish_time[best] = best_ft + loads[best].seconds_per_byte * record.block.size
+        finish_time[best] = (
+            best_ft + looked_up[best].seconds_per_byte * record.block.size
+        )
     return targets

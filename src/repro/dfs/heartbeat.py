@@ -3,10 +3,14 @@
 Each DataNode heartbeats every ``heartbeat_interval`` seconds.  The DFS
 layer knows nothing about migration: a heartbeat only says *which
 nodes are up at this instant*.  The DYRS master, a NameNode heartbeat
-observer, reads each reporting slave's ``(estimate, queue depth)`` off
-the slave when the tick lands -- the simulator's form of the paper's
-piggyback (§III-D: "During heartbeats, the master stores each slave's
-estimate of migration time and the number of blocks currently queued").
+observer, stamps every reporting live slave when the tick lands and
+reads ``(estimate, queue depth)`` off the slaves whose pair may have
+moved since it last read them -- those that reported a change, and
+those with a copy in flight, whose estimate the read refreshes.  That
+is the simulator's form of the paper's piggyback (§III-D: "During
+heartbeats, the master stores each slave's estimate of migration time
+and the number of blocks currently queued"): every other slave would
+report the pair the master already holds.
 
 A dead node (``node.alive == False``) simply stops heartbeating, which
 is how the NameNode's miss-counting failure detector notices it.

@@ -62,7 +62,8 @@ __all__ = [
 
 #: Attribute names holding shared mutable protocol state.  Mirrors the
 #: encapsulation surface SM201/SM203 already classify: record ledgers,
-#: pending pools, shard maps, per-slave load/liveness views, and the
+#: pending pools, shard maps, per-slave load/liveness views (including
+#: the heartbeat harvest's live, changed and copying sets), and the
 #: NameNode's residency directory.
 PROTOCOL_STATE_ATTRS = frozenset(
     {
@@ -71,6 +72,9 @@ PROTOCOL_STATE_ATTRS = frozenset(
         "_shards",
         "_loads",
         "_last_slave_report",
+        "_live_slaves",
+        "_changed_slaves",
+        "_copying_slaves",
         "_inflight_by_node",
         "_parked",
         "slaves",

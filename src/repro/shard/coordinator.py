@@ -149,8 +149,12 @@ class ShardCoordinator(DyrsMaster):
     # -- routing ----------------------------------------------------------------
 
     def _on_new_records(self, records: list[MigrationRecord]) -> None:
+        # Neither the clock nor shard freshness moves during this call,
+        # so the whole batch routes against one read of the weights.
+        router = self._router
+        weights = router.weights() if router.mode == "rendezvous" else None
         for record in records:
-            shard = self._shards[self._router.shard_of(record.block)]
+            shard = self._shards[router.shard_of(record.block, weights)]
             if not shard.alive:
                 # §III-C1 at shard granularity: a request routed to a
                 # downed shard is lost -- the job reads from disk.  The
@@ -188,8 +192,9 @@ class ShardCoordinator(DyrsMaster):
     def retarget(self) -> dict[int, int]:
         """One shard-local Algorithm 1 pass per live shard.
 
-        Each shard plans over only its own pending map against the
-        same cluster-wide eligible-load snapshot; the merged target
+        Each shard plans over only its own pending map against one
+        shared cluster-wide eligible-load view, so a node's
+        eligibility is decided once per retarget; the merged target
         dict has disjoint keys because ownership is a partition.
         """
         self.retarget_passes += 1

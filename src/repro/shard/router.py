@@ -13,7 +13,7 @@ instead of recompute); see ``ShardCoordinator._on_record_discarded``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dfs.block import Block
@@ -78,13 +78,27 @@ class ShardRouter:
         self.mode = mode
         self.health = health
 
-    def shard_of(self, block: "Block") -> int:
-        """The owning shard of ``block`` -- total, deterministic."""
+    def shard_of(
+        self, block: "Block", weights: Optional[Sequence[float]] = None
+    ) -> int:
+        """The owning shard of ``block`` -- total, deterministic.
+
+        In rendezvous mode ``weights`` is a :meth:`weights` vector read
+        at this instant; a caller routing a batch passes one read for
+        all of it, and a one-off read leaves it out.
+        """
         if self.mode == "rendezvous":
-            return self._rendezvous(block.block_id)
+            if weights is None:
+                weights = self.weights()
+            return self._rendezvous(block.block_id, weights)
         return block.block_id % self.n_shards
 
-    def _rendezvous(self, block_id: int) -> int:
+    def weights(self) -> list[float]:
+        """Every shard's rendezvous weight now, in shard-id order (one
+        ``shard_weight`` read per shard)."""
+        return [self.health.shard_weight(s) for s in range(self.n_shards)]
+
+    def _rendezvous(self, block_id: int, weights: Sequence[float]) -> int:
         """Weighted HRW over every shard.
 
         Score per shard: ``weight / -ln(u)`` with ``u`` drawn from the
@@ -100,7 +114,7 @@ class ShardRouter:
             h = _mix64(block_id * _GOLDEN + shard_id)
             # Map to (0, 1) strictly -- u = 1 would zero the log.
             u = ((h >> 11) + 0.5) / float(1 << 53)
-            score = self.health.shard_weight(shard_id) / -math.log(u)
+            score = weights[shard_id] / -math.log(u)
             if score > best_score:
                 best = shard_id
                 best_score = score

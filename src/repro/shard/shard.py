@@ -24,7 +24,7 @@ from repro.core.targeting import compute_targets
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policies import MigrationPolicy
     from repro.core.records import MigrationRecord
-    from repro.core.targeting import SlaveLoad
+    from repro.core.targeting import LoadLookup
     from repro.dfs.block import BlockId
 
 __all__ = ["MasterShard"]
@@ -74,18 +74,19 @@ class MasterShard:
 
     def retarget(
         self,
-        loads: dict[int, "SlaveLoad"],
+        loads: "LoadLookup",
         policy: "MigrationPolicy",
         reference_block_size: float,
     ) -> dict["BlockId", int]:
         """One Algorithm 1 pass over *this shard's* pending map only.
 
-        ``loads`` is the coordinator's cluster-wide eligible view:
-        shards partition the pending state, not the cluster, so any
-        shard may target any node.  Each shard plans against the same
-        backlog snapshot independently -- the scalability trade the
-        federation makes (documented in DESIGN.md §11); at one shard
-        the pass is exactly the flat master's.
+        ``loads`` is the coordinator's cluster-wide eligible view,
+        shared by every shard's pass of one retarget: shards partition
+        the pending state, not the cluster, so any shard may target any
+        node.  Each shard plans against the same backlog snapshot
+        independently -- the scalability trade the federation makes
+        (documented in DESIGN.md §11); at one shard the pass is exactly
+        the flat master's.
         """
         ordered = policy.order(list(self._pending.values()))
         targets = compute_targets(

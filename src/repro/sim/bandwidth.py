@@ -52,7 +52,8 @@ neither fire nor rot in the scheduler heap (the engine sweeps
 discarded entries once they outnumber live ones).
 
 Completions are delivered by the wake-up that finds them, with no
-event of their own.  The wake-up first settles every flow finished at
+heap event of their own (a :class:`Flow` is itself the event its
+waiters yield).  The wake-up first settles every flow finished at
 that instant (detached, its overshoot refunded, removed) and re-arms
 the next wake-up; only then does it process each finished flow's
 ``done`` in place, in flow-start order.  Waiters therefore resume
@@ -77,7 +78,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import count
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.sim.events import URGENT_PRIORITY, Event
 
@@ -94,13 +95,26 @@ class FlowCancelled(Exception):
     """Failure value delivered to waiters of a cancelled flow."""
 
 
-class Flow:
-    """One active transfer on a :class:`BandwidthResource`.
+#: ``Event``'s storage for a trigger's value, which :class:`Flow`
+#: reaches past its own ``_value`` property.
+_EVENT_VALUE = Event.__dict__["_value"]
+
+
+class Flow(Event):
+    """One active transfer on a :class:`BandwidthResource`, and the
+    event of its completion.
+
+    A flow is its own ``done`` event: it triggers when the transfer
+    completes, and ``yield flow.done`` resumes with the flow itself.
+    That success value is computed on read, not stored: a flow holding
+    a reference to itself would be a reference cycle that only the
+    garbage collector reclaims.  A cancelled flow fails with
+    :class:`FlowCancelled`.
 
     Attributes
     ----------
     done:
-        Event triggering when the transfer completes (value: the flow).
+        The flow itself (value on success: the flow).
     nbytes:
         Total size of the transfer (may be ``inf`` for interference
         flows that run until cancelled).
@@ -113,7 +127,6 @@ class Flow:
 
     __slots__ = (
         "nbytes",
-        "done",
         "tag",
         "started_at",
         "_id",
@@ -132,8 +145,8 @@ class Flow:
         resource: Optional["BandwidthResource"] = None,
         offset: float = 0.0,
     ):
+        super().__init__(sim, name=f"flow:{tag}")
         self.nbytes = float(nbytes)
-        self.done = Event(sim, name=f"flow:{tag}")
         self.tag = tag
         self.started_at = sim.now
         self._id = flow_id
@@ -146,6 +159,21 @@ class Flow:
         #: Set when the flow detaches (completion/cancel); freezes
         #: :attr:`remaining` at its final value.
         self._final_remaining: Optional[float] = None
+
+    @property
+    def done(self) -> "Flow":
+        """The completion event: the flow itself."""
+        return self
+
+    @property
+    def _value(self) -> Any:
+        if self._ok:
+            return self
+        return _EVENT_VALUE.__get__(self, Flow)
+
+    @_value.setter
+    def _value(self, value: Any) -> None:
+        _EVENT_VALUE.__set__(self, value)
 
     @property
     def remaining(self) -> float:
@@ -334,7 +362,7 @@ class BandwidthResource:
         )
         if nbytes == 0:
             flow._detach(0.0)
-            flow.done.succeed(flow)
+            flow.succeed()
             return flow
         self._flows[flow._id] = flow
         if not math.isinf(flow._vfinish):
@@ -361,7 +389,7 @@ class BandwidthResource:
             flow._detach(
                 max(0.0, flow.nbytes - (self._service - flow._offset))
             )
-        flow.done.fail(FlowCancelled(flow.tag))
+        flow.fail(FlowCancelled(flow.tag))
         self._reschedule()
 
     # -- engine internals --------------------------------------------------
@@ -478,7 +506,7 @@ class BandwidthResource:
         # re-armed: waiters resume inside this step and may start or
         # cancel flows here at once.
         for flow in finished:
-            flow.done._fire(True, flow)
+            flow._fire(True, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

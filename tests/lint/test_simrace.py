@@ -61,6 +61,16 @@ class TestSim501Directory:
         assert "captured from `directory` on line 8" in diags[0].message
 
 
+class TestSim501LoadView:
+    def diags(self):
+        return findings("simrace/stale_load_view.py", "SIM501")
+
+    def test_fires_on_the_unguarded_harvest_read_only(self):
+        diags = self.diags()
+        assert positions(diags) == [(10, 8)]  # not line 19, the guarded use
+        assert "captured from `_copying_slaves` on line 8" in diags[0].message
+
+
 class TestSim502:
     def diags(self):
         return findings("simrace/unfenced.py", "SIM502")

@@ -173,6 +173,39 @@ class TestRendezvousRouting:
         assert all(r.discard_reason == "shard-down" for r in lost)
         assert rig.master.shard_pending_count(2) == 0
 
+    def test_a_batch_routes_against_one_weight_read(
+        self, make_shard_rig, monkeypatch
+    ):
+        """One migrate call reads each shard's weight once, routes every
+        record as a one-off read at that instant would, and leaves the
+        staleness gauges at the values the router acted on."""
+        rig = make_shard_rig(router_mode="rendezvous")
+        rig.cluster.node(2).fail()  # shard 2's only home node
+        rig.sim.run(until=40)
+        reads = []
+        weight = ShardCoordinator.shard_weight
+        monkeypatch.setattr(
+            ShardCoordinator,
+            "shard_weight",
+            lambda self, shard_id: reads.append(shard_id) or weight(self, shard_id),
+        )
+        rig.client.create_file("a", 12 * 64 * MB)
+        with collecting() as registry:
+            records = rig.master.migrate(["a"], job_id="j1")
+            gauges = [
+                registry.gauge("dyrs_shard_staleness_seconds", shard=s).value
+                for s in range(4)
+            ]
+        assert len(records) == 12
+        assert reads == [0, 1, 2, 3]
+        weights = [rig.master.shard_weight(s) for s in range(4)]
+        assert weights == [1.0, 1.0, 0.5, 1.0]
+        assert gauges == [rig.master.shard_staleness(s) for s in range(4)]
+        owners = [rig.master.shard_of_block(r.block) for r in records]
+        assert [rig.master.shard_pending_count(s) for s in range(4)] == [
+            owners.count(s) for s in range(4)
+        ]
+
 
 class TestSystemWiring:
     def test_sharded_scheme_builds_and_runs(self):

@@ -1,5 +1,6 @@
 """Unit and property tests for the fair-share bandwidth resource."""
 
+import gc
 import math
 
 import pytest
@@ -228,6 +229,54 @@ class TestInPlaceCompletion:
         assert flow.done.triggered and not flow.done.processed
         sim.run()
         assert sim.steps == 2
+
+
+class TestFlowIsItsOwnDoneEvent:
+    """A flow is the event its waiters yield, and does not reference
+    itself: a finished flow is freed by reference counting alone."""
+
+    def test_waiters_resume_with_the_flow(self, sim):
+        disk = BandwidthResource(sim, capacity=100.0)
+        flows = [disk.start_flow(100.0), disk.start_flow(0.0)]
+        got = []
+
+        def waiter(flow):
+            got.append((yield flow.done))
+
+        for flow in flows:
+            sim.process(waiter(flow))
+        sim.run()
+        assert got == [flows[1], flows[0]]  # the zero-byte flow at t=0
+        for flow in flows:
+            assert flow.done is flow
+            assert flow.done.ok and flow.done.processed
+            assert flow.done.value is flow
+            assert flow not in gc.get_referents(flow)
+        late = []
+
+        def late_waiter():
+            late.append((yield flows[0].done))
+
+        sim.process(late_waiter())
+        assert late == [flows[0]]
+
+    def test_cancelled_flow_fails_its_waiters(self, sim):
+        disk = BandwidthResource(sim, capacity=100.0)
+        flow = disk.start_flow(100.0, tag="hog")
+        caught = []
+
+        def waiter():
+            try:
+                yield flow.done
+            except FlowCancelled as exc:
+                caught.append(str(exc))
+
+        sim.process(waiter())
+        disk.cancel(flow)
+        sim.run()
+        assert caught == ["hog"]
+        assert flow.done.processed and not flow.done.ok
+        assert isinstance(flow.done.value, FlowCancelled)
 
 
 class TestAccounting:
