@@ -9,6 +9,7 @@ the records stayed BOUND for as long as any job referenced them.
 
 import pytest
 
+from repro.core import DyrsConfig
 from repro.core.failures import ChaosCampaign, FailureInjector
 from repro.core.records import MigrationStatus
 from repro.obs import trace as T
@@ -178,6 +179,61 @@ class TestSlaveEpochGuard:
         assert slave._undelivered == 0
         for block in rig.client.blocks_of(["input"]):
             assert block.block_id in rig.namenode.directory["memory"]
+
+
+class TestServiceWindowCrashFence:
+    def test_crash_inside_the_service_wait_binds_nothing(self, make_rig):
+        """A slave that crashes while the master services its leg walks
+        away before the bind: nothing is bound to its node, so there is
+        no undelivered grant to requeue, and the other slaves still
+        migrate every block."""
+        rig = make_rig(
+            config=DyrsConfig(reference_block_size=64 * MB, pull_service_cost=0.005)
+        )
+        victim = rig.slaves[0]
+        master = rig.master
+        waits = []
+        crash = {}
+        requeued = []
+        original_service = master.pull_service_seconds
+        original_requeue = master.requeue_undelivered
+
+        def crash_victim():
+            crash["at"] = rig.sim.now
+            crash["open_legs"] = dict(victim._leg_outstanding)
+            crash["targeted"] = len(master._pending.targeted_at(victim.node_id))
+            victim.crash()  # never restarted
+
+        def service(shard_id):
+            seconds = original_service(shard_id)
+            if seconds > 0:
+                if not waits:
+                    rig.sim.call_at(rig.sim.now + seconds / 2, crash_victim)
+                waits.append((rig.sim.now, rig.sim.now + seconds))
+            return seconds
+
+        def spy_requeue(records):
+            requeued.extend(records)
+            return original_requeue(records)
+
+        master.pull_service_seconds = service
+        master.requeue_undelivered = spy_requeue
+        rig.client.create_file("input", 1024 * MB)
+        master.migrate(["input"], job_id="j1")
+        rig.sim.run(until=120)
+        assert crash, "no leg ever waited for service"
+        # Every slave's only leg (window 1), the victim's included, was
+        # inside its service wait when the victim died, with work
+        # targeted at the victim.
+        in_service = [w for w in waits if w[0] < crash["at"] < w[1]]
+        assert len(in_service) == len(rig.slaves)
+        assert crash["open_legs"] == {0: 1}
+        assert crash["targeted"] > 0
+        assert not [r for r in master.record_log if r.bound_node == victim.node_id]
+        assert requeued == []
+        for block in rig.client.blocks_of(["input"]):
+            node = rig.namenode.directory["memory"].get(block.block_id)
+            assert node is not None and node != victim.node_id
 
 
 class TestFailureTimingWindows:

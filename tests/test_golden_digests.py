@@ -63,6 +63,8 @@ CASES = (
     ("dyrs-sharded", "swim", 2, 8),
     ("dyrs-tiered", "reread", 3, 0),
     ("dyrs-lifecycle", "promote", 3, 0),
+    ("dyrs", "swim-service", 1, 8),
+    ("dyrs-sharded-async", "swim-service", 2, 8),
 )
 
 #: Horizon over which a chaos case spreads its faults, simulated seconds.
@@ -70,6 +72,15 @@ CHAOS_HORIZON = 60.0
 #: Per-node memory cap of the ``swim-memcap`` workload: migrations
 #: wait for eviction, and idle slaves keep re-polling.
 MEMCAP = 512 * MB
+#: DYRS overrides per workload.  ``swim-notify`` parks idle slaves at
+#: the master, the idle-pull mode every 1k-node scale run uses;
+#: ``swim-service`` makes every pull leg wait out a master-side
+#: service time (the ``sharded-chaos`` benchmark's cost), so a crash
+#: can land inside that wait.
+WORKLOAD_OVERRIDES = {
+    "swim-notify": {"idle_pull": "notify"},
+    "swim-service": {"pull_service_cost": 0.002},
+}
 #: Master shards per sharded scheme.  ``dyrs-sharded`` runs a
 #: one-shard federation: under chaos it must not replay the flat
 #: master, because the campaign samples shard faults only for a
@@ -159,6 +170,12 @@ GOLDEN = {
     ),
     "dyrs-lifecycle-promote-seed3": (
         "7e4f8768604631806daf563bc60c6a62677d73af01eb84d83df05b226fc93591"
+    ),
+    "dyrs-swim-service-seed1-chaos": (
+        "acd3d59ac01bbec59270d4c218b79b2fa93d58937c590a34365bf4e29ddf3ab3"
+    ),
+    "dyrs-sharded-async-swim-service-seed2-chaos": (
+        "9c57fe8a5c9a651b6e8562a98b29eef358f1b1b2c1e472fe90da000cd8502af4"
     ),
 }
 
@@ -260,11 +277,7 @@ def _simulate(scheme: str, workload: str, seed: int, faults: int):
             seed=seed,
             interference="alt-10s-1",
             memory_limit=MEMCAP if workload == "swim-memcap" else None,
-            # ``swim-notify`` parks idle slaves at the master, the
-            # idle-pull mode every 1k-node scale run uses.
-            dyrs_overrides=(
-                {"idle_pull": "notify"} if workload == "swim-notify" else {}
-            ),
+            dyrs_overrides=WORKLOAD_OVERRIDES.get(workload, {}),
             shards=SHARDS.get(scheme, 1),
             tier_overrides=(
                 PROMOTE_TIER_OVERRIDES
