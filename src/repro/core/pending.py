@@ -158,7 +158,12 @@ def bind_from_pool(
     if max_blocks <= 0:
         return []
     if getattr(policy, "subset_stable", False):
-        candidates = policy.order(pool.targeted_at(node_id))
+        targeted = pool.targeted_at(node_id)
+        if not targeted:
+            # Most pulls find nothing aimed at the asker; ordering an
+            # empty bucket would only build a sort key to sort nothing.
+            return []
+        candidates = policy.order(targeted)
     else:
         # Whole-set sort keys (e.g. smallest-job-first) are not
         # filter/sort commutative; keep the legacy full scan for them.
