@@ -56,6 +56,33 @@ class TestFailover:
         for block in client.blocks_of(["b"]):
             assert block.block_id in namenode.directory["memory"]
 
+    def test_leg_in_flight_at_failover_stays_with_the_old_master(self, rig):
+        """A pull leg sent to the primary ends at the primary: the
+        standby promoted while it is on the wire never services it and
+        binds nothing from it, even with work pending for the node."""
+        cluster, namenode, client, coordinator, slaves = rig
+        # Starting the slaves opened one leg each; every one is still
+        # in its outbound half.
+        assert cluster.sim.now == 0.0
+        assert all(s._leg_outstanding == {0: 1} for s in slaves)
+        coordinator.fail_primary()
+        new = coordinator.fail_over()
+        client.create_file("b", 256 * MB)
+        assert client.migrate(["b"], job_id="j2") is True
+        binds = []
+        bind_from_shard = new.bind_from_shard
+
+        def spy(shard_id, generation, node_id, max_blocks):
+            binds.append((cluster.sim.now, node_id))
+            return bind_from_shard(shard_id, generation, node_id, max_blocks)
+
+        new.bind_from_shard = spy
+        # Past the legs' arrival, before the first re-poll.
+        cluster.sim.run(until=1.0)
+        assert binds == []
+        assert all(s._leg_outstanding == {0: 0} for s in slaves)
+        assert all(r.bound_node is None for r in new.record_log)
+
     def test_slaves_rewired_to_new_master(self, rig):
         cluster, _, client, coordinator, slaves = rig
         coordinator.fail_primary()
