@@ -32,7 +32,7 @@ def main() -> None:
         block_size=128 * MB,
     )
     client = DFSClient(namenode)
-    config = DyrsConfig(reference_block_size=128 * MB)
+    config = DyrsConfig()
     coordinator = StandbyCoordinator(namenode, config, failover_delay=5.0)
     slaves = [
         DyrsSlave(namenode.datanodes[n.node_id], coordinator.primary, config)

@@ -32,6 +32,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ComputeConfig", "JobRuntime"]
 
+#: Speculation thresholds: a running attempt is duplicated once its
+#: stage has this many completed attempts to take a median from, and
+#: its runtime exceeds both this many seconds (no duplicating short
+#: tasks on noise) and this multiple of that median.
+SPECULATION_MIN_COMPLETED = 3
+SPECULATION_MIN_RUNTIME = 20.0
+SPECULATION_MULTIPLIER = 3.0
+#: How often each running task re-evaluates speculation, seconds.
+SPECULATION_CHECK_INTERVAL = 5.0
+
 
 @dataclass(frozen=True)
 class ComputeConfig:
@@ -45,9 +55,6 @@ class ComputeConfig:
         Submission-to-first-container platform overhead, seconds; with
         queueing this produces the lead-time DYRS exploits (the Google
         trace mean is 8.8 s, §II-C1).
-    migrate_on_submit:
-        Whether the job-submitter issues the migrate() RPC; False
-        reproduces plain HDFS behaviour even with a master wired in.
     speculative_execution:
         Hadoop-style straggler mitigation: a running task that has
         overrun its stage's typical duration gets a duplicate attempt;
@@ -55,41 +62,21 @@ class ComputeConfig:
         matching the paper's engine (Tez 0.9 ships with
         ``tez.am.speculation.enabled=false``); the speculation ablation
         turns it on to show it rescues Ignem's worst stragglers.
-    speculation_multiplier:
-        An attempt is speculatable once its runtime exceeds this
-        multiple of the stage's median completed-task duration.
-    speculation_min_runtime:
-        ... and at least this many seconds (avoids duplicating short
-        tasks on noise).
-    speculation_check_interval:
-        How often each running task re-evaluates speculation.
-    speculation_min_completed:
-        Minimum completed attempts in the stage before the median is
-        trusted.
+
+    The job-submitter always sends the migrate() RPC, which does
+    nothing without a migration master
+    (:meth:`~repro.dfs.client.DFSClient.migrate`).
     """
 
     task_launch_overhead: float = 1.0
     job_init_overhead: float = 5.0
-    migrate_on_submit: bool = True
     speculative_execution: bool = False
-    speculation_multiplier: float = 3.0
-    speculation_min_runtime: float = 20.0
-    speculation_check_interval: float = 5.0
-    speculation_min_completed: int = 3
 
     def __post_init__(self) -> None:
         if self.task_launch_overhead < 0:
             raise ValueError("task_launch_overhead must be >= 0")
         if self.job_init_overhead < 0:
             raise ValueError("job_init_overhead must be >= 0")
-        if self.speculation_multiplier < 1:
-            raise ValueError("speculation_multiplier must be >= 1")
-        if self.speculation_min_runtime < 0:
-            raise ValueError("speculation_min_runtime must be >= 0")
-        if self.speculation_check_interval <= 0:
-            raise ValueError("speculation_check_interval must be positive")
-        if self.speculation_min_completed < 1:
-            raise ValueError("speculation_min_completed must be >= 1")
 
 
 class JobRuntime:
@@ -144,7 +131,7 @@ class JobRuntime:
 
         # The §IV-B hook: migrate inputs the moment the job enters the
         # system, maximizing usable lead-time.
-        if self.config.migrate_on_submit and job.input_files:
+        if job.input_files:
             self.client.migrate(
                 job.input_files, job_id=job.job_id, eviction=job.eviction
             )
@@ -191,17 +178,16 @@ class JobRuntime:
     def _should_speculate(
         self, tm: TaskMetrics, progress: "_StageProgress"
     ) -> bool:
-        cfg = self.config
         if tm.started_at is None:
             return False  # still queued; a duplicate would queue too
-        if len(progress.completed_durations) < cfg.speculation_min_completed:
+        if len(progress.completed_durations) < SPECULATION_MIN_COMPLETED:
             return False
         if self.scheduler.total_free_slots < 1:
             return False
         elapsed = self.sim.now - tm.started_at
         typical = statistics.median(progress.completed_durations)
         return elapsed > max(
-            cfg.speculation_min_runtime, cfg.speculation_multiplier * typical
+            SPECULATION_MIN_RUNTIME, SPECULATION_MULTIPLIER * typical
         )
 
     def _managed_task(
@@ -244,7 +230,7 @@ class JobRuntime:
             alive = [p for p, _ in attempts if p.is_alive]
             waits = list(alive)
             if self.config.speculative_execution and not speculated:
-                waits.append(sim.timeout(self.config.speculation_check_interval))
+                waits.append(sim.timeout(SPECULATION_CHECK_INTERVAL))
             yield AnyOf(sim, waits)
 
             winner = next(

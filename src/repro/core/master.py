@@ -28,7 +28,6 @@ from repro.core.pending import PendingPool, bind_from_pool
 from repro.core.policies import FifoPolicy, MigrationPolicy
 from repro.core.records import BindingEvent, MigrationRecord
 from repro.core.targeting import SlaveLoad, compute_targets
-from repro.dfs.namespace import DEFAULT_BLOCK_SIZE
 from repro.obs import trace as obs
 from repro.sim.process import Interrupt, Process
 
@@ -39,37 +38,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["DyrsMaster", "DyrsConfig"]
 
+#: Seconds between Algorithm 1 passes.  "The cluster administrator can
+#: control the rate of updates in order to limit their load" (§III-D).
+RETARGET_INTERVAL = 0.5
+
 
 @dataclass(frozen=True)
 class DyrsConfig:
     """Tunables shared by the master and its slaves.
 
+    The heartbeat interval and the block size are the DFS's own: the
+    slaves, Algorithm 1 and the shard coordinator read them from the
+    :class:`~repro.dfs.namenode.NameNode`.
+
     Attributes
     ----------
     ewma_alpha:
         Estimator smoothing weight (§IV-A).
-    retarget_interval:
-        Seconds between Algorithm 1 passes.  "The cluster administrator
-        can control the rate of updates in order to limit their load"
-        (§III-D).
-    heartbeat_interval:
-        Matches the DFS heartbeat period; slaves also poll for work and
-        re-check memory at this cadence.
     queue_depth:
         Local queue target; ``None`` derives it from the heartbeat
         interval and the best-case block migration time (§III-B).
-    rpc_latency:
-        One-way master<->slave RPC delay; the local queue exists to
-        cover exactly this gap.
     memory_limit:
         Per-node hard cap on migrated bytes (``None`` = all of RAM),
         §IV-A1.
-    gc_threshold:
-        Memory fraction above which a slave triggers the inactive-job
-        sweep (§III-C3).
-    reference_block_size:
-        Size used to convert per-byte estimates to per-block times in
-        Algorithm 1's backlog initialization.
     estimator_refresh:
         Whether slaves apply the in-progress estimator update of
         §IV-A.  The paper's early prototype lacked it ("we only
@@ -105,13 +96,8 @@ class DyrsConfig:
     """
 
     ewma_alpha: float = 0.4
-    retarget_interval: float = 0.5
-    heartbeat_interval: float = 2.0
     queue_depth: Optional[int] = None
-    rpc_latency: float = 0.05
     memory_limit: Optional[float] = None
-    gc_threshold: float = 0.9
-    reference_block_size: float = DEFAULT_BLOCK_SIZE
     estimator_refresh: bool = True
     pull_service_cost: float = 0.0
     idle_pull: str = "poll"
@@ -120,27 +106,8 @@ class DyrsConfig:
     def __post_init__(self) -> None:
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.retarget_interval <= 0:
-            raise ValueError(
-                f"retarget_interval must be positive, got {self.retarget_interval}"
-            )
-        if self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
-            )
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.rpc_latency < 0:
-            raise ValueError(f"rpc_latency must be >= 0, got {self.rpc_latency}")
-        if not 0 < self.gc_threshold <= 1:
-            raise ValueError(
-                f"gc_threshold must be in (0, 1], got {self.gc_threshold}"
-            )
-        if self.reference_block_size <= 0:
-            raise ValueError(
-                f"reference_block_size must be positive, "
-                f"got {self.reference_block_size}"
-            )
         if self.pull_service_cost < 0:
             raise ValueError(
                 f"pull_service_cost must be >= 0, got {self.pull_service_cost}"
@@ -393,7 +360,7 @@ class DyrsMaster(MigrationMaster):
         targets = compute_targets(
             ordered,
             self._eligible_loads(),
-            reference_block_size=self.config.reference_block_size,
+            reference_block_size=self.namenode.namespace.block_size,
         )
         # Targets moved; rebuild the per-target pull index.  This is
         # the only code path that changes ``target_node``, so the index
@@ -457,7 +424,7 @@ class DyrsMaster(MigrationMaster):
     def _retarget_loop(self):
         try:
             while True:
-                yield self.sim.timeout(self.config.retarget_interval)
+                yield self.sim.timeout(RETARGET_INTERVAL)
                 self.reclaim_unavailable()
                 if self.pending_count:
                     self.retarget()

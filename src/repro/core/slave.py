@@ -52,6 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["DyrsSlave"]
 
+#: One-way master<->slave RPC delay, seconds; the local queue exists to
+#: cover exactly this gap (§III-B).
+RPC_LATENCY = 0.05
+#: Memory fraction above which a slave triggers the inactive-job sweep
+#: (§III-C3).
+GC_THRESHOLD = 0.9
+
 
 class DyrsSlave:
     """Per-node migration worker."""
@@ -66,6 +73,9 @@ class DyrsSlave:
         self.node = datanode.node
         self.node_id = datanode.node_id
         self.master = master
+        #: The DFS whose heartbeat interval and block size pace this
+        #: slave's polls and size its queue.
+        self.namenode = master.namenode
         self.config = config
         self.sim = datanode.node.sim
         #: Disk-lane estimator -- the ``estMigrationTime`` of §IV-A and
@@ -128,10 +138,11 @@ class DyrsSlave:
         divided by the best-case per-block migration time."""
         if self.config.queue_depth is not None:
             return self.config.queue_depth
+        namenode = self.namenode
         best_block_time = (
-            self.config.reference_block_size / self.node.disk.channel.capacity
+            namenode.namespace.block_size / self.node.disk.channel.capacity
         )
-        return max(1, math.ceil(self.config.heartbeat_interval / best_block_time))
+        return max(1, math.ceil(namenode.heartbeat_interval / best_block_time))
 
     @property
     def queued_blocks(self) -> int:
@@ -163,6 +174,7 @@ class DyrsSlave:
         self.alive = True
         self.master.slave_changed(self)
         self._worker = self.sim.process(self._run(), name=f"dyrs-slave:{self.node_id}")
+        self._worker.add_callback(_reraise_failure)
 
     def crash(self) -> None:
         """Kill the slave *process*: local queue and buffered data are
@@ -252,6 +264,7 @@ class DyrsSlave:
                 self._ssd_worker = self.sim.process(
                     self._run_ssd(), name=f"dyrs-slave-ssd:{self.node_id}"
                 )
+                self._ssd_worker.add_callback(_reraise_failure)
             return
         self._queue.append(record)
         self.master.slave_changed(self)
@@ -346,7 +359,7 @@ class DyrsSlave:
 
     def _rpc_leg_delay(self) -> float:
         """One-way RPC delay including any injected spike."""
-        return self.config.rpc_latency + self._rpc_extra
+        return RPC_LATENCY + self._rpc_extra
 
     def _run(self):
         sim = self.sim
@@ -365,7 +378,7 @@ class DyrsSlave:
                         # the dominant event-heap load, and correctness
                         # never depends on them.
                         self.master.park_idle_slave(self.node_id, self._work_signal)
-                        backstop = sim.timeout(self.config.heartbeat_interval * 50.0)
+                        backstop = sim.timeout(self.namenode.heartbeat_interval * 50.0)
                         yield AnyOf(sim, [self._work_signal, backstop])
                         self.master.unpark_idle_slave(self.node_id, self._work_signal)
                         if not backstop.processed:
@@ -375,7 +388,7 @@ class DyrsSlave:
                         # heartbeat cadence (periodic query, §III-A1).
                         # Work that arrives first leaves the re-poll
                         # timer nothing to wake, so drop it.
-                        repoll = sim.timeout(self.config.heartbeat_interval)
+                        repoll = sim.timeout(self.namenode.heartbeat_interval)
                         yield AnyOf(sim, [self._work_signal, repoll])
                         if not repoll.processed:
                             sim.discard(repoll)
@@ -438,7 +451,7 @@ class DyrsSlave:
         lane = record.source_tier
         if record.dest_tier == "memory":
             # Memory-pressure GC, then wait for space (§IV-A1, §III-C3).
-            if self.node.memory.used >= self.config.gc_threshold * self.memory_limit:
+            if self.node.memory.used >= GC_THRESHOLD * self.memory_limit:
                 self.master.gc_sweep()
             while not self._memory_fits(block.size):
                 signal = Event(sim, name=f"space:{lane}:{self.node_id}")
@@ -446,7 +459,7 @@ class DyrsSlave:
                     self._ssd_space_signal = signal
                 else:
                     self._space_signal = signal
-                recheck = sim.timeout(self.config.heartbeat_interval)
+                recheck = sim.timeout(self.namenode.heartbeat_interval)
                 yield AnyOf(sim, [signal, recheck])
                 if not recheck.processed:
                     sim.discard(recheck)
@@ -534,26 +547,32 @@ class DyrsSlave:
         )
 
 
+def _reraise_failure(worker: Process) -> None:
+    """Exit callback of both worker loops.  Nothing awaits a worker, so
+    a loop that raised would leave its slave ``alive`` but never
+    migrating again; re-raising stops the run instead."""
+    if not worker.ok:
+        raise worker.value
+
+
 class _PullLeg:
     """One detached pull leg from a slave to one master endpoint.
 
-    Outbound delay (plus any endpoint-targeted chaos extra),
+    Outbound delay (:data:`RPC_LATENCY` plus any chaos extra),
     master-side service, bind, inbound delay -- fenced by both the
     slave epoch and the endpoint generation.  Each delay is a timeout
     whose callback is the next stage, a bound method of this object;
-    a stage whose delay is zero runs at once.  A leg has no deadline:
-    a blackholed request (partition, master down) ends the leg at
-    once, an empty grant ends it without waiting for the inbound
-    delay, and the worker loop re-polls at heartbeat cadence.  A slow
-    leg holds only its own window slot.
+    both RPC halves always wait, and only a zero service delay binds
+    at once.  A leg has no deadline: a blackholed request (partition,
+    master down) ends the leg at once, an empty grant ends it without
+    waiting for the inbound delay, and the worker loop re-polls at
+    heartbeat cadence.  A slow leg holds only its own window slot.
 
-    Nothing waits on a leg.  An exception inside a stage reached
-    through a timeout propagates out of
-    :meth:`~repro.sim.engine.Simulator.step`.  The stages before the
-    first positive delay run inside :meth:`send`, in the slave's
-    worker loop, so an exception there fails the worker process.  A
-    simulation abandoned mid-leg leaves only a timeout holding a stage
-    that never runs; its collection writes into no trace.
+    Nothing waits on a leg.  Every stage runs in a timeout's callback,
+    so an exception inside any stage propagates out of
+    :meth:`~repro.sim.engine.Simulator.step`.  A simulation abandoned
+    mid-leg leaves only a timeout holding a stage that never runs; its
+    collection writes into no trace.
     """
 
     __slots__ = ("slave", "master", "shard_id", "generation", "epoch", "granted")
@@ -574,12 +593,9 @@ class _PullLeg:
         """The outbound half: the request is on the wire."""
         slave = self.slave
         outbound = slave._rpc_leg_delay() + self.master.shard_rpc_extra(self.shard_id)
-        if outbound > 0:
-            slave.sim.timeout(outbound).add_callback(self._arrived)
-        else:
-            self._arrived(None)
+        slave.sim.timeout(outbound).add_callback(self._arrived)
 
-    def _arrived(self, _event: Optional[Event]) -> None:
+    def _arrived(self, _event: Event) -> None:
         """The request reached the endpoint, which services it."""
         slave = self.slave
         master = self.master
@@ -621,13 +637,9 @@ class _PullLeg:
             # process's budget for good.
             slave._undelivered += len(granted)
         self.granted = granted
-        inbound = slave._rpc_leg_delay()
-        if inbound > 0:
-            slave.sim.timeout(inbound).add_callback(self._delivered)
-        else:
-            self._delivered(None)
+        slave.sim.timeout(slave._rpc_leg_delay()).add_callback(self._delivered)
 
-    def _delivered(self, _event: Optional[Event]) -> None:
+    def _delivered(self, _event: Event) -> None:
         """The response landed: enqueue the grant, or requeue it if the
         slave that asked is gone."""
         slave = self.slave

@@ -57,25 +57,20 @@ class NameNode:
         placement: PlacementPolicy,
         block_size: float = DEFAULT_BLOCK_SIZE,
         replication: int = 3,
-        heartbeat_interval: float = 3.0,
-        heartbeat_miss_limit: int = 3,
     ) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
-        if heartbeat_miss_limit < 1:
-            raise ValueError(
-                f"heartbeat_miss_limit must be >= 1, got {heartbeat_miss_limit}"
-            )
         self.cluster = cluster
         self.sim = cluster.sim
         self.placement = placement
         self.replication = replication
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_miss_limit = heartbeat_miss_limit
+        #: Seconds between DataNode heartbeats.  DYRS harvests slave
+        #: loads on this tick (§III-D), and its slaves re-poll and size
+        #: their queues by it (§III-B).
+        self.heartbeat_interval = 2.0
+        #: Consecutive missed heartbeats after which a node is
+        #: unavailable.
+        self.heartbeat_miss_limit = 3
         self.namespace = Namespace(block_size=block_size)
         #: event -> cancel-callable for in-flight reads (shared with
         #: every DataNode; see DFSClient.cancel_read).

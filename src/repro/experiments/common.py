@@ -43,6 +43,12 @@ __all__ = [
 
 #: §V-A: one NameNode/RM server plus seven DataNode/NodeManager servers.
 PAPER_WORKERS = 7
+#: The testbed's DFS replication factor, concurrent tasks per worker,
+#: disk seek penalty and per-task container start cost (seconds).
+PAPER_REPLICATION = 3
+PAPER_TASK_SLOTS = 6
+PAPER_SEEK_PENALTY = 0.3
+PAPER_TASK_LAUNCH_OVERHEAD = 1.5
 #: The node the §V-C interference rig handicaps in single-node setups.
 SLOW_NODE = 0
 
@@ -111,7 +117,7 @@ class PaperSetup:
         ``"persistent-1"``, ``"alt-10s-1"``, ...).
     seed:
         Root seed; everything stochastic derives from it.
-    n_workers / block_size / replication:
+    n_workers / block_size:
         Cluster shape (defaults: the paper's).
     job_init_overhead:
         The platform lead-time component (§II-C1).
@@ -129,12 +135,8 @@ class PaperSetup:
     seed: int = 0
     n_workers: int = PAPER_WORKERS
     block_size: float = 256 * MB
-    replication: int = 3
     job_init_overhead: float = 12.0
-    task_launch_overhead: float = 1.5
     memory_limit: Optional[float] = None
-    task_slots: int = 6
-    seek_penalty: float = 0.3
     dyrs_overrides: dict = field(default_factory=dict)
     tier_overrides: dict = field(default_factory=dict)
     #: Master shard count of the sharded presets (1 elsewhere).
@@ -161,14 +163,10 @@ def build_system(setup: PaperSetup) -> System:
     dyrs_overrides = dict(setup.dyrs_overrides)
     if preset.wide_window:
         dyrs_overrides.setdefault("shard_pull_window", max(2, setup.shards))
-    dyrs = DyrsConfig(
-        reference_block_size=setup.block_size,
-        memory_limit=setup.memory_limit,
-        **dyrs_overrides,
-    )
+    dyrs = DyrsConfig(memory_limit=setup.memory_limit, **dyrs_overrides)
     node = NodeSpec(
-        disk=DiskSpec(seek_penalty=setup.seek_penalty),
-        task_slots=setup.task_slots,
+        disk=DiskSpec(seek_penalty=PAPER_SEEK_PENALTY),
+        task_slots=PAPER_TASK_SLOTS,
     )
     system = System(
         SystemConfig(
@@ -183,11 +181,11 @@ def build_system(setup: PaperSetup) -> System:
             dyrs=dyrs,
             tiers=TierConfig(**setup.tier_overrides),
             compute=ComputeConfig(
-                task_launch_overhead=setup.task_launch_overhead,
+                task_launch_overhead=PAPER_TASK_LAUNCH_OVERHEAD,
                 job_init_overhead=setup.job_init_overhead,
             ),
             block_size=setup.block_size,
-            replication=setup.replication,
+            replication=PAPER_REPLICATION,
             shards=setup.shards if preset.sharded else None,
             shard_router=setup.shard_router,
         )

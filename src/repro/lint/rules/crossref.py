@@ -13,8 +13,9 @@ the whole observability and configuration surface:
   vocabulary attributes -- the ``etype = obs.READ_SSD if ... else
   obs.READ_DISK`` idiom of the datanode read path.
 * **CFG601 unvalidated-knob** -- every configuration knob (a
-  :class:`~repro.core.master.DyrsConfig` or
-  :class:`~repro.lifecycle.master.TierConfig` dataclass field, or a
+  :class:`~repro.core.master.DyrsConfig`,
+  :class:`~repro.lifecycle.master.TierConfig` or
+  :class:`~repro.compute.runtime.ComputeConfig` dataclass field, or a
   module-level ``use_*`` registry context manager) must be referenced
   by at least one file under ``tests/`` and documented in
   ``DESIGN.md``.  An untested knob is a code path nothing exercises;
@@ -179,7 +180,7 @@ class TraceVocabDriftRule(Rule):
 
 
 #: The dataclasses whose fields are configuration knobs.
-_CONFIG_CLASSES = ("DyrsConfig", "TierConfig")
+_CONFIG_CLASSES = ("DyrsConfig", "TierConfig", "ComputeConfig")
 
 
 def _config_fields(project: Project) -> dict[str, tuple[str, int]]:

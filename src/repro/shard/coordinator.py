@@ -127,9 +127,8 @@ class ShardCoordinator(DyrsMaster):
         awareness without flapping, since the threshold matches the
         detector the rest of the system already trusts.
         """
-        horizon = (
-            self.config.heartbeat_interval * self.namenode.heartbeat_miss_limit
-        )
+        namenode = self.namenode
+        horizon = namenode.heartbeat_interval * namenode.heartbeat_miss_limit
         return 0.5 if self.shard_staleness(shard_id) > horizon else 1.0
 
     # -- heartbeats (per-shard freshness) -------------------------------------
@@ -203,16 +202,11 @@ class ShardCoordinator(DyrsMaster):
             # anything to place, so no pass can change state.
             return {}
         loads = self._eligible_loads()
+        block_size = self.namenode.namespace.block_size
         targets: dict[int, int] = {}
         for shard in self._shards:
             if shard.alive:
-                targets.update(
-                    shard.retarget(
-                        loads,
-                        self.policy,
-                        self.config.reference_block_size,
-                    )
-                )
+                targets.update(shard.retarget(loads, self.policy, block_size))
         self._wake_parked()
         return targets
 

@@ -47,7 +47,7 @@ experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cluster import Cluster, ClusterSpec
@@ -192,12 +192,6 @@ class SystemConfig:
             raise ValueError(f"replication must be >= 1, got {self.replication}")
         if self.block_size <= 0:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
-        if self.dyrs.reference_block_size != self.block_size:
-            # Keep Algorithm 1's per-block conversions consistent with
-            # the DFS block size automatically.
-            object.__setattr__(
-                self, "dyrs", replace(self.dyrs, reference_block_size=self.block_size)
-            )
 
     @property
     def scheme_spec(self) -> SchemeSpec:
@@ -218,7 +212,6 @@ class System:
             placement=RandomPlacement(n, self.cluster.rngs.stream("placement")),
             block_size=self.config.block_size,
             replication=min(self.config.replication, n),
-            heartbeat_interval=self.config.dyrs.heartbeat_interval,
         )
         self.client = DFSClient(self.namenode)
         self.heartbeats = HeartbeatService(self.namenode)
@@ -241,17 +234,10 @@ class System:
             self.cluster,
             self.client,
             scheduler=self.scheduler,
-            config=self._effective_compute_config(),
+            config=self.config.compute,
             metrics=self.metrics,
         )
         self._started = False
-
-    def _effective_compute_config(self) -> ComputeConfig:
-        base = self.config.compute
-        if self.config.scheme_spec.build_master is None:
-            # No master to call; keep the flag honest.
-            return replace(base, migrate_on_submit=False)
-        return base
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -140,16 +140,6 @@ class TestDyrsIntegration:
         system.sim.run(until=system.sim.now + 10)
         assert system.cluster.total_memory_used() == 0.0
 
-    def test_migrate_on_submit_false_behaves_like_hdfs(self):
-        system = build(
-            scheme="dyrs",
-            compute=ComputeConfig(migrate_on_submit=False),
-        )
-        job = simple_job(system)
-        metrics = system.runtime.run_to_completion([job])
-        assert metrics.jobs["j1"].memory_read_fraction() == 0.0
-        assert system.master.record_log == []
-
     def test_gc_provider_wired(self):
         system = build(scheme="dyrs")
         assert system.master.active_jobs_provider is not None
@@ -159,10 +149,6 @@ class TestSystemValidation:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(scheme="alluxio")
-
-    def test_reference_block_size_synced(self):
-        config = SystemConfig(scheme="dyrs", block_size=64 * MB)
-        assert config.dyrs.reference_block_size == 64 * MB
 
     def test_instant_scheme_has_no_slaves(self):
         system = build(scheme="instant")

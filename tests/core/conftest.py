@@ -25,7 +25,7 @@ class Rig:
             replication=min(3, n_workers),
         )
         self.client = DFSClient(self.namenode)
-        self.config = config or DyrsConfig(reference_block_size=block_size)
+        self.config = config or DyrsConfig()
         if master_kind == "dyrs":
             self.master = DyrsMaster(self.namenode, self.config)
         elif master_kind == "ignem":

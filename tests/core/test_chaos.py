@@ -12,6 +12,7 @@ import pytest
 from repro.core import DyrsConfig
 from repro.core.failures import ChaosCampaign, FailureInjector
 from repro.core.records import MigrationStatus
+from repro.core.slave import RPC_LATENCY
 from repro.obs import trace as T
 from repro.obs.trace import tracing
 from repro.units import MB
@@ -19,8 +20,9 @@ from repro.units import MB
 
 def _arm_mid_pull_crash(rig, after=0.02, then=None):
     """Crash the granted-to slave ``after`` seconds after its pull RPC
-    binds records at the master -- inside the response leg (rpc_latency
-    is 0.05 each way), so the grants are in flight when it dies.
+    binds records at the master -- inside the response leg (each way
+    takes ``RPC_LATENCY``, 0.05 s), so the grants are in flight when it
+    dies.
     Returns a dict that fills in with the victim and its records."""
     captured = {}
     original = rig.master.request_work
@@ -119,13 +121,17 @@ class TestSlaveEpochGuard:
         # ... and the restarted slave still works: everything migrates.
         for block in rig.client.blocks_of(["input"]):
             assert block.block_id in rig.namenode.directory["memory"]
+        # The stale response touched none of the new process's counters:
+        # a response delivered across the restart would have subtracted
+        # its grant from an undelivered count it never added to.
+        assert [slave._undelivered for slave in rig.slaves] == [0] * len(rig.slaves)
 
     def test_crash_resets_pull_flag_for_next_incarnation(self, rig):
         """The leg counters belong to one incarnation: a crash clears
         them, and a leg of the dead epoch that lands later cannot free
         the restarted slave's window slot."""
         slave = rig.slaves[0]
-        latency = rig.config.rpc_latency
+        latency = RPC_LATENCY
         rig.sim.run(until=0.01)
         # The worker opened its first leg at start; it is still outbound.
         assert slave._leg_outstanding == {0: 1}
@@ -151,7 +157,7 @@ class TestSlaveEpochGuard:
         requeued, but the records it never delivers must not count
         against the restarted process's queue space."""
         slave = rig.slaves[0]
-        latency = rig.config.rpc_latency
+        latency = RPC_LATENCY
         grants = []
         original = rig.master.bind_from_shard
 
@@ -187,9 +193,7 @@ class TestServiceWindowCrashFence:
         away before the bind: nothing is bound to its node, so there is
         no undelivered grant to requeue, and the other slaves still
         migrate every block."""
-        rig = make_rig(
-            config=DyrsConfig(reference_block_size=64 * MB, pull_service_cost=0.005)
-        )
+        rig = make_rig(config=DyrsConfig(pull_service_cost=0.005))
         victim = rig.slaves[0]
         master = rig.master
         waits = []

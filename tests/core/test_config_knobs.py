@@ -1,4 +1,5 @@
-"""Every ``DyrsConfig`` knob's validation bounds, exercised.
+"""Every ``DyrsConfig`` and ``ComputeConfig`` knob's validation
+bounds, exercised.
 
 CFG601 (``unvalidated-knob``) requires each configuration knob to be
 referenced by at least one test; the ``__post_init__`` bounds are the
@@ -11,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.compute import ComputeConfig
 from repro.core.master import DyrsConfig
 
 
@@ -24,13 +26,7 @@ class TestFieldBounds:
         [
             ("ewma_alpha", 1.0, 0.0),
             ("ewma_alpha", 0.4, 1.5),
-            ("retarget_interval", 0.5, 0.0),
-            ("heartbeat_interval", 2.0, -1.0),
             ("queue_depth", 1, 0),
-            ("rpc_latency", 0.0, -0.01),
-            ("gc_threshold", 1.0, 0.0),
-            ("gc_threshold", 0.9, 1.1),
-            ("reference_block_size", 1.0, 0.0),
             ("pull_service_cost", 0.0, -1.0),
             ("idle_pull", "notify", "busywait"),
             ("shard_pull_window", 1, 0),
@@ -56,11 +52,32 @@ class TestFieldBounds:
         # If a field is added to DyrsConfig without a bound test above,
         # fail loudly (and CFG601 would flag it too).
         pinned = {
-            "ewma_alpha", "retarget_interval", "heartbeat_interval",
-            "queue_depth", "rpc_latency", "memory_limit", "gc_threshold",
-            "reference_block_size", "estimator_refresh",
+            "ewma_alpha", "queue_depth", "memory_limit", "estimator_refresh",
             "pull_service_cost", "idle_pull", "shard_pull_window",
         }
         actual = {f.name for f in dataclasses.fields(DyrsConfig)}
         assert actual == pinned
 
+
+class TestComputeFieldBounds:
+    @pytest.mark.parametrize(
+        "field,good,bad",
+        [
+            ("task_launch_overhead", 0.0, -1.0),
+            ("job_init_overhead", 0.0, -0.5),
+        ],
+    )
+    def test_bound(self, field, good, bad):
+        assert getattr(ComputeConfig(**{field: good}), field) == good
+        with pytest.raises(ValueError, match=field):
+            ComputeConfig(**{field: bad})
+
+    def test_speculative_execution_passes_through(self):
+        # A plain toggle, off by default as in the paper's engine.
+        assert ComputeConfig().speculative_execution is False
+        assert ComputeConfig(speculative_execution=True).speculative_execution
+
+    def test_every_field_is_pinned_here(self):
+        pinned = {"task_launch_overhead", "job_init_overhead", "speculative_execution"}
+        actual = {f.name for f in dataclasses.fields(ComputeConfig)}
+        assert actual == pinned

@@ -123,7 +123,7 @@ def standby_rig():
         block_size=64 * MB,
     )
     client = DFSClient(namenode)
-    config = DyrsConfig(reference_block_size=64 * MB)
+    config = DyrsConfig()
     coordinator = StandbyCoordinator(namenode, config, failover_delay=5.0)
     slaves = [
         DyrsSlave(namenode.datanodes[n.node_id], coordinator.primary, config)

@@ -281,7 +281,7 @@ class TestTransitions:
             block_size=64 * MB,
         )
         client = DFSClient(namenode)
-        config = DyrsConfig(reference_block_size=64 * MB)
+        config = DyrsConfig()
         coordinator = StandbyCoordinator(namenode, config, failover_delay=5.0)
         slaves = [
             DyrsSlave(namenode.datanodes[n.node_id], coordinator.primary, config)
@@ -315,7 +315,7 @@ class TestTransitions:
             SystemConfig(
                 cluster=ClusterSpec(n_workers=4, seed=3, ssd=SsdSpec()),
                 block_size=64 * MB,
-                dyrs=DyrsConfig(reference_block_size=64 * MB),
+                dyrs=DyrsConfig(),
             )
         ).start()
         sim = system.sim

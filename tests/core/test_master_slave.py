@@ -1,5 +1,7 @@
 """Integration tests: the DYRS master/slave migration pipeline."""
 
+import math
+
 import pytest
 
 from repro.cluster import NodeSpec, PersistentInterference
@@ -69,16 +71,15 @@ class TestMigrationPipeline:
 
     def test_queue_depth_derivation(self, rig):
         slave = rig.slaves[0]
+        namenode = rig.namenode
         best_block_time = (
-            rig.config.reference_block_size / slave.node.spec.disk.bandwidth
+            namenode.namespace.block_size / slave.node.spec.disk.bandwidth
         )
-        import math
-
-        expected = max(1, math.ceil(rig.config.heartbeat_interval / best_block_time))
+        expected = max(1, math.ceil(namenode.heartbeat_interval / best_block_time))
         assert slave.queue_depth_target == expected
 
     def test_explicit_queue_depth_override(self, make_rig):
-        config = DyrsConfig(queue_depth=5, reference_block_size=64 * MB)
+        config = DyrsConfig(queue_depth=5)
         rig = make_rig(config=config)
         assert all(s.queue_depth_target == 5 for s in rig.slaves)
 
@@ -193,9 +194,7 @@ class TestEvictionIntegration:
         assert record.status is not MigrationStatus.DISCARDED
 
     def test_memory_limit_stalls_then_proceeds_after_eviction(self, make_rig):
-        config = DyrsConfig(
-            memory_limit=64 * MB, reference_block_size=64 * MB, rpc_latency=0.0
-        )
+        config = DyrsConfig(memory_limit=64 * MB)
         rig = make_rig(n_workers=1, config=config)
         rig.client.create_file("a", 64 * MB)
         rig.client.create_file("b", 64 * MB)
@@ -216,7 +215,7 @@ class TestEvictionIntegration:
 class TestMasterBookkeeping:
     def test_retarget_loop_runs(self, rig):
         # Enough blocks that the pending list outlives several
-        # retarget_interval ticks (local queues only absorb ~28).
+        # periodic retarget ticks (local queues only absorb ~28).
         rig.client.create_file("input", 10 * GB)
         rig.master.migrate(["input"], job_id="j1")
         passes_before = rig.master.retarget_passes
@@ -271,7 +270,10 @@ class TestHeartbeatTicks:
 
         rig.namenode.add_heartbeat_observer(check)
         rig.sim.run(until=30)
-        assert len(seen) == 10 * len(rig.slaves)  # ticks at t = 3, 6, ..., 30
+        # Ticks at t = interval, 2 x interval, ..., 30 (none at t=0:
+        # the observer registers after the first tick).
+        ticks = math.floor(30 / rig.namenode.heartbeat_interval)
+        assert len(seen) == ticks * len(rig.slaves)
         for held, actual, reported_at, tick in seen:
             assert held == actual
             assert reported_at == tick

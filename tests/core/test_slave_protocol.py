@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DyrsConfig, MigrationStatus
+from repro.core import DyrsConfig
+from repro.core.slave import RPC_LATENCY
 from repro.dfs import EvictionMode
 from repro.sim.events import AnyOf, Timeout
 from repro.units import GB, MB
@@ -23,7 +24,7 @@ def _orphaned_timers(sim):
 
 class TestPullProtocol:
     def test_local_queue_never_exceeds_target(self, make_rig):
-        config = DyrsConfig(queue_depth=2, reference_block_size=64 * MB)
+        config = DyrsConfig(queue_depth=2)
         rig = make_rig(config=config)
         rig.client.create_file("input", 4 * GB)
         rig.master.migrate(["input"], job_id="j1")
@@ -41,23 +42,22 @@ class TestPullProtocol:
         rig.sim.run(until=150)
         assert max_seen <= 2
 
-    def test_rpc_latency_delays_binding(self, make_rig):
-        """With a round trip modeled, binding cannot happen at t=0."""
-        config = DyrsConfig(rpc_latency=0.5, reference_block_size=64 * MB)
-        rig = make_rig(config=config)
+    def test_rpc_latency_delays_binding(self, rig):
+        """With a round trip modeled, binding cannot happen at t=0: a
+        request binds when it reaches the master, one RPC delay after
+        the slave sent it."""
         rig.client.create_file("input", 256 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=60)
+        assert rig.master.record_log
         for record in rig.master.record_log:
-            assert record.binding_delay >= 0.5
+            assert record.binding_delay >= RPC_LATENCY
 
-    def test_an_error_inside_a_leg_escapes_the_run(self, make_rig):
+    def test_an_error_inside_a_leg_escapes_the_run(self, rig):
         """A pull leg is a chain of timeout callbacks that nothing
         awaits: an error at bind time, reached through the outbound
         timeout, propagates out of the run at the instant the first
-        legs arrive.  With no RPC delay the stages run at once inside
-        the worker loop, so the error fails each slave's worker
-        process instead and the run goes on."""
+        legs arrive."""
 
         class BindFailed(Exception):
             pass
@@ -65,31 +65,10 @@ class TestPullProtocol:
         def bind_from_shard(shard_id, generation, node_id, max_blocks):
             raise BindFailed(node_id)
 
-        rig = make_rig()
         rig.master.bind_from_shard = bind_from_shard
         with pytest.raises(BindFailed):
             rig.sim.run(until=10)
-        assert rig.sim.now == rig.config.rpc_latency
-
-        config = DyrsConfig(rpc_latency=0.0, reference_block_size=64 * MB)
-        rig = make_rig(config=config)
-        rig.master.bind_from_shard = bind_from_shard
-        rig.sim.run(until=10)  # the first re-polls bind at t=2
-        for slave in rig.slaves:
-            worker = slave._worker
-            assert not worker.is_alive and not worker.ok
-            assert isinstance(worker.value, BindFailed)
-            assert worker.value.args == (slave.node_id,)
-
-    def test_zero_rpc_latency_still_works(self, make_rig):
-        config = DyrsConfig(rpc_latency=0.0, reference_block_size=64 * MB)
-        rig = make_rig(config=config)
-        rig.client.create_file("input", 512 * MB)
-        rig.master.migrate(["input"], job_id="j1")
-        rig.sim.run(until=60)
-        assert all(
-            r.status is MigrationStatus.DONE for r in rig.master.record_log
-        )
+        assert rig.sim.now == RPC_LATENCY
 
     def test_idle_slaves_poll_at_heartbeat_cadence(self, make_rig):
         """Work arriving later is still picked up by the periodic
@@ -118,14 +97,33 @@ class TestPullProtocol:
         assert workers == {0, 1, 2, 3}
 
 
+class TestWorkerFailure:
+    def test_an_error_inside_the_worker_loop_escapes_the_run(self, rig):
+        """Nothing awaits a slave's worker loop.  A loop that raised
+        would leave its slave ``alive`` but never pulling or migrating
+        again while the run went on; its failure stops the run."""
+
+        class CompletionFailed(Exception):
+            pass
+
+        def on_migration_complete(record, node_id, duration):
+            raise CompletionFailed(node_id)
+
+        rig.master.on_migration_complete = on_migration_complete
+        rig.client.create_file("input", 512 * MB)
+        rig.master.migrate(["input"], job_id="j1")
+        with pytest.raises(CompletionFailed) as failed:
+            rig.sim.run(until=60)
+        (node_id,) = failed.value.args
+        worker = rig.slaves[node_id]._worker
+        assert not worker.is_alive and worker.value is failed.value
+        assert rig.sim.now < 60
+
+
 class TestMemoryPressure:
     def test_gc_sweep_triggered_by_pressure(self, make_rig):
         """Crossing the GC threshold sweeps inactive jobs' references."""
-        config = DyrsConfig(
-            memory_limit=256 * MB,
-            gc_threshold=0.5,
-            reference_block_size=64 * MB,
-        )
+        config = DyrsConfig(memory_limit=256 * MB)
         # Single node so all pins land on one memory and cross the
         # per-node GC threshold.
         rig = make_rig(n_workers=1, config=config)
@@ -146,7 +144,7 @@ class TestMemoryPressure:
         assert "dead-job" not in rig.master.tracker.tracked_jobs()
 
     def test_memory_limit_respected_at_all_times(self, make_rig):
-        config = DyrsConfig(memory_limit=128 * MB, reference_block_size=64 * MB)
+        config = DyrsConfig(memory_limit=128 * MB)
         rig = make_rig(config=config)
         rig.client.create_file("input", 2 * GB)
         rig.master.migrate(["input"], job_id="j1", eviction=EvictionMode.EXPLICIT)
@@ -180,7 +178,7 @@ class TestIdleWaits:
         assert _orphaned_timers(rig.sim) == []
 
     def test_freed_memory_ends_the_space_wait(self, make_rig):
-        config = DyrsConfig(memory_limit=64 * MB, reference_block_size=64 * MB)
+        config = DyrsConfig(memory_limit=64 * MB)
         rig = make_rig(n_workers=1, config=config)
         slave = rig.slaves[0]
         rig.client.create_file("a", 64 * MB)

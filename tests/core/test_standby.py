@@ -19,7 +19,7 @@ def rig():
         block_size=64 * MB,
     )
     client = DFSClient(namenode)
-    config = DyrsConfig(reference_block_size=64 * MB)
+    config = DyrsConfig()
     coordinator = StandbyCoordinator(namenode, config, failover_delay=5.0)
     slaves = [
         DyrsSlave(namenode.datanodes[n.node_id], coordinator.primary, config)
@@ -153,7 +153,7 @@ class TestFailover:
             block_size=64 * MB,
         )
         client = DFSClient(namenode)
-        config = DyrsConfig(reference_block_size=64 * MB)
+        config = DyrsConfig()
         tier_config = TierConfig(
             lifecycle_interval=5.0, hot_age=10.0, cold_age=25.0, archive_age=45.0
         )

@@ -75,7 +75,7 @@ class TestDecommission:
         from repro.core import DyrsConfig, DyrsMaster, DyrsSlave
 
         namenode, client, cluster, monitor = dfs
-        config = DyrsConfig(reference_block_size=64 * MB)
+        config = DyrsConfig()
         master = DyrsMaster(namenode, config)
         slaves = [
             DyrsSlave(namenode.datanodes[n.node_id], master, config)

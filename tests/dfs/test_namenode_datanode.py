@@ -32,10 +32,6 @@ class TestCreateFile:
 
         with pytest.raises(ValueError):
             NameNode(cluster, RoundRobinPlacement(4), replication=0)
-        with pytest.raises(ValueError):
-            NameNode(cluster, RoundRobinPlacement(4), heartbeat_interval=0)
-        with pytest.raises(ValueError):
-            NameNode(cluster, RoundRobinPlacement(4), heartbeat_miss_limit=0)
 
 
 class TestReadRouting:

@@ -42,7 +42,7 @@ class LifecycleRig:
             replication=min(3, n_workers),
         )
         self.client = DFSClient(self.namenode)
-        self.config = config or DyrsConfig(reference_block_size=block_size)
+        self.config = config or DyrsConfig()
         self.tier_config = tier_config or TierConfig(**FAST_LIFECYCLE)
         self.master = LifecycleMaster(
             self.namenode, self.config, tier_config=self.tier_config

@@ -5,4 +5,5 @@
 
 GOOD = "good_knob"
 GOOD_TIER = "good_tier_knob"
+GOOD_COMPUTE = "good_compute_knob"
 HOOK = "use_good_hook"

@@ -68,10 +68,17 @@ class TestCfg601:
         assert "`bad_tier_knob` is referenced by no test" in diags[0].message
         assert "`bad_tier_knob` is not documented" in diags[1].message
 
+    def test_compute_config_knobs_are_checked_too(self):
+        diags = [d for d in self.diags() if d.path.endswith("compute.py")]
+        assert [d.line for d in diags] == [9, 9]
+        assert "`bad_compute_knob` is referenced by no test" in diags[0].message
+        assert "`bad_compute_knob` is not documented" in diags[1].message
+
     def test_tested_and_documented_knobs_stay_silent(self):
         names = " ".join(d.message for d in self.diags())
         assert "`good_knob`" not in names
         assert "`good_tier_knob`" not in names
+        assert "`good_compute_knob`" not in names
         assert "`use_good_hook`" not in names
 
     def test_real_tree_knobs_are_tested_and_documented(self):

@@ -24,7 +24,7 @@ class ShardRig:
             replication=min(3, n_workers),
         )
         self.client = DFSClient(self.namenode)
-        self.config = config or DyrsConfig(reference_block_size=block_size)
+        self.config = config or DyrsConfig()
         self.master = ShardCoordinator(
             self.namenode,
             self.config,

@@ -102,7 +102,7 @@ class TestShardReports:
         horizon."""
         rig = make_shard_rig(n_shards=4, n_workers=4)
         horizon = (
-            rig.config.heartbeat_interval * rig.namenode.heartbeat_miss_limit
+            rig.namenode.heartbeat_interval * rig.namenode.heartbeat_miss_limit
         )
         assert [rig.master.home_shard_of(n) for n in range(4)] == [0, 1, 2, 3]
         rig.sim.run(until=1)

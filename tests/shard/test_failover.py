@@ -143,7 +143,7 @@ class TestStandbyFederation:
             block_size=64 * MB,
         )
         client = DFSClient(namenode)
-        config = DyrsConfig(reference_block_size=64 * MB)
+        config = DyrsConfig()
         coordinator = StandbyCoordinator(
             namenode,
             config,

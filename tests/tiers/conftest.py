@@ -33,7 +33,7 @@ class TieredRig:
             replication=min(3, n_workers),
         )
         self.client = DFSClient(self.namenode)
-        self.config = config or DyrsConfig(reference_block_size=block_size)
+        self.config = config or DyrsConfig()
         self.tier_config = tier_config or TierConfig()
         self.master = LifecycleMaster(
             self.namenode, self.config, tier_config=self.tier_config

@@ -92,9 +92,7 @@ class TestDemoteOnEvict:
         full.  The stalled second migration must not deadlock: the
         eviction falls through to the plain drop, frees memory, and the
         waiting slave proceeds."""
-        config = DyrsConfig(
-            memory_limit=64 * MB, reference_block_size=64 * MB, rpc_latency=0.0
-        )
+        config = DyrsConfig(memory_limit=64 * MB)
         rig = make_tiered_rig(
             n_workers=1,
             config=config,
@@ -173,6 +171,28 @@ class TestSsdSourcedPromotion:
         record = run_until_done(rig, block.block_id)
         assert record.source_tier == "ssd"
         assert rig.namenode.directory["memory"][block.block_id] == holder
+
+    def test_an_error_inside_the_lane_escapes_the_run(self, tiered_rig):
+        """Nothing awaits the SSD lane either: a lane whose copy raises
+        on completion stops the run instead of dying unnoticed."""
+        rig = tiered_rig
+        block = self._block_on_ssd(rig)
+        holder = rig.namenode.directory["ssd"][block.block_id]
+        original = rig.master.on_migration_complete
+
+        class CompletionFailed(Exception):
+            pass
+
+        def on_migration_complete(record, node_id, duration):
+            if record.source_tier == "ssd":
+                raise CompletionFailed(node_id)
+            original(record, node_id, duration)
+
+        rig.master.on_migration_complete = on_migration_complete
+        rig.master.migrate(["f"], job_id="j2")  # push-binds to the holder
+        with pytest.raises(CompletionFailed) as failed:
+            rig.sim.run(until=rig.sim.now + 60)
+        assert failed.value.args == (holder,)
 
     def test_overrunning_copy_refreshes_the_ssd_estimator(self, tiered_rig):
         """A heartbeat tick that lands while an ssd->memory copy runs
