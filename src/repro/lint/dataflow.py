@@ -5,10 +5,9 @@ answers the one question the sim-race rules keep asking: *can control
 flow from this definition to this use while crossing a yield barrier
 without passing a recognized revalidation guard?*
 
-Three registries parameterize the analysis, all extensible the same
-way ``statemachine.py`` extracts the record lattice -- by naming the
-conventions the codebase already follows instead of hard-wiring one
-call site:
+Three registries parameterize the analysis, each extensible by
+naming the conventions the codebase already follows instead of
+hard-wiring one call site:
 
 * :data:`PROTOCOL_STATE_ATTRS` -- attribute names that hold shared
   mutable protocol state (the pending/record maps the SM201/SM203

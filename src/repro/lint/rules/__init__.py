@@ -7,7 +7,7 @@ grouped by the guarantee they protect:
   (SIM101 wall-clock, SIM102 unseeded-rng, SIM103
   unordered-iteration);
 * :mod:`~repro.lint.rules.protocol` -- the §III migration-record
-  lattice (SM201 status-assignment, SM202 transition-table-drift);
+  lattice (SM201 status-assignment);
 * :mod:`~repro.lint.rules.shardstate` -- shard-private soft state
   stays inside the shard package (SM203 shard-state-reach);
 * :mod:`~repro.lint.rules.observability` -- paper schemes stay

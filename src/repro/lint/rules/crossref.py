@@ -1,8 +1,7 @@
 """Cross-artifact consistency: trace vocabulary and config knobs.
 
-The SM202 idiom -- statically extract one artifact, cross-validate it
-against another, convict drift -- extended from the record lattice to
-the whole observability and configuration surface:
+Each rule reads two artifacts that must agree and convicts drift
+between them, across the observability and configuration surface:
 
 * **OBS302 trace-vocab-drift** -- every event type passed to
   ``trace.emit`` must be a constant declared in the ``obs/trace.py``

@@ -1,22 +1,18 @@
-"""Protocol state-machine rules: the §III migration-record lattice.
+"""Protocol state-machine rule: the §III migration-record lattice.
 
 ``PENDING -> BOUND -> ACTIVE -> DONE -> EVICTED`` with ``DISCARDED``
 reachable from any non-terminal state is the paper's record lifecycle
-(§III-A/§III-C); both the runtime guards in ``core/records.py`` and
-the trace checker in ``obs/invariants.py`` encode it.  Two rules keep
-every encoding honest:
+(§III-A/§III-C).  The ``mark_*`` guards in ``core/records.py`` enforce
+it at runtime, and ``tests/core/test_records.py`` runs every guard
+from every status to hold them equal to the trace checker's
+``LEGAL_TRANSITIONS``.  What no test can see is a caller that skips
+the guards, so one rule closes that gap:
 
 * **SM201 status-assignment** -- outside ``records.py`` nothing may
   assign ``<record>.status = MigrationStatus.X`` directly: that
   bypasses the ``mark_*`` guards and can fabricate an illegal
   transition that no runtime check will see (the guards *are* the
   check).
-* **SM202 transition-table-drift** -- the lattice statically
-  extracted from the ``mark_*`` guards must equal
-  :data:`repro.obs.invariants.LEGAL_TRANSITIONS`, the table the
-  runtime trace checker enforces.  A transition added to one side
-  and not the other means the static table and the runtime checker
-  have drifted -- exactly the bug class this rule exists to block.
 """
 
 from __future__ import annotations
@@ -26,8 +22,7 @@ from typing import Iterable
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
-from repro.lint.runner import ModuleContext, Project
-from repro.lint.statemachine import ExtractionError, extract_lattice_from_source
+from repro.lint.runner import ModuleContext
 
 
 @register
@@ -63,47 +58,3 @@ class StatusAssignmentRule(Rule):
                             f"direct status assignment to MigrationStatus."
                             f"{value.attr} bypasses the transition guards",
                         )
-
-
-@register
-class TransitionTableDriftRule(Rule):
-    id = "SM202"
-    name = "transition-table-drift"
-    description = "static lattice == runtime checker's transition table"
-    hint = (
-        "reconcile core/records.py mark_* guards with "
-        "obs/invariants.py LEGAL_TRANSITIONS (both must describe the "
-        "same §III lattice)"
-    )
-
-    def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        ctx = project.find("core", "records.py")
-        if ctx is None:
-            return  # records module not part of this run
-        # Imported lazily so the lint package stays usable on partial
-        # trees (e.g. fixtures) where repro.obs may be absent.
-        from repro.obs.invariants import LEGAL_TRANSITIONS
-
-        try:
-            extracted = extract_lattice_from_source("\n".join(ctx.lines))
-        except ExtractionError as exc:
-            yield self.diagnostic(
-                ctx.path, 1, 0, f"state-lattice extraction failed: {exc}"
-            )
-            return
-        for src, dst in sorted(extracted - LEGAL_TRANSITIONS):
-            yield self.diagnostic(
-                ctx.path,
-                1,
-                0,
-                f"transition {src}->{dst} is legal at runtime but missing "
-                "from obs/invariants.py LEGAL_TRANSITIONS",
-            )
-        for src, dst in sorted(LEGAL_TRANSITIONS - extracted):
-            yield self.diagnostic(
-                ctx.path,
-                1,
-                0,
-                f"transition {src}->{dst} is in obs/invariants.py "
-                "LEGAL_TRANSITIONS but no mark_* guard allows it",
-            )

@@ -22,8 +22,8 @@ the trace convicts it even when unit tests pass.  Checked:
 7. **Drops leave a legal state (§III-A)** -- a ``dropped`` event's
    ``status`` field (the record's state before the drop) must be a
    legal source of a ``-> discarded`` edge in
-   :data:`LEGAL_TRANSITIONS`, the same lattice lint rule SM202
-   extracts statically from ``core/records.py``.
+   :data:`LEGAL_TRANSITIONS`, the lattice the ``mark_*`` guards of
+   ``core/records.py`` enforce.
 
 :meth:`TraceInvariants.lifecycle_violations` audits the lifecycle
 extension's ``tier_move`` vocabulary (no-op on paper-scheme traces,
@@ -74,12 +74,12 @@ __all__ = ["TraceInvariants", "InvariantViolation", "LEGAL_TRANSITIONS"]
 
 #: The §III migration-record lattice, as ``(from, to)`` enum *value*
 #: strings -- the spelling trace events use in their ``status`` fields.
-#: This is the runtime checker's copy of the table whose authoritative
-#: guards live in the ``mark_*`` methods of ``core/records.py``; lint
-#: rule SM202 (``transition-table-drift``) statically extracts the
-#: lattice from those guards and fails CI if the two ever disagree,
-#: and :meth:`TraceInvariants.violations` checks every traced drop's
-#: prior status against it (check 7).
+#: This is the trace checker's own copy of the table whose guards live
+#: in the ``mark_*`` methods of ``core/records.py``: the checker must
+#: not import what it verifies.  ``tests/core/test_records.py`` runs
+#: every guard from every status and holds the accepted pairs equal to
+#: this table, and :meth:`TraceInvariants.violations` checks every
+#: traced drop's prior status against it (check 7).
 LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
     {
         ("pending", "bound"),

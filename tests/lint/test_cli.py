@@ -121,7 +121,6 @@ def test_package_import_registers_every_rule():
         "SIM502",
         "SIM503",
         "SM201",
-        "SM202",
         "SM203",
         "VT401",
         "VT402",

@@ -42,20 +42,6 @@ def test_sm201_status_assignment_fires_only_on_direct_assignment():
     assert "MigrationStatus.DONE" in diags[0].message
 
 
-def test_sm202_transition_table_drift_fires_both_directions():
-    diags = findings("core/records.py", "SM202")
-    messages = sorted(d.message for d in diags)
-    assert len(messages) == 2
-    assert "active->evicted" in messages[0] and "missing from" in messages[0]
-    assert "bound->active" in messages[1] and "no mark_* guard" in messages[1]
-
-
-def test_sm202_is_silent_on_the_real_records_module():
-    real = Path(__file__).resolve().parents[2] / "src" / "repro"
-    report = lint_paths([real / "core" / "records.py"], select=["SM202"])
-    assert report.diagnostics == []
-
-
 def test_sm203_shard_state_reach_fires_only_on_shardish_bases():
     diags = findings("core/shard_reach.py", "SM203")
     assert lines_of(diags) == [5, 9, 13]
