@@ -423,10 +423,11 @@ class LifecycleMaster(DyrsMaster):
         self._count_move(record.source_tier, "memory", record.block.size)
 
     def _evict_done_record(self, record: MigrationRecord) -> None:
-        """Eviction with a middle rung: still-warm blocks step down to
-        the SSD (write-back: the pin is immediate, the flash write is
-        charged in the background); COLD blocks and blocks that already
-        have an SSD copy fall through to the plain drop."""
+        """Eviction with a middle rung: a block the SSD rule keeps on
+        the SSD (:meth:`_belongs_on_ssd`) steps down to it (write-back:
+        the pin is immediate, the flash write is charged in the
+        background); other blocks and blocks that already have an SSD
+        copy fall through to the plain drop."""
         node_id = self.namenode.directory["memory"].get(record.block_id)
         slave = self.slaves.get(node_id) if node_id is not None else None
         if (
@@ -447,8 +448,9 @@ class LifecycleMaster(DyrsMaster):
                 and not dn.holds("ssd", record.block_id)
                 and self._verified_ssd_holder(record.block_id) is None
                 and node.ssd.fits(record.block.size)
-                and self.temperature.classify(record.block_id, self.sim.now)
-                is not Temperature.COLD
+                and self._belongs_on_ssd(
+                    self.temperature.classify(record.block_id, self.sim.now)
+                )
             ):
                 self.namenode.release("memory", record.block_id)
                 dn.pin("ssd", record.block)

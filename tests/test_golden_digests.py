@@ -133,10 +133,10 @@ GOLDEN = {
         "59371b1b1c71767b2347cb6a7a067675c3b7c18d78f8b1389f4cb7ae38e53e7a"
     ),
     "dyrs-lifecycle-sort-seed3": (
-        "5d50fea8ade84b650c019026f7d46cb71a89752f83efa2856b1b0ef2cfe57d8e"
+        "4c201165d364a0a1c67a2ff5765a32720a64a0557fc52e3f71298fecac1f4c63"
     ),
     "dyrs-lifecycle-swim-seed5": (
-        "6f052020f51daf762e827910364c7226d166283e7aa81067d55642c505f2ebb4"
+        "4c9748bccb086ed9b56d73ecaef646242750dc8a325b60e6c575eda4731872e7"
     ),
     "dyrs-sharded-async-sort-seed3": (
         "e10e9b6f5bd5f555a94fa4b37ec689b8e57ea9a19c619fe633e44819c6a43d02"
@@ -169,7 +169,7 @@ GOLDEN = {
         "e8f9ac51640f4ffdcb54b511159e2074df3b8d2c7107ac22676063e86678b457"
     ),
     "dyrs-lifecycle-promote-seed3": (
-        "7e4f8768604631806daf563bc60c6a62677d73af01eb84d83df05b226fc93591"
+        "16cee430db60dbcf71d7c0194d77dc0feca1c08a98d9a71d6682fd3e8d7a6ed4"
     ),
     "dyrs-swim-service-seed1-chaos": (
         "acd3d59ac01bbec59270d4c218b79b2fa93d58937c590a34365bf4e29ddf3ab3"
@@ -199,7 +199,7 @@ TRACE_GOLDEN = {
         "e3b6e4980e2dbfa724785b4f037da7c283b32b885798126c237e7a83605171e8"
     ),
     "dyrs-lifecycle-swim-seed5": (
-        "664146d171454892bb0bfcb6604c03d215d367e33563c31355c8fd28c51dc2fa"
+        "79e6a29217b8b14bc535798ba11c1faea6acec6866114617738f01765810659c"
     ),
     "dyrs-swim-seed1-chaos": (
         "72d75005a7860bbdc5e1f1b775e29ec023cc42d74d36091dc55cbb664e2962d5"
@@ -230,8 +230,8 @@ def _jobs(system, workload: str):
         # disk->memory and demotes memory->ssd on eviction, the
         # declared re-scan promotes ssd->memory, and both SSD sets
         # expire ssd->disk in the idle tail.  On the archive ladder
-        # (``dyrs-lifecycle``) only HOT blocks are filled, and WARM
-        # SSD copies expire at the next pass.
+        # (``dyrs-lifecycle``) only HOT blocks are filled or demoted,
+        # and WARM SSD copies expire at the next pass.
         system.load_input("scan/input", 2 * GB)
         blocks = system.client.blocks_of(["scan/input"])
         return [
@@ -379,10 +379,13 @@ def test_promote_case_crosses_every_working_tier_edge():
 def test_lifecycle_promote_case_promotes_and_expires_on_the_archive_ladder():
     """On a ladder with an archive rung only a HOT block belongs on the
     SSD.  The digest pins that arm of the rule only while the case
-    still promotes HOT disk-only blocks and expires WARM SSD copies."""
+    still promotes HOT disk-only blocks and expires WARM SSD copies,
+    and eviction follows the same rule: the sort's blocks are WARM
+    when evicted, so none steps down memory->ssd."""
     master = _simulate("dyrs-lifecycle", "promote", 3, 0).master
     assert master.tier_moves[("disk", "ssd")] == 8
-    assert master.tier_moves[("ssd", "disk")] == 24
+    assert master.tier_moves[("ssd", "disk")] == 8
+    assert ("memory", "ssd") not in master.tier_moves
     assert all(r.status.name == "DONE" for r in master.tier_record_log)
 
 
