@@ -535,6 +535,7 @@ class ChaosCampaign:
         "shard-crash",
         "shard-loss",
     )
+    SERVER_KINDS = ("node-crash", "degrade-disk", "degrade-nic")
     ARCHIVE_KINDS = ("degrade-fabric", "crash-tier-move")
     SHARD_KINDS = ("shard-crash", "shard-loss")
 
@@ -547,17 +548,24 @@ class ChaosCampaign:
         unknown = set(kinds) - set(self.ALL_KINDS)
         if unknown:
             raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
-        if self.injector.master is None:
+        master = self.injector.master
+        unsupported = (
             # Without a master only whole-server faults make sense.
-            kinds = tuple(k for k in kinds if k in ("node-crash", "degrade-disk",
-                                                    "degrade-nic"))
-        if getattr(self.injector.cluster.fabric, "archive_link", None) is None:
+            (master is None, set(self.ALL_KINDS) - set(self.SERVER_KINDS)),
+            # Push-binding baselines have no master crash/recover path.
+            (not hasattr(master, "crash"), {"master-crash"}),
+            # The instant migrator runs no slave processes.
+            (not getattr(master, "slaves", None), {"slave-crash"}),
             # Archive faults target hardware this cluster doesn't have.
-            kinds = tuple(k for k in kinds if k not in self.ARCHIVE_KINDS)
-        if not hasattr(self.injector.master, "crash_shard"):
+            (
+                getattr(self.injector.cluster.fabric, "archive_link", None) is None,
+                set(self.ARCHIVE_KINDS),
+            ),
             # Shard faults need a sharded master to aim at.
-            kinds = tuple(k for k in kinds if k not in self.SHARD_KINDS)
-        self.kinds = kinds
+            (not hasattr(master, "crash_shard"), set(self.SHARD_KINDS)),
+        )
+        dropped = set().union(*(group for missing, group in unsupported if missing))
+        self.kinds = tuple(k for k in kinds if k not in dropped)
 
     def sample(self) -> list[ChaosFault]:
         """Draw the fault plan (idempotent: resampling replaces it)."""

@@ -142,12 +142,8 @@ def run_case(
         )
         master = system.master
         injector = FailureInjector(system.cluster, master=master)
-        kinds = list(ChaosCampaign.ALL_KINDS)
-        if not hasattr(master, "crash"):
-            # Push-binding baselines have no master crash/recover path.
-            kinds.remove("master-crash")
         campaign = ChaosCampaign(
-            injector, seed=seed, horizon=horizon, n_faults=n_faults, kinds=kinds
+            injector, seed=seed, horizon=horizon, n_faults=n_faults
         )
         result.plan = campaign.arm()
         jobs = _submit_workload(system, workload, seed)

@@ -13,9 +13,11 @@ from repro.core import DyrsConfig
 from repro.core.failures import ChaosCampaign, FailureInjector
 from repro.core.records import MigrationStatus
 from repro.core.slave import RPC_LATENCY
+from repro.experiments.common import PaperSetup, build_system
 from repro.obs import trace as T
 from repro.obs.trace import tracing
-from repro.units import MB
+from repro.units import GB, MB
+from repro.workloads.sort import sort_job
 
 
 def _arm_mid_pull_crash(rig, after=0.02, then=None):
@@ -439,6 +441,24 @@ class TestChaosCampaign:
         rig = make_rig()
         with pytest.raises(ValueError):
             self._campaign(rig, seed=0, kinds=("meteor-strike",))
+
+    @pytest.mark.parametrize("scheme", ["ignem", "naive", "instant"])
+    def test_default_kinds_run_to_the_horizon_on_every_baseline(self, scheme):
+        """The default kinds are those the attached system supports: a
+        push-binding baseline has no master crash/recover path, and the
+        instant migrator has no slaves to crash."""
+        for seed in range(4):
+            system = build_system(
+                PaperSetup(scheme=scheme, n_workers=8, seed=seed, interference="none")
+            )
+            injector = FailureInjector(system.cluster, master=system.master)
+            campaign = ChaosCampaign(injector, seed=seed, horizon=60.0, n_faults=12)
+            campaign.arm()
+            system.runtime.submit(sort_job(system, size=2 * GB, job_id="sort-0"))
+            system.sim.run(until=60.0)
+            assert system.sim.now == 60.0
+            assert "master-crash" not in campaign.kinds
+            assert ("slave-crash" in campaign.kinds) == (scheme != "instant")
 
     def test_arm_schedules_and_fires(self, rig):
         campaign = self._campaign(rig, seed=3, n_faults=4)
