@@ -30,7 +30,11 @@ from repro.dfs.placement import PlacementPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import Cluster
 
-__all__ = ["NameNode", "HeartbeatReport"]
+__all__ = ["NameNode", "HeartbeatReport", "DEFAULT_REPLICATION"]
+
+#: Disk replicas per block, HDFS's default and the paper's testbed
+#: setting (§V-A).
+DEFAULT_REPLICATION = 3
 
 
 @dataclass(slots=True)
@@ -56,7 +60,7 @@ class NameNode:
         cluster: "Cluster",
         placement: PlacementPolicy,
         block_size: float = DEFAULT_BLOCK_SIZE,
-        replication: int = 3,
+        replication: int = DEFAULT_REPLICATION,
     ) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")

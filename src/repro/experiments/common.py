@@ -43,9 +43,8 @@ __all__ = [
 
 #: §V-A: one NameNode/RM server plus seven DataNode/NodeManager servers.
 PAPER_WORKERS = 7
-#: The testbed's DFS replication factor, concurrent tasks per worker,
-#: disk seek penalty and per-task container start cost (seconds).
-PAPER_REPLICATION = 3
+#: The testbed's concurrent tasks per worker, disk seek penalty and
+#: per-task container start cost (seconds).
 PAPER_TASK_SLOTS = 6
 PAPER_SEEK_PENALTY = 0.3
 PAPER_TASK_LAUNCH_OVERHEAD = 1.5
@@ -185,7 +184,6 @@ def build_system(setup: PaperSetup) -> System:
                 job_init_overhead=setup.job_init_overhead,
             ),
             block_size=setup.block_size,
-            replication=PAPER_REPLICATION,
             shards=setup.shards if preset.sharded else None,
             shard_router=setup.shard_router,
         )

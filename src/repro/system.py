@@ -56,6 +56,7 @@ from repro.core import DyrsConfig, DyrsMaster, DyrsSlave, IgnemMaster, NaiveBala
 from repro.core.baselines import InstantMigrator
 from repro.dfs import DFSClient, NameNode, RandomPlacement
 from repro.dfs.heartbeat import HeartbeatService
+from repro.dfs.namenode import DEFAULT_REPLICATION
 from repro.dfs.namespace import DEFAULT_BLOCK_SIZE
 from repro.lifecycle import LifecycleMaster, TierConfig
 from repro.obs import trace as obs
@@ -149,7 +150,6 @@ class SystemConfig:
     tiers: TierConfig = field(default_factory=TierConfig)
     compute: ComputeConfig = field(default_factory=ComputeConfig)
     block_size: float = DEFAULT_BLOCK_SIZE
-    replication: int = 3
     #: Master shard count of the ``dyrs`` federation; None builds the
     #: flat master.  Only ``dyrs`` accepts it, and not together with
     #: an SSD.  The count is fixed for the life of the run.
@@ -188,8 +188,6 @@ class SystemConfig:
                 "shard_router must be 'block' or 'rendezvous', "
                 f"got {self.shard_router!r}"
             )
-        if self.replication < 1:
-            raise ValueError(f"replication must be >= 1, got {self.replication}")
         if self.block_size <= 0:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
 
@@ -211,7 +209,7 @@ class System:
             self.cluster,
             placement=RandomPlacement(n, self.cluster.rngs.stream("placement")),
             block_size=self.config.block_size,
-            replication=min(self.config.replication, n),
+            replication=min(DEFAULT_REPLICATION, n),
         )
         self.client = DFSClient(self.namenode)
         self.heartbeats = HeartbeatService(self.namenode)
