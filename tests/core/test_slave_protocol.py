@@ -143,6 +143,31 @@ class TestMemoryPressure:
         assert done == len(b_blocks)
         assert "dead-job" not in rig.master.tracker.tracked_jobs()
 
+    def test_first_sweep_fires_at_the_gc_threshold(self, make_rig):
+        """A copy sweeps first when memory holds at least 0.9 of the
+        cap.  With 64 MB blocks under a 700 MB cap no resident level
+        falls on a threshold: at 0.8 (560 MB) the first sweep would
+        come at 9 resident blocks, at 0.9 (630 MB) it comes at 10, and
+        at 1.0 never, since an 11th block does not fit."""
+        block = 64 * MB
+        rig = make_rig(
+            n_workers=1, block_size=block, config=DyrsConfig(memory_limit=700 * MB)
+        )
+        memory = rig.cluster.nodes[0].memory
+        used_at_sweep = []
+        sweep = rig.master.gc_sweep
+
+        def recording_sweep():
+            used_at_sweep.append(memory.used)
+            return sweep()
+
+        rig.master.gc_sweep = recording_sweep
+        rig.client.create_file("a", 12 * block)
+        rig.master.migrate(["a"], job_id="j1", eviction=EvictionMode.EXPLICIT)
+        rig.sim.run(until=60)
+        assert memory.used == 10 * block
+        assert used_at_sweep and used_at_sweep[0] == 10 * block
+
     def test_memory_limit_respected_at_all_times(self, make_rig):
         config = DyrsConfig(memory_limit=128 * MB)
         rig = make_rig(config=config)
