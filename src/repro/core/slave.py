@@ -126,8 +126,6 @@ class DyrsSlave:
         self._leg_outstanding: dict[int, int] = {}
         self._undelivered = 0
         self.alive = False
-        #: Completed migrations: (record, duration), for metrics.
-        self.completed: list[tuple[MigrationRecord, float]] = []
         master.register_slave(self)
 
     # -- sizing ------------------------------------------------------------------
@@ -535,7 +533,6 @@ class DyrsSlave:
             duration=duration,
             nbytes=block.size,
         )
-        self.completed.append((record, duration))
         self.master.on_migration_complete(record, self.node_id, duration)
         return True
 
