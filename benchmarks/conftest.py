@@ -1,9 +1,10 @@
 """Benchmark harness helpers.
 
-Every benchmark regenerates one of the paper's tables or figures,
-prints the same rows/series the paper reports, and records headline
-numbers in ``benchmark.extra_info`` (visible in pytest-benchmark's
-JSON output).  Run with::
+The experiment benchmarks (storage ladder, shard sweep, tiered reads)
+run one experiment, print its report, and record headline numbers in
+``benchmark.extra_info`` (visible in pytest-benchmark's JSON output;
+``compare_bench.py`` checks a suite's numbers against ``baselines/``).
+Run with::
 
     pytest benchmarks/ --benchmark-only -s
 

@@ -8,12 +8,9 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.reporting import ascii_series, format_table
-from repro.analysis.telemetry import TelemetryCollector, TelemetrySample
 
 __all__ = [
     "Cdf",
-    "TelemetryCollector",
-    "TelemetrySample",
     "ascii_series",
     "format_table",
     "histogram_pdf",

@@ -19,7 +19,6 @@ from repro.cluster.interference import (
     AlternatingInterference,
     InterferenceSchedule,
     PersistentInterference,
-    TraceInterference,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "Ssd",
     "StoreFull",
     "SsdSpec",
-    "TraceInterference",
 ]

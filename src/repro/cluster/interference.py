@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PersistentInterference",
     "AlternatingInterference",
-    "TraceInterference",
     "InterferenceSchedule",
 ]
 
@@ -160,72 +159,6 @@ class AlternatingInterference(_InterferenceBase):
                 self.transitions.append((sim.now, active))
                 yield sim.timeout(self.period)
                 active = not active
-        except Interrupt:
-            self._turn_off()
-
-
-class TraceInterference(_InterferenceBase):
-    """Interference replaying a utilization time series.
-
-    Drives a node's background disk load from a per-bin utilization
-    series in ``[0, 1]`` -- e.g. a row of
-    :func:`repro.workloads.google_trace.generate_node_utilization` --
-    so experiments can run against *Google-trace-shaped* residual
-    bandwidth instead of synthetic on/off patterns.  Within each bin of
-    ``bin_width`` seconds the interference stream is active for
-    ``u * bin_width`` seconds then idle, making the disk's busy
-    fraction track the series.
-
-    Parameters
-    ----------
-    node:
-        The node whose disk to load.
-    series:
-        Utilization per bin; values outside [0, 1] are clipped.
-    bin_width:
-        Seconds per bin (the Google trace uses 5 minutes).
-    repeat:
-        Loop the series when it runs out (else stop quietly).
-    """
-
-    def __init__(
-        self,
-        node: "Node",
-        series: Sequence[float],
-        bin_width: float = 300.0,
-        streams: int = 1,
-        repeat: bool = True,
-    ) -> None:
-        super().__init__(node, streams)
-        if not len(series):
-            raise ValueError("series must not be empty")
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        self.series = [min(1.0, max(0.0, float(u))) for u in series]
-        self.bin_width = float(bin_width)
-        self.repeat = repeat
-
-    def start(self) -> None:
-        """Launch the replay process."""
-        if self._process is not None:
-            raise RuntimeError("interference already started")
-        self._process = self.node.sim.process(self._run(), name="trace-intf")
-
-    def _run(self):
-        sim = self.node.sim
-        try:
-            while True:
-                for u in self.series:
-                    active = u * self.bin_width
-                    if active > 0:
-                        self._turn_on()
-                        yield sim.timeout(active)
-                    if active < self.bin_width:
-                        self._turn_off()
-                        yield sim.timeout(self.bin_width - active)
-                if not self.repeat:
-                    self._turn_off()
-                    return
         except Interrupt:
             self._turn_off()
 

@@ -121,10 +121,6 @@ class TaskScheduler:
     def total_free_slots(self) -> int:
         return self._total_free
 
-    @property
-    def queued_requests(self) -> int:
-        return len(self._queue)
-
     def acquire(
         self,
         preferred_nodes: Sequence[int] = (),

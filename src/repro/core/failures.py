@@ -566,6 +566,11 @@ class ChaosCampaign:
         )
         dropped = set().union(*(group for missing, group in unsupported if missing))
         self.kinds = tuple(k for k in kinds if k not in dropped)
+        if self.n_faults and not self.kinds:
+            raise ValueError(
+                "the attached system can take none of the fault kinds "
+                f"{sorted(set(kinds))}"
+            )
 
     def sample(self) -> list[ChaosFault]:
         """Draw the fault plan (idempotent: resampling replaces it)."""

@@ -53,8 +53,6 @@ class DyrsConfig:
 
     Attributes
     ----------
-    ewma_alpha:
-        Estimator smoothing weight (§IV-A).
     queue_depth:
         Local queue target; ``None`` derives it from the heartbeat
         interval and the best-case block migration time (§III-B).
@@ -95,7 +93,6 @@ class DyrsConfig:
         lets a node keep several legs in flight to the same shard.
     """
 
-    ewma_alpha: float = 0.4
     queue_depth: Optional[int] = None
     memory_limit: Optional[float] = None
     estimator_refresh: bool = True
@@ -104,8 +101,6 @@ class DyrsConfig:
     shard_pull_window: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.pull_service_cost < 0:
@@ -342,9 +337,8 @@ class DyrsMaster(MigrationMaster):
     # -- Algorithm 1 ---------------------------------------------------------------
 
     def _eligible_loads(self) -> "EligibleLoads":
-        """This pass's view of the slaves that are up and whose node may
-        take new work -- available and not draining (a decommissioning
-        node should shed load, not buffer fresh migrations)."""
+        """This pass's view of the slaves that are up and whose node is
+        available."""
         return EligibleLoads(self)
 
     def retarget(self) -> dict[int, int]:
@@ -510,7 +504,7 @@ class EligibleLoads:
     """One Algorithm 1 pass's view of a master's load table.
 
     ``get(node_id)`` returns the stored :class:`SlaveLoad` of a node
-    whose slave is up and whose node takes new replicas, else None --
+    whose slave is up and whose node is available, else None --
     decided when the pass first asks, so a pass costs the replica
     nodes of its pending records, not the cluster size.  A pass
     changes nothing the decision reads, so each answer is kept for
@@ -534,7 +528,7 @@ class EligibleLoads:
             if (
                 slave is None
                 or not slave.alive
-                or not master.namenode.accepts_new_replicas(node_id)
+                or not master.namenode.is_available(node_id)
             ):
                 load = None
         decided[node_id] = load

@@ -55,6 +55,8 @@ __all__ = ["DyrsSlave"]
 #: One-way master<->slave RPC delay, seconds; the local queue exists to
 #: cover exactly this gap (§III-B).
 RPC_LATENCY = 0.05
+#: Smoothing weight of the migration-time estimators (§IV-A).
+EWMA_ALPHA = 0.4
 #: Memory fraction above which a slave triggers the inactive-job sweep
 #: (§III-C3).
 GC_THRESHOLD = 0.9
@@ -83,14 +85,14 @@ class DyrsSlave:
         #: migration lane's channel capacity (the unloaded rate).
         self.estimator = MigrationTimeEstimator(
             initial_rate=self.node.disk.channel.capacity,
-            alpha=config.ewma_alpha,
+            alpha=EWMA_ALPHA,
         )
         #: SSD-lane estimator (tiered extension); None on SSD-less
         #: nodes so the paper's configurations build nothing extra.
         self.ssd_estimator: Optional[MigrationTimeEstimator] = (
             MigrationTimeEstimator(
                 initial_rate=self.node.ssd.channel.capacity,
-                alpha=config.ewma_alpha,
+                alpha=EWMA_ALPHA,
             )
             if self.node.ssd is not None
             else None

@@ -93,7 +93,7 @@ def compute_targets(
     loads:
         Per-node :class:`SlaveLoad` for every node eligible to migrate,
         read only through ``loads.get``.  Nodes for which it returns
-        None (dead, draining or unregistered) are never targeted.
+        None (dead or unregistered) are never targeted.
     reference_block_size:
         Size used to convert per-byte estimates into the paper's
         per-block ``migTime`` for the queue-backlog initialization.

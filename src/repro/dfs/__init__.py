@@ -27,7 +27,6 @@ from repro.dfs.datanode import DataNode, ReadSource
 from repro.dfs.namenode import HeartbeatReport, NameNode
 from repro.dfs.client import DFSClient, EvictionMode
 from repro.dfs.heartbeat import HeartbeatService
-from repro.dfs.replication import ReplicationMonitor
 
 __all__ = [
     "Block",
@@ -39,7 +38,6 @@ __all__ = [
     "HeartbeatReport",
     "HeartbeatService",
     "NameNode",
-    "ReplicationMonitor",
     "Namespace",
     "PlacementPolicy",
     "RandomPlacement",

@@ -107,15 +107,6 @@ class DataNode:
     def disk_replica_count(self) -> int:
         return len(self._disk_blocks)
 
-    def disk_block_ids(self) -> list[BlockId]:
-        """Ids of all disk-resident replicas, in ascending order.
-
-        A superset of the blocks the namespace still maps here (file
-        deletion does not scrub disks); sorted so callers iterating it
-        stay deterministic.
-        """
-        return sorted(self._disk_blocks)
-
     # -- residency by rung ---------------------------------------------------
 
     def _device(self, rung: str):

@@ -99,12 +99,6 @@ class NameNode:
         self.directory: dict[str, dict[BlockId, int]] = {
             rung: {} for rung in TIER_ORDER if rung != "disk"
         }
-        #: Per-block replication-factor overrides (lifecycle extension):
-        #: the replication scheduler lowers a COLD archived block's disk
-        #: complement here so the ReplicationMonitor stops "healing" the
-        #: deliberate under-replication.  Durable block-map state, like
-        #: the archive directory.
-        self.replication_overrides: dict[BlockId, int] = {}
         #: Read directives: block id -> replica node reads should be
         #: steered to even before (or without) migration completing.
         #: Ignem's replica selection pins reads this way -- which is
@@ -113,12 +107,6 @@ class NameNode:
         self.read_directives: dict[BlockId, int] = {}
         #: Pluggable migration master (DYRS / Ignem / None).
         self.migration_master = None
-        #: Nodes being drained: they still serve reads but receive no
-        #: new replicas or migrations; the ReplicationMonitor copies
-        #: their blocks elsewhere.
-        self.decommissioning: set[int] = set()
-        #: Nodes fully drained and retired from service.
-        self.decommissioned: set[int] = set()
         #: Nodes whose control-plane traffic is being dropped by a
         #: network partition (chaos fault): their heartbeats never
         #: arrive, so the miss-counting detector eventually flags them
@@ -170,95 +158,15 @@ class NameNode:
 
     def is_available(self, node_id: int) -> bool:
         """Node considered up: process alive and heartbeats current."""
-        if node_id in self.decommissioned:
-            return False
         node = self.cluster.node(node_id)
         if not node.alive:
             return False
         deadline = self.heartbeat_interval * self.heartbeat_miss_limit
         return (self.sim.now - self._last_heartbeat[node_id]) <= deadline
 
-    def accepts_new_replicas(self, node_id: int) -> bool:
-        """Whether new replicas/migrations may be placed on a node --
-        available and not draining."""
-        return self.is_available(node_id) and node_id not in self.decommissioning
-
-    # -- decommissioning ---------------------------------------------------------
-
-    def start_decommission(self, node_id: int) -> None:
-        """Begin draining ``node_id`` (HDFS-style graceful retirement).
-
-        The node keeps serving reads; the ReplicationMonitor copies its
-        blocks to other nodes; :meth:`finish_decommission_if_drained`
-        retires it once nothing depends on it.
-        """
-        if node_id not in self.datanodes:
-            raise KeyError(f"unknown node {node_id}")
-        if node_id in self.decommissioned:
-            raise RuntimeError(f"node {node_id} is already decommissioned")
-        self.decommissioning.add(node_id)
-
     def healthy_replicas(self, block: Block) -> list[int]:
-        """Replica holders that are up and not draining."""
-        return [
-            n
-            for n in block.replica_nodes
-            if self.is_available(n) and n not in self.decommissioning
-        ]
-
-    def replication_target(self, block: Block) -> int:
-        """The live-replica count re-replication aims for: the
-        configured factor (or the block's lifecycle override), bounded
-        by how many eligible hosts exist."""
-        eligible = {
-            nid for nid in self.datanodes if self.accepts_new_replicas(nid)
-        }
-        eligible.update(self.healthy_replicas(block))
-        want = self.replication_overrides.get(block.block_id, self.replication)
-        return min(want, len(eligible))
-
-    def is_drained(self, node_id: int) -> bool:
-        """Every block with a replica on ``node_id`` already has its
-        full complement of healthy replicas elsewhere.
-
-        Walks the node's own disk inventory instead of the whole
-        namespace -- the inventory is a superset of the blocks the
-        namespace still maps to the node (deleted files leave replicas
-        behind), so filtering it by membership gives the same block
-        set the full namespace scan would have visited.
-        """
-        for block_id in self.datanodes[node_id].disk_block_ids():
-            try:
-                block = self.namespace.block(block_id)
-            except KeyError:
-                continue  # file deleted; nothing left to protect
-            if node_id not in block.replica_nodes:
-                continue
-            healthy = [n for n in self.healthy_replicas(block) if n != node_id]
-            if len(healthy) < self.replication_target(block) or not healthy:
-                return False
-        return True
-
-    def finish_decommission_if_drained(self, node_id: int) -> bool:
-        """Retire the node if it is fully drained; returns success.
-
-        Its replica entries are dropped from the block map (the data
-        survives on disk but is no longer served, as when the admin
-        powers the machine down).
-        """
-        if node_id not in self.decommissioning:
-            return False
-        if not self.is_drained(node_id):
-            return False
-        for entry in self.namespace.files():
-            for block in entry.blocks:
-                if node_id in block.replica_nodes:
-                    block.replica_nodes = tuple(
-                        n for n in block.replica_nodes if n != node_id
-                    )
-        self.decommissioning.discard(node_id)
-        self.decommissioned.add(node_id)
-        return True
+        """Replica holders that are up."""
+        return [n for n in block.replica_nodes if self.is_available(n)]
 
     # -- residency directory ---------------------------------------------------
 

@@ -2,9 +2,9 @@
 
 Every module exposes a seeded ``run(...)`` returning a result
 dataclass, and a ``report(result)`` rendering the same rows/series the
-paper presents.  The benchmark harness under ``benchmarks/`` wraps
-these; tests under ``tests/experiments`` assert the *shape* claims
-(who wins, by roughly what factor, where crossovers fall).
+paper presents.  ``dyrs-bench`` runs and prints them; tests under
+``tests/experiments`` assert the *shape* claims (who wins, by roughly
+what factor, where crossovers fall).
 
 Index (see DESIGN.md §4 for the full mapping):
 

@@ -8,7 +8,6 @@ Each ablation isolates one mechanism the paper argues for:
   update, under alternating interference;
 * **straggler avoidance** (§III-A2) -- DYRS vs the naive balancer;
 * **queue depth** (§III-B) -- sweep around the derived ideal;
-* **EWMA alpha** -- estimator smoothing sweep;
 * **policy** (§III future work) -- FIFO vs SJF vs LIFO under a
   multi-job burst.
 """
@@ -35,7 +34,6 @@ __all__ = [
     "run_binding_delay",
     "run_estimator_refresh",
     "run_queue_depth",
-    "run_alpha_sweep",
     "run_policies",
     "run_speculation",
     "run_memory_limit",
@@ -112,24 +110,6 @@ def run_queue_depth(
     return AblationResult("queue-depth", "sort runtime (s)", values)
 
 
-def run_alpha_sweep(
-    alphas: Sequence[float] = (0.1, 0.25, 0.4, 0.7, 1.0), seed: int = 0
-) -> AblationResult:
-    """EWMA alpha sweep under alternating interference."""
-    values = {
-        f"alpha={a}": _sort_runtime(
-            PaperSetup(
-                scheme="dyrs",
-                seed=seed,
-                interference="alt-10s-1",
-                dyrs_overrides={"ewma_alpha": a},
-            )
-        )
-        for a in alphas
-    }
-    return AblationResult("ewma-alpha", "sort runtime (s)", values)
-
-
 def run_policies(seed: int = 0, n_jobs: int = 40) -> AblationResult:
     """Master scheduling policies over a burst of SWIM jobs.
 
@@ -192,8 +172,6 @@ def run_delay_scheduling(seed: int = 0, n_jobs: int = 60) -> AblationResult:
     a data-local slot can beat running remotely; DYRS removes most of
     that tension by making the data location a memory replica.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.units import GB as _GB
 
     values: dict[str, float] = {}

@@ -97,7 +97,6 @@ def _ablations():
             ablations.run_binding_delay(seed=seed),
             ablations.run_estimator_refresh(seed=seed),
             ablations.run_queue_depth(seed=seed),
-            ablations.run_alpha_sweep(seed=seed),
             ablations.run_policies(seed=seed),
             ablations.run_speculation(seed=seed),
             ablations.run_memory_limit(seed=seed),

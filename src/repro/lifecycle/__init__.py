@@ -23,26 +23,21 @@ Modules
 ``integrity``
     Checksums recorded at archival write and verified before any copy
     is deleted (:class:`ChecksumRegistry`).
-``replication``
-    The archive-aware replication scheduler
-    (:class:`ReplicationScheduler`).
 ``master``
     :class:`LifecycleMaster`, the DYRS master that runs the SSD
-    lifecycle and, given an archive rung, the archive pass; and its
-    :class:`TierConfig`.
+    lifecycle and, given an archive rung, the archive pass and the
+    restore planning; and its :class:`TierConfig`.
 """
 
 from repro.cluster.node import TIER_ORDER
 from repro.lifecycle.integrity import ChecksumRegistry, block_checksum
 from repro.lifecycle.master import LifecycleMaster, TierConfig, is_promotion
-from repro.lifecycle.replication import ReplicationScheduler
 from repro.lifecycle.temperature import Temperature, TemperatureTracker
 
 __all__ = [
     "TIER_ORDER",
     "ChecksumRegistry",
     "LifecycleMaster",
-    "ReplicationScheduler",
     "Temperature",
     "TemperatureTracker",
     "TierConfig",

@@ -32,10 +32,9 @@ runs too:
   when the bytes are written and verified before any copy is deleted
   (demotion drops disk replicas only after verification; restoration
   verifies before the archive copy is read back);
-* the **replication scheduler** lowers an archived block's disk
-  target to zero (the archive copy is its one durable copy) and
-  re-replicates re-heated blocks back to the file's configured factor
-  *before* they are promoted into the working tiers.
+* an archived block keeps no disk replica (the archive copy is its one
+  durable copy), and a re-heated block is re-replicated back to the
+  configured factor *before* it is promoted into the working tiers.
 
 Archive moves are **master-driven and serialized**: one background
 worker drains a FIFO of demote/restore operations, charging the source
@@ -49,11 +48,10 @@ emit the migration-record trace vocabulary (``pending``/``bind``/
 the §III liveness ledger exactly as the paper's schemes leave it.
 
 Durability model (what a master crash does *not* lose): the archive
-directory, the per-block replication overrides, and the checksum
-registry are block-map state stored with the data.  In-flight moves
-are aborted by a crash (``tier_move_abort`` with reason
-``master-crash``) and re-planned by the next archive pass after
-recovery.
+directory and the checksum registry are block-map state stored with
+the data.  In-flight moves are aborted by a crash (``tier_move_abort``
+with reason ``master-crash``) and re-planned by the next archive pass
+after recovery.
 
 Promotions and demotions are counted per ladder edge
 (:attr:`LifecycleMaster.tier_moves`); each move also increments the
@@ -74,7 +72,6 @@ from repro.core.records import BindingEvent, MigrationRecord, MigrationStatus
 from repro.dfs.block import Block, BlockId
 from repro.dfs.client import EvictionMode
 from repro.lifecycle.integrity import ChecksumRegistry
-from repro.lifecycle.replication import ReplicationScheduler
 from repro.lifecycle.temperature import Temperature, TemperatureTracker
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs
@@ -171,7 +168,6 @@ class LifecycleMaster(DyrsMaster):
         self._registry = obs_metrics.active_registry()
         #: Checksum metadata, stored durably with the archived data.
         self.integrity = ChecksumRegistry()
-        self.replication_scheduler = ReplicationScheduler(namenode)
         #: Live archive move per block, kept apart from both ``_records``
         #: (job migrations) and ``_tier_records`` (working-tier fills).
         self._lifecycle_moves: dict[BlockId, MigrationRecord] = {}
@@ -534,8 +530,8 @@ class LifecycleMaster(DyrsMaster):
         )
 
     def _can_fill_ssd(self, block: Block) -> bool:
-        """Whether some replica holder could take a disk->ssd fill: a
-        node accepting new replicas, with an SSD and a live slave.
+        """Whether some replica holder could take a disk->ssd fill: an
+        available node with an SSD and a live slave.
         Algorithm 1 picks the actual target among all holders."""
         for nid in block.replica_nodes:
             slave = self.slaves.get(nid)
@@ -543,7 +539,7 @@ class LifecycleMaster(DyrsMaster):
                 slave is not None
                 and slave.alive
                 and slave.node.ssd is not None
-                and self.namenode.accepts_new_replicas(nid)
+                and self.namenode.is_available(nid)
             ):
                 return True
         return False
@@ -824,7 +820,6 @@ class LifecycleMaster(DyrsMaster):
         namenode.datanodes[owner].pin("archive", block)
         namenode.directory["archive"][block_id] = owner
         # The archive copy is the block's one durable copy.
-        self.replication_scheduler.lower_for_archive(block)
         for node_id in block.replica_nodes:
             namenode.datanodes[node_id].remove_disk_replica(block_id)
         block.replica_nodes = ()
@@ -843,6 +838,32 @@ class LifecycleMaster(DyrsMaster):
         )
 
     # -- restoration: archive -> disk ----------------------------------------
+
+    def restore_targets(self, block: Block) -> list[int]:
+        """Nodes that should hold disk replicas after a restore.
+
+        Existing healthy holders are kept; the shortfall up to the
+        configured factor is filled with available non-holders,
+        preferring other racks and emptier disks.
+        """
+        namenode = self.namenode
+        cluster = namenode.cluster
+        kept = sorted(namenode.healthy_replicas(block))
+        holder_racks = {cluster.rack_of(n) for n in kept}
+        candidates = sorted(
+            (
+                dn
+                for nid, dn in namenode.datanodes.items()
+                if nid not in kept and namenode.is_available(nid)
+            ),
+            key=lambda dn: (
+                cluster.rack_of(dn.node_id) in holder_racks,
+                dn.disk_replica_count,
+                dn.node_id,
+            ),
+        )
+        shortfall = max(0, namenode.replication - len(kept))
+        return kept + [dn.node_id for dn in candidates[:shortfall]]
 
     def _restore(self, record: MigrationRecord):
         block = record.block
@@ -871,7 +892,7 @@ class LifecycleMaster(DyrsMaster):
                 )
             self._abort_move(record, "corrupt")
             return
-        targets = self.replication_scheduler.restore_targets(block)
+        targets = self.restore_targets(block)
         new_targets = [
             n
             for n in targets
@@ -910,7 +931,6 @@ class LifecycleMaster(DyrsMaster):
         block.replica_nodes = tuple(
             sorted(set(block.replica_nodes) | set(new_targets))
         )
-        self.replication_scheduler.restore_factor(block)
         checksum = self.integrity.get(block_id)
         namenode.release("archive", block_id)
         self.integrity.forget(block_id)
@@ -925,7 +945,10 @@ class LifecycleMaster(DyrsMaster):
             checksum=checksum,
             replicas_before=replicas_before,
             replicas_after=len(block.replica_nodes),
-            target_replicas=namenode.replication_target(block),
+            target_replicas=min(
+                namenode.replication,
+                sum(map(namenode.is_available, namenode.datanodes)),
+            ),
         )
         started = self._reheat_started.pop(block_id, None)
         if started is not None:

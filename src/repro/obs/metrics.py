@@ -1,12 +1,11 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
-A single process-wide sink that both collectors
-(:class:`~repro.analysis.telemetry.TelemetryCollector`,
-:class:`~repro.compute.metrics.MetricsCollector`) publish into, so a
-run's resource samples and job accounting land in one snapshot instead
-of two disjoint object graphs.  Zero dependencies; instruments are
-identified Prometheus-style by a name plus sorted labels, e.g.
-``disk_utilization{node=w3}``.
+A single process-wide sink that the job accounting
+(:class:`~repro.compute.metrics.MetricsCollector`), the storage
+ladder's tier-move counter and the shard router's staleness gauge
+publish into, so a run's numbers land in one snapshot.  Zero
+dependencies; instruments are identified Prometheus-style by a name
+plus sorted labels, e.g. ``tier_moves_total{dest=ssd,source=disk}``.
 
 Like the tracer, the default registry is a no-op singleton: with
 metrics off, ``counter()``/``gauge()``/``histogram()`` hand back shared

@@ -1,9 +1,8 @@
-"""Counted resources: the one SimPy-style primitive the model needs.
+"""Counted resources: a SimPy-style slot primitive.
 
-:class:`Resource` holds ``capacity`` interchangeable slots (the DFS
-re-replication throttle).  Requests queue by priority, FIFO among
-equals, and all waiting is expressed through events so processes
-simply ``yield resource.request()``.
+:class:`Resource` holds ``capacity`` interchangeable slots.  Requests
+queue by priority, FIFO among equals, and all waiting is expressed
+through events so processes simply ``yield resource.request()``.
 """
 
 from __future__ import annotations

@@ -34,36 +34,21 @@ from repro.workloads.google_trace import (
     generate_job_records,
     generate_node_utilization,
 )
-from repro.workloads.swim_io import (
-    compress_interarrivals,
-    read_swim_trace,
-    scale_trace,
-    write_swim_trace,
-)
-from repro.workloads.sql import Aggregate, Join, Scan, compile_query
 
 __all__ = [
-    "Aggregate",
     "AgingDatasetDescriptor",
     "generate_aging_workload",
     "materialize_aging_jobs",
     "GoogleTraceModel",
-    "Join",
-    "Scan",
-    "compile_query",
     "HiveQuery",
     "JobTraceRecord",
     "SwimJobDescriptor",
     "build_query_job",
-    "compress_interarrivals",
     "generate_job_records",
     "generate_node_utilization",
     "generate_swim_workload",
     "hive_query_suite",
     "materialize_swim_jobs",
-    "read_swim_trace",
-    "scale_trace",
     "size_bin",
     "sort_job",
-    "write_swim_trace",
 ]

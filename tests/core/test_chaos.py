@@ -442,6 +442,22 @@ class TestChaosCampaign:
         with pytest.raises(ValueError):
             self._campaign(rig, seed=0, kinds=("meteor-strike",))
 
+    @pytest.mark.parametrize(
+        "scheme,kind", [("ignem", "master-crash"), ("dyrs", "shard-crash")]
+    )
+    def test_explicit_kinds_the_system_cannot_take_are_rejected(self, scheme, kind):
+        """Explicit kinds the attached system cannot take fail at
+        construction, naming them, not inside the sampler; with no
+        faults to draw there is nothing to refuse."""
+        system = build_system(
+            PaperSetup(scheme=scheme, n_workers=8, seed=0, interference="none")
+        )
+        injector = FailureInjector(system.cluster, master=system.master)
+        with pytest.raises(ValueError, match=kind):
+            ChaosCampaign(injector, seed=0, horizon=60.0, kinds=(kind,))
+        empty = ChaosCampaign(injector, seed=0, horizon=60.0, n_faults=0, kinds=(kind,))
+        assert empty.sample() == []
+
     @pytest.mark.parametrize("scheme", ["ignem", "naive", "instant"])
     def test_default_kinds_run_to_the_horizon_on_every_baseline(self, scheme):
         """The default kinds are those the attached system supports: a

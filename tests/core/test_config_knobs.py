@@ -24,8 +24,6 @@ class TestFieldBounds:
     @pytest.mark.parametrize(
         "field,good,bad",
         [
-            ("ewma_alpha", 1.0, 0.0),
-            ("ewma_alpha", 0.4, 1.5),
             ("queue_depth", 1, 0),
             ("pull_service_cost", 0.0, -1.0),
             ("idle_pull", "notify", "busywait"),
@@ -52,7 +50,7 @@ class TestFieldBounds:
         # If a field is added to DyrsConfig without a bound test above,
         # fail loudly (and CFG601 would flag it too).
         pinned = {
-            "ewma_alpha", "queue_depth", "memory_limit", "estimator_refresh",
+            "queue_depth", "memory_limit", "estimator_refresh",
             "pull_service_cost", "idle_pull", "shard_pull_window",
         }
         actual = {f.name for f in dataclasses.fields(DyrsConfig)}

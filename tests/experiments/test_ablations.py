@@ -54,11 +54,7 @@ class TestQueueDepth:
         assert auto <= best * 1.15
 
 
-class TestAlphaSweepAndPolicies:
-    def test_alpha_sweep_runs(self):
-        result = ablations.run_alpha_sweep(alphas=(0.2, 0.6), seed=0)
-        assert len(result.values) == 2
-
+class TestPolicies:
     def test_policy_comparison(self):
         result = ablations.run_policies(seed=0, n_jobs=20)
         assert set(result.values) == {"fifo (paper)", "sjf", "lifo"}
@@ -74,11 +70,13 @@ class TestMemoryLimit:
 
 class TestSpeculationAblation:
     def test_speculation_rescues_ignem(self):
-        result = ablations.run_speculation(seed=0, n_jobs=40)
-        assert (
-            result.values["ignem, speculation on"]
-            < result.values["ignem, speculation off"]
-        )
+        # 60 jobs is the run ``dyrs-bench ablations`` prints.
+        for n_jobs in (40, 60):
+            result = ablations.run_speculation(seed=0, n_jobs=n_jobs)
+            assert (
+                result.values["ignem, speculation on"]
+                < result.values["ignem, speculation off"]
+            ), n_jobs
 
 
 class TestTopologyAblations:

@@ -196,11 +196,12 @@ class TestFig11Sweeps:
 
     def test_map_speedup_shrinks_with_size(self, result):
         speedups = [result.map_speedup(s) for s in result.sizes]
-        # Monotone non-increasing within tolerance and positive at the
-        # small end.
+        # Monotone non-increasing within tolerance, positive at the
+        # small end, and strictly smaller at the large end.
         assert speedups[0] > 0.3
         for a, b in zip(speedups, speedups[1:]):
             assert b <= a + 0.05
+        assert speedups[-1] < speedups[0]
 
     def test_end_to_end_speedup_positive_at_largest(self, result):
         """The headline 'sort jobs sped up by up to 20%'."""

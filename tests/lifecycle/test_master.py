@@ -88,7 +88,6 @@ class TestDemotion:
         # The archive copy is the only durable one: every disk replica
         # was reclaimed.
         assert block.replica_nodes == ()
-        assert rig.namenode.replication_overrides[bid] == 0
         assert rig.master.integrity.has(bid)
         assert rig.master.archived_blocks == 1
         assert rig.master.tier_moves[("disk", "archive")] == 1
@@ -141,9 +140,8 @@ class TestRestore:
         assert len(block.replica_nodes) == rig.namenode.replication
         for node_id in block.replica_nodes:
             assert rig.namenode.datanodes[node_id].holds("disk", bid)
-        # ... the override is gone, the checksum entry retired with the
-        # archived copy, and the ledger closed.
-        assert bid not in rig.namenode.replication_overrides
+        # ... the checksum entry retired with the archived copy, and the
+        # ledger closed.
         assert not rig.master.integrity.has(bid)
         assert rig.master.restored_blocks == 1
         assert rig.master.tier_moves[("archive", "disk")] == 1
@@ -172,6 +170,39 @@ class TestRestore:
         assert len(block.replica_nodes) == rig.namenode.replication
 
 
+class TestRestorePlanning:
+    def test_targets_fill_back_to_the_configured_factor(self, lifecycle_rig):
+        rig = lifecycle_rig
+        block = rig.client.create_file("f", 64 * MB).blocks[0]
+        # Simulate the archived state: no disk replicas left.
+        for node_id in block.replica_nodes:
+            rig.namenode.datanodes[node_id].remove_disk_replica(block.block_id)
+        block.replica_nodes = ()
+        targets = rig.master.restore_targets(block)
+        assert len(targets) == rig.namenode.replication
+        assert len(set(targets)) == len(targets)
+
+    def test_existing_healthy_holders_are_kept(self, lifecycle_rig):
+        rig = lifecycle_rig
+        block = rig.client.create_file("f", 64 * MB).blocks[0]
+        survivors = set(block.replica_nodes)
+        targets = rig.master.restore_targets(block)
+        assert survivors <= set(targets)
+        assert len(targets) == rig.namenode.replication
+
+    def test_dead_nodes_are_never_targets(self, lifecycle_rig):
+        rig = lifecycle_rig
+        block = rig.client.create_file("f", 64 * MB).blocks[0]
+        down = block.replica_nodes[0]
+        rig.cluster.nodes[down].fail()
+        targets = rig.master.restore_targets(block)
+        assert down not in targets
+        # Shrunk cluster: the plan tops out at the live-node count.
+        assert len(targets) == min(
+            rig.namenode.replication, len(rig.cluster.nodes) - 1
+        )
+
+
 class TestCorruption:
     def test_corrupt_demote_keeps_every_disk_replica(self, lifecycle_rig):
         """Verify-before-delete: a read-back mismatch at archival time
@@ -193,7 +224,6 @@ class TestCorruption:
         assert block.replica_nodes == replicas
         for node_id in replicas:
             assert rig.namenode.datanodes[node_id].holds("disk", bid)
-        assert bid not in rig.namenode.replication_overrides
         assert not rig.master.integrity.has(bid)
         assert rig.master.archived_blocks == 0
 

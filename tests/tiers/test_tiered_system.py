@@ -3,7 +3,6 @@ preset)."""
 
 import pytest
 
-from repro.analysis import TelemetryCollector
 from repro.cluster import ClusterSpec, SsdSpec
 from repro.experiments import common
 from repro.experiments.cli import main as cli_main
@@ -48,30 +47,22 @@ class TestSortEndToEnd:
     @pytest.fixture(scope="class")
     def sorted_system(self):
         system = System(TIERED).start()
-        telemetry = TelemetryCollector(system.cluster, interval=5.0)
-        telemetry.start()
         job = sort_job(system, size=2 * GB, job_id="sort")
         system.runtime.run_to_completion([job])
-        return system, telemetry
+        return system
 
     def test_sort_completes(self, sorted_system):
-        system, _ = sorted_system
+        system = sorted_system
         assert system.metrics.jobs["sort"].finished_at is not None
 
     def test_blocks_observably_reach_the_ssd(self, sorted_system):
-        system, telemetry = sorted_system
+        system = sorted_system
         # Demote-on-evict parked the read-once input on the flash.
         assert len(system.namenode.directory["ssd"]) > 0
-        occupancy = telemetry.tier_occupancy_totals()
-        assert occupancy["ssd"].max() > 0
-        per_node = [
-            telemetry.ssd_series(node.node_id).max()
-            for node in system.cluster.nodes
-        ]
-        assert any(peak > 0 for peak in per_node)
+        assert any(node.ssd.peak > 0 for node in system.cluster.nodes)
 
     def test_promotions_and_demotions_are_counted(self, sorted_system):
-        system, _ = sorted_system
+        system = sorted_system
         assert system.master.promotion_count > 0
         assert system.master.demotion_count > 0
         assert ("disk", "memory") in system.master.tier_moves
