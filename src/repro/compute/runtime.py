@@ -14,33 +14,22 @@ The runtime reproduces the paper's integration points:
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.compute.job import JobSpec, TaskSpec
+from repro.compute.job import JobSpec
 from repro.compute.metrics import JobMetrics, MetricsCollector, TaskMetrics
 from repro.compute.scheduler import TaskScheduler
 from repro.compute.task import execute_task
 from repro.obs import trace as obs
-from repro.sim.events import AllOf, AnyOf
-from repro.sim.process import Interrupt, Process
+from repro.sim.events import AllOf
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import Cluster
     from repro.dfs.client import DFSClient
 
 __all__ = ["ComputeConfig", "JobRuntime"]
-
-#: Speculation thresholds: a running attempt is duplicated once its
-#: stage has this many completed attempts to take a median from, and
-#: its runtime exceeds both this many seconds (no duplicating short
-#: tasks on noise) and this multiple of that median.
-SPECULATION_MIN_COMPLETED = 3
-SPECULATION_MIN_RUNTIME = 20.0
-SPECULATION_MULTIPLIER = 3.0
-#: How often each running task re-evaluates speculation, seconds.
-SPECULATION_CHECK_INTERVAL = 5.0
 
 
 @dataclass(frozen=True)
@@ -55,22 +44,15 @@ class ComputeConfig:
         Submission-to-first-container platform overhead, seconds; with
         queueing this produces the lead-time DYRS exploits (the Google
         trace mean is 8.8 s, §II-C1).
-    speculative_execution:
-        Hadoop-style straggler mitigation: a running task that has
-        overrun its stage's typical duration gets a duplicate attempt;
-        the first finisher wins and the loser is killed.  Default OFF,
-        matching the paper's engine (Tez 0.9 ships with
-        ``tez.am.speculation.enabled=false``); the speculation ablation
-        turns it on to show it rescues Ignem's worst stragglers.
 
-    The job-submitter always sends the migrate() RPC, which does
-    nothing without a migration master
-    (:meth:`~repro.dfs.client.DFSClient.migrate`).
+    Each task runs as one attempt: the paper's engine (Tez 0.9) ships
+    with ``tez.am.speculation.enabled=false``.  The job-submitter
+    always sends the migrate() RPC, which does nothing without a
+    migration master (:meth:`~repro.dfs.client.DFSClient.migrate`).
     """
 
     task_launch_overhead: float = 1.0
     job_init_overhead: float = 5.0
-    speculative_execution: bool = False
 
     def __post_init__(self) -> None:
         if self.task_launch_overhead < 0:
@@ -141,14 +123,13 @@ class JobRuntime:
             yield sim.timeout(platform_wait)
 
         for stage in job.topo_stages():
-            progress = _StageProgress()
             task_processes = []
             for task in stage.tasks:
                 tm = TaskMetrics(job_id=job.job_id, task_id=task.task_id, kind=task.kind)
                 jm.tasks.append(tm)
                 task_processes.append(
                     sim.process(
-                        self._managed_task(job.job_id, task, tm, progress),
+                        execute_task(self, job.job_id, task, tm),
                         name=f"{job.job_id}:{task.task_id}",
                     )
                 )
@@ -172,122 +153,3 @@ class JobRuntime:
         if master is not None:
             master.notify_job_finished(job.job_id)
         return jm
-
-    # -- speculation (Hadoop-style straggler mitigation) -----------------------
-
-    def _should_speculate(
-        self, tm: TaskMetrics, progress: "_StageProgress"
-    ) -> bool:
-        if tm.started_at is None:
-            return False  # still queued; a duplicate would queue too
-        if len(progress.completed_durations) < SPECULATION_MIN_COMPLETED:
-            return False
-        if self.scheduler.total_free_slots < 1:
-            return False
-        elapsed = self.sim.now - tm.started_at
-        typical = statistics.median(progress.completed_durations)
-        return elapsed > max(
-            SPECULATION_MIN_RUNTIME, SPECULATION_MULTIPLIER * typical
-        )
-
-    def _managed_task(
-        self, job_id: str, task: TaskSpec, tm: TaskMetrics, progress: "_StageProgress"
-    ):
-        """Run a task with (optional) speculative re-execution.
-
-        The first attempt fills ``tm`` directly; if a speculative
-        duplicate is launched and wins, its metrics replace ``tm``'s
-        fields and the loser is interrupted (releasing its slot and
-        cancelling its in-flight transfer).
-        """
-        sim = self.sim
-        attempts: list[tuple[Process, TaskMetrics]] = []
-
-        def launch(
-            metrics: TaskMetrics, speculative: bool, avoid_node=None
-        ) -> None:
-            attempts.append(
-                (
-                    sim.process(
-                        execute_task(
-                            self,
-                            job_id,
-                            task,
-                            metrics,
-                            speculative=speculative,
-                            avoid_node=avoid_node,
-                        ),
-                        name=f"{job_id}:{task.task_id}"
-                        + (":spec" if speculative else ""),
-                    ),
-                    metrics,
-                )
-            )
-
-        launch(tm, speculative=False)
-        speculated = False
-        while True:
-            alive = [p for p, _ in attempts if p.is_alive]
-            waits = list(alive)
-            if self.config.speculative_execution and not speculated:
-                waits.append(sim.timeout(SPECULATION_CHECK_INTERVAL))
-            yield AnyOf(sim, waits)
-
-            winner = next(
-                (
-                    (p, m)
-                    for p, m in attempts
-                    if p.processed and p.ok
-                ),
-                None,
-            )
-            if winner is not None:
-                winner_p, winner_m = winner
-                for p, _ in attempts:
-                    if p.is_alive:
-                        p.interrupt(cause="speculation-lost")
-                if winner_m is not tm:
-                    for field_name in (
-                        "node_id",
-                        "queued_at",
-                        "started_at",
-                        "read_done_at",
-                        "finished_at",
-                        "read_source",
-                        "input_bytes",
-                    ):
-                        setattr(tm, field_name, getattr(winner_m, field_name))
-                if tm.duration is not None:
-                    progress.completed_durations.append(tm.duration)
-                return tm
-
-            # Surface real attempt failures (an Interrupt-failed loser
-            # is benign and cannot occur before a winner exists).
-            for p, _ in attempts:
-                if p.processed and not p.ok and not isinstance(p.value, Interrupt):
-                    raise p.value
-
-            if (
-                self.config.speculative_execution
-                and not speculated
-                and self._should_speculate(tm, progress)
-            ):
-                speculated = True
-                launch(
-                    TaskMetrics(
-                        job_id=job_id,
-                        task_id=f"{task.task_id}:spec",
-                        kind=task.kind,
-                    ),
-                    speculative=True,
-                    avoid_node=tm.node_id,
-                )
-
-
-class _StageProgress:
-    """Completed-attempt durations shared by one stage's tasks."""
-
-    __slots__ = ("completed_durations",)
-
-    def __init__(self) -> None:
-        self.completed_durations: list[float] = []

@@ -50,19 +50,17 @@ class SlotGrant:
 
 
 class _SlotRequest:
-    __slots__ = ("preferred", "banned", "event", "queued_since")
+    __slots__ = ("preferred", "event", "queued_since", "wakeup_armed")
 
     def __init__(
-        self,
-        preferred: tuple[int, ...],
-        banned: frozenset[int],
-        event: Event,
-        queued_since: float,
+        self, preferred: tuple[int, ...], event: Event, queued_since: float
     ):
         self.preferred = preferred
-        self.banned = banned
         self.event = event
         self.queued_since = queued_since
+        #: Whether the dispatch at the end of this request's locality
+        #: delay is already scheduled (one per request suffices).
+        self.wakeup_armed = False
 
 
 class TaskScheduler:
@@ -90,7 +88,6 @@ class TaskScheduler:
         ]
         heapq.heapify(self._free_heap)
         self._queue: deque[_SlotRequest] = deque()
-        self._cancelled: set[Event] = set()
         self._active_jobs: dict[str, int] = {}
         #: Grants that went to a preferred node vs. anywhere (locality
         #: accounting, used by the delay-scheduling ablation).
@@ -122,37 +119,15 @@ class TaskScheduler:
         return self._total_free
 
     def acquire(
-        self,
-        preferred_nodes: Sequence[int] = (),
-        job_id: str = "",
-        banned_nodes: Sequence[int] = (),
+        self, preferred_nodes: Sequence[int] = (), job_id: str = ""
     ) -> Event:
-        """Request a slot; the event triggers with a :class:`SlotGrant`.
-
-        ``banned_nodes`` are never granted (speculative attempts ban
-        the node their stuck sibling runs on).
-        """
+        """Request a slot; the event triggers with a :class:`SlotGrant`."""
         event = Event(self.sim, name=f"slot:{job_id}")
         self._queue.append(
-            _SlotRequest(
-                tuple(preferred_nodes),
-                frozenset(banned_nodes),
-                event,
-                queued_since=self.sim.now,
-            )
+            _SlotRequest(tuple(preferred_nodes), event, queued_since=self.sim.now)
         )
         self._dispatch()
         return event
-
-    def cancel_request(self, event: Event) -> None:
-        """Withdraw a pending slot request (or release a grant that
-        raced with the caller's interruption)."""
-        if event.triggered:
-            grant: SlotGrant = event.value
-            if not grant._released:
-                grant.release()
-        else:
-            self._cancelled.add(event)
 
     def _release(self, node_id: int) -> None:
         free = self._free[node_id] + 1
@@ -161,33 +136,14 @@ class TaskScheduler:
         heapq.heappush(self._free_heap, (-free, node_id))
         self._dispatch()
 
-    def _pick_node(
-        self, preferred: tuple[int, ...], banned: frozenset[int] = frozenset()
-    ) -> Optional[int]:
+    def _pick_node(self, preferred: tuple[int, ...]) -> Optional[int]:
         for node_id in preferred:
-            if (
-                node_id not in banned
-                and self._free.get(node_id, 0) > 0
-                and self.cluster.node(node_id).alive
-            ):
+            if self._free.get(node_id, 0) > 0 and self.cluster.node(node_id).alive:
                 return node_id
         # Fallback: the node with the most free slots, so placement
         # without locality spreads like a capacity scheduler instead of
         # piling onto the lowest node id.
-        if not banned:
-            return self._pick_most_free()
-        # Bans are rare (speculative attempts only); the linear scan
-        # keeps them exact without complicating the heap.
-        best: Optional[int] = None
-        best_free = 0
-        for node_id, free in self._free.items():
-            if (
-                node_id not in banned
-                and free > best_free
-                and self.cluster.node(node_id).alive
-            ):
-                best, best_free = node_id, free
-        return best
+        return self._pick_most_free()
 
     def _pick_most_free(self) -> Optional[int]:
         """Max-free pick off the lazy heap; ties to the lowest node id
@@ -220,21 +176,22 @@ class TaskScheduler:
 
     def _try_grant(self, request: _SlotRequest) -> bool:
         """Attempt to place one request per the locality-delay policy."""
-        node_id = self._pick_node(request.preferred, request.banned)
+        node_id = self._pick_node(request.preferred)
         if node_id is None:
             return False
         is_preferred = node_id in request.preferred or not request.preferred
-        if (
-            not is_preferred
-            and self.locality_delay > 0
-            and (self.sim.now - request.queued_since) < self.locality_delay
-        ):
-            # Hold out for a preferred slot; re-check when the delay
-            # expires in case nothing else triggers a dispatch.
-            self.sim.call_at(
-                request.queued_since + self.locality_delay, self._dispatch
-            )
-            return False
+        if not is_preferred and self.locality_delay > 0:
+            # Hold out for a preferred slot; re-check at the deadline in
+            # case nothing else triggers a dispatch.  Compare against
+            # the wake-up instant itself: ``now - queued_since`` can
+            # round below the delay there (0.8 - 0.7 < 0.1), and the
+            # one wake-up would then find the request still waiting.
+            deadline = request.queued_since + self.locality_delay
+            if self.sim.now < deadline:
+                if not request.wakeup_armed:
+                    request.wakeup_armed = True
+                    self.sim.call_at(deadline, self._dispatch)
+                return False
         free = self._free[node_id] - 1
         self._free[node_id] = free
         self._total_free -= 1
@@ -254,17 +211,12 @@ class TaskScheduler:
         scheduling's whole point is to let others jump ahead).  With
         ``locality_delay == 0`` this degenerates to strict FIFO, since
         an ungrantable head means no free slots for anyone behind it
-        either... unless bans differ, which only speculative attempts
-        use.
+        either.
         """
         index = 0
         queue = self._queue
         while index < len(queue):
             request = queue[index]
-            if request.event in self._cancelled:
-                self._cancelled.discard(request.event)
-                queue.remove(request)
-                continue
             if self._try_grant(request):
                 queue.remove(request)
                 continue

@@ -52,10 +52,9 @@ class MigrationMaster:
     :meth:`request_work` (what a pulling slave receives).
 
     Slaves pull through legs (:meth:`pull_plan`,
-    :meth:`bind_from_shard`, :meth:`pull_service_seconds`,
-    :meth:`shard_rpc_extra`).  Here the master is one endpoint, id 0,
-    that never changes generation, with no service time and no extra
-    delay.
+    :meth:`bind_from_shard`, :meth:`pull_service_seconds`).  Here the
+    master is one endpoint, id 0, that never changes generation, with
+    no service time.
     """
 
     #: Whether the master process is up.  A crashed master (§III-C1)
@@ -211,10 +210,6 @@ class MigrationMaster:
         ``pull_service_cost`` is configured, which is what the shard
         sweep measures (a shard services a leg from its own map).
         """
-        return 0.0
-
-    def shard_rpc_extra(self, shard_id: int) -> float:
-        """Extra outbound delay (chaos) on legs to this endpoint."""
         return 0.0
 
     # -- slave registry ------------------------------------------------------

@@ -399,57 +399,16 @@ class FailureInjector:
         self.sim.call_at(when + heal_after, _heal)
 
     def delay_rpc_at(
-        self,
-        when: float,
-        node_id: int,
-        extra: float,
-        clear_after: float,
-        shard_id: Optional[int] = None,
+        self, when: float, node_id: int, extra: float, clear_after: float
     ) -> None:
         """Add ``extra`` seconds to each pull-RPC leg on ``node_id``
-        for ``clear_after`` seconds (a congestion spike).
-
-        With ``shard_id`` the spike targets the master side instead:
-        every node's pull leg *to that shard* is slowed, while its legs
-        to the other shards run at full speed.  Degrades to a no-op on
-        flat masters, which have no shards to slow.
-        """
+        for ``clear_after`` seconds (a congestion spike)."""
         if self.master is None:
             raise RuntimeError("no migration master attached")
         if extra <= 0:
             raise ValueError(f"extra delay must be positive, got {extra}")
         if clear_after <= 0:
             raise ValueError(f"clear_after must be positive, got {clear_after}")
-
-        if shard_id is not None:
-
-            def _inject_shard() -> None:
-                master = self.master
-                if not hasattr(master, "add_shard_rpc_delay"):
-                    self._note("skip-rpc-delay", f"shard{shard_id}")
-                    return
-                master.add_shard_rpc_delay(shard_id, extra)
-                obs.emit(
-                    obs.FAULT_INJECT, self.sim.now, kind="rpc-delay",
-                    shard=shard_id, extra=extra,
-                )
-                self._note("rpc-delay", f"shard{shard_id}")
-
-            def _clear_shard() -> None:
-                master = self.master
-                if not hasattr(master, "clear_shard_rpc_delay"):
-                    self._note("skip-clear-rpc-delay", f"shard{shard_id}")
-                    return
-                master.clear_shard_rpc_delay(shard_id, extra)
-                obs.emit(
-                    obs.FAULT_CLEAR, self.sim.now, kind="rpc-delay",
-                    shard=shard_id,
-                )
-                self._note("clear-rpc-delay", f"shard{shard_id}")
-
-            self.sim.call_at(when, _inject_shard)
-            self.sim.call_at(when + clear_after, _clear_shard)
-            return
 
         def _inject() -> None:
             slave = self.master.slaves.get(node_id)

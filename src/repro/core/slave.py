@@ -591,8 +591,7 @@ class _PullLeg:
     def send(self) -> None:
         """The outbound half: the request is on the wire."""
         slave = self.slave
-        outbound = slave._rpc_leg_delay() + self.master.shard_rpc_extra(self.shard_id)
-        slave.sim.timeout(outbound).add_callback(self._arrived)
+        slave.sim.timeout(slave._rpc_leg_delay()).add_callback(self._arrived)
 
     def _arrived(self, _event: Event) -> None:
         """The request reached the endpoint, which services it."""

@@ -64,7 +64,6 @@ class DFSClient:
         block: Block,
         reader_node: Optional[int],
         job_id: Optional[str] = None,
-        honor_directives: bool = True,
     ) -> tuple[Event, ReadSource]:
         """Read one block for a task running on ``reader_node``.
 
@@ -72,14 +71,8 @@ class DFSClient:
         master with implicit eviction is active, it observes the read
         so the block's reference list can be trimmed (§IV-A1: slaves
         "extract the job ID directly from the read calls").
-
-        ``honor_directives=False`` bypasses scheme read directives --
-        used by speculative re-reads, which deliberately avoid the
-        replica the stuck first attempt is waiting on.
         """
-        datanode = self.namenode.resolve_read(
-            block, reader_node, honor_directives=honor_directives
-        )
+        datanode = self.namenode.resolve_read(block, reader_node)
         event, source = datanode.read(block, reader_node)
         master = self.namenode.migration_master
         if master is not None and job_id is not None:
@@ -99,19 +92,6 @@ class DFSClient:
             if self.namenode.holder(rung, block.block_id) is not None:
                 return rung
         return "disk"
-
-    def cancel_read(self, event: Event) -> bool:
-        """Abort an in-flight read started by :meth:`read_block`.
-
-        Returns whether a transfer was actually cancelled (False if it
-        had already completed).  The read event fails with
-        ``FlowCancelled`` for any remaining waiters.
-        """
-        cancel = self.namenode.read_cancellers.pop(event, None)
-        if cancel is None:
-            return False
-        cancel()
-        return True
 
     # -- writes --------------------------------------------------------------
 

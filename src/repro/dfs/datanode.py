@@ -79,17 +79,13 @@ class ReadRecord:
 class DataNode:
     """Block storage attached to one worker node."""
 
-    def __init__(self, node: "Node", cancellers: Optional[dict] = None) -> None:
+    def __init__(self, node: "Node") -> None:
         self.node = node
         self.node_id = node.node_id
         node.datanode = self
         self._disk_blocks: set[BlockId] = set()
         #: Reads served by this DataNode, from any rung, in order.
         self.read_log: list[ReadRecord] = []
-        #: Shared event -> cancel-callable registry (owned by the
-        #: NameNode) so in-flight reads can be aborted, e.g. when a
-        #: speculative task attempt wins against this one.
-        self._cancellers: dict = cancellers if cancellers is not None else {}
 
     # -- replica inventory ---------------------------------------------------
 
@@ -184,7 +180,7 @@ class DataNode:
     def _remote_memory_transfer(self, nbytes: float, reader_node, tag: str):
         """Charge a remote memory read: source NIC egress plus, on a
         multi-rack cluster, both racks' ToR uplinks when the reader is
-        in another rack.  Returns ``(completion event, cancel fn)``.
+        in another rack.  Returns the completion event.
         """
         from repro.sim.events import AllOf
 
@@ -205,22 +201,8 @@ class DataNode:
                 )
             )
         if len(flows) == 1:
-            event = flows[0].done
-        else:
-            event = AllOf(self.node.sim, [f.done for f in flows])
-
-        def cancel() -> None:
-            self.node.nic.egress.cancel(flows[0])
-            if cluster is not None:
-                for i, flow in enumerate(flows[1:]):
-                    channel = (
-                        cluster.fabric.uplinks[self.node.rack_id]
-                        if i == 0
-                        else cluster.fabric.downlinks[cluster.rack_of(reader_node)]
-                    )
-                    channel.cancel(flow)
-
-        return event, cancel
+            return flows[0].done
+        return AllOf(self.node.sim, [f.done for f in flows])
 
     def read(
         self, block: Block, reader_node: Optional[int]
@@ -243,7 +225,7 @@ class DataNode:
         local = reader_node == self.node_id
         source = ReadSource(f"{'local' if local else 'remote'}-{rung}")
         if rung == "memory" and not local:
-            event, cancel = self._remote_memory_transfer(block.size, reader_node, tag)
+            event = self._remote_memory_transfer(block.size, reader_node, tag)
         else:
             # A local memory read, and any ssd, disk or archive read,
             # charges the rung's own channel: a storage device, not the
@@ -251,13 +233,8 @@ class DataNode:
             # readers alike (the archive is fabric-attached either
             # way).  The archive's per-operation setup latency is
             # charged on the lifecycle mover's moves, not on reads,
-            # keeping the read path a cancellable pure flow.
-            channel = self._device(rung).channel
-            flow = channel.start_flow(block.size, tag=tag)
-            cancel = lambda: channel.cancel(flow)  # noqa: E731
-            event = flow.done
-        self._cancellers[event] = cancel
-        event.add_callback(lambda e: self._cancellers.pop(e, None))
+            # keeping the read path a pure flow.
+            event = self._device(rung).channel.transfer(block.size, tag=tag)
         if obs.enabled():
             if rung == "memory":
                 etype = obs.READ_MEMORY

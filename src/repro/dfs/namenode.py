@@ -76,12 +76,8 @@ class NameNode:
         #: unavailable.
         self.heartbeat_miss_limit = 3
         self.namespace = Namespace(block_size=block_size)
-        #: event -> cancel-callable for in-flight reads (shared with
-        #: every DataNode; see DFSClient.cancel_read).
-        self.read_cancellers: dict = {}
         self.datanodes: dict[int, DataNode] = {
-            node.node_id: DataNode(node, cancellers=self.read_cancellers)
-            for node in cluster.nodes
+            node.node_id: DataNode(node) for node in cluster.nodes
         }
         self._last_heartbeat: dict[int, float] = {
             nid: cluster.sim.now for nid in self.datanodes
@@ -205,12 +201,7 @@ class NameNode:
 
     # -- read routing ------------------------------------------------------------
 
-    def resolve_read(
-        self,
-        block: Block,
-        reader_node: Optional[int],
-        honor_directives: bool = True,
-    ) -> DataNode:
+    def resolve_read(self, block: Block, reader_node: Optional[int]) -> DataNode:
         """Choose the DataNode that should serve a read of ``block``.
 
         Preference order (per §III and §III-C2, extended with the SSD
@@ -238,9 +229,7 @@ class NameNode:
             node_id = self.holder(rung, block.block_id)
             if node_id is not None:
                 return self.datanodes[node_id]
-        directed = (
-            self.read_directives.get(block.block_id) if honor_directives else None
-        )
+        directed = self.read_directives.get(block.block_id)
         if (
             directed is not None
             and directed in block.replica_nodes

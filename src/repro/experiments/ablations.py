@@ -6,10 +6,13 @@ Each ablation isolates one mechanism the paper argues for:
   binding) vs Ignem (binding at submission);
 * **estimator refresh** (§IV-A) -- with vs without the in-progress
   update, under alternating interference;
-* **straggler avoidance** (§III-A2) -- DYRS vs the naive balancer;
 * **queue depth** (§III-B) -- sweep around the derived ideal;
 * **policy** (§III future work) -- FIFO vs SJF vs LIFO under a
-  multi-job burst.
+  multi-job burst;
+* **memory limit** (§IV-A1) -- the per-node hard limit swept down
+  toward plain HDFS;
+* **delay scheduling** and **racks** -- beyond the paper: a locality
+  wait in the task scheduler, and a two-rack topology.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ __all__ = [
     "run_estimator_refresh",
     "run_queue_depth",
     "run_policies",
-    "run_speculation",
     "run_memory_limit",
     "run_delay_scheduling",
     "run_racks",
+    "AXES",
     "report",
 ]
 
@@ -249,36 +252,18 @@ def run_racks(seed: int = 0) -> AblationResult:
     return AblationResult("racks", "sort runtime (s)", values)
 
 
-def run_speculation(seed: int = 0, n_jobs: int = 60) -> AblationResult:
-    """Speculative execution on/off, for HDFS and Ignem.
-
-    Beyond the paper: Tez 0.9 ships with speculation disabled, which
-    is part of why Ignem's slow-node stragglers are so costly (§V-E).
-    Turning speculation on lets stuck reads re-execute against another
-    replica and claws back most of Ignem's loss.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.units import GB as _GB
-
-    values: dict[str, float] = {}
-    for scheme in ("hdfs", "ignem"):
-        for spec_on in (False, True):
-            system = build_system(PaperSetup(scheme=scheme, seed=seed))
-            system.runtime.config = dc_replace(
-                system.runtime.config, speculative_execution=spec_on
-            )
-            descriptors = generate_swim_workload(
-                system.cluster.rngs.stream("swim"),
-                n_jobs=n_jobs,
-                total_input=50 * _GB,
-                max_input=12 * _GB,
-            )
-            jobs = materialize_swim_jobs(system, descriptors)
-            metrics = system.runtime.run_to_completion(jobs)
-            label = f"{scheme}, speculation {'on' if spec_on else 'off'}"
-            values[label] = metrics.mean_job_duration()
-    return AblationResult("speculation", "mean SWIM job duration (s)", values)
+#: Every axis ``dyrs-bench ablations`` runs, in print order.  Each must
+#: bind differently across its variants (tests/experiments/
+#: test_ablations.py); an axis that does not is redesigned or deleted.
+AXES = (
+    run_binding_delay,
+    run_estimator_refresh,
+    run_queue_depth,
+    run_policies,
+    run_memory_limit,
+    run_delay_scheduling,
+    run_racks,
+)
 
 
 def report(results: Sequence[AblationResult]) -> str:

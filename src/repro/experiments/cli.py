@@ -93,16 +93,7 @@ def _ablations():
     from repro.experiments import ablations
 
     def run(seed: int = 0):
-        return [
-            ablations.run_binding_delay(seed=seed),
-            ablations.run_estimator_refresh(seed=seed),
-            ablations.run_queue_depth(seed=seed),
-            ablations.run_policies(seed=seed),
-            ablations.run_speculation(seed=seed),
-            ablations.run_memory_limit(seed=seed),
-            ablations.run_delay_scheduling(seed=seed),
-            ablations.run_racks(seed=seed),
-        ]
+        return [axis(seed=seed) for axis in ablations.AXES]
 
     return run, ablations.report
 

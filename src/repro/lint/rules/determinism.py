@@ -44,13 +44,13 @@ _NP_RANDOM_ALLOWED = {"Generator", "BitGenerator", "SeedSequence"}
 
 
 def _import_findings(
-    rule: Rule, ctx: ModuleContext, banned: set[str], what: str
+    rule: Rule, ctx: ModuleContext, forbidden: set[str], what: str
 ) -> Iterator[Diagnostic]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 root = alias.name.split(".")[0]
-                if root in banned:
+                if root in forbidden:
                     yield rule.diagnostic(
                         ctx.path,
                         node.lineno,
@@ -59,7 +59,7 @@ def _import_findings(
                     )
         elif isinstance(node, ast.ImportFrom):
             root = (node.module or "").split(".")[0]
-            if root in banned:
+            if root in forbidden:
                 yield rule.diagnostic(
                     ctx.path,
                     node.lineno,

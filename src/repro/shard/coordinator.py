@@ -63,10 +63,6 @@ class ShardCoordinator(DyrsMaster):
         #: Per-shard freshness: when a shard's *home nodes* (those with
         #: ``home_shard_of(node) == shard``) last heartbeat.
         self._shard_reports: dict[int, float] = {}
-        #: Chaos hook: per-shard extra RPC delay (seconds) applied to
-        #: every pull leg to that shard (``delay_rpc_at(...,
-        #: shard_id=...)``).  Empty in normal operation.
-        self._shard_rpc_extra: dict[int, float] = {}
 
     # -- shard topology (the public cross-shard API, lint SM203) ---------------
 
@@ -290,24 +286,6 @@ class ShardCoordinator(DyrsMaster):
             return 0.0
         shard = self._shards[shard_id]
         return cost * len(shard) if shard.alive else 0.0
-
-    def shard_rpc_extra(self, shard_id: int) -> float:
-        """Extra outbound delay (chaos) on this shard's pull legs."""
-        return self._shard_rpc_extra.get(shard_id, 0.0)
-
-    def add_shard_rpc_delay(self, shard_id: int, extra: float) -> None:
-        """Injector hook: slow every pull leg to ``shard_id``."""
-        self._shard_rpc_extra[shard_id] = (
-            self._shard_rpc_extra.get(shard_id, 0.0) + extra
-        )
-
-    def clear_shard_rpc_delay(self, shard_id: int, extra: float) -> None:
-        """Injector hook: undo a matching ``add_shard_rpc_delay``."""
-        remaining = max(0.0, self._shard_rpc_extra.get(shard_id, 0.0) - extra)
-        if remaining:
-            self._shard_rpc_extra[shard_id] = remaining
-        else:
-            self._shard_rpc_extra.pop(shard_id, None)
 
     # -- teardown / failover -------------------------------------------------------
 

@@ -9,7 +9,6 @@ resource primitives the cluster model is built from:
   (clock + event heap + run loop).
 * :mod:`repro.sim.process` -- generator-based processes with
   interrupt support.
-* :mod:`repro.sim.resources` -- counted resources.
 * :mod:`repro.sim.bandwidth` -- a fair-share (processor-sharing)
   bandwidth resource with a configurable concurrency (seek) penalty;
   this is the model for disks and NICs.  It tracks a virtual-time
@@ -30,7 +29,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource
 from repro.sim.bandwidth import BandwidthResource, Flow, FlowCancelled
 from repro.sim.rng import RngRegistry
 
@@ -44,7 +42,6 @@ __all__ = [
     "FlowCancelled",
     "Interrupt",
     "Process",
-    "Resource",
     "RngRegistry",
     "Simulator",
     "Timeout",

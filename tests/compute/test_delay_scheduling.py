@@ -113,3 +113,63 @@ class TestDelayScheduling:
         sim.run()
         assert scheduler.local_grants == 1
         a.value.release()
+
+    def test_waiting_request_arms_one_wakeup(self, cluster):
+        """Every dispatch pass visits a request that is waiting out its
+        delay; only the first may schedule the wake-up at its deadline."""
+        scheduler = TaskScheduler(cluster, locality_delay=5.0)
+        sim = cluster.sim
+        _holder = scheduler.acquire(preferred_nodes=[0])
+        sim.run()
+        wakeups = []
+        call_at = sim.call_at
+
+        def counting_call_at(when, callback):
+            if callback == scheduler._dispatch:
+                wakeups.append(when)
+            return call_at(when, callback)
+
+        sim.call_at = counting_call_at
+        granted = []
+
+        def waiter():
+            grant = yield scheduler.acquire(preferred_nodes=[0])
+            granted.append((sim.now, grant.node_id))
+
+        def churn(start):
+            # Granted on node 1 or 2 and released again: two more
+            # dispatch passes over the waiting request each time.
+            yield sim.timeout(start)
+            grant = yield scheduler.acquire()
+            yield sim.timeout(0.5)
+            grant.release()
+
+        sim.process(waiter())
+        for start in (0.5, 1.5, 2.5, 3.5):
+            sim.process(churn(start))
+        sim.run()
+        assert wakeups == [5.0]
+        assert granted == [(5.0, 1)]
+
+    def test_wakeup_grants_when_the_delay_rounds_short(self, cluster):
+        """0.7 + 0.1 - 0.7 < 0.1 in floating point: at its own wake-up
+        the request must still count its delay as spent."""
+        scheduler = TaskScheduler(cluster, locality_delay=0.1)
+        sim = cluster.sim
+        _holder = scheduler.acquire(preferred_nodes=[0])
+        sim.run()
+        granted = []
+
+        def waiter():
+            yield sim.timeout(0.7)
+            grant = yield scheduler.acquire(preferred_nodes=[0])
+            granted.append((sim.now, grant.node_id))
+
+        sim.process(waiter())
+        # Bounded: a request that re-arms a wake-up at its own instant
+        # would spin here without advancing the clock.
+        for _ in range(100):
+            if not sim.pending_events:
+                break
+            sim.step()
+        assert granted == [(0.7 + 0.1, 1)]

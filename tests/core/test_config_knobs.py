@@ -70,12 +70,7 @@ class TestComputeFieldBounds:
         with pytest.raises(ValueError, match=field):
             ComputeConfig(**{field: bad})
 
-    def test_speculative_execution_passes_through(self):
-        # A plain toggle, off by default as in the paper's engine.
-        assert ComputeConfig().speculative_execution is False
-        assert ComputeConfig(speculative_execution=True).speculative_execution
-
     def test_every_field_is_pinned_here(self):
-        pinned = {"task_launch_overhead", "job_init_overhead", "speculative_execution"}
+        pinned = {"task_launch_overhead", "job_init_overhead"}
         actual = {f.name for f in dataclasses.fields(ComputeConfig)}
         assert actual == pinned

@@ -169,25 +169,3 @@ class TestCrossRackReads:
         cluster.sim.run_until_processed(ev)
         expected = block.size / (1 * Gbps)
         assert cluster.sim.now - start == pytest.approx(expected)
-
-    def test_cancel_cross_rack_read_releases_all_links(self, racked_cluster):
-        nn, client = self.make_dfs(racked_cluster)
-        entry = client.create_file("f", 64 * MB)
-        block = entry.blocks[0]
-        src = block.replica_nodes[0]
-        nn.datanodes[src].pin("memory", block)
-        nn.directory["memory"][block.block_id] = src
-        reader = next(
-            n.node_id
-            for n in racked_cluster.nodes
-            if not racked_cluster.same_rack(n.node_id, src)
-        )
-        ev, _ = client.read_block(block, reader_node=reader)
-        assert client.cancel_read(ev) is True
-        assert racked_cluster.node(src).nic.egress.active_flows == 0
-        assert all(
-            u.active_flows == 0 for u in racked_cluster.fabric.uplinks.values()
-        )
-        assert all(
-            d.active_flows == 0 for d in racked_cluster.fabric.downlinks.values()
-        )

@@ -3,6 +3,35 @@
 import pytest
 
 from repro.experiments import ablations
+from repro.obs import trace as obs
+
+
+def bind_sequences(axis):
+    """Run ``axis`` traced; map each scheme to the distinct ordered
+    ``(block, node)`` bind sequences its variants produced."""
+    with obs.tracing() as tracer:
+        axis(seed=0)
+    runs = []
+    for event in tracer.events:
+        if event.type == obs.RUN_START:
+            runs.append((event.fields["scheme"], []))
+        elif event.type == obs.BIND:
+            runs[-1][1].append((event.fields["block"], event.fields["node"]))
+    sequences: dict[str, set] = {}
+    for scheme, binds in runs:
+        sequences.setdefault(scheme, set()).add(tuple(binds))
+    return sequences
+
+
+class TestEveryAxisMovesABinding:
+    @pytest.mark.parametrize("axis", ablations.AXES, ids=lambda axis: axis.__name__)
+    def test_some_scheme_binds_differently_across_variants(self, axis):
+        """ROADMAP item 2's rule: an axis whose variants all bind the
+        same blocks to the same nodes, in the same order, decides
+        nothing and is redesigned or deleted."""
+        sequences = bind_sequences(axis)
+        distinct = {scheme: len(seqs) for scheme, seqs in sequences.items()}
+        assert any(n > 1 for n in distinct.values()), distinct
 
 
 class TestBindingDelay:
@@ -66,17 +95,6 @@ class TestMemoryLimit:
         result = ablations.run_memory_limit(seed=0)
         assert result.values["unlimited"] <= result.values["256MB/node"]
         assert result.values["256MB/node"] <= result.values["hdfs (no migration)"] * 1.05
-
-
-class TestSpeculationAblation:
-    def test_speculation_rescues_ignem(self):
-        # 60 jobs is the run ``dyrs-bench ablations`` prints.
-        for n_jobs in (40, 60):
-            result = ablations.run_speculation(seed=0, n_jobs=n_jobs)
-            assert (
-                result.values["ignem, speculation on"]
-                < result.values["ignem, speculation off"]
-            ), n_jobs
 
 
 class TestTopologyAblations:

@@ -31,7 +31,7 @@ CONFIGURATIONS = [(scheme, {}, None, 1) for scheme in SCHEMES] + [
 ]
 
 
-def run_random_workload(configuration, seed, n_jobs, speculation, implicit):
+def run_random_workload(configuration, seed, n_jobs, implicit):
     scheme, devices, shards, window = configuration
     system = System(
         SystemConfig(
@@ -46,11 +46,7 @@ def run_random_workload(configuration, seed, n_jobs, speculation, implicit):
             dyrs=DyrsConfig(shard_pull_window=window),
             shards=shards,
             block_size=64 * MB,
-            compute=ComputeConfig(
-                job_init_overhead=3.0,
-                task_launch_overhead=0.5,
-                speculative_execution=speculation,
-            ),
+            compute=ComputeConfig(job_init_overhead=3.0, task_launch_overhead=0.5),
         )
     ).start()
     rng = system.cluster.rngs.stream("workload")
@@ -89,15 +85,10 @@ class TestSystemInvariants:
         configuration=st.sampled_from(CONFIGURATIONS),
         seed=st.integers(min_value=0, max_value=500),
         n_jobs=st.integers(min_value=1, max_value=6),
-        speculation=st.booleans(),
         implicit=st.booleans(),
     )
-    def test_invariants_hold(
-        self, configuration, seed, n_jobs, speculation, implicit
-    ):
-        system, metrics = run_random_workload(
-            configuration, seed, n_jobs, speculation, implicit
-        )
+    def test_invariants_hold(self, configuration, seed, n_jobs, implicit):
+        system, metrics = run_random_workload(configuration, seed, n_jobs, implicit)
 
         # 1. Every job finished with complete task metrics.
         assert len(metrics.finished_jobs()) == n_jobs

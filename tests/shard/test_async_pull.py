@@ -6,7 +6,7 @@ shard here).  Three anchors hold the protocol to the ground truth:
 * **byte-identity at window 1** -- the two sharded presets differ only
   by the window, so ``dyrs-sharded-async`` pinned to window 1 must
   replay stock ``dyrs-sharded`` exactly, on sort and on the SWIM mix;
-* **isolation at every window** -- a chaos delay on one shard's legs
+* **isolation at every window** -- a slow service on one shard's legs
   must leave the other shards' legs landing inside the delayed leg's
   open interval, which is the whole point of detaching them;
 * **collected legs stay silent** -- a leg left suspended by an
@@ -17,7 +17,6 @@ shard here).  Three anchors hold the protocol to the ground truth:
 import gc
 
 from repro.core import DyrsConfig
-from repro.core.failures import FailureInjector
 from repro.experiments.common import PaperSetup, build_system
 from repro.obs import trace as obs
 from repro.obs.invariants import TraceInvariants
@@ -189,10 +188,17 @@ class TestAsyncProtocol:
         shard's leg *on the same node* opens and lands inside it."""
 
         def arm(system):
-            injector = FailureInjector(system.cluster, master=system.master)
-            injector.delay_rpc_at(
-                0.5, node_id=0, extra=3.0, clear_after=55.0, shard_id=2
-            )
+            # Shard 2 services every leg 3 s slower from 0.5 s to 55.5 s.
+            master = system.master
+            service = master.pull_service_seconds
+
+            def slow_shard_two(shard_id):
+                seconds = service(shard_id)
+                if shard_id == 2 and 0.5 <= system.sim.now < 55.5:
+                    seconds += 3.0
+                return seconds
+
+            master.pull_service_seconds = slow_shard_two
 
         events = _run_async_sort(overrides, arm=arm)
         checker = TraceInvariants(events)

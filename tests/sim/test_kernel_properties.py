@@ -9,32 +9,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Resource, Simulator
+from repro.sim import AllOf, AnyOf, BandwidthResource, Simulator
 
 
 def build_random_network(sim, spec):
     """Spawn processes from a declarative spec list.
 
-    Each entry: (start_delay, [sleep durations], resource_usage?).
+    Each entry: (start_delay, [sleep durations], shares_channel?).  A
+    worker on the shared channel moves ``sleep`` bytes per step through
+    one 1 byte/s fair-share channel, so its steps stretch while other
+    workers' transfers overlap them.
     Returns the trace list that processes append (time, proc, step).
     """
     trace = []
-    resource = Resource(sim, capacity=2)
+    channel = BandwidthResource(sim, capacity=1.0, seek_penalty=0.1)
 
-    def worker(i, start, sleeps, use_resource):
+    def worker(i, start, sleeps, shares_channel):
         yield sim.timeout(start)
         for j, sleep in enumerate(sleeps):
-            if use_resource:
-                req = resource.request()
-                yield req
-                yield sim.timeout(sleep)
-                resource.release(req)
+            if shares_channel:
+                yield channel.transfer(sleep)
             else:
                 yield sim.timeout(sleep)
             trace.append((sim.now, i, j))
 
-    for i, (start, sleeps, use_resource) in enumerate(spec):
-        sim.process(worker(i, start, sleeps, use_resource))
+    for i, (start, sleeps, shares_channel) in enumerate(spec):
+        sim.process(worker(i, start, sleeps, shares_channel))
     return trace
 
 
