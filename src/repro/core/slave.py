@@ -15,8 +15,12 @@ Responsibilities (§III, §IV):
   detached leg per master endpoint -- the flat master is a single
   endpoint, a sharded federation one per live shard -- at most
   ``shard_pull_window`` legs outstanding per endpoint.  Each leg is
-  a :class:`_PullLeg`, whose bound methods are the callbacks of its
-  outbound, service and inbound timeouts;
+  a :class:`_PullLeg`, whose bound methods are the callbacks of the
+  pull's one outbound timeout and of its own service and inbound
+  timeouts;
+* wait **idle** on a :class:`_Signal` -- for work between polls, or
+  for memory space -- which a timer (the re-poll, the notify-mode
+  backstop or the space re-check) also ends (:func:`_idle_wait`);
 * report ``(estimate, queue depth)`` at every heartbeat (§III-D), and
   tell its master whenever that load may have moved, so a heartbeat
   tick re-reads only the slaves that changed (see
@@ -42,13 +46,14 @@ from repro.cluster.node import FAST_TIERS
 from repro.core.estimator import MigrationTimeEstimator
 from repro.core.records import MigrationRecord, MigrationStatus
 from repro.obs import trace as obs
-from repro.sim.events import AnyOf, Event
+from repro.sim.events import Event
 from repro.sim.process import Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import MigrationMaster
     from repro.core.master import DyrsConfig
     from repro.dfs.datanode import DataNode
+    from repro.sim.engine import Simulator
 
 __all__ = ["DyrsSlave"]
 
@@ -100,14 +105,14 @@ class DyrsSlave:
         self._queue: deque[MigrationRecord] = deque()
         self._active: Optional[MigrationRecord] = None
         self._worker: Optional[Process] = None
-        self._work_signal: Optional[Event] = None
-        self._space_signal: Optional[Event] = None
+        self._work_signal: Optional[_Signal] = None
+        self._space_signal: Optional[_Signal] = None
         #: SSD-sourced lane: queue, serialized worker (spawned lazily
         #: on first use), and its own memory-space signal.
         self._ssd_queue: deque[MigrationRecord] = deque()
         self._ssd_active: Optional[MigrationRecord] = None
         self._ssd_worker: Optional[Process] = None
-        self._ssd_space_signal: Optional[Event] = None
+        self._ssd_space_signal: Optional[_Signal] = None
         #: Process generation.  Bumped on every crash so RPC responses
         #: addressed to a dead incarnation cannot feed (or unwedge) a
         #: restarted one -- the sim equivalent of an epoch number in the
@@ -334,13 +339,16 @@ class DyrsSlave:
         keeps draining the local queue -- that is precisely why the
         queue exists (§III-B).  A sharded master names each live shard,
         home shard first so concurrent nodes start on different shards.
-        Legs are detached: an endpoint whose leg is delayed (chaos) or
-        whose map is deep cannot stall binding from the others.
+        The legs of one pull share one outbound timeout, which reaches
+        their endpoints in plan order; from arrival on they are
+        detached: an endpoint whose service is slow or whose map is
+        deep cannot stall binding from the others.
         """
         if not self.alive or self._pull_space() <= 0:
             return
         window = self._pull_window
         sim = self.sim
+        outbound: Optional[Event] = None
         for shard_id, generation in self.master.pull_plan(self.node_id):
             outstanding = self._leg_outstanding.get(shard_id, 0)
             if outstanding >= window:
@@ -355,7 +363,11 @@ class DyrsSlave:
                     window=window,
                     outstanding=outstanding + 1,
                 )
-            _PullLeg(self, shard_id, generation).send()
+            if outbound is None:
+                # The outbound half: every leg of this pull is on the
+                # wire from now and lands after the same delay.
+                outbound = sim.timeout(self._rpc_leg_delay())
+            outbound.add_callback(_PullLeg(self, shard_id, generation)._arrived)
 
     def _rpc_leg_delay(self) -> float:
         """One-way RPC delay including any injected spike."""
@@ -367,7 +379,7 @@ class DyrsSlave:
             while True:
                 self._maybe_pull()
                 if not self._queue:
-                    self._work_signal = Event(sim, name=f"work:{self.node_id}")
+                    interval = self.namenode.heartbeat_interval
                     if self.config.idle_pull == "notify":
                         # Notify mode: park at the master and wait to be
                         # woken by a retarget pass that aims work here.
@@ -377,21 +389,20 @@ class DyrsSlave:
                         # 1k-node cluster these periodic re-polls are
                         # the dominant event-heap load, and correctness
                         # never depends on them.
-                        self.master.park_idle_slave(self.node_id, self._work_signal)
-                        backstop = sim.timeout(self.namenode.heartbeat_interval * 50.0)
-                        yield AnyOf(sim, [self._work_signal, backstop])
-                        self.master.unpark_idle_slave(self.node_id, self._work_signal)
-                        if not backstop.processed:
-                            sim.discard(backstop)
+                        signal, timer = _idle_wait(sim, interval * 50.0)
+                        self._work_signal = signal
+                        self.master.park_idle_slave(self.node_id, signal)
+                        yield signal
+                        self.master.unpark_idle_slave(self.node_id, signal)
                     else:
                         # Idle: wait for work, re-polling the master at
                         # heartbeat cadence (periodic query, §III-A1).
-                        # Work that arrives first leaves the re-poll
-                        # timer nothing to wake, so drop it.
-                        repoll = sim.timeout(self.namenode.heartbeat_interval)
-                        yield AnyOf(sim, [self._work_signal, repoll])
-                        if not repoll.processed:
-                            sim.discard(repoll)
+                        signal, timer = _idle_wait(sim, interval)
+                        self._work_signal = signal
+                        yield signal
+                    # Work that arrived first leaves the timer nothing
+                    # to wake, so drop it.
+                    sim.discard(timer)
                     self._work_signal = None
                     continue
                 record = self._queue.popleft()
@@ -454,15 +465,15 @@ class DyrsSlave:
             if self.node.memory.used >= GC_THRESHOLD * self.memory_limit:
                 self.master.gc_sweep()
             while not self._memory_fits(block.size):
-                signal = Event(sim, name=f"space:{lane}:{self.node_id}")
+                # Re-check at heartbeat cadence, or as soon as an
+                # eviction frees memory; drop the re-check it beat.
+                signal, timer = _idle_wait(sim, self.namenode.heartbeat_interval)
                 if lane == "ssd":
                     self._ssd_space_signal = signal
                 else:
                     self._space_signal = signal
-                recheck = sim.timeout(self.namenode.heartbeat_interval)
-                yield AnyOf(sim, [signal, recheck])
-                if not recheck.processed:
-                    sim.discard(recheck)
+                yield signal
+                sim.discard(timer)
                 if lane == "ssd":
                     self._ssd_space_signal = None
                 else:
@@ -546,6 +557,45 @@ class DyrsSlave:
         )
 
 
+class _Signal(Event):
+    """A work or memory-space signal that a timer also ends.
+
+    The worker yields the signal itself.  :meth:`DyrsSlave.enqueue`,
+    :meth:`DyrsSlave.notify_memory_freed` or a master waking a parked
+    slave triggers it, and it resumes the worker when the engine pops
+    it; the timer's callback, :meth:`_expire`, ends the wait in place.
+    Whichever of the two is processed first resumes the worker, as an
+    ``AnyOf`` of the two did, without building the condition: a signal
+    triggered at the timer's instant but still queued behind it loses.
+    """
+
+    __slots__ = ()
+
+    def _expire(self, _timer: Event) -> None:
+        if self._processed:
+            return  # the worker that waited was interrupted (crash)
+        if self._ok is not None:
+            # Triggered at this instant but queued behind the timer:
+            # drop the queued entry, the timer resumes the worker.
+            self.sim.discard(self)
+        self._fire(True, None)
+
+
+def _idle_wait(sim: "Simulator", seconds: float) -> tuple[_Signal, Event]:
+    """A fresh signal to wait on, and the timer that ends the wait after
+    ``seconds`` (the re-poll, the notify backstop or the space
+    re-check).  A worker that the signal resumed discards the timer.
+
+    The timer refers to the signal through its callback, never the
+    other way round, so a discarded timer and its signal are freed by
+    reference counting alone.
+    """
+    signal = _Signal(sim)
+    timer = sim.timeout(seconds)
+    timer.add_callback(signal._expire)
+    return signal, timer
+
+
 def _reraise_failure(worker: Process) -> None:
     """Exit callback of both worker loops.  Nothing awaits a worker, so
     a loop that raised would leave its slave ``alive`` but never
@@ -560,18 +610,27 @@ class _PullLeg:
     Outbound delay (:data:`RPC_LATENCY` plus any chaos extra),
     master-side service, bind, inbound delay -- fenced by both the
     slave epoch and the endpoint generation.  Each delay is a timeout
-    whose callback is the next stage, a bound method of this object;
-    both RPC halves always wait, and only a zero service delay binds
-    at once.  A leg has no deadline: a blackholed request (partition,
-    master down) ends the leg at once, an empty grant ends it without
-    waiting for the inbound delay, and the worker loop re-polls at
-    heartbeat cadence.  A slow leg holds only its own window slot.
+    whose callback is the next stage, a bound method of this object.
+    The outbound timeout is the pull's, not the leg's:
+    :meth:`DyrsSlave._maybe_pull` creates one per pull and registers
+    each new leg's :meth:`_arrived` on it in ``pull_plan`` order, so
+    the legs of a pull cost one engine event between them to arrive.
+    Splitting it would change nothing else: the legs share one delay
+    and would sit on consecutive heap keys, and no stage schedules an
+    urgent event that could pop between them.  Both RPC halves always
+    wait, and only a zero service delay binds at once.  A leg has no
+    deadline: a blackholed request (partition, master down) ends the
+    leg at once, an empty grant ends it without waiting for the
+    inbound delay, and the worker loop re-polls at heartbeat cadence.
+    A slow leg holds only its own window slot.
 
     Nothing waits on a leg.  Every stage runs in a timeout's callback,
     so an exception inside any stage propagates out of
-    :meth:`~repro.sim.engine.Simulator.step`.  A simulation abandoned
-    mid-leg leaves only a timeout holding a stage that never runs; its
-    collection writes into no trace.
+    :meth:`~repro.sim.engine.Simulator.step`; if it is raised on
+    arrival, the later legs of the same pull never arrive (the run
+    stops either way).  A simulation abandoned mid-leg leaves only a
+    timeout holding a stage that never runs; its collection writes
+    into no trace.
     """
 
     __slots__ = ("slave", "master", "shard_id", "generation", "epoch", "granted")
@@ -587,11 +646,6 @@ class _PullLeg:
         self.epoch = slave._epoch
         #: The grant riding the inbound half, set at bind time.
         self.granted: Sequence[MigrationRecord] = ()
-
-    def send(self) -> None:
-        """The outbound half: the request is on the wire."""
-        slave = self.slave
-        slave.sim.timeout(slave._rpc_leg_delay()).add_callback(self._arrived)
 
     def _arrived(self, _event: Event) -> None:
         """The request reached the endpoint, which services it."""

@@ -5,19 +5,21 @@ import pytest
 from repro.core import DyrsConfig
 from repro.core.slave import RPC_LATENCY
 from repro.dfs import EvictionMode
-from repro.sim.events import AnyOf, Timeout
+from repro.sim.events import Event, Timeout
 from repro.units import GB, MB
 
 
 def _orphaned_timers(sim):
-    """Scheduled timers whose every waiter has already fired: each
-    would pop later and wake nothing."""
+    """Scheduled timers whose every waiter has already been woken: each
+    would pop later and wake nothing.  An idle wait's timer calls back
+    into the signal the worker waits on, so it is orphaned once that
+    signal has been processed."""
     orphans = []
     for _when, _priority, _seq, event in sim._heap:
         if event._discarded or not isinstance(event, Timeout):
             continue
         waiters = [getattr(cb, "__self__", None) for cb in event.callbacks or ()]
-        if waiters and all(isinstance(w, AnyOf) and w.triggered for w in waiters):
+        if waiters and all(isinstance(w, Event) and w.processed for w in waiters):
             orphans.append(event)
     return orphans
 
@@ -200,6 +202,23 @@ class TestIdleWaits:
         # ends the wait that began at t=2, well before its t=4 timer.
         rig.sim.run(until=2.2)
         assert slave._active is not None
+        assert _orphaned_timers(rig.sim) == []
+
+    def test_retarget_ends_the_notify_wait(self, make_rig):
+        """A parked slave woken by a retarget pass drops its backstop,
+        due 100 s later."""
+        rig = make_rig(n_workers=1, config=DyrsConfig(idle_pull="notify"))
+        slave = rig.slaves[0]
+        rig.sim.run(until=1)
+        assert rig.master._parked.get(0) is slave._work_signal  # parked
+        rig.client.create_file("a", 64 * MB)
+        rig.master.migrate(["a"], job_id="j1")
+        # The request's retarget pass aims the block here and wakes the
+        # slave at t=1; its pull parks it again, and the grant lands at
+        # t=1.1 and ends that wait too.  The copy runs past t=1.2.
+        rig.sim.run(until=1.2)
+        assert slave._active is not None
+        assert rig.master._parked == {}
         assert _orphaned_timers(rig.sim) == []
 
     def test_freed_memory_ends_the_space_wait(self, make_rig):

@@ -12,11 +12,19 @@ shard here).  Three anchors hold the protocol to the ground truth:
 * **collected legs stay silent** -- a leg left suspended by an
   abandoned run must not write into the trace of whatever run is
   recording when the garbage collector closes it.
+
+The legs of one pull share one outbound timeout: they leave together,
+reach their endpoints in plan order, and cost one engine event to
+arrive.
 """
 
 import gc
 
+import pytest
+
 from repro.core import DyrsConfig
+from repro.core.failures import FailureInjector
+from repro.core.slave import RPC_LATENCY, _PullLeg
 from repro.experiments.common import PaperSetup, build_system
 from repro.obs import trace as obs
 from repro.obs.invariants import TraceInvariants
@@ -120,16 +128,12 @@ class TestWindowResolution:
         assert _preset_window("dyrs-sharded-async", 4, overrides) == 2
 
     def test_wide_window_requires_sharded_scheme(self):
-        import pytest
-
         with pytest.raises(ValueError):
             SystemConfig(scheme="dyrs", dyrs=DyrsConfig(shard_pull_window=3))
         wide = SystemConfig(shards=1, dyrs=DyrsConfig(shard_pull_window=3))
         assert wide.dyrs.shard_pull_window == 3
 
     def test_window_validated_positive(self):
-        import pytest
-
         with pytest.raises(ValueError):
             DyrsConfig(shard_pull_window=0)
 
@@ -278,3 +282,71 @@ class TestCollectedLegs:
         polluted = _traced_dyrs_sort(during_build=collect_abandoned_run)
         assert polluted == clean
         assert any(e[0] == obs.PULL_LEG_OPEN for e in clean), "flat runs pull by legs"
+
+
+def _outbound_timeouts(sim):
+    """Scheduled events that carry pull legs to their endpoints."""
+    return [
+        event
+        for _when, _priority, _seq, event in sim._heap
+        if not event._discarded
+        and any(
+            getattr(cb, "__func__", None) is _PullLeg._arrived
+            for cb in event.callbacks or ()
+        )
+    ]
+
+
+class TestSharedOutbound:
+    """One outbound timeout per pull, however many legs it opens."""
+
+    @pytest.mark.parametrize("crashed", [(), (0, 3)], ids=["4-legs", "2-legs"])
+    def test_one_pull_is_one_heap_entry_and_one_step(
+        self, make_shard_rig, monkeypatch, crashed
+    ):
+        rig = make_shard_rig()
+        rig.sim.run(until=1.0)  # idle: the first pulls found nothing
+        for shard_id in crashed:
+            rig.master.crash_shard(shard_id)
+        slave = rig.slaves[2]  # home shard 2: the plan starts mid-range
+        plan = [shard_id for shard_id, _ in rig.master.pull_plan(slave.node_id)]
+        assert len(plan) == 4 - len(crashed)
+        arrivals = []
+        arrived = _PullLeg._arrived
+
+        def record(leg, event):
+            arrivals.append((leg.shard_id, rig.sim.steps))
+            arrived(leg, event)
+
+        monkeypatch.setattr(_PullLeg, "_arrived", record)
+        assert _outbound_timeouts(rig.sim) == []
+        slave._maybe_pull()
+        (outbound,) = _outbound_timeouts(rig.sim)
+        assert [cb.__self__.shard_id for cb in outbound.callbacks] == plan
+        rig.sim.run(until=1.0 + 2 * RPC_LATENCY)
+        assert outbound.processed
+        assert [shard_id for shard_id, _ in arrivals] == plan
+        # Every leg arrived inside the one step that popped the timeout.
+        assert len({steps for _, steps in arrivals}) == 1
+
+    def test_partitioned_pull_closes_every_leg_at_arrival(self, make_shard_rig):
+        """Blackholed on arrival: each leg closes there, binds nothing,
+        and frees its window slot."""
+        with obs.tracing() as tracer:
+            rig = make_shard_rig(n_workers=1)  # its first pull is on the wire
+            rig.client.create_file("a", 4 * 64 * MB)
+            rig.master.migrate(["a"], job_id="j1")
+            injector = FailureInjector(rig.cluster, rig.master)
+            injector.partition_slave_at(0.01, 0, heal_after=10.0)
+            rig.sim.run(until=1.0)
+        slave = rig.slaves[0]
+        plan = [shard_id for shard_id, _ in rig.master.pull_plan(0)]
+        assert len(plan) == 4
+        closes = [
+            (e.time, e.fields["shard"])
+            for e in tracer.events
+            if e.type == obs.PULL_LEG_CLOSE
+        ]
+        assert closes == [(RPC_LATENCY, shard_id) for shard_id in plan]
+        assert not any(e.type == obs.BIND for e in tracer.events)
+        assert sum(slave._leg_outstanding.values()) == 0
