@@ -8,19 +8,20 @@ adverse effect is the loss of the speedup from migration."
 Run:  python examples/failure_drill.py
 """
 
-from repro.core.failures import FailureInjector
+from repro.core.failures import ChaosFault, FailureInjector
 from repro.core.records import MigrationStatus
 from repro.experiments.common import PaperSetup, build_system
 from repro.units import GB
 from repro.workloads.sort import sort_job
 
 
-def drill(label: str, inject) -> None:
+def drill(label: str, fault=None) -> None:
     system = build_system(
         PaperSetup(scheme="dyrs", seed=5, interference="none")
     )
     injector = FailureInjector(system.cluster, system.master)
-    inject(injector)
+    if fault is not None:
+        injector.inject(fault)
     job = sort_job(system, size=6 * GB, job_id="sort", extra_lead_time=20.0)
     metrics = system.runtime.run_to_completion([job])
     statuses = {}
@@ -36,18 +37,18 @@ def drill(label: str, inject) -> None:
 
 
 def main() -> None:
-    drill("baseline (no failures):", lambda injector: None)
+    drill("baseline (no failures):")
     drill(
         "slave on node2 crashes at t=10s, restarts at t=25s:",
-        lambda injector: injector.crash_slave_at(10.0, node_id=2, restart_after=15.0),
+        ChaosFault(10.0, "slave-crash", node_id=2, duration=15.0),
     )
     drill(
         "DYRS master crashes at t=10s, recovers at t=20s:",
-        lambda injector: injector.crash_master_at(10.0, recover_after=10.0),
+        ChaosFault(10.0, "master-crash", node_id=None, duration=10.0),
     )
     drill(
         "whole server node3 dies at t=10s (no recovery):",
-        lambda injector: injector.crash_node_at(10.0, node_id=3),
+        ChaosFault(10.0, "node-crash", node_id=3, duration=None),
     )
     print(
         "Every drill completes the job; failures only trade migrated "

@@ -34,7 +34,7 @@ class MigrationTimeEstimator:
         sequential bandwidth) used before any observation.
     alpha:
         EWMA weight of the newest sample.  Larger adapts faster but is
-        noisier.  The ablation bench sweeps this.
+        noisier.  Slaves pass ``EWMA_ALPHA`` (``core/slave.py``).
     """
 
     def __init__(self, initial_rate: float, alpha: float = 0.4) -> None:

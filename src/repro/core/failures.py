@@ -12,23 +12,26 @@ the failure modes and their recovery paths are:
   heartbeat detector excludes the node from routing (§III-C2).
 
 Beyond the paper's crash taxonomy, the injector can also degrade a
-device (a failing disk or flapping NIC drops to a fraction of its
-nominal bandwidth), partition a slave from the master (heartbeats and
-pulls blackholed while local work continues), and inject delayed-RPC
-spikes on the pull path.
+disk, a NIC or the archive link to a fraction of its bandwidth,
+partition a slave from the master (heartbeats and pulls blackholed
+while local work continues), inject delayed-RPC spikes on the pull
+path, crash one shard of a federated master, and fail the server
+driving an archive tier move.
 
-:class:`FailureInjector` schedules any of these at chosen simulation
-times so experiments and tests can script failure scenarios
-declaratively.  :class:`ChaosCampaign` samples a *randomized* fault
-schedule from a seed and arms it against a running system, so soak
-suites and CI can sweep many seeds while every run stays exactly
-reproducible.
+A :class:`ChaosFault` describes one fault, whether a test or drill
+scripted it or a campaign drew it, and :meth:`FailureInjector.inject`
+is the one way to schedule it.  :data:`FAULT_KINDS` declares every
+kind once: the injector method that schedules it, whether an attached
+system can take it, and how a campaign draws its magnitude and
+duration.  :class:`ChaosCampaign` samples a *randomized* plan from a
+seed and injects it, so soak suites and CI can sweep many seeds while
+every run stays exactly reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,13 +47,13 @@ __all__ = [
     "FailureInjector",
     "ChaosCampaign",
     "ChaosFault",
+    "FAULT_KINDS",
     "quiesce_violations",
 ]
 
 
 class FailureInjector:
-    """Schedules crash/recover and degradation actions against a
-    running system."""
+    """Schedules faults, and their recoveries, against a running system."""
 
     def __init__(self, cluster: "Cluster", master: Optional["DyrsMaster"] = None):
         self.cluster = cluster
@@ -59,48 +62,55 @@ class FailureInjector:
         #: (time, action, subject) audit log.
         self.log: list[tuple[float, str, str]] = []
 
+    def inject(self, fault: "ChaosFault") -> None:
+        """Schedule ``fault`` and its recovery.  Raises
+        :class:`RuntimeError` when the fault needs a migration master or
+        an archive link the system does not have."""
+        FAULT_KINDS[fault.kind].handler(self, fault)
+
     def _note(self, action: str, subject: str) -> None:
         self.log.append((self.sim.now, action, subject))
 
-    # -- slave process -------------------------------------------------------
+    def _schedule(self, fault: "ChaosFault", effect, undo) -> None:
+        """Call ``effect`` at the fault time and, if the fault has a
+        duration, ``undo`` that many seconds later."""
+        self.sim.call_at(fault.time, effect)
+        if fault.duration is not None:
+            self.sim.call_at(fault.time + fault.duration, undo)
 
-    def crash_slave_at(
-        self, when: float, node_id: int, restart_after: Optional[float] = None
-    ) -> None:
-        """Kill the slave *process* on ``node_id`` at ``when``;
-        optionally restart it ``restart_after`` seconds later."""
+    def _require_master(self) -> None:
         if self.master is None:
             raise RuntimeError("no migration master attached")
+
+    # -- processes ---------------------------------------------------------------
+
+    def _crash_slave(self, fault: "ChaosFault") -> None:
+        """Kill the slave *process* on the fault's node; restart it
+        after the duration."""
+        self._require_master()
+        node_id = fault.node_id
 
         def _crash() -> None:
             self.master.slaves[node_id].crash()
             self._note("slave-crash", f"node{node_id}")
 
-        self.sim.call_at(when, _crash)
-        if restart_after is not None:
+        def _restart() -> None:
+            slave = self.master.slaves[node_id]
+            if slave.alive or not self.cluster.node(node_id).alive:
+                # Another fault's recovery already brought the slave
+                # back, or the whole server is down -- a supervisor
+                # finding either state has nothing to restart.
+                self._note("skip-slave-restart", f"node{node_id}")
+                return
+            slave.restart()
+            self._note("slave-restart", f"node{node_id}")
 
-            def _restart() -> None:
-                slave = self.master.slaves[node_id]
-                if slave.alive or not self.cluster.node(node_id).alive:
-                    # Another fault's recovery already brought the slave
-                    # back, or the whole server is down -- a supervisor
-                    # finding either state has nothing to restart.
-                    self._note("skip-slave-restart", f"node{node_id}")
-                    return
-                slave.restart()
-                self._note("slave-restart", f"node{node_id}")
+        self._schedule(fault, _crash, _restart)
 
-            self.sim.call_at(when + restart_after, _restart)
-
-    # -- master process -------------------------------------------------------
-
-    def crash_master_at(
-        self, when: float, recover_after: Optional[float] = None
-    ) -> None:
-        """Kill the DYRS master at ``when``; optionally bring up the
-        replacement ``recover_after`` seconds later."""
-        if self.master is None:
-            raise RuntimeError("no migration master attached")
+    def _crash_master(self, fault: "ChaosFault") -> None:
+        """Kill the DYRS master; bring up the replacement after the
+        duration."""
+        self._require_master()
 
         def _crash() -> None:
             if not self.master.alive:
@@ -109,31 +119,27 @@ class FailureInjector:
             self.master.crash()
             self._note("master-crash", "master")
 
-        self.sim.call_at(when, _crash)
-        if recover_after is not None:
+        def _recover() -> None:
+            if self.master.alive:
+                # An overlapping fault's recovery already ran.
+                self._note("skip-master-recover", "master")
+                return
+            self.master.recover()
+            self._note("master-recover", "master")
 
-            def _recover() -> None:
-                if self.master.alive:
-                    # An overlapping fault's recovery already ran.
-                    self._note("skip-master-recover", "master")
-                    return
-                self.master.recover()
-                self._note("master-recover", "master")
+        self._schedule(fault, _crash, _recover)
 
-            self.sim.call_at(when + recover_after, _recover)
+    def _crash_shard(self, fault: "ChaosFault") -> None:
+        """Kill one master *shard*; stand up a fresh incarnation after
+        the duration (a ``shard-loss`` has none).
 
-    def crash_shard_at(
-        self, when: float, node_id: int, recover_after: Optional[float] = None
-    ) -> None:
-        """Kill one master *shard* at ``when``; optionally stand up a
-        fresh incarnation ``recover_after`` seconds later.
-
-        The shard is resolved at fire time as ``node_id``'s home shard,
-        so sampled plans stay meaningful across shard counts and the
-        fault degrades to a no-op on a flat (unsharded) master.
+        The shard is resolved at fire time as the fault node's home
+        shard, so sampled plans stay meaningful across shard counts and
+        the fault degrades to a no-op on a flat (unsharded) master.
+        The recovery is scheduled when the crash fires.
         """
-        if self.master is None:
-            raise RuntimeError("no migration master attached")
+        self._require_master()
+        node_id = fault.node_id
 
         def _crash() -> None:
             master = self.master
@@ -146,92 +152,134 @@ class FailureInjector:
                 return
             master.crash_shard(shard_id)
             self._note("shard-crash", f"shard{shard_id}")
-            if recover_after is not None:
+            if fault.duration is None:
+                return
 
-                def _recover() -> None:
-                    # The whole federation may have crashed and been
-                    # replaced in between; only revive what this fault
-                    # killed, on the master that still owns it.
-                    if self.master is not master or not master.alive:
-                        self._note("skip-shard-recover", f"shard{shard_id}")
-                        return
-                    if master.shard_is_alive(shard_id):
-                        self._note("skip-shard-recover", f"shard{shard_id}")
-                        return
-                    master.recover_shard(shard_id)
-                    self._note("shard-recover", f"shard{shard_id}")
+            def _recover() -> None:
+                # The whole federation may have crashed and been
+                # replaced in between; only revive what this fault
+                # killed, on the master that still owns it.
+                if (
+                    self.master is not master
+                    or not master.alive
+                    or master.shard_is_alive(shard_id)
+                ):
+                    self._note("skip-shard-recover", f"shard{shard_id}")
+                    return
+                master.recover_shard(shard_id)
+                self._note("shard-recover", f"shard{shard_id}")
 
-                self.sim.call_at(self.sim.now + recover_after, _recover)
+            self.sim.call_at(self.sim.now + fault.duration, _recover)
 
-        self.sim.call_at(when, _crash)
+        self.sim.call_at(fault.time, _crash)
 
-    # -- whole server -----------------------------------------------------------
+    # -- whole server --------------------------------------------------------------
 
-    def crash_node_at(
-        self, when: float, node_id: int, recover_after: Optional[float] = None
-    ) -> None:
-        """Fail the entire server (disk data unavailable, memory lost)."""
+    def _crash_node(self, fault: "ChaosFault") -> None:
+        """Fail an entire server (disk data unavailable, memory lost);
+        recover it after the duration.
+
+        A ``crash-tier-move`` resolves its server at fire time: the
+        bound node of a live archive move if one exists (crashing
+        mid-move is the point), else the lowest-id node with a live
+        slave -- so the fault is never a silent no-op on a quiet
+        schedule.  The archive media itself survives (fabric-attached);
+        what dies is the mover's disk source / accounting partition.
+        """
+        tier_move = fault.kind == "crash-tier-move"
+        if tier_move:
+            self._require_master()
         # Recovery must only restart what *this* failure killed: a slave
         # that was independently crashed before the node went down stays
         # down afterwards (its own restart schedule, if any, owns it).
-        killed = {"slave": False}
+        killed: dict = {"node": None, "slave": False}
 
         def _crash() -> None:
-            node = self.cluster.node(node_id)
-            node.fail()
+            node_id = self._tier_mover() if tier_move else fault.node_id
+            if node_id is None:
+                self._note("skip-crash-tier-move", "none")
+                return
+            killed["node"] = node_id
+            self.cluster.node(node_id).fail()
             if self.master is not None:
                 slave = self.master.slaves.get(node_id)
                 if slave is not None and slave.alive:
                     slave.crash()
                     killed["slave"] = True
-            self._note("node-crash", f"node{node_id}")
+            if tier_move:
+                obs.emit(obs.FAULT_INJECT, self.sim.now, kind=fault.kind, node=node_id)
+            self._note(fault.kind, f"node{node_id}")
 
-        self.sim.call_at(when, _crash)
-        if recover_after is not None:
-
-            def _recover() -> None:
-                node = self.cluster.node(node_id)
-                node.recover()
-                if self.master is not None and killed["slave"]:
-                    slave = self.master.slaves.get(node_id)
-                    if slave is not None and not slave.alive:
-                        slave.restart()
+        def _recover() -> None:
+            node_id = killed["node"]
+            if node_id is None:
+                self._note("skip-tier-move-recover", "none")
+                return
+            self.cluster.node(node_id).recover()
+            if killed["slave"]:
+                slave = self.master.slaves.get(node_id)
+                if slave is not None and not slave.alive:
+                    slave.restart()
+            if tier_move:
+                obs.emit(obs.FAULT_CLEAR, self.sim.now, kind=fault.kind, node=node_id)
+                self._note("recover-tier-move", f"node{node_id}")
+            else:
                 self._note("node-recover", f"node{node_id}")
 
-            self.sim.call_at(when + recover_after, _recover)
+        self._schedule(fault, _crash, _recover)
 
-    # -- device degradation -------------------------------------------------------
+    def _tier_mover(self) -> Optional[int]:
+        """The live node driving an archive move, else the lowest-id
+        node with a live slave; None if there is neither."""
+        master = self.master
+        live_moves = getattr(master, "live_moves", None)
+        for record in live_moves() if live_moves is not None else ():
+            bound = record.bound_node
+            if bound is not None and self.cluster.node(bound).alive:
+                return bound
+        for node_id in sorted(master.slaves):
+            if self.cluster.node(node_id).alive and master.slaves[node_id].alive:
+                return node_id
+        return None
 
-    def degrade_disk_at(
-        self, when: float, node_id: int, factor: float, restore_after: float
-    ) -> None:
-        """Drop node ``node_id``'s disk to ``factor`` of its nominal
-        bandwidth for ``restore_after`` seconds (a failing spindle)."""
-        self._degrade_at(when, node_id, "disk", factor, restore_after)
+    # -- held conditions: degraded devices, partitions, delay spikes ---------------
 
-    def degrade_nic_at(
-        self, when: float, node_id: int, factor: float, restore_after: float
-    ) -> None:
-        """Drop node ``node_id``'s NIC (both directions) to ``factor``
-        of nominal for ``restore_after`` seconds (a flapping link)."""
-        self._degrade_at(when, node_id, "nic", factor, restore_after)
+    def _hold(self, fault: "ChaosFault", apply, revert, cleared: str, **fields) -> None:
+        """Schedule a fault that holds a condition for its duration:
+        ``apply`` at the fault time, ``revert`` at its end, each traced
+        and logged (``cleared`` is the end's log action).  The one
+        cluster-wide condition is the degraded fabric link."""
+        kind, node_id = fault.kind, fault.node_id
+        where = {} if node_id is None else {"node": node_id}
+        subject = "fabric" if node_id is None else f"node{node_id}"
 
-    def _degrade_at(
-        self,
-        when: float,
-        node_id: int,
-        device: str,
-        factor: float,
-        restore_after: float,
-    ) -> None:
-        if not 0 < factor < 1:
-            raise ValueError(f"degrade factor must be in (0, 1), got {factor}")
-        if restore_after <= 0:
-            raise ValueError(f"restore_after must be positive, got {restore_after}")
-        kind = f"degrade-{device}"
+        def _begin() -> None:
+            apply()
+            obs.emit(obs.FAULT_INJECT, self.sim.now, kind=kind, **where, **fields)
+            self._note(kind, subject)
+
+        def _end() -> None:
+            revert()
+            obs.emit(obs.FAULT_CLEAR, self.sim.now, kind=kind, **where)
+            self._note(cleared, subject)
+
+        self._schedule(fault, _begin, _end)
+
+    def _degrade(self, fault: "ChaosFault") -> None:
+        """Drop a device to ``fault.param`` of its nominal bandwidth: a
+        node's disk (a failing spindle), its NIC in both directions (a
+        flapping link), or the archive fabric link every node's archive
+        traffic shares (a congested object store / busy tape library)."""
+        device = fault.kind.removeprefix("degrade-")
+        if fault.node_id is None:
+            link = getattr(self.cluster.fabric, "archive_link", None)
+            if link is None:
+                raise RuntimeError("cluster has no archive fabric link")
 
         def _channels() -> list:
-            node = self.cluster.node(node_id)
+            if fault.node_id is None:
+                return [link]
+            node = self.cluster.node(fault.node_id)
             if device == "disk":
                 return [node.disk.channel]
             return [node.nic.egress, node.nic.ingress]
@@ -243,209 +291,182 @@ class FailureInjector:
         def _degrade() -> None:
             for channel in _channels():
                 nominal.append(channel.capacity)
-                channel.set_capacity(channel.capacity * factor)
-            obs.emit(
-                obs.FAULT_INJECT, self.sim.now, kind=kind, node=node_id, factor=factor
-            )
-            self._note(kind, f"node{node_id}")
+                channel.set_capacity(channel.capacity * fault.param)
 
         def _restore() -> None:
             for channel, rate in zip(_channels(), nominal):
                 channel.set_capacity(rate)
-            obs.emit(obs.FAULT_CLEAR, self.sim.now, kind=kind, node=node_id)
-            self._note(f"restore-{device}", f"node{node_id}")
 
-        self.sim.call_at(when, _degrade)
-        self.sim.call_at(when + restore_after, _restore)
+        self._hold(fault, _degrade, _restore, f"restore-{device}", factor=fault.param)
 
-    def degrade_fabric_at(
-        self, when: float, factor: float, restore_after: float
-    ) -> None:
-        """Drop the shared archive fabric link to ``factor`` of nominal
-        for ``restore_after`` seconds (a congested object store / busy
-        tape library).  Cluster-wide: every node's archive traffic
-        shares the one link."""
-        if not 0 < factor < 1:
-            raise ValueError(f"degrade factor must be in (0, 1), got {factor}")
-        if restore_after <= 0:
-            raise ValueError(f"restore_after must be positive, got {restore_after}")
-        link = getattr(self.cluster.fabric, "archive_link", None)
-        if link is None:
-            raise RuntimeError("cluster has no archive fabric link")
-        nominal: list[float] = []
+    def _partition(self, fault: "ChaosFault") -> None:
+        """Partition the fault's node from the master/NameNode control
+        plane: heartbeats are lost in transit (the availability detector
+        eventually flags the node) and pull legs are blackholed on
+        arrival, while the node itself stays up, serving local reads and
+        finishing migrations already in its queue."""
+        self._require_master()
+        node_id = fault.node_id
+        self._hold(
+            fault,
+            lambda: self.master.namenode.partitioned.add(node_id),
+            lambda: self.master.namenode.partitioned.discard(node_id),
+            "heal-partition",
+        )
 
-        def _degrade() -> None:
-            nominal.append(link.capacity)
-            link.set_capacity(link.capacity * factor)
-            obs.emit(
-                obs.FAULT_INJECT, self.sim.now, kind="degrade-fabric", factor=factor
-            )
-            self._note("degrade-fabric", "fabric")
+    def _delay_rpc(self, fault: "ChaosFault") -> None:
+        """Add ``fault.param`` seconds to each pull-RPC leg on the
+        fault's node (a congestion spike)."""
+        self._require_master()
+        node_id, extra = fault.node_id, fault.param
 
-        def _restore() -> None:
-            link.set_capacity(nominal[0])
-            obs.emit(obs.FAULT_CLEAR, self.sim.now, kind="degrade-fabric")
-            self._note("restore-fabric", "fabric")
-
-        self.sim.call_at(when, _degrade)
-        self.sim.call_at(when + restore_after, _restore)
-
-    def crash_tier_move_at(
-        self, when: float, recover_after: Optional[float] = None
-    ) -> None:
-        """Fail the server currently *driving* an archive tier move.
-
-        The target is resolved at fire time: the bound node of a live
-        lifecycle move if one exists (crashing mid-move is the point),
-        else the lowest-id node with a live slave -- so the fault is
-        never a silent no-op on a quiet schedule.  The archive media
-        itself survives (fabric-attached); what dies is the mover's
-        disk source / accounting partition.
-        """
-        if self.master is None:
-            raise RuntimeError("no migration master attached")
-        killed: dict = {"slave": False, "node": None}
-
-        def _target() -> Optional[int]:
-            moves = getattr(self.master, "_lifecycle_moves", {})
-            for record in moves.values():
-                if record.status.is_terminal or record.bound_node is None:
-                    continue
-                if self.cluster.node(record.bound_node).alive:
-                    return record.bound_node
-            for node_id in sorted(self.master.slaves):
-                if (
-                    self.cluster.node(node_id).alive
-                    and self.master.slaves[node_id].alive
-                ):
-                    return node_id
-            return None
-
-        def _crash() -> None:
-            node_id = _target()
-            if node_id is None:
-                self._note("skip-crash-tier-move", "none")
-                return
-            killed["node"] = node_id
-            self.cluster.node(node_id).fail()
-            slave = self.master.slaves.get(node_id)
-            if slave is not None and slave.alive:
-                slave.crash()
-                killed["slave"] = True
-            obs.emit(
-                obs.FAULT_INJECT, self.sim.now, kind="crash-tier-move", node=node_id
-            )
-            self._note("crash-tier-move", f"node{node_id}")
-
-        self.sim.call_at(when, _crash)
-        if recover_after is not None:
-
-            def _recover() -> None:
-                node_id = killed["node"]
-                if node_id is None:
-                    self._note("skip-tier-move-recover", "none")
-                    return
-                node = self.cluster.node(node_id)
-                if not node.alive:
-                    node.recover()
-                if killed["slave"]:
-                    slave = self.master.slaves.get(node_id)
-                    if slave is not None and not slave.alive:
-                        slave.restart()
-                obs.emit(
-                    obs.FAULT_CLEAR, self.sim.now, kind="crash-tier-move",
-                    node=node_id,
-                )
-                self._note("recover-tier-move", f"node{node_id}")
-
-            self.sim.call_at(when + recover_after, _recover)
-
-    # -- control-plane faults -------------------------------------------------------
-
-    def partition_slave_at(
-        self, when: float, node_id: int, heal_after: float
-    ) -> None:
-        """Partition ``node_id`` from the master/NameNode control plane.
-
-        Heartbeats are lost in transit (the miss counter climbs and the
-        availability detector eventually flags the node) and pull RPCs
-        are blackholed; the node itself stays up, serving local reads
-        and finishing migrations already in its queue.
-        """
-        if self.master is None:
-            raise RuntimeError("no migration master attached")
-        if heal_after <= 0:
-            raise ValueError(f"heal_after must be positive, got {heal_after}")
-
-        def _partition() -> None:
-            self.master.namenode.partitioned.add(node_id)
+        def _shift(delta: float) -> None:
             slave = self.master.slaves.get(node_id)
             if slave is not None:
-                slave._partitioned = True
-            obs.emit(
-                obs.FAULT_INJECT, self.sim.now, kind="partition", node=node_id
-            )
-            self._note("partition", f"node{node_id}")
+                slave._rpc_extra = max(0.0, slave._rpc_extra + delta)
 
-        def _heal() -> None:
-            self.master.namenode.partitioned.discard(node_id)
-            slave = self.master.slaves.get(node_id)
-            if slave is not None:
-                slave._partitioned = False
-            obs.emit(obs.FAULT_CLEAR, self.sim.now, kind="partition", node=node_id)
-            self._note("heal-partition", f"node{node_id}")
-
-        self.sim.call_at(when, _partition)
-        self.sim.call_at(when + heal_after, _heal)
-
-    def delay_rpc_at(
-        self, when: float, node_id: int, extra: float, clear_after: float
-    ) -> None:
-        """Add ``extra`` seconds to each pull-RPC leg on ``node_id``
-        for ``clear_after`` seconds (a congestion spike)."""
-        if self.master is None:
-            raise RuntimeError("no migration master attached")
-        if extra <= 0:
-            raise ValueError(f"extra delay must be positive, got {extra}")
-        if clear_after <= 0:
-            raise ValueError(f"clear_after must be positive, got {clear_after}")
-
-        def _inject() -> None:
-            slave = self.master.slaves.get(node_id)
-            if slave is not None:
-                slave._rpc_extra += extra
-            obs.emit(
-                obs.FAULT_INJECT, self.sim.now, kind="rpc-delay", node=node_id,
-                extra=extra,
-            )
-            self._note("rpc-delay", f"node{node_id}")
-
-        def _clear() -> None:
-            slave = self.master.slaves.get(node_id)
-            if slave is not None:
-                slave._rpc_extra = max(0.0, slave._rpc_extra - extra)
-            obs.emit(obs.FAULT_CLEAR, self.sim.now, kind="rpc-delay", node=node_id)
-            self._note("clear-rpc-delay", f"node{node_id}")
-
-        self.sim.call_at(when, _inject)
-        self.sim.call_at(when + clear_after, _clear)
+        self._hold(
+            fault,
+            lambda: _shift(extra),
+            lambda: _shift(-extra),
+            "clear-rpc-delay",
+            extra=extra,
+        )
 
 
-# -- chaos campaigns ---------------------------------------------------------------
+# -- faults and their kinds ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ChaosFault:
-    """One sampled fault in a campaign plan."""
+    """One fault, scripted by a test or drill or drawn by a campaign."""
 
     time: float
     kind: str
-    node_id: Optional[int]  # None for master faults
-    #: Seconds until the matching recover/restore/heal (None = never,
-    #: only possible for slave-crash: the headline leak scenario).
+    #: The node the fault hits (for a shard fault, the node whose home
+    #: shard it crashes); None for the cluster-wide kinds.
+    node_id: Optional[int]
+    #: Seconds until the matching recover/restore/heal; None = never,
+    #: which only a crash may be.
     duration: Optional[float]
     #: Fault-specific magnitude: degrade factor or extra RPC delay.
     param: float = 0.0
+
+    def __post_init__(self) -> None:
+        spec = FAULT_KINDS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+        if spec.per_node != (self.node_id is not None):
+            scope = "one node" if spec.per_node else "no node"
+            raise ValueError(f"a {self.kind} fault names {scope}, got {self.node_id}")
+        if self.duration is None:
+            if spec.ends:
+                raise ValueError(f"a {self.kind} fault needs a duration")
+        elif self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
+        elif spec.duration is None:
+            raise ValueError(f"a {self.kind} fault never recovers")
+        if self.kind.startswith("degrade-") and not 0 < self.param < 1:
+            raise ValueError(f"degrade factor must be in (0, 1), got {self.param}")
+        if self.kind == "rpc-delay" and self.param <= 0:
+            raise ValueError(f"extra delay must be positive, got {self.param}")
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """How one fault kind is scheduled and drawn."""
+
+    #: Schedules a fault of the kind: ``handler(injector, fault)``.
+    handler: Callable[[FailureInjector, ChaosFault], None]
+    #: Whether a campaign may draw the kind against an injector's system.
+    supported: Callable[[FailureInjector], bool] = lambda injector: True
+    #: Whether the fault hits one node (else its ``node_id`` is None).
+    per_node: bool = True
+    #: Whether the fault must end: a degraded device, a partition or a
+    #: delay spike takes a duration, where a crash may never recover.
+    ends: bool = False
+    #: Uniform range of a drawn ``param``; None draws none.
+    param: Optional[tuple[float, float]] = None
+    #: Uniform range of a drawn duration, in fractions of the horizon;
+    #: None: a drawn fault never recovers.
+    duration: Optional[tuple[float, float]] = (0.05, 0.15)
+    #: Chance that a drawn fault recovers at all.
+    recovers: float = 1.0
+
+    def draw(self, rng: np.random.Generator, horizon: float):
+        """Draw ``(param, duration)`` for one fault of the kind."""
+        param = float(rng.uniform(*self.param)) if self.param is not None else 0.0
+        if self.duration is None or (
+            self.recovers < 1.0 and not rng.random() < self.recovers
+        ):
+            return param, None
+        return param, float(rng.uniform(*self.duration) * horizon)
+
+
+def _has_master(injector: FailureInjector) -> bool:
+    return injector.master is not None
+
+
+def _has_archive(injector: FailureInjector) -> bool:
+    link = getattr(injector.cluster.fabric, "archive_link", None)
+    return injector.master is not None and link is not None
+
+
+def _has_shards(injector: FailureInjector) -> bool:
+    return hasattr(injector.master, "crash_shard")
+
+
+_DEGRADE = dict(ends=True, param=(0.1, 0.5), duration=(0.05, 0.2))
+
+#: Every fault kind, in the order campaigns draw from.  Without a
+#: master only whole-server faults make sense.  The archive kinds are
+#: appended so that filtering them out (no archive on the cluster)
+#: leaves the first seven in their order, keeping every pre-archive
+#: fault plan byte-identical; the shard kinds are appended for the
+#: same reason.
+FAULT_KINDS: dict[str, FaultKind] = {
+    # The instant migrator runs no slave processes.  30% of drawn slave
+    # crashes never restart: the dead-process-on-a-live-node window the
+    # leak fixes target.
+    "slave-crash": FaultKind(
+        FailureInjector._crash_slave,
+        lambda injector: bool(getattr(injector.master, "slaves", None)),
+        recovers=0.7,
+    ),
+    "node-crash": FaultKind(FailureInjector._crash_node),
+    # Push-binding baselines have no master crash/recover path.
+    "master-crash": FaultKind(
+        FailureInjector._crash_master,
+        lambda injector: hasattr(injector.master, "crash"),
+        per_node=False,
+        duration=(0.03, 0.1),
+    ),
+    "degrade-disk": FaultKind(FailureInjector._degrade, **_DEGRADE),
+    "degrade-nic": FaultKind(FailureInjector._degrade, **_DEGRADE),
+    "partition": FaultKind(FailureInjector._partition, _has_master, ends=True),
+    "rpc-delay": FaultKind(
+        FailureInjector._delay_rpc,
+        _has_master,
+        ends=True,
+        param=(0.2, 2.0),
+        duration=(0.05, 0.2),
+    ),
+    "degrade-fabric": FaultKind(
+        FailureInjector._degrade, _has_archive, per_node=False, **_DEGRADE
+    ),
+    "crash-tier-move": FaultKind(
+        FailureInjector._crash_node, _has_archive, per_node=False
+    ),
+    # Drawn shards always come back -- a permanently headless partition
+    # just measures routed-request loss, not recovery -- except as a
+    # shard-loss, whose routing slice never re-homes, so every request
+    # routed to it is discarded for the rest of the run.
+    "shard-crash": FaultKind(FailureInjector._crash_shard, _has_shards),
+    "shard-loss": FaultKind(FailureInjector._crash_shard, _has_shards, duration=None),
+}
+
+
+# -- chaos campaigns ---------------------------------------------------------------
 
 
 @dataclass
@@ -476,55 +497,16 @@ class ChaosCampaign:
     kinds: Optional[Sequence[str]] = None
     plan: list[ChaosFault] = field(default_factory=list, init=False)
 
-    ALL_KINDS = (
-        "slave-crash",
-        "node-crash",
-        "master-crash",
-        "degrade-disk",
-        "degrade-nic",
-        "partition",
-        "rpc-delay",
-        # Archive faults -- appended so that filtering them out (no
-        # archive on the cluster) leaves the legacy seven in the legacy
-        # order, keeping every pre-archive fault plan byte-identical.
-        "degrade-fabric",
-        "crash-tier-move",
-        # Shard faults -- appended for the same reason: masters without
-        # ``crash_shard`` filter them out and keep their legacy plans.
-        "shard-crash",
-        "shard-loss",
-    )
-    SERVER_KINDS = ("node-crash", "degrade-disk", "degrade-nic")
-    ARCHIVE_KINDS = ("degrade-fabric", "crash-tier-move")
-    SHARD_KINDS = ("shard-crash", "shard-loss")
-
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.n_faults < 0:
             raise ValueError(f"n_faults must be >= 0, got {self.n_faults}")
-        kinds = tuple(self.kinds) if self.kinds is not None else self.ALL_KINDS
-        unknown = set(kinds) - set(self.ALL_KINDS)
+        kinds = tuple(self.kinds) if self.kinds is not None else tuple(FAULT_KINDS)
+        unknown = set(kinds) - set(FAULT_KINDS)
         if unknown:
             raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
-        master = self.injector.master
-        unsupported = (
-            # Without a master only whole-server faults make sense.
-            (master is None, set(self.ALL_KINDS) - set(self.SERVER_KINDS)),
-            # Push-binding baselines have no master crash/recover path.
-            (not hasattr(master, "crash"), {"master-crash"}),
-            # The instant migrator runs no slave processes.
-            (not getattr(master, "slaves", None), {"slave-crash"}),
-            # Archive faults target hardware this cluster doesn't have.
-            (
-                getattr(self.injector.cluster.fabric, "archive_link", None) is None,
-                set(self.ARCHIVE_KINDS),
-            ),
-            # Shard faults need a sharded master to aim at.
-            (not hasattr(master, "crash_shard"), set(self.SHARD_KINDS)),
-        )
-        dropped = set().union(*(group for missing, group in unsupported if missing))
-        self.kinds = tuple(k for k in kinds if k not in dropped)
+        self.kinds = tuple(k for k in kinds if FAULT_KINDS[k].supported(self.injector))
         if self.n_faults and not self.kinds:
             raise ValueError(
                 "the attached system can take none of the fault kinds "
@@ -547,97 +529,30 @@ class ChaosCampaign:
         for _ in range(self.n_faults):
             when = float(rng.uniform(lo, hi))
             kind = str(rng.choice(self.kinds))
-            node_id: Optional[int] = int(rng.integers(n_nodes))
-            duration: Optional[float] = None
-            param = 0.0
+            node_id = int(rng.integers(n_nodes))
+            param, duration = FAULT_KINDS[kind].draw(rng, self.horizon)
             if kind == "node-crash":
-                duration = float(rng.uniform(0.05, 0.15) * self.horizon)
                 window = (when, when + duration)
                 if any(s < window[1] and window[0] < e for s, e in node_outages):
                     # Would overlap another server outage; degrade the
                     # disk instead -- same node, same moment, survivable.
                     kind = "degrade-disk"
+                    param, duration = FAULT_KINDS[kind].draw(rng, self.horizon)
                 else:
                     node_outages.append(window)
-            if kind == "master-crash":
+            if not FAULT_KINDS[kind].per_node:
                 node_id = None
-                duration = float(rng.uniform(0.03, 0.1) * self.horizon)
-            elif kind == "slave-crash":
-                # 30% of slave crashes never restart: the dead-process-
-                # on-a-live-node window the leak fixes target.
-                restarts = bool(rng.random() < 0.7)
-                duration = (
-                    float(rng.uniform(0.05, 0.15) * self.horizon) if restarts else None
-                )
-            elif kind in ("degrade-disk", "degrade-nic"):
-                param = float(rng.uniform(0.1, 0.5))
-                duration = float(rng.uniform(0.05, 0.2) * self.horizon)
-            elif kind == "partition":
-                duration = float(rng.uniform(0.05, 0.15) * self.horizon)
-            elif kind == "rpc-delay":
-                param = float(rng.uniform(0.2, 2.0))
-                duration = float(rng.uniform(0.05, 0.2) * self.horizon)
-            elif kind == "degrade-fabric":
-                node_id = None  # the link is cluster-wide
-                param = float(rng.uniform(0.1, 0.5))
-                duration = float(rng.uniform(0.05, 0.2) * self.horizon)
-            elif kind == "crash-tier-move":
-                node_id = None  # target resolved at fire time
-                duration = float(rng.uniform(0.05, 0.15) * self.horizon)
-            elif kind == "shard-crash":
-                # node_id picks the home shard at fire time; shards
-                # always come back -- a permanently headless partition
-                # just measures routed-request loss, not recovery.
-                duration = float(rng.uniform(0.05, 0.15) * self.horizon)
-            elif kind == "shard-loss":
-                # Permanent loss: the shard never comes back.  Its
-                # routing slice does not re-home, so every request
-                # routed to it is discarded for the rest of the run.
-                duration = None
-            plan.append(
-                ChaosFault(
-                    time=when, kind=kind, node_id=node_id,
-                    duration=duration, param=param,
-                )
-            )
+            plan.append(ChaosFault(when, kind, node_id, duration, param))
         plan.sort(key=lambda f: f.time)
         self.plan = plan
         return plan
 
     def arm(self) -> list[ChaosFault]:
-        """Sample (if needed) and schedule every fault on the injector."""
+        """Sample (if needed) and inject every fault of the plan."""
         if not self.plan:
             self.sample()
-        inj = self.injector
         for fault in self.plan:
-            if fault.kind == "slave-crash":
-                inj.crash_slave_at(fault.time, fault.node_id, fault.duration)
-            elif fault.kind == "node-crash":
-                inj.crash_node_at(fault.time, fault.node_id, fault.duration)
-            elif fault.kind == "master-crash":
-                inj.crash_master_at(fault.time, fault.duration)
-            elif fault.kind == "degrade-disk":
-                inj.degrade_disk_at(
-                    fault.time, fault.node_id, fault.param, fault.duration
-                )
-            elif fault.kind == "degrade-nic":
-                inj.degrade_nic_at(
-                    fault.time, fault.node_id, fault.param, fault.duration
-                )
-            elif fault.kind == "partition":
-                inj.partition_slave_at(fault.time, fault.node_id, fault.duration)
-            elif fault.kind == "rpc-delay":
-                inj.delay_rpc_at(
-                    fault.time, fault.node_id, fault.param, fault.duration
-                )
-            elif fault.kind == "degrade-fabric":
-                inj.degrade_fabric_at(fault.time, fault.param, fault.duration)
-            elif fault.kind == "crash-tier-move":
-                inj.crash_tier_move_at(fault.time, fault.duration)
-            elif fault.kind == "shard-crash":
-                inj.crash_shard_at(fault.time, fault.node_id, fault.duration)
-            elif fault.kind == "shard-loss":
-                inj.crash_shard_at(fault.time, fault.node_id, None)
+            self.injector.inject(fault)
         return self.plan
 
 
@@ -655,24 +570,18 @@ def quiesce_violations(master: "MigrationMaster") -> list[str]:
       is a leaked buffer or a stale directory entry.
     """
     problems: list[str] = []
-    for record in master.record_log:
-        if not record.status.is_terminal:
-            problems.append(
-                f"record {record.block_id} stuck {record.status.value}"
-                f" (bound_node={record.bound_node})"
-            )
-    for record in getattr(master, "tier_record_log", []):
-        if not record.status.is_terminal:
-            problems.append(
-                f"tier record {record.block_id} stuck {record.status.value}"
-                f" (bound_node={record.bound_node})"
-            )
-    for record in getattr(master, "lifecycle_record_log", []):
-        if not record.status.is_terminal:
-            problems.append(
-                f"lifecycle record {record.block_id} stuck {record.status.value}"
-                f" (bound_node={record.bound_node})"
-            )
+    logs = {
+        "record": master.record_log,
+        "tier record": getattr(master, "tier_record_log", []),
+        "lifecycle record": getattr(master, "lifecycle_record_log", []),
+    }
+    for label, log in logs.items():
+        for record in log:
+            if not record.status.is_terminal:
+                problems.append(
+                    f"{label} {record.block_id} stuck {record.status.value}"
+                    f" (bound_node={record.bound_node})"
+                )
     namenode = master.namenode
     for rung, entries in namenode.directory.items():
         # Archive entries are checked WITHOUT the liveness requirement:

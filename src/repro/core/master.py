@@ -393,9 +393,7 @@ class DyrsMaster(MigrationMaster):
         goes stale and its bound work is reclaimed here.  Returns the
         number of records reclaimed.
         """
-        stale_after = (
-            self.namenode.heartbeat_interval * self.namenode.heartbeat_miss_limit
-        )
+        stale_after = self.namenode.detection_horizon
         # Only nodes that actually hold bound work are checked, and only
         # an unavailable/stale node's own bucket is walked -- O(nodes
         # with work + records reclaimed), not O(all records ever

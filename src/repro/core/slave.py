@@ -118,9 +118,6 @@ class DyrsSlave:
         #: restarted one -- the sim equivalent of an epoch number in the
         #: RPC header.
         self._epoch = 0
-        #: Master<->slave link state (chaos fault): a partitioned slave
-        #: keeps running but its pulls and heartbeats are blackholed.
-        self._partitioned = False
         #: Extra one-way RPC delay (chaos fault: delayed-RPC spike).
         self._rpc_extra = 0.0
         #: Outstanding-leg budget per master endpoint (1 unless a
@@ -380,7 +377,8 @@ class DyrsSlave:
                 self._maybe_pull()
                 if not self._queue:
                     interval = self.namenode.heartbeat_interval
-                    if self.config.idle_pull == "notify":
+                    notify = self.config.idle_pull == "notify"
+                    if notify:
                         # Notify mode: park at the master and wait to be
                         # woken by a retarget pass that aims work here.
                         # The backstop keeps liveness if a wake is lost
@@ -390,19 +388,22 @@ class DyrsSlave:
                         # the dominant event-heap load, and correctness
                         # never depends on them.
                         signal, timer = _idle_wait(sim, interval * 50.0)
-                        self._work_signal = signal
                         self.master.park_idle_slave(self.node_id, signal)
-                        yield signal
-                        self.master.unpark_idle_slave(self.node_id, signal)
                     else:
                         # Idle: wait for work, re-polling the master at
                         # heartbeat cadence (periodic query, §III-A1).
                         signal, timer = _idle_wait(sim, interval)
-                        self._work_signal = signal
+                    self._work_signal = signal
+                    try:
                         yield signal
+                    except Interrupt:
+                        sim.discard(timer)  # a crash ends the wait
+                        raise
                     # Work that arrived first leaves the timer nothing
                     # to wake, so drop it.
                     sim.discard(timer)
+                    if notify:
+                        self.master.unpark_idle_slave(self.node_id, signal)
                     self._work_signal = None
                     continue
                 record = self._queue.popleft()
@@ -472,7 +473,11 @@ class DyrsSlave:
                     self._ssd_space_signal = signal
                 else:
                     self._space_signal = signal
-                yield signal
+                try:
+                    yield signal
+                except Interrupt:
+                    sim.discard(timer)
+                    raise
                 sim.discard(timer)
                 if lane == "ssd":
                     self._ssd_space_signal = None
@@ -564,9 +569,9 @@ class _Signal(Event):
     :meth:`DyrsSlave.notify_memory_freed` or a master waking a parked
     slave triggers it, and it resumes the worker when the engine pops
     it; the timer's callback, :meth:`_expire`, ends the wait in place.
-    Whichever of the two is processed first resumes the worker, as an
-    ``AnyOf`` of the two did, without building the condition: a signal
-    triggered at the timer's instant but still queued behind it loses.
+    Whichever of the two is processed first resumes the worker, without
+    building a condition event over the two: a signal triggered at the
+    timer's instant but still queued behind it loses.
     """
 
     __slots__ = ()
@@ -584,7 +589,12 @@ class _Signal(Event):
 def _idle_wait(sim: "Simulator", seconds: float) -> tuple[_Signal, Event]:
     """A fresh signal to wait on, and the timer that ends the wait after
     ``seconds`` (the re-poll, the notify backstop or the space
-    re-check).  A worker that the signal resumed discards the timer.
+    re-check).  A worker that the signal resumed discards the timer,
+    and so does one a crash interrupts, in an ``except Interrupt``
+    clause.  Not in a ``finally``: that would also run when the garbage
+    collector closes a finished run's workers, and a heap compaction
+    there puts the dying run's events in a new list, which keeps the
+    whole run alive for one more collection.
 
     The timer refers to the signal through its callback, never the
     other way round, so a discarded timer and its signal are freed by
@@ -651,7 +661,7 @@ class _PullLeg:
         """The request reached the endpoint, which services it."""
         slave = self.slave
         master = self.master
-        if slave._partitioned or not master.alive:
+        if slave.node_id in slave.namenode.partitioned or not master.alive:
             # Blackholed request: nothing was bound.
             self._close()
             return

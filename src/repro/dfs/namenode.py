@@ -152,13 +152,18 @@ class NameNode:
         """Register ``observer(report)`` for every future heartbeat tick."""
         self._heartbeat_observers.append(observer)
 
+    @property
+    def detection_horizon(self) -> float:
+        """Seconds of heartbeat silence after which a node counts as
+        unavailable: ``heartbeat_interval x heartbeat_miss_limit``."""
+        return self.heartbeat_interval * self.heartbeat_miss_limit
+
     def is_available(self, node_id: int) -> bool:
         """Node considered up: process alive and heartbeats current."""
         node = self.cluster.node(node_id)
         if not node.alive:
             return False
-        deadline = self.heartbeat_interval * self.heartbeat_miss_limit
-        return (self.sim.now - self._last_heartbeat[node_id]) <= deadline
+        return (self.sim.now - self._last_heartbeat[node_id]) <= self.detection_horizon
 
     def healthy_replicas(self, block: Block) -> list[int]:
         """Replica holders that are up."""

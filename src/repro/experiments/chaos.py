@@ -158,11 +158,9 @@ def run_case(
         # the grace window.  Give them bounded extra time: each block
         # archives at most once, so the queue converges.  (No sim time
         # passes between the final check and the audit below.)
-        moves = getattr(master, "_lifecycle_moves", {})
+        live_moves = getattr(master, "live_moves", None)
         deadline = system.sim.now + 10 * grace
-        while system.sim.now < deadline and any(
-            not r.status.is_terminal for r in moves.values()
-        ):
+        while live_moves is not None and system.sim.now < deadline and live_moves():
             system.sim.run(until=system.sim.now + grace / 3)
 
         result.injections = len(injector.log)

@@ -97,12 +97,9 @@ def _tier_overrides(scheme: str) -> dict:
 def _drain_lifecycle(system) -> None:
     """Let queued archive moves finish (each block archives at most
     once, so the mover's queue converges)."""
-    master = system.master
-    moves = getattr(master, "_lifecycle_moves", {})
+    live_moves = getattr(system.master, "live_moves", None)
     deadline = system.sim.now + 300.0
-    while system.sim.now < deadline and any(
-        not r.status.is_terminal for r in moves.values()
-    ):
+    while live_moves is not None and system.sim.now < deadline and live_moves():
         system.sim.run(until=system.sim.now + 10.0)
 
 

@@ -187,6 +187,10 @@ class LifecycleMaster(DyrsMaster):
 
     # -- wiring ------------------------------------------------------------------
 
+    def live_moves(self) -> list[MigrationRecord]:
+        """The archive moves not yet terminal."""
+        return [r for r in self._lifecycle_moves.values() if not r.status.is_terminal]
+
     def start(self) -> None:
         super().start()
         if self._lifecycle_proc is None or not self._lifecycle_proc.is_alive:

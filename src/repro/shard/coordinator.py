@@ -118,13 +118,12 @@ class ShardCoordinator(DyrsMaster):
         """Rendezvous weight: fresh shards pull full slices.
 
         A shard whose home nodes have been silent past the NameNode's
-        failure-detection horizon (``heartbeat_interval x
-        heartbeat_miss_limit``) is de-weighted to half a slice -- load
-        awareness without flapping, since the threshold matches the
-        detector the rest of the system already trusts.
+        failure-detection horizon (``NameNode.detection_horizon``) is
+        de-weighted to half a slice -- load awareness without flapping,
+        since the threshold matches the detector the rest of the system
+        already trusts.
         """
-        namenode = self.namenode
-        horizon = namenode.heartbeat_interval * namenode.heartbeat_miss_limit
+        horizon = self.namenode.detection_horizon
         return 0.5 if self.shard_staleness(shard_id) > horizon else 1.0
 
     # -- heartbeats (per-shard freshness) -------------------------------------

@@ -23,7 +23,6 @@ never imports SimPy or any other external DES package.
 from repro.sim.engine import Simulator
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Event,
     EventAlreadyTriggered,
     Timeout,
@@ -34,7 +33,6 @@ from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthResource",
     "Event",
     "EventAlreadyTriggered",

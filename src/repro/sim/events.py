@@ -33,8 +33,8 @@ the ``triggered`` state and go straight to ``processed`` at the current
 time, inside the step that decides them, costing no simulator step
 (:meth:`Event._fire` is the one spelling of that):
 
-* a condition (:class:`AllOf`/:class:`AnyOf`) is processed inside the
-  callback of the constituent that decides it;
+* a condition (:class:`AllOf`) is processed inside the callback of
+  the constituent that decides it;
 * a process's exit, whether or not anything waits on it (see
   :mod:`repro.sim.process`, which also explains why starting a process
   schedules nothing);
@@ -56,7 +56,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "EventAlreadyTriggered",
     "NORMAL_PRIORITY",
     "URGENT_PRIORITY",
@@ -239,7 +238,7 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Common machinery of condition events (:class:`AllOf`)."""
 
     __slots__ = ("events", "_remaining")
 
@@ -297,20 +296,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self._fire(True, self._collect())
-
-
-class AnyOf(_Condition):
-    """Triggers when *any* constituent event triggers.
-
-    The value is a dict of the events that had triggered at that point.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self._fire(False, event._value)
-            return
-        self._fire(True, self._collect())

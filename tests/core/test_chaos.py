@@ -7,10 +7,17 @@ stays up and heartbeating, so no availability detector ever fired --
 the records stayed BOUND for as long as any job referenced them.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core import DyrsConfig
-from repro.core.failures import ChaosCampaign, FailureInjector
+from repro.core.failures import (
+    FAULT_KINDS,
+    ChaosCampaign,
+    ChaosFault,
+    FailureInjector,
+)
 from repro.core.records import MigrationStatus
 from repro.core.slave import RPC_LATENCY
 from repro.experiments.common import PaperSetup, build_system
@@ -293,8 +300,8 @@ class TestFailureTimingWindows:
 class TestNodeRecoverySnapshot:
     def test_node_recover_does_not_resurrect_previously_dead_slave(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.crash_slave_at(2.0, node_id=1)  # independent, no restart
-        injector.crash_node_at(5.0, node_id=1, recover_after=10.0)
+        injector.inject(ChaosFault(2.0, "slave-crash", 1, None))  # no restart
+        injector.inject(ChaosFault(5.0, "node-crash", 1, 10.0))
         rig.sim.run(until=30)
         assert rig.cluster.node(1).alive
         # The node failure found the slave already dead, so its
@@ -303,7 +310,7 @@ class TestNodeRecoverySnapshot:
 
     def test_node_recover_restarts_slave_it_killed(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.crash_node_at(5.0, node_id=1, recover_after=10.0)
+        injector.inject(ChaosFault(5.0, "node-crash", 1, 10.0))
         rig.sim.run(until=6)
         assert not rig.slaves[1].alive
         rig.sim.run(until=30)
@@ -316,7 +323,7 @@ class TestDeviceFaults:
         channel = rig.cluster.node(0).disk.channel
         nominal = channel.capacity
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.degrade_disk_at(5.0, node_id=0, factor=0.25, restore_after=10.0)
+        injector.inject(ChaosFault(5.0, "degrade-disk", 0, 10.0, param=0.25))
         rig.sim.run(until=6)
         assert channel.capacity == pytest.approx(nominal * 0.25)
         rig.sim.run(until=20)
@@ -326,7 +333,7 @@ class TestDeviceFaults:
         nic = rig.cluster.node(2).nic
         nominal = nic.egress.capacity
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.degrade_nic_at(1.0, node_id=2, factor=0.5, restore_after=5.0)
+        injector.inject(ChaosFault(1.0, "degrade-nic", 2, 5.0, param=0.5))
         rig.sim.run(until=2)
         assert nic.egress.capacity == pytest.approx(nominal * 0.5)
         assert nic.ingress.capacity == pytest.approx(nominal * 0.5)
@@ -350,38 +357,85 @@ class TestDeviceFaults:
         slow = make_rig()
         injector = FailureInjector(slow.cluster, slow.master)
         for node in slow.cluster.nodes:
-            injector.degrade_disk_at(
-                0.3, node_id=node.node_id, factor=0.1, restore_after=500.0
+            injector.inject(
+                ChaosFault(0.3, "degrade-disk", node.node_id, 500.0, param=0.1)
             )
         assert _completion(slow) > baseline
 
-    def test_degrade_factor_validation(self, rig):
+    def test_degrade_factor_validation(self):
+        with pytest.raises(ValueError):
+            ChaosFault(1.0, "degrade-disk", 0, 1.0, param=0.0)
+        with pytest.raises(ValueError):
+            ChaosFault(1.0, "degrade-disk", 0, 1.0, param=1.5)
+        with pytest.raises(ValueError):
+            ChaosFault(1.0, "degrade-disk", 0, 0.0, param=0.5)
+
+
+class TestChaosFault:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, "meteor-strike", 0, 1.0),
+            (1.0, "master-crash", 0, 1.0),
+            (1.0, "slave-crash", None, 1.0),
+            (1.0, "partition", 0, None),
+            (1.0, "node-crash", 0, -1.0),
+            (1.0, "shard-loss", 0, 5.0),
+            (1.0, "rpc-delay", 0, 1.0, 0.0),
+        ],
+        ids=[
+            "unknown-kind",
+            "cluster-wide-names-a-node",
+            "node-fault-names-none",
+            "condition-without-end",
+            "negative-duration",
+            "shard-loss-recovers",
+            "rpc-delay-adds-nothing",
+        ],
+    )
+    def test_malformed_faults_are_rejected(self, args):
+        with pytest.raises(ValueError):
+            ChaosFault(*args)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            ChaosFault(1.0, "slave-crash", 0, None),
+            ChaosFault(1.0, "master-crash", None, None),
+            ChaosFault(1.0, "shard-crash", 0, 1.0),
+            ChaosFault(1.0, "shard-loss", 0, None),
+            ChaosFault(1.0, "crash-tier-move", None, 1.0),
+            ChaosFault(1.0, "partition", 0, 1.0),
+            ChaosFault(1.0, "rpc-delay", 0, 1.0, param=0.5),
+        ],
+        ids=lambda fault: fault.kind,
+    )
+    def test_master_faults_need_a_master(self, rig, fault):
+        injector = FailureInjector(rig.cluster, master=None)
+        with pytest.raises(RuntimeError, match="no migration master"):
+            injector.inject(fault)
+
+    def test_fabric_fault_needs_an_archive_link(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        with pytest.raises(ValueError):
-            injector.degrade_disk_at(1.0, 0, factor=0.0, restore_after=1.0)
-        with pytest.raises(ValueError):
-            injector.degrade_disk_at(1.0, 0, factor=1.5, restore_after=1.0)
-        with pytest.raises(ValueError):
-            injector.degrade_disk_at(1.0, 0, factor=0.5, restore_after=0.0)
+        with pytest.raises(RuntimeError, match="archive"):
+            injector.inject(ChaosFault(1.0, "degrade-fabric", None, 1.0, param=0.5))
 
 
 class TestPartitionAndDelay:
     def test_partition_trips_availability_then_heals(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
         limit = rig.namenode.heartbeat_interval * rig.namenode.heartbeat_miss_limit
-        injector.partition_slave_at(5.0, node_id=1, heal_after=limit + 10)
+        injector.inject(ChaosFault(5.0, "partition", 1, limit + 10))
         rig.sim.run(until=5 + limit + 2)
         assert 1 in rig.namenode.partitioned
-        assert rig.slaves[1]._partitioned
         assert not rig.namenode.is_available(1)
         rig.sim.run(until=5 + limit + 10 + limit + 2)
         assert 1 not in rig.namenode.partitioned
-        assert not rig.slaves[1]._partitioned
         assert rig.namenode.is_available(1)
 
     def test_partition_binds_nothing_and_work_lands_elsewhere(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.partition_slave_at(0.01, node_id=0, heal_after=500.0)
+        injector.inject(ChaosFault(0.01, "partition", 0, 500.0))
         rig.client.create_file("input", 256 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=120)
@@ -396,11 +450,18 @@ class TestPartitionAndDelay:
 
     def test_rpc_delay_injected_and_cleared(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.delay_rpc_at(2.0, node_id=3, extra=0.7, clear_after=5.0)
+        injector.inject(ChaosFault(2.0, "rpc-delay", 3, 5.0, param=0.7))
         rig.sim.run(until=3)
         assert rig.slaves[3]._rpc_extra == pytest.approx(0.7)
         rig.sim.run(until=10)
         assert rig.slaves[3]._rpc_extra == 0.0
+
+
+#: Systems whose sampled plans are pinned, and the sha256 of those plans.
+SAMPLED_SYSTEMS = ("hdfs", "ignem", "instant", "dyrs", "dyrs-lifecycle", "dyrs-sharded")
+SAMPLED_PLANS_DIGEST = (
+    "76fbc2132e89162d12536f361c9c527097d858a3ffd687da02ded8a12949bafe"
+)
 
 
 class TestChaosCampaign:
@@ -475,6 +536,32 @@ class TestChaosCampaign:
             assert system.sim.now == 60.0
             assert "master-crash" not in campaign.kinds
             assert ("slave-crash" in campaign.kinds) == (scheme != "instant")
+
+    def test_sampled_plans_are_pinned(self):
+        """Plans drawn on six systems (no master, push-binding, no
+        slaves, flat, archive ladder, federation) under three kind
+        settings and 25 seeds hash to the digest the per-kind sampler
+        drew before the kinds moved into one table: every draw, its
+        order and every capability filter are unchanged."""
+        digest = hashlib.sha256()
+        for scheme in SAMPLED_SYSTEMS:
+            system = build_system(
+                PaperSetup(
+                    scheme=scheme,
+                    n_workers=8,
+                    seed=0,
+                    interference="none",
+                    shards=4 if scheme == "dyrs-sharded" else 1,
+                )
+            )
+            injector = FailureInjector(system.cluster, master=system.master)
+            for kinds in (None, tuple(reversed(FAULT_KINDS)), ("node-crash",)):
+                for seed in range(25):
+                    plan = ChaosCampaign(
+                        injector, seed=seed, horizon=60.0, n_faults=12, kinds=kinds
+                    ).sample()
+                    digest.update(repr(plan).encode())
+        assert digest.hexdigest() == SAMPLED_PLANS_DIGEST
 
     def test_arm_schedules_and_fires(self, rig):
         campaign = self._campaign(rig, seed=3, n_faults=4)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import DyrsConfig, DyrsSlave, MigrationStatus
-from repro.core.failures import FailureInjector
+from repro.core.failures import ChaosFault, FailureInjector
 from repro.core.standby import StandbyCoordinator
 from repro.dfs import DFSClient, EvictionMode, NameNode, RandomPlacement
 from repro.dfs.heartbeat import HeartbeatService
@@ -96,7 +96,7 @@ class TestMasterCrashTracing:
             rig = make_rig()
             rig.client.create_file("input", 512 * MB)
             injector = FailureInjector(rig.cluster, rig.master)
-            injector.crash_master_at(5.0, recover_after=5.0)
+            injector.inject(ChaosFault(5.0, "master-crash", None, 5.0))
             rig.master.migrate(["input"], job_id="j1")
             rig.sim.run(until=60)
             directory_after = dict(rig.namenode.directory["memory"])

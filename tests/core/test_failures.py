@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.failures import FailureInjector, quiesce_violations
+from repro.core.failures import ChaosFault, FailureInjector, quiesce_violations
 from repro.dfs import ReadSource
 from repro.units import GB, MB
 
@@ -124,7 +124,7 @@ class TestMasterFailure:
 class TestFailureInjector:
     def test_scheduled_slave_crash_and_restart(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.crash_slave_at(5.0, node_id=1, restart_after=10.0)
+        injector.inject(ChaosFault(5.0, "slave-crash", 1, 10.0))
         rig.client.create_file("input", 1 * GB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=4)
@@ -137,7 +137,7 @@ class TestFailureInjector:
 
     def test_scheduled_node_crash_excludes_from_routing(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.crash_node_at(5.0, node_id=2)
+        injector.inject(ChaosFault(5.0, "node-crash", 2, None))
         entry = rig.client.create_file("input", 64 * MB)
         limit = (
             rig.namenode.heartbeat_interval * rig.namenode.heartbeat_miss_limit
@@ -151,7 +151,7 @@ class TestFailureInjector:
 
     def test_scheduled_master_crash_recover(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.crash_master_at(5.0, recover_after=5.0)
+        injector.inject(ChaosFault(5.0, "master-crash", None, 5.0))
         rig.client.create_file("input", 256 * MB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=60)
@@ -161,13 +161,13 @@ class TestFailureInjector:
     def test_injector_requires_master_for_master_ops(self, rig):
         injector = FailureInjector(rig.cluster, master=None)
         with pytest.raises(RuntimeError):
-            injector.crash_master_at(1.0)
+            injector.inject(ChaosFault(1.0, "master-crash", None, None))
         with pytest.raises(RuntimeError):
-            injector.crash_slave_at(1.0, node_id=0)
+            injector.inject(ChaosFault(1.0, "slave-crash", 0, None))
 
     def test_node_crash_with_recovery_restores_service(self, rig):
         injector = FailureInjector(rig.cluster, rig.master)
-        injector.crash_node_at(2.0, node_id=1, recover_after=20.0)
+        injector.inject(ChaosFault(2.0, "node-crash", 1, 20.0))
         rig.client.create_file("input", 1 * GB)
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=240)

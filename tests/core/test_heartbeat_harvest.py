@@ -28,7 +28,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, PersistentInterference, SsdSpec
 from repro.core import DyrsConfig, DyrsMaster, DyrsSlave, MigrationStatus
-from repro.core.failures import ChaosCampaign, FailureInjector
+from repro.core.failures import ChaosCampaign, ChaosFault, FailureInjector
 from repro.core.standby import StandbyCoordinator
 from repro.core.targeting import SlaveLoad
 from repro.dfs import DFSClient, EvictionMode, NameNode, RandomPlacement
@@ -224,7 +224,7 @@ class TestTransitions:
         rig.client.create_file("input", 2 * GB)
         rig.master.migrate(["input"], job_id="j1")
         injector = FailureInjector(rig.cluster, master=rig.master)
-        injector.crash_slave_at(1.5 * interval, 1, restart_after=2 * interval)
+        injector.inject(ChaosFault(1.5 * interval, "slave-crash", 1, 2 * interval))
         rig.sim.run(until=4 * interval + 0.1)
         # Down over the ticks at 2 and 3 intervals, back for the 4th.
         assert [action for _, action, _ in injector.log] == [
@@ -252,7 +252,7 @@ class TestTransitions:
         rig.master.migrate(["input"], job_id="j1")
         injector = FailureInjector(rig.cluster, master=rig.master)
         # Down over the ticks at 2 and 3 intervals.
-        injector.crash_master_at(1.5 * interval, recover_after=2 * interval)
+        injector.inject(ChaosFault(1.5 * interval, "master-crash", None, 2 * interval))
         idle = []
         rig.namenode.add_heartbeat_observer(
             lambda report: idle.append(

@@ -6,20 +6,30 @@ from repro.core import DyrsConfig
 from repro.core.slave import RPC_LATENCY
 from repro.dfs import EvictionMode
 from repro.sim.events import Event, Timeout
+from repro.sim.process import Process
 from repro.units import GB, MB
 
 
+def _deserted(waiter) -> bool:
+    """Whether waking ``waiter`` would resume nothing: it has already
+    been woken, or it is a signal nobody waits on any more."""
+    if isinstance(waiter, Process):
+        return waiter.processed
+    return isinstance(waiter, Event) and not waiter.callbacks
+
+
 def _orphaned_timers(sim):
-    """Scheduled timers whose every waiter has already been woken: each
-    would pop later and wake nothing.  An idle wait's timer calls back
-    into the signal the worker waits on, so it is orphaned once that
-    signal has been processed."""
+    """Scheduled timers whose every waiter is deserted: each would pop
+    later and wake nothing.  An idle wait's timer calls back into the
+    signal the worker waits on, so it is orphaned once that signal has
+    been processed, or once a crash has interrupted the worker waiting
+    on it."""
     orphans = []
     for _when, _priority, _seq, event in sim._heap:
         if event._discarded or not isinstance(event, Timeout):
             continue
         waiters = [getattr(cb, "__self__", None) for cb in event.callbacks or ()]
-        if waiters and all(isinstance(w, Event) and w.processed for w in waiters):
+        if waiters and all(_deserted(w) for w in waiters):
             orphans.append(event)
     return orphans
 
@@ -190,7 +200,8 @@ class TestMemoryPressure:
 
 
 class TestIdleWaits:
-    """A wait that its signal ends early leaves no timer behind."""
+    """A wait that its signal or a crash ends early leaves no timer
+    behind."""
 
     def test_work_ends_the_poll_wait(self, make_rig):
         rig = make_rig(n_workers=1)
@@ -234,4 +245,36 @@ class TestIdleWaits:
         rig.master.evict(["a"], job_id="j1")
         rig.sim.run(until=rig.sim.now + 0.01)
         assert slave._space_signal is None
+        assert _orphaned_timers(rig.sim) == []
+
+    def test_crash_ends_the_poll_wait(self, make_rig):
+        rig = make_rig(n_workers=1)
+        slave = rig.slaves[0]
+        rig.sim.run(until=1)  # idle; the re-poll timer is due at t=2
+        assert slave._work_signal is not None
+        slave.crash()
+        rig.sim.run(until=1.01)
+        assert _orphaned_timers(rig.sim) == []
+
+    def test_crash_ends_the_notify_wait(self, make_rig):
+        rig = make_rig(n_workers=1, config=DyrsConfig(idle_pull="notify"))
+        slave = rig.slaves[0]
+        rig.sim.run(until=1)  # parked; the backstop is due at t=100
+        assert rig.master._parked.get(0) is slave._work_signal
+        slave.crash()
+        rig.sim.run(until=1.01)
+        assert _orphaned_timers(rig.sim) == []
+
+    def test_crash_ends_the_space_wait(self, make_rig):
+        config = DyrsConfig(memory_limit=64 * MB)
+        rig = make_rig(n_workers=1, config=config)
+        slave = rig.slaves[0]
+        rig.client.create_file("a", 64 * MB)
+        rig.client.create_file("b", 64 * MB)
+        rig.master.migrate(["a"], job_id="j1", eviction=EvictionMode.EXPLICIT)
+        rig.master.migrate(["b"], job_id="j2", eviction=EvictionMode.EXPLICIT)
+        rig.sim.run(until=10)
+        assert slave._space_signal is not None  # "b" waits for "a"'s space
+        slave.crash()
+        rig.sim.run(until=rig.sim.now + 0.01)
         assert _orphaned_timers(rig.sim) == []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.cluster import ArchiveSpec, ClusterSpec, NodeSpec, SsdSpec
 from repro.compute import ComputeConfig, mapreduce_job
 from repro.core import DyrsConfig, MigrationStatus
-from repro.core.failures import FailureInjector
+from repro.core.failures import ChaosFault, FailureInjector
 from repro.dfs import EvictionMode
 from repro.system import SCHEMES, System, SystemConfig
 from repro.units import GB, MB
@@ -150,7 +150,7 @@ class TestSystemInvariants:
             )
         ).start()
         injector = FailureInjector(system.cluster, system.master)
-        injector.crash_slave_at(crash_time, node_id=victim, restart_after=10.0)
+        injector.inject(ChaosFault(crash_time, "slave-crash", victim, 10.0))
         system.load_input("big/input", 2 * GB)
         blocks = system.client.blocks_of(["big/input"])
         job = mapreduce_job(

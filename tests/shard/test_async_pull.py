@@ -23,7 +23,7 @@ import gc
 import pytest
 
 from repro.core import DyrsConfig
-from repro.core.failures import FailureInjector
+from repro.core.failures import ChaosFault, FailureInjector
 from repro.core.slave import RPC_LATENCY, _PullLeg
 from repro.experiments.common import PaperSetup, build_system
 from repro.obs import trace as obs
@@ -337,7 +337,7 @@ class TestSharedOutbound:
             rig.client.create_file("a", 4 * 64 * MB)
             rig.master.migrate(["a"], job_id="j1")
             injector = FailureInjector(rig.cluster, rig.master)
-            injector.partition_slave_at(0.01, 0, heal_after=10.0)
+            injector.inject(ChaosFault(0.01, "partition", 0, 10.0))
             rig.sim.run(until=1.0)
         slave = rig.slaves[0]
         plan = [shard_id for shard_id, _ in rig.master.pull_plan(0)]

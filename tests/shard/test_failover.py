@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.failures import FailureInjector
+from repro.core.failures import ChaosFault, FailureInjector
 from repro.core.records import MigrationStatus
 from repro.core.standby import StandbyCoordinator
 from repro.obs import trace as obs
@@ -97,7 +97,7 @@ class TestInjector:
         rig.client.create_file("a", 8 * 64 * MB)
         rig.master.migrate(["a"], job_id="j1")
         injector = FailureInjector(rig.cluster, master=rig.master)
-        injector.crash_shard_at(1.0, node_id=5, recover_after=10.0)
+        injector.inject(ChaosFault(1.0, "shard-crash", 5, 10.0))
         rig.sim.run(until=2)
         assert not rig.master.shard_is_alive(5 % 4)
         rig.sim.run(until=12)
@@ -112,14 +112,14 @@ class TestInjector:
 
         rig = Rig().start()
         injector = FailureInjector(rig.cluster, master=rig.master)
-        injector.crash_shard_at(1.0, node_id=0, recover_after=5.0)
+        injector.inject(ChaosFault(1.0, "shard-crash", 0, 5.0))
         rig.sim.run(until=10)
         assert [a for _, a, _ in injector.log] == ["skip-shard-crash"]
 
     def test_whole_master_crash_supersedes_shard_recovery(self, shard_rig):
         rig = shard_rig
         injector = FailureInjector(rig.cluster, master=rig.master)
-        injector.crash_shard_at(1.0, node_id=0, recover_after=20.0)
+        injector.inject(ChaosFault(1.0, "shard-crash", 0, 20.0))
         rig.sim.run(until=2)
         rig.master.crash()
         rig.sim.run(until=25)

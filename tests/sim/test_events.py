@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, EventAlreadyTriggered, Simulator
+from repro.sim import AllOf, EventAlreadyTriggered, Simulator
 
 
 @pytest.fixture
@@ -109,15 +109,6 @@ class TestConditions:
         assert cond.value == {a: "a", b: "b"}
         assert sim.now == 3
 
-    def test_anyof_fires_on_first(self, sim):
-        a, b = sim.timeout(1, value="a"), sim.timeout(3, value="b")
-        cond = AnyOf(sim, [a, b])
-        done_at = []
-        cond.add_callback(lambda e: done_at.append(sim.now))
-        sim.run()
-        assert done_at == [1.0]
-        assert a in cond.value and b not in cond.value
-
     def test_allof_empty_triggers_immediately(self, sim):
         cond = AllOf(sim, [])
         assert cond.triggered and cond.processed
@@ -143,13 +134,6 @@ class TestConditionsFireInPlace:
     """A condition is processed inside its constituent's callback: it
     never passes through the heap, so it costs no step."""
 
-    def test_anyof_costs_no_step(self, sim):
-        a, b = sim.timeout(1, value="a"), sim.timeout(3, value="b")
-        cond = AnyOf(sim, [a, b])
-        sim.run()
-        assert cond.processed and cond.value == {a: "a"}
-        assert sim.steps == 2  # a and b; nothing for the condition
-
     def test_allof_costs_no_step(self, sim):
         a, b = sim.timeout(1, value="a"), sim.timeout(3, value="b")
         cond = AllOf(sim, [a, b])
@@ -158,12 +142,11 @@ class TestConditionsFireInPlace:
         assert sim.steps == 2
 
     def test_over_processed_constituents_fire_at_construction(self, sim):
-        a = sim.timeout(1, value="a")
+        a, b = sim.timeout(1, value="a"), sim.timeout(2, value="b")
         sim.run()
         steps = sim.steps
-        anyof, allof = AnyOf(sim, [a, sim.event()]), AllOf(sim, [a])
-        assert anyof.processed and anyof.value == {a: "a"}
-        assert allof.processed and allof.value == {a: "a"}
+        cond = AllOf(sim, [a, b])
+        assert cond.processed and cond.value == {a: "a", b: "b"}
         assert sim.steps == steps and sim.pending_events == 0
 
     def test_allof_mixed_waits_for_unprocessed(self, sim):
@@ -178,18 +161,21 @@ class TestConditionsFireInPlace:
 
     def test_fired_condition_releases_constituents(self, sim):
         """No cycle is left between a fired condition and a constituent
-        that never fires (it still holds the condition's callback)."""
-        never, tick = sim.event(), sim.timeout(1, value="t")
-        cond = AnyOf(sim, [never, tick])
-        assert cond.events == (never, tick)
+        that never fires (it still holds the condition's callback): a
+        failing constituent fires the condition while the other stays
+        behind."""
+        never, fails = sim.event(), sim.event()
+        cond = AllOf(sim, [never, fails])
+        assert cond.events == (never, fails)
+        fails.fail(RuntimeError("nope"))
         sim.run()
-        assert cond.value == {tick: "t"}
+        assert cond.processed and isinstance(cond.value, RuntimeError)
         assert cond.events == ()
         assert never.callbacks == [cond._check]
 
     def test_failure_fires_in_place(self, sim):
         a = sim.event()
-        cond = AnyOf(sim, [a, sim.timeout(5)])
+        cond = AllOf(sim, [a, sim.timeout(5)])
         a.fail(RuntimeError("nope"))
         sim.step()
         assert cond.processed and not cond.ok
@@ -201,7 +187,7 @@ class TestConditionsFireInPlace:
         second.add_callback(lambda e: order.append("second"))
 
         def waiter():
-            yield AnyOf(sim, [first])
+            yield AllOf(sim, [first])
             order.append("waiter")
 
         sim.process(waiter())

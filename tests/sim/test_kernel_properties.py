@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, BandwidthResource, Simulator
+from repro.sim import AllOf, BandwidthResource, Simulator
 
 
 def build_random_network(sim, spec):
@@ -92,17 +92,16 @@ class TestKernelProperties:
         )
     )
     def test_nested_conditions(self, delays):
-        """AllOf(AnyOf...) fires at the analytically correct time."""
+        """AllOf(AllOf...) fires at the analytically correct time: when
+        the later of the two inner conditions fires, each at its own
+        latest constituent."""
         sim = Simulator()
-        half = len(delays) // 2 or 1
+        half = len(delays) // 2
         first = [sim.timeout(d) for d in delays[:half]]
-        second = [sim.timeout(d) for d in delays[half:]] or [sim.timeout(0)]
-        cond = AllOf(sim, [AnyOf(sim, first), AnyOf(sim, second)])
+        second = [sim.timeout(d) for d in delays[half:]]
+        cond = AllOf(sim, [AllOf(sim, first), AllOf(sim, second)])
         fired_at = []
         cond.add_callback(lambda e: fired_at.append(sim.now))
         sim.run()
-        expected = max(
-            min(delays[:half]),
-            min(delays[half:]) if delays[half:] else 0.0,
-        )
+        expected = max(max(delays[:half]), max(delays[half:]))
         assert fired_at == [pytest.approx(expected)]
