@@ -15,7 +15,7 @@ A machine-readable summary is exported as JSON via
 
 from collections import Counter
 
-from repro.cluster import ClusterSpec, SsdSpec
+from repro.cluster import ClusterSpec
 from repro.compute.job import mapreduce_job
 from repro.experiments.export import export_json
 from repro.system import System, SystemConfig
@@ -27,7 +27,7 @@ from repro.workloads.sort import sort_job
 CONFIGS = {
     "hdfs": SystemConfig(scheme="hdfs"),
     "dyrs": SystemConfig(),
-    "dyrs-tiered": SystemConfig(cluster=ClusterSpec(ssd=SsdSpec())),
+    "dyrs-tiered": SystemConfig(cluster=ClusterSpec(ssd=True)),
 }
 INPUT_SIZE = 8 * GB
 

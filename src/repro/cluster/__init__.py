@@ -7,13 +7,13 @@ background reader streams stealing disk bandwidth, either persistently
 or in alternating on/off patterns.
 """
 
-from repro.cluster.archive import Archive, ArchiveSpec
+from repro.cluster.archive import Archive
 from repro.cluster.device import ByteStore, StoreFull
 from repro.cluster.disk import Disk, DiskSpec
-from repro.cluster.memory import MemoryStore, MemorySpec
-from repro.cluster.network import Fabric, Nic, NicSpec
+from repro.cluster.memory import MemoryStore
+from repro.cluster.network import Fabric, Nic
 from repro.cluster.node import FAST_TIERS, TIER_ORDER, Node, NodeSpec
-from repro.cluster.ssd import Ssd, SsdSpec
+from repro.cluster.ssd import Ssd
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.cluster.interference import (
     AlternatingInterference,
@@ -26,7 +26,6 @@ __all__ = [
     "TIER_ORDER",
     "AlternatingInterference",
     "Archive",
-    "ArchiveSpec",
     "ByteStore",
     "Cluster",
     "ClusterSpec",
@@ -34,14 +33,11 @@ __all__ = [
     "DiskSpec",
     "Fabric",
     "InterferenceSchedule",
-    "MemorySpec",
     "MemoryStore",
     "Nic",
-    "NicSpec",
     "Node",
     "NodeSpec",
     "PersistentInterference",
     "Ssd",
     "StoreFull",
-    "SsdSpec",
 ]

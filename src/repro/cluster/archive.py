@@ -12,8 +12,8 @@ In the unified device vocabulary (:mod:`repro.cluster.device`) an
 primitives at once:
 
 * a :class:`~repro.cluster.device.ByteStore` accounting the node's
-  slice of the archive namespace (capacity is cheap: the default
-  budget is an order of magnitude above the disk tier);
+  slice of the archive namespace (capacity is cheap: the budget is an
+  order of magnitude above the disk tier);
 * a :class:`~repro.sim.bandwidth.BandwidthResource`
   :attr:`~Archive.channel` charging every transfer.
 
@@ -32,16 +32,18 @@ Two consequences of "fabric-attached" that callers rely on:
 * serving an archive read does not require the owning node to be
   alive, only the fabric path.
 
-Latency is a first-class spec field: archival media pay a fixed
-per-operation setup cost (mount/seek/object-store round trip) that
+Archival media also pay a fixed per-operation setup cost
+(:data:`ARCHIVE_LATENCY`: mount, seek, object-store round trip) that
 dwarfs a disk seek.  The channel itself stays a pure bandwidth model;
 the latency is charged explicitly by whoever drives the operation (the
 lifecycle master's tier moves).
+
+Every archive partition and link has the same shape, set by the module
+constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.device import ByteStore
@@ -51,54 +53,33 @@ from repro.units import MB, TB
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Archive", "ArchiveSpec"]
+__all__ = ["Archive", "archive_link"]
+
+#: Bytes of archive namespace chargeable to each node.  Archival
+#: capacity is the cheap resource, so the budget dwarfs the working
+#: tiers.
+ARCHIVE_CAPACITY = 4 * TB
+#: Throughput of the archive link, bytes/second: a modest
+#: object-store/tape head well below the disk tier.  The link has no
+#: seek penalty: object-store links share cleanly.
+ARCHIVE_BANDWIDTH = 120 * MB
+#: Floor on the link's aggregate throughput as a fraction of
+#: :data:`ARCHIVE_BANDWIDTH`.
+ARCHIVE_MIN_EFFICIENCY = 0.5
+#: Fixed per-operation setup cost in seconds, charged once per tier
+#: move, not per byte.
+ARCHIVE_LATENCY = 0.5
 
 
-@dataclass(frozen=True)
-class ArchiveSpec:
-    """Static description of a node's archive partition.
-
-    Attributes
-    ----------
-    capacity:
-        Bytes of archive namespace chargeable to this node.  Archival
-        capacity is the cheap resource, so the default dwarfs the
-        working tiers.
-    bandwidth:
-        Throughput of the *shared* archive link, bytes/second.  When a
-        cluster builds its fabric archive link it uses this value; a
-        free-standing device uses it for its private channel.  The
-        default models a modest object-store/tape head well below the
-        disk tier.
-    latency:
-        Fixed per-operation setup cost in seconds (media mount, HTTP
-        round trip).  Charged once per tier move / read, not per byte.
-    seek_penalty:
-        Aggregate-efficiency loss per extra concurrent stream on the
-        link.  Object-store links share cleanly; default 0.
-    min_efficiency:
-        Floor on aggregate throughput as a fraction of ``bandwidth``.
-    """
-
-    capacity: float = 4 * TB
-    bandwidth: float = 120 * MB
-    latency: float = 0.5
-    seek_penalty: float = 0.0
-    min_efficiency: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
-        if self.seek_penalty < 0:
-            raise ValueError(f"seek_penalty must be >= 0, got {self.seek_penalty}")
-        if not 0 <= self.min_efficiency <= 1:
-            raise ValueError(
-                f"min_efficiency must be in [0, 1], got {self.min_efficiency}"
-            )
+def archive_link(sim: "Simulator", name: str) -> BandwidthResource:
+    """A link of the archive's shape: the fabric's shared one, or a
+    free-standing partition's private one."""
+    return BandwidthResource(
+        sim,
+        capacity=ARCHIVE_BANDWIDTH,
+        min_efficiency=ARCHIVE_MIN_EFFICIENCY,
+        name=name,
+    )
 
 
 class Archive(ByteStore):
@@ -107,19 +88,11 @@ class Archive(ByteStore):
     def __init__(
         self,
         sim: "Simulator",
-        spec: ArchiveSpec,
         name: str = "archive",
         channel: Optional[BandwidthResource] = None,
     ) -> None:
-        super().__init__(sim, capacity=spec.capacity, name=name)
-        self.spec = spec
+        super().__init__(sim, capacity=ARCHIVE_CAPACITY, name=name)
         #: The fabric's shared archive link (cluster construction) or a
         #: private one (free-standing use).  With a shared link its
         #: ``bytes_moved`` counts *all* nodes' archive traffic.
-        self.channel = channel if channel is not None else BandwidthResource(
-            sim,
-            capacity=spec.bandwidth,
-            seek_penalty=spec.seek_penalty,
-            min_efficiency=spec.min_efficiency,
-            name=name,
-        )
+        self.channel = channel if channel is not None else archive_link(sim, name)

@@ -25,6 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Disk", "DiskSpec"]
 
+#: Floor on a disk's aggregate throughput, as a fraction of its
+#: bandwidth: the I/O scheduler batches each stream's sequential run,
+#: so heavy concurrency saturates aggregate throughput rather than
+#: collapsing it.
+DISK_MIN_EFFICIENCY = 0.10
+
 
 @dataclass(frozen=True)
 class DiskSpec:
@@ -38,26 +44,16 @@ class DiskSpec:
     seek_penalty:
         Aggregate-efficiency loss per extra concurrent stream
         (see :mod:`repro.sim.bandwidth`).
-    min_efficiency:
-        Floor on aggregate throughput as a fraction of ``bandwidth``:
-        the I/O scheduler batches each stream's sequential run, so
-        heavy concurrency saturates aggregate throughput rather than
-        collapsing it.
     """
 
     bandwidth: float = 150 * MB
     seek_penalty: float = 0.35
-    min_efficiency: float = 0.10
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.seek_penalty < 0:
             raise ValueError(f"seek_penalty must be >= 0, got {self.seek_penalty}")
-        if not 0 <= self.min_efficiency <= 1:
-            raise ValueError(
-                f"min_efficiency must be in [0, 1], got {self.min_efficiency}"
-            )
 
 
 class Disk:
@@ -69,7 +65,7 @@ class Disk:
             sim,
             capacity=spec.bandwidth,
             seek_penalty=spec.seek_penalty,
-            min_efficiency=spec.min_efficiency,
+            min_efficiency=DISK_MIN_EFFICIENCY,
             name=name,
         )
 

@@ -12,7 +12,7 @@ read :attr:`~MemoryStore.channel`:
   is simply discarded);
 * reads of pinned data go through the channel; the paper measured
   memory block reads ~160x faster than disk at the application level
-  (§I), which is our default ratio.
+  (§I), which is the ratio :data:`MEMORY_READ_BANDWIDTH` models.
 
 The store also samples its usage over time so Fig 7 (per-server memory
 footprint) can be reproduced.
@@ -20,7 +20,6 @@ footprint) can be reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.device import ByteStore
@@ -30,43 +29,24 @@ from repro.units import GB, MB
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["MemoryStore", "MemorySpec"]
+__all__ = ["MemoryStore"]
 
-
-@dataclass(frozen=True)
-class MemorySpec:
-    """Static description of a node's memory subsystem.
-
-    Attributes
-    ----------
-    capacity:
-        Bytes available for migrated data.  The paper's servers have
-        128 GB RAM; DYRS additionally supports a hard limit (§IV-A1),
-        which experiments lower to stress eviction.
-    read_bandwidth:
-        Application-level throughput of reads served from memory.
-        Default: 160x a 150 MB/s disk, the paper's measured ratio.
-    """
-
-    capacity: float = 64 * GB
-    read_bandwidth: float = 160 * 150 * MB
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.read_bandwidth <= 0:
-            raise ValueError(
-                f"read_bandwidth must be positive, got {self.read_bandwidth}"
-            )
+#: Bytes each node has for migrated data.  The paper's servers have
+#: 128 GB RAM; DYRS additionally supports a hard limit (§IV-A1,
+#: ``DyrsConfig.memory_limit``), which experiments lower to stress
+#: eviction.
+MEMORY_CAPACITY = 64 * GB
+#: Application-level throughput of reads served from memory: 160x a
+#: 150 MB/s disk, the paper's measured ratio.
+MEMORY_READ_BANDWIDTH = 160 * 150 * MB
 
 
 class MemoryStore(ByteStore):
     """Byte-budgeted store of pinned (migrated) blocks plus their read
     channel."""
 
-    def __init__(self, sim: "Simulator", spec: MemorySpec, name: str = "mem") -> None:
-        super().__init__(sim, capacity=spec.capacity, name=name)
-        self.spec = spec
+    def __init__(self, sim: "Simulator", name: str = "mem") -> None:
+        super().__init__(sim, capacity=MEMORY_CAPACITY, name=name)
         self.channel = BandwidthResource(
-            sim, capacity=spec.read_bandwidth, seek_penalty=0.0, name=f"{name}.read"
+            sim, capacity=MEMORY_READ_BANDWIDTH, name=f"{name}.read"
         )

@@ -25,45 +25,34 @@ Both patterns keep the dominant bottleneck and stay deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.cluster.archive import archive_link
 from repro.sim.bandwidth import BandwidthResource
 from repro.units import Gbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Nic", "NicSpec", "Fabric"]
+__all__ = ["Nic", "Fabric"]
 
-
-@dataclass(frozen=True)
-class NicSpec:
-    """Static description of a node's NIC.
-
-    Attributes
-    ----------
-    bandwidth:
-        Per-direction capacity, bytes/second (paper: 10 Gbps).
-    """
-
-    bandwidth: float = 10 * Gbps
-
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+#: Per-direction NIC capacity, bytes/second (paper: 10 Gbps).
+NIC_BANDWIDTH = 10 * Gbps
+#: Per-direction uplink capacity of each rack's ToR switch,
+#: bytes/second, used only with more than one rack: a deliberately
+#: skinny 2 Gbps, so cross-rack reads are visibly more expensive.
+RACK_UPLINK_BANDWIDTH = 2.5e8
 
 
 class Nic:
     """A full-duplex NIC: independent egress and ingress pipes."""
 
-    def __init__(self, sim: "Simulator", spec: NicSpec, name: str = "nic") -> None:
-        self.spec = spec
+    def __init__(self, sim: "Simulator", name: str = "nic") -> None:
         self.egress = BandwidthResource(
-            sim, capacity=spec.bandwidth, name=f"{name}.egress"
+            sim, capacity=NIC_BANDWIDTH, name=f"{name}.egress"
         )
         self.ingress = BandwidthResource(
-            sim, capacity=spec.bandwidth, name=f"{name}.ingress"
+            sim, capacity=NIC_BANDWIDTH, name=f"{name}.ingress"
         )
 
 
@@ -81,11 +70,7 @@ class Fabric:
     """
 
     def __init__(
-        self,
-        sim: "Simulator",
-        n_racks: int = 1,
-        rack_uplink_bandwidth: float = 5e9,
-        archive_spec=None,
+        self, sim: "Simulator", n_racks: int = 1, archive: bool = False
     ) -> None:
         if n_racks < 1:
             raise ValueError(f"n_racks must be >= 1, got {n_racks}")
@@ -96,25 +81,17 @@ class Fabric:
         if n_racks > 1:
             for rack in range(n_racks):
                 self.uplinks[rack] = BandwidthResource(
-                    sim, capacity=rack_uplink_bandwidth, name=f"rack{rack}.up"
+                    sim, capacity=RACK_UPLINK_BANDWIDTH, name=f"rack{rack}.up"
                 )
                 self.downlinks[rack] = BandwidthResource(
-                    sim, capacity=rack_uplink_bandwidth, name=f"rack{rack}.down"
+                    sim, capacity=RACK_UPLINK_BANDWIDTH, name=f"rack{rack}.down"
                 )
         #: The shared archive link (lifecycle extension): one pipe
         #: behind the core switch that every node's archive partition
         #: charges, built only when the cluster has an archive tier.
-        #: ``archive_spec`` is an :class:`~repro.cluster.archive.
-        #: ArchiveSpec` (duck-typed to avoid an import cycle).
-        self.archive_link: "BandwidthResource | None" = None
-        if archive_spec is not None:
-            self.archive_link = BandwidthResource(
-                sim,
-                capacity=archive_spec.bandwidth,
-                seek_penalty=archive_spec.seek_penalty,
-                min_efficiency=archive_spec.min_efficiency,
-                name="fabric.archive",
-            )
+        self.archive_link: "BandwidthResource | None" = (
+            archive_link(sim, "fabric.archive") if archive else None
+        )
 
     @property
     def rack_aware(self) -> bool:

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.archive import Archive, ArchiveSpec
+from repro.cluster.archive import Archive
 from repro.cluster.disk import Disk, DiskSpec
-from repro.cluster.memory import MemorySpec, MemoryStore
-from repro.cluster.network import Nic, NicSpec
-from repro.cluster.ssd import Ssd, SsdSpec
+from repro.cluster.memory import MemoryStore
+from repro.cluster.network import Nic
+from repro.cluster.ssd import Ssd
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -34,20 +34,21 @@ FAST_TIERS: tuple[str, ...] = TIER_ORDER[: TIER_ORDER.index("disk") : -1]
 class NodeSpec:
     """Static description of one worker node.
 
-    ``disk``/``memory``/``nic`` are component specs; ``task_slots`` is
-    the number of concurrently running tasks YARN may place here.
+    ``disk`` is the one component spec that varies across nodes;
+    ``task_slots`` is the number of concurrently running tasks YARN may
+    place here.  Memory, NIC, SSD and archive have one shape each (the
+    constants of their device modules).
     """
 
     disk: DiskSpec = field(default_factory=DiskSpec)
-    memory: MemorySpec = field(default_factory=MemorySpec)
-    nic: NicSpec = field(default_factory=NicSpec)
     task_slots: int = 12
-    #: Optional SSD cache partition (the tiered-storage extension);
-    #: ``None`` reproduces the paper's two-level disk/RAM servers.
-    ssd: Optional[SsdSpec] = None
-    #: Optional archive partition (the lifecycle extension); ``None``
-    #: means this node owns no slice of the cold-storage namespace.
-    archive: Optional[ArchiveSpec] = None
+    #: Whether the node has an SSD cache partition (the tiered-storage
+    #: extension); False reproduces the paper's two-level disk/RAM
+    #: servers.
+    ssd: bool = False
+    #: Whether the node owns a slice of the cold-storage namespace (the
+    #: lifecycle extension's archive partition).
+    archive: bool = False
 
     def __post_init__(self) -> None:
         if self.task_slots < 1:
@@ -60,14 +61,6 @@ class NodeSpec:
         "handicapped" node (§V-C).
         """
         return replace(self, disk=replace(self.disk, bandwidth=bandwidth))
-
-    def with_ssd(self, ssd: Optional[SsdSpec] = None) -> "NodeSpec":
-        """A copy of this spec with an SSD cache attached."""
-        return replace(self, ssd=ssd or SsdSpec())
-
-    def with_archive(self, archive: Optional[ArchiveSpec] = None) -> "NodeSpec":
-        """A copy of this spec with an archive partition attached."""
-        return replace(self, archive=archive or ArchiveSpec())
 
 
 class Node:
@@ -90,21 +83,19 @@ class Node:
         #: free-standing nodes in unit tests).
         self.cluster = None
         self.disk = Disk(sim, spec.disk, name=f"{self.name}.disk")
-        self.memory = MemoryStore(sim, spec.memory, name=f"{self.name}.mem")
+        self.memory = MemoryStore(sim, name=f"{self.name}.mem")
         self.ssd: Optional[Ssd] = (
-            Ssd(sim, spec.ssd, name=f"{self.name}.ssd") if spec.ssd is not None else None
+            Ssd(sim, name=f"{self.name}.ssd") if spec.ssd else None
         )
         #: Archive partition.  Clusters pass the fabric's shared archive
         #: link as ``archive_channel``; free-standing nodes get a
-        #: private channel from the spec.
+        #: private one.
         self.archive: Optional[Archive] = (
-            Archive(
-                sim, spec.archive, name=f"{self.name}.archive", channel=archive_channel
-            )
-            if spec.archive is not None
+            Archive(sim, name=f"{self.name}.archive", channel=archive_channel)
+            if spec.archive
             else None
         )
-        self.nic = Nic(sim, spec.nic, name=f"{self.name}.nic")
+        self.nic = Nic(sim, name=f"{self.name}.nic")
         #: Set by the DFS layer when a DataNode is attached.
         self.datanode = None
         #: Whether the node (the whole server) is up.  Failure handling

@@ -16,13 +16,15 @@ In the unified device vocabulary (:mod:`repro.cluster.device`) an
 * a shared :class:`~repro.sim.bandwidth.BandwidthResource`
   :attr:`~Ssd.channel` charging every transfer, like
   :class:`~repro.cluster.disk.Disk` -- flash has no seek arm, so the
-  default concurrency penalty is tiny, but the controller channel is
-  still finite.
+  concurrency penalty is tiny, but the controller channel is still
+  finite.
+
+Every worker's SSD has the same shape, set by the module constants
+below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.device import ByteStore
@@ -32,57 +34,31 @@ from repro.units import GB, MB
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Ssd", "SsdSpec"]
+__all__ = ["Ssd"]
 
-
-@dataclass(frozen=True)
-class SsdSpec:
-    """Static description of a node's SSD cache partition.
-
-    Attributes
-    ----------
-    capacity:
-        Bytes of the partition reserved for tiered block data.
-    bandwidth:
-        Shared read/write throughput of the device, bytes/second.  A
-        SATA-class drive sustains ~500 MB/s; the default sits between
-        the model's 150 MB/s disk and its memory tier.
-    seek_penalty:
-        Aggregate-efficiency loss per extra concurrent stream.  Flash
-        suffers almost none; a small nonzero default keeps unbounded
-        fan-in from being free.
-    min_efficiency:
-        Floor on aggregate throughput as a fraction of ``bandwidth``.
-    """
-
-    capacity: float = 256 * GB
-    bandwidth: float = 500 * MB
-    seek_penalty: float = 0.02
-    min_efficiency: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.seek_penalty < 0:
-            raise ValueError(f"seek_penalty must be >= 0, got {self.seek_penalty}")
-        if not 0 <= self.min_efficiency <= 1:
-            raise ValueError(
-                f"min_efficiency must be in [0, 1], got {self.min_efficiency}"
-            )
+#: Bytes of the cache partition reserved for tiered block data.
+SSD_CAPACITY = 256 * GB
+#: Shared read/write throughput, bytes/second.  A SATA-class drive
+#: sustains ~500 MB/s, between the model's 150 MB/s disk and its
+#: memory tier.
+SSD_BANDWIDTH = 500 * MB
+#: Aggregate-efficiency loss per extra concurrent stream.  Flash
+#: suffers almost none; a small nonzero value keeps unbounded fan-in
+#: from being free.
+SSD_SEEK_PENALTY = 0.02
+#: Floor on aggregate throughput as a fraction of the bandwidth.
+SSD_MIN_EFFICIENCY = 0.5
 
 
 class Ssd(ByteStore):
     """One SSD cache device on a node: a budget plus a channel."""
 
-    def __init__(self, sim: "Simulator", spec: SsdSpec, name: str = "ssd") -> None:
-        super().__init__(sim, capacity=spec.capacity, name=name)
-        self.spec = spec
+    def __init__(self, sim: "Simulator", name: str = "ssd") -> None:
+        super().__init__(sim, capacity=SSD_CAPACITY, name=name)
         self.channel = BandwidthResource(
             sim,
-            capacity=spec.bandwidth,
-            seek_penalty=spec.seek_penalty,
-            min_efficiency=spec.min_efficiency,
+            capacity=SSD_BANDWIDTH,
+            seek_penalty=SSD_SEEK_PENALTY,
+            min_efficiency=SSD_MIN_EFFICIENCY,
             name=name,
         )

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.cluster.archive import ArchiveSpec
 from repro.cluster.network import Fabric
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.ssd import SsdSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -42,21 +40,18 @@ class ClusterSpec:
         Racks the workers are striped across (round-robin).  The
         paper's 8-node testbed is a single rack (the default); multi-
         rack setups enable rack-aware placement and charge cross-rack
-        traffic to per-rack uplinks.
-    rack_uplink_bandwidth:
-        Per-direction uplink capacity of each rack's ToR switch,
-        bytes/second.  Only used when ``n_racks > 1``.
+        traffic to per-rack uplinks
+        (:data:`~repro.cluster.network.RACK_UPLINK_BANDWIDTH`).
     ssd:
-        Cluster-wide SSD cache spec applied to every worker whose node
-        spec does not already carry one (the tiered-storage extension).
-        ``None`` -- the default -- reproduces the paper's two-level
-        disk/RAM servers exactly.
+        Give every worker an SSD cache partition (the tiered-storage
+        extension), whatever its node spec says.  False -- the default
+        -- reproduces the paper's two-level disk/RAM servers exactly.
     archive:
-        Cluster-wide archive partition spec, applied the same way (the
+        Give every worker an archive partition, the same way (the
         lifecycle extension).  When any worker ends up with an archive
-        partition the fabric builds one shared archive link sized from
-        the first such spec, and every partition's transfers contend on
-        it.  ``None`` -- the default -- means no cold tier.
+        partition the fabric builds one shared archive link, and every
+        partition's transfers contend on it.  False -- the default --
+        means no cold tier.
     """
 
     n_workers: int = 7
@@ -64,9 +59,8 @@ class ClusterSpec:
     overrides: dict[int, NodeSpec] = field(default_factory=dict)
     seed: int = 0
     n_racks: int = 1
-    rack_uplink_bandwidth: float = 5e9  # 40 Gbps
-    ssd: Optional[SsdSpec] = None
-    archive: Optional[ArchiveSpec] = None
+    ssd: bool = False
+    archive: bool = False
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -78,16 +72,14 @@ class ClusterSpec:
             raise ValueError(
                 f"n_racks must be in [1, n_workers], got {self.n_racks}"
             )
-        if self.rack_uplink_bandwidth <= 0:
-            raise ValueError("rack_uplink_bandwidth must be positive")
 
     def spec_for(self, index: int) -> NodeSpec:
         """The effective spec for worker ``index``."""
         spec = self.overrides.get(index, self.node)
-        if self.ssd is not None and spec.ssd is None:
-            spec = replace(spec, ssd=self.ssd)
-        if self.archive is not None and spec.archive is None:
-            spec = replace(spec, archive=self.archive)
+        if self.ssd and not spec.ssd:
+            spec = replace(spec, ssd=True)
+        if self.archive and not spec.archive:
+            spec = replace(spec, archive=True)
         return spec
 
     def rack_of(self, index: int) -> int:
@@ -103,12 +95,10 @@ class Cluster:
         self.sim = Simulator()
         self.rngs = RngRegistry(self.spec.seed)
         specs = [self.spec.spec_for(i) for i in range(self.spec.n_workers)]
-        archive_specs = [s.archive for s in specs if s.archive is not None]
         self.fabric = Fabric(
             self.sim,
             n_racks=self.spec.n_racks,
-            rack_uplink_bandwidth=self.spec.rack_uplink_bandwidth,
-            archive_spec=archive_specs[0] if archive_specs else None,
+            archive=any(s.archive for s in specs),
         )
         self.nodes: list[Node] = [
             Node(

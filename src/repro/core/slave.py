@@ -9,8 +9,8 @@ Responsibilities (§III, §IV):
   copy at a time to avoid seek thrashing (§III-B), and, in the tiered
   extension, one SSD-sourced copy at a time on a separate lane so a
   fast ssd->memory promotion never waits behind a slow disk read;
-* maintain the **EWMA migration-time estimator**, including the
-  every-heartbeat in-progress refresh (§IV-A);
+* maintain the disk lane's **EWMA migration-time estimator**,
+  including the every-heartbeat in-progress refresh (§IV-A);
 * **pull** bound work from the master (§III-A1): each pull is one
   detached leg per master endpoint -- the flat master is a single
   endpoint, a sharded federation one per live shard -- at most
@@ -60,7 +60,7 @@ __all__ = ["DyrsSlave"]
 #: One-way master<->slave RPC delay, seconds; the local queue exists to
 #: cover exactly this gap (§III-B).
 RPC_LATENCY = 0.05
-#: Smoothing weight of the migration-time estimators (§IV-A).
+#: Smoothing weight of the migration-time estimator (§IV-A).
 EWMA_ALPHA = 0.4
 #: Memory fraction above which a slave triggers the inactive-job sweep
 #: (§III-C3).
@@ -91,16 +91,6 @@ class DyrsSlave:
         self.estimator = MigrationTimeEstimator(
             initial_rate=self.node.disk.channel.capacity,
             alpha=EWMA_ALPHA,
-        )
-        #: SSD-lane estimator (tiered extension); None on SSD-less
-        #: nodes so the paper's configurations build nothing extra.
-        self.ssd_estimator: Optional[MigrationTimeEstimator] = (
-            MigrationTimeEstimator(
-                initial_rate=self.node.ssd.channel.capacity,
-                alpha=EWMA_ALPHA,
-            )
-            if self.node.ssd is not None
-            else None
         )
         self._queue: deque[MigrationRecord] = deque()
         self._active: Optional[MigrationRecord] = None
@@ -161,8 +151,8 @@ class DyrsSlave:
     def memory_limit(self) -> float:
         """Hard cap on migrated bytes held on this node (§IV-A1)."""
         if self.config.memory_limit is not None:
-            return min(self.config.memory_limit, self.node.memory.spec.capacity)
-        return self.node.memory.spec.capacity
+            return min(self.config.memory_limit, self.node.memory.capacity)
+        return self.node.memory.capacity
 
     def _memory_fits(self, nbytes: float) -> bool:
         return self.node.memory.used + nbytes <= self.memory_limit + 1e-9
@@ -285,32 +275,23 @@ class DyrsSlave:
 
     @property
     def copy_in_flight(self) -> bool:
-        """Whether either lane holds a claimed copy.  Such a slave's
+        """Whether the disk lane holds a claimed copy.  Such a slave's
         load moves without a notification (its estimator is refreshed
         at every heartbeat, and the copy's end clears the slot), so
-        the master re-reads it at every tick while this holds."""
-        return self._active is not None or self._ssd_active is not None
+        the master re-reads it at every tick while this holds.  An
+        SSD-lane copy changes nothing the master reads."""
+        return self._active is not None
 
     def heartbeat_load(self) -> tuple[float, int]:
-        """Refresh both lanes' estimators against their active copies
-        (§IV-A) and return the disk lane's ``(seconds_per_byte,
-        queued_blocks)`` -- the load a heartbeat carries to the master
-        (§III-D)."""
+        """Refresh the disk lane's estimator against its active copy
+        (§IV-A) and return its ``(seconds_per_byte, queued_blocks)`` --
+        the load a heartbeat carries to the master (§III-D)."""
         if self.config.estimator_refresh:
-            now = self.sim.now
             active = self._active
             if active is not None and active.started_at is not None:
+                now = self.sim.now
                 self.estimator.refresh(
                     now - active.started_at, active.block.size, now=now
-                )
-            ssd_active = self._ssd_active
-            if (
-                ssd_active is not None
-                and ssd_active.started_at is not None
-                and self.ssd_estimator is not None
-            ):
-                self.ssd_estimator.refresh(
-                    now - ssd_active.started_at, ssd_active.block.size, now=now
                 )
         return self.estimator.seconds_per_byte, self.queued_blocks
 
@@ -452,7 +433,8 @@ class DyrsSlave:
     def _migrate_one(self, record: MigrationRecord):
         """Execute one serialized migration; returns True if completed.
 
-        ``record.source_tier`` selects the lane's device and estimator;
+        ``record.source_tier`` selects the lane's device (only the disk
+        lane feeds the estimator the master reads);
         ``record.dest_tier`` selects the space discipline: memory
         destinations wait for eviction under the hard limit (§IV-A1),
         while a full SSD discards the promotion immediately -- stalling
@@ -518,8 +500,8 @@ class DyrsSlave:
                 source=lane,
             )
             return False
-        estimator = self.ssd_estimator if lane == "ssd" else self.estimator
-        estimator.observe(duration, block.size, now=sim.now)
+        if lane == "disk":
+            self.estimator.observe(duration, block.size, now=sim.now)
         if record.dest_tier == "ssd":
             if not self._ssd_dest_fits(block.size):
                 # The cache filled up while the copy ran.

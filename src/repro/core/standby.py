@@ -74,7 +74,6 @@ class StandbyCoordinator:
     # -- wiring ------------------------------------------------------------
 
     def attach_heartbeats(self, service: "HeartbeatService") -> None:
-        self._heartbeats = service
         self.primary.attach_heartbeats(service)
 
     def start(self) -> None:

@@ -231,9 +231,6 @@ def run_racks(seed: int = 0) -> AblationResult:
                         node=NodeSpec(
                             disk=DiskSpec(seek_penalty=0.3), task_slots=6
                         ),
-                        # A deliberately skinny 2 Gbps ToR uplink so
-                        # cross-rack reads are visibly more expensive.
-                        rack_uplink_bandwidth=2.5e8,
                     ),
                     compute=ComputeConfig(job_init_overhead=12.0),
                     block_size=256 * _MB,

@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster import (
-    ArchiveSpec,
-    ClusterSpec,
-    DiskSpec,
-    InterferenceSchedule,
-    NodeSpec,
-    SsdSpec,
-)
+from repro.cluster import ClusterSpec, DiskSpec, InterferenceSchedule, NodeSpec
 from repro.compute import ComputeConfig
 from repro.core import DyrsConfig
 from repro.lifecycle import TierConfig
@@ -174,8 +167,8 @@ def build_system(setup: PaperSetup) -> System:
                 n_workers=setup.n_workers,
                 node=node,
                 seed=setup.seed,
-                ssd=SsdSpec() if preset.ssd else None,
-                archive=ArchiveSpec() if preset.archive else None,
+                ssd=preset.ssd,
+                archive=preset.archive,
             ),
             dyrs=dyrs,
             tiers=TierConfig(**setup.tier_overrides),

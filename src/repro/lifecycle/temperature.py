@@ -67,7 +67,6 @@ class TemperatureTracker:
         self.cold_age = cold_age
         self._last_access: dict[BlockId, float] = {}
         self._ewma_interval: dict[BlockId, float] = {}
-        self._accesses: dict[BlockId, int] = {}
 
     # -- observation ---------------------------------------------------------
 
@@ -84,22 +83,17 @@ class TemperatureTracker:
                     (1.0 - self.alpha) * prev + self.alpha * interval
                 )
         self._last_access[block_id] = now
-        self._accesses[block_id] = self._accesses.get(block_id, 0) + 1
 
     def forget(self, block_id: BlockId) -> None:
         """Drop a block's statistics (e.g. its file was deleted)."""
         self._last_access.pop(block_id, None)
         self._ewma_interval.pop(block_id, None)
-        self._accesses.pop(block_id, None)
 
     # -- queries -------------------------------------------------------------
 
     def tracked_blocks(self) -> tuple[BlockId, ...]:
         """Blocks with at least one observed access."""
         return tuple(self._last_access)
-
-    def access_count(self, block_id: BlockId) -> int:
-        return self._accesses.get(block_id, 0)
 
     def last_access(self, block_id: BlockId) -> Optional[float]:
         return self._last_access.get(block_id)

@@ -45,11 +45,13 @@ replays seeded arrival/size/cancel schedules through an engine-free
 fluid model of ``aggregate(k)`` shared equally and requires the same
 completion and cancel times to 1e-9 relative.
 
-Wake-ups are *generation-tagged*: every membership change increments
-the resource's generation and discards the previously armed wake-up
-via :meth:`repro.sim.engine.Simulator.discard`, so stale wake-ups
-neither fire nor rot in the scheduler heap (the engine sweeps
-discarded entries once they outnumber live ones).
+One wake-up is armed at a time: every membership change discards the
+previously armed wake-up via
+:meth:`repro.sim.engine.Simulator.discard` before arming the next, so
+a superseded wake-up never fires and does not rot in the scheduler
+heap (the engine sweeps discarded entries once they outnumber live
+ones).  The wake-up's callback is the resource's bound
+:meth:`BandwidthResource._on_wakeup`; it carries no state of its own.
 
 Completions are delivered by the wake-up that finds them, with no
 heap event of their own (a :class:`Flow` is itself the event its
@@ -128,7 +130,6 @@ class Flow(Event):
     __slots__ = (
         "nbytes",
         "tag",
-        "started_at",
         "_id",
         "_offset",
         "_vfinish",
@@ -148,7 +149,6 @@ class Flow(Event):
         super().__init__(sim, name=f"flow:{tag}")
         self.nbytes = float(nbytes)
         self.tag = tag
-        self.started_at = sim.now
         self._id = flow_id
         #: Value of the resource's service integral when this flow
         #: started; ``remaining = nbytes - (S - offset)``.
@@ -259,9 +259,7 @@ class BandwidthResource:
         #: Min-heap of (virtual finish, flow id) for finite flows.
         #: Entries for departed flows are dropped lazily by _head().
         self._finish_heap: list[tuple[float, int]] = []
-        #: Generation counter; bumped on every membership change so
-        #: stale wake-ups identify themselves.
-        self._generation = 0
+        #: The one armed completion wake-up, if any.
         self._wakeup: Optional[Event] = None
         # Utilization accounting (busy-time integral and bytes moved).
         self._busy_time = 0.0
@@ -443,11 +441,9 @@ class BandwidthResource:
     def _reschedule(self) -> None:
         """(Re)arm the single completion wake-up.
 
-        The old wake-up (if any) is discarded from the engine heap and
-        the generation bumped, so a stale wake-up can neither fire nor
-        accumulate.
+        The old wake-up (if any) is discarded from the engine heap, so
+        it can neither fire nor accumulate.
         """
-        self._generation += 1
         if self._wakeup is not None:
             self.sim.discard(self._wakeup)
             self._wakeup = None
@@ -455,8 +451,7 @@ class BandwidthResource:
         if math.isinf(delay):
             return
         wakeup = Event(self.sim, name=f"bw-wakeup:{self.name}")
-        generation = self._generation
-        wakeup.add_callback(lambda _e: self._on_wakeup(generation))
+        wakeup.add_callback(self._on_wakeup)
         wakeup._ok = True
         self.sim._schedule(wakeup, delay, priority=URGENT_PRIORITY)
         self._wakeup = wakeup
@@ -478,9 +473,8 @@ class BandwidthResource:
         now = self.sim.now
         return rate > 0 and now + remaining / rate <= now
 
-    def _on_wakeup(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up that escaped discard
+    def _on_wakeup(self, _wakeup: Event) -> None:
+        """Settle the flows finished now, re-arm, then deliver them."""
         self._wakeup = None
         self._advance()
         finished: list[Flow] = []

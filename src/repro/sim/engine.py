@@ -46,7 +46,6 @@ class Simulator:
         self._now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = count()
-        self._active_process: Optional[Process] = None
         self._n_discarded = 0
         #: Total events processed by :meth:`step` over the simulator's
         #: lifetime -- the numerator of the events/sec throughput
@@ -59,11 +58,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     # -- event creation ------------------------------------------------
 

@@ -9,13 +9,12 @@ Starting
 --------
 
 :meth:`~repro.sim.engine.Simulator.process` runs the generator to its
-first ``yield`` before it returns: there is no start-up event.  During
-that first step (as during every step) ``sim.active_process`` is the
-new process; the spawner's own value is restored afterwards, so a
-process may spawn others.  Because the first step has already run, a
-generator that finishes without yielding returns a dead handle -- code
-that stores the handle and lets the generator clear it must not
-overwrite a cleared slot with it.
+first ``yield`` before it returns: there is no start-up event.  A
+process may spawn others; each child's first step runs inside its
+spawner's step, before the spawner continues.  Because the first step
+has already run, a generator that finishes without yielding returns a
+dead handle -- code that stores the handle and lets the generator
+clear it must not overwrite a cleared slot with it.
 
 Exiting
 -------
@@ -147,9 +146,6 @@ class Process(Event):
     def _step(self, ok: bool, value: Any) -> None:
         """Send ``value`` into the generator (or throw it, if not ``ok``)
         and wait on whatever it yields next."""
-        sim = self.sim
-        outer = sim._active_process
-        sim._active_process = self
         try:
             if ok:
                 yielded = self._generator.send(value)
@@ -160,7 +156,6 @@ class Process(Event):
         except BaseException as exc:
             ok, value = False, exc
         else:
-            sim._active_process = outer
             if not isinstance(yielded, Event):
                 # Fail the process with a clear diagnostic instead of
                 # letting a bare value wedge the generator forever.
@@ -168,7 +163,7 @@ class Process(Event):
                     f"process {self.name or self._generator!r} yielded "
                     f"{yielded!r}; processes must yield Event instances"
                 )
-            elif yielded.sim is not sim:
+            elif yielded.sim is not self.sim:
                 error = ValueError("yielded event belongs to a different Simulator")
             else:
                 self._target = yielded
@@ -176,7 +171,6 @@ class Process(Event):
                 return
             self._generator.close()
             ok, value = False, error
-        sim._active_process = outer
         # Exit outside the handler: waiters resume in place, and must
         # not run inside it (their exceptions would chain to ours).
         self._fire(ok, value)

@@ -171,8 +171,7 @@ class SystemConfig:
                     f"got {self.scheme!r}"
                 )
             if any(
-                self.cluster.spec_for(i).ssd is not None
-                for i in range(self.cluster.n_workers)
+                self.cluster.spec_for(i).ssd for i in range(self.cluster.n_workers)
             ):
                 raise ValueError(
                     "shards and an SSD cannot be combined: the federation "

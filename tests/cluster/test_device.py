@@ -2,9 +2,10 @@
 
 Verifies that `Disk`/`Ssd`/`MemoryStore`/`Archive`/`Nic` are faithful
 configurations of the two primitives -- the storage rungs *are*
-`ByteStore`s and every pipe *is* a `BandwidthResource` -- that a full
-store raises `StoreFull` naming itself, and that no old spelling
-(wrapper, forwarder or per-tier error) survives as an alias.
+`ByteStore`s and every pipe *is* a `BandwidthResource`, sized by the
+device modules' constants -- that a full store raises `StoreFull`
+naming itself, and that no old spelling (wrapper, forwarder or
+per-tier error) survives as an alias.
 """
 
 import pytest
@@ -12,18 +13,18 @@ import pytest
 import repro.cluster
 from repro.cluster import (
     Archive,
-    ArchiveSpec,
     ByteStore,
     Disk,
     DiskSpec,
-    MemorySpec,
     MemoryStore,
     Nic,
-    NicSpec,
     Ssd,
-    SsdSpec,
     StoreFull,
 )
+from repro.cluster.disk import DISK_MIN_EFFICIENCY
+from repro.cluster.memory import MEMORY_CAPACITY, MEMORY_READ_BANDWIDTH
+from repro.cluster.network import NIC_BANDWIDTH
+from repro.cluster.ssd import SSD_BANDWIDTH, SSD_CAPACITY
 from repro.sim import BandwidthResource, Simulator
 
 
@@ -73,7 +74,7 @@ class TestByteStore:
 
 class TestChannel:
     """The ``channel`` every storage rung holds is the fair-share kernel
-    itself, configured from the device spec."""
+    itself, configured from the device's spec or constants."""
 
     def test_transfer_duration(self):
         sim = Simulator()
@@ -85,19 +86,18 @@ class TestChannel:
 
     def test_rate_law_matches_kernel(self):
         sim = Simulator()
-        disk = Disk(
-            sim, DiskSpec(bandwidth=120.0, seek_penalty=0.5, min_efficiency=0.25)
-        )
+        disk = Disk(sim, DiskSpec(bandwidth=120.0, seek_penalty=0.5))
         chan = disk.channel
         assert isinstance(chan, BandwidthResource)
         assert chan.aggregate_rate(1) == pytest.approx(120.0)
         assert chan.aggregate_rate(2) == pytest.approx(80.0)
-        assert chan.aggregate_rate(100) == pytest.approx(30.0)  # floored
+        # 120 / (1 + 0.5 * 99) is below the floor.
+        assert chan.aggregate_rate(100) == pytest.approx(120.0 * DISK_MIN_EFFICIENCY)
         assert chan.expected_duration(120.0) == pytest.approx(1.0)
 
     def test_cancel_via_channel(self):
         sim = Simulator()
-        chan = Ssd(sim, SsdSpec(bandwidth=100.0)).channel
+        chan = Ssd(sim).channel
         flow = chan.start_flow(1000.0)
         assert chan.active_flows == 1
         chan.cancel(flow)
@@ -117,31 +117,36 @@ class TestThinDevices:
 
     def test_memory_store_is_bytestore_plus_read_channel(self):
         sim = Simulator()
-        mem = MemoryStore(sim, MemorySpec(capacity=100.0, read_bandwidth=1000.0))
+        mem = MemoryStore(sim)
         assert isinstance(mem, ByteStore)
+        assert mem.capacity == MEMORY_CAPACITY
+        assert mem.channel.capacity == MEMORY_READ_BANDWIDTH
         mem.pin("blk", 40.0)
         assert mem.used == 40.0
         with pytest.raises(StoreFull):
-            mem.pin("big", 100.0)
+            mem.pin("big", MEMORY_CAPACITY)
         done = mem.channel.transfer(500.0)
         sim.run_until_processed(done)
         assert mem.channel.bytes_moved == pytest.approx(500.0)
 
     def test_ssd_is_both_primitives(self):
         sim = Simulator()
-        ssd = Ssd(sim, SsdSpec(capacity=100.0, bandwidth=500.0))
+        ssd = Ssd(sim)
         assert isinstance(ssd, ByteStore)
+        assert ssd.capacity == SSD_CAPACITY
+        assert ssd.channel.capacity == SSD_BANDWIDTH
         ssd.pin("blk", 10.0)
         assert ssd.used == 10.0
         with pytest.raises(StoreFull):
-            ssd.pin("big", 1000.0)
+            ssd.pin("big", SSD_CAPACITY)
         done = ssd.channel.transfer(250.0)
         sim.run_until_processed(done)
         assert ssd.channel.bytes_moved == pytest.approx(250.0)
 
     def test_nic_directions_are_independent_channels(self):
         sim = Simulator()
-        nic = Nic(sim, NicSpec(bandwidth=100.0))
+        nic = Nic(sim)
+        assert nic.egress.capacity == nic.ingress.capacity == NIC_BANDWIDTH
         nic.egress.transfer(50.0)
         nic.ingress.transfer(80.0)
         sim.run()
@@ -150,9 +155,11 @@ class TestThinDevices:
 
     def test_error_message_format_preserved(self):
         sim = Simulator()
-        mem = MemoryStore(sim, MemorySpec(capacity=100.0), name="mem0")
-        with pytest.raises(StoreFull, match=r"mem0: pin of 200B exceeds budget"):
-            mem.pin("blk", 200.0)
+        mem = MemoryStore(sim, name="mem0")
+        size = 2 * MEMORY_CAPACITY
+        message = rf"mem0: pin of {size:.0f}B exceeds budget"
+        with pytest.raises(StoreFull, match=message):
+            mem.pin("blk", size)
 
 
 class TestDeprecatedAliasesRemoved:
@@ -162,10 +169,10 @@ class TestDeprecatedAliasesRemoved:
         # error subclasses are gone, and nothing re-exports them.
         sim = Simulator()
         disk = Disk(sim, DiskSpec())
-        mem = MemoryStore(sim, MemorySpec())
-        ssd = Ssd(sim, SsdSpec())
-        archive = Archive(sim, ArchiveSpec())
-        nic = Nic(sim, NicSpec())
+        mem = MemoryStore(sim)
+        ssd = Ssd(sim)
+        archive = Archive(sim)
+        nic = Nic(sim)
         for device, names in [
             (disk, ["_resource", "read", "write", "start_stream", "utilization"]),
             (mem, ["_read_resource", "read_channel", "store", "read"]),
@@ -182,11 +189,11 @@ class TestDeprecatedAliasesRemoved:
         sim = Simulator()
         pipes = [
             Disk(sim, DiskSpec()).channel,
-            Ssd(sim, SsdSpec()).channel,
-            MemoryStore(sim, MemorySpec()).channel,
-            Archive(sim, ArchiveSpec()).channel,
-            Nic(sim, NicSpec()).egress,
-            Nic(sim, NicSpec()).ingress,
+            Ssd(sim).channel,
+            MemoryStore(sim).channel,
+            Archive(sim).channel,
+            Nic(sim).egress,
+            Nic(sim).ingress,
         ]
         assert all(isinstance(p, BandwidthResource) for p in pipes)
 
@@ -197,9 +204,9 @@ class TestDeprecatedAliasesRemoved:
         disk = Disk(sim, DiskSpec(), name="d0")
         assert disk.channel.name == "d0"
         assert disk.channel.expected_duration(150e6, extra_flows=2) > 0
-        mem = MemoryStore(sim, MemorySpec(), name="m0")
+        mem = MemoryStore(sim, name="m0")
         assert mem.fits(1.0)
-        ssd = Ssd(sim, SsdSpec(), name="s0")
+        ssd = Ssd(sim, name="s0")
         assert ssd.fits(1.0)
-        nic = Nic(sim, NicSpec(), name="n0")
+        nic = Nic(sim, name="n0")
         assert nic.egress.expected_duration(1e6) > 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import Disk, DiskSpec, MemorySpec, MemoryStore, StoreFull
+from repro.cluster import Disk, DiskSpec, MemoryStore, StoreFull
+from repro.cluster.memory import MEMORY_CAPACITY, MEMORY_READ_BANDWIDTH
 from repro.sim import Simulator
 from repro.units import MB
 
@@ -63,19 +64,19 @@ class TestDisk:
 
 
 class TestMemoryStore:
-    def make(self, sim, capacity=10 * MB):
-        return MemoryStore(sim, MemorySpec(capacity=capacity))
+    def make(self, sim):
+        return MemoryStore(sim)
 
     def test_pin_accounts_bytes(self, sim):
         mem = self.make(sim)
         mem.pin("b1", 4 * MB)
         assert mem.used == 4 * MB
-        assert mem.free == 6 * MB
+        assert mem.free == MEMORY_CAPACITY - 4 * MB
         assert mem.is_pinned("b1")
 
     def test_pin_over_budget_raises(self, sim):
         mem = self.make(sim)
-        mem.pin("b1", 8 * MB)
+        mem.pin("b1", MEMORY_CAPACITY - 2 * MB)
         assert not mem.fits(4 * MB)
         with pytest.raises(StoreFull):
             mem.pin("b2", 4 * MB)
@@ -113,19 +114,13 @@ class TestMemoryStore:
         assert levels == [0.0, MB, 0.0]
 
     def test_memory_read_is_fast(self, sim):
-        mem = MemoryStore(sim, MemorySpec(read_bandwidth=1000 * MB))
+        mem = self.make(sim)
         done = mem.channel.transfer(100 * MB)
         sim.run()
         assert done.processed
-        assert sim.now == pytest.approx(0.1)
+        assert sim.now == pytest.approx(100 * MB / MEMORY_READ_BANDWIDTH)
 
     def test_negative_pin_rejected(self, sim):
         mem = self.make(sim)
         with pytest.raises(ValueError):
             mem.pin("x", -1)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MemorySpec(capacity=0)
-        with pytest.raises(ValueError):
-            MemorySpec(read_bandwidth=0)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, Nic, NicSpec, Node, NodeSpec
+from repro.cluster import Cluster, ClusterSpec, Nic, Node, NodeSpec
+from repro.cluster.network import NIC_BANDWIDTH
 from repro.sim import Simulator
 from repro.units import Gbps, MB
 
@@ -14,24 +15,21 @@ def sim():
 
 class TestNic:
     def test_send_duration(self, sim):
-        nic = Nic(sim, NicSpec(bandwidth=10 * Gbps))
+        nic = Nic(sim)
+        assert NIC_BANDWIDTH == 10 * Gbps
         done = nic.egress.transfer(1.25e9)  # exactly one second at 10 Gbps
         sim.run()
         assert done.processed
         assert sim.now == pytest.approx(1.0)
 
     def test_duplex_directions_independent(self, sim):
-        nic = Nic(sim, NicSpec(bandwidth=100.0))
-        tx = nic.egress.transfer(100.0)
-        rx = nic.ingress.transfer(100.0)
+        nic = Nic(sim)
+        tx = nic.egress.transfer(NIC_BANDWIDTH)
+        rx = nic.ingress.transfer(NIC_BANDWIDTH)
         sim.run()
         # Full duplex: both complete in one second, not two.
         assert tx.processed and rx.processed
         assert sim.now == pytest.approx(1.0)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NicSpec(bandwidth=0)
 
 
 class TestNode:

@@ -133,20 +133,14 @@ class TestFailover:
         (shared with crash) runs the abort hook, so nothing stays
         non-terminal forever."""
         from repro.cluster import Cluster, ClusterSpec, NodeSpec
-        from repro.cluster.archive import ArchiveSpec
         from repro.lifecycle import LifecycleMaster, TierConfig
 
+        cluster = Cluster(
+            ClusterSpec(n_workers=4, seed=3, node=NodeSpec(ssd=True, archive=True))
+        )
         # A slow archive link (4 MB/s -> a 64 MB demotion takes ~16 s)
         # guarantees the failover below lands mid-move.
-        cluster = Cluster(
-            ClusterSpec(
-                n_workers=4,
-                seed=3,
-                node=NodeSpec().with_ssd().with_archive(
-                    ArchiveSpec(bandwidth=4 * MB)
-                ),
-            )
-        )
+        cluster.fabric.archive_link.set_capacity(4 * MB)
         namenode = NameNode(
             cluster,
             RandomPlacement(4, cluster.rngs.stream("placement")),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
+from repro.cluster.network import NIC_BANDWIDTH, RACK_UPLINK_BANDWIDTH
 from repro.dfs import DFSClient, NameNode, RackAwarePlacement, ReadSource
-from repro.units import Gbps, MB
+from repro.units import MB
 
 
 @pytest.fixture
@@ -30,8 +31,6 @@ class TestTopology:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterSpec(n_workers=2, n_racks=3)
-        with pytest.raises(ValueError):
-            ClusterSpec(n_workers=2, rack_uplink_bandwidth=0)
 
 
 class TestRackAwarePlacement:
@@ -145,14 +144,8 @@ class TestCrossRackReads:
 
     def test_slow_uplink_gates_cross_rack_read(self):
         """The transfer completes at the slowest path resource."""
-        cluster = Cluster(
-            ClusterSpec(
-                n_workers=4,
-                n_racks=2,
-                seed=0,
-                rack_uplink_bandwidth=1 * Gbps,  # slower than the NICs
-            )
-        )
+        assert RACK_UPLINK_BANDWIDTH < NIC_BANDWIDTH
+        cluster = Cluster(ClusterSpec(n_workers=4, n_racks=2, seed=0))
         nn, client = self.make_dfs(cluster)
         entry = client.create_file("f", 64 * MB)
         block = entry.blocks[0]
@@ -167,5 +160,5 @@ class TestCrossRackReads:
         start = cluster.sim.now
         ev, _ = client.read_block(block, reader_node=reader)
         cluster.sim.run_until_processed(ev)
-        expected = block.size / (1 * Gbps)
+        expected = block.size / RACK_UPLINK_BANDWIDTH
         assert cluster.sim.now - start == pytest.approx(expected)

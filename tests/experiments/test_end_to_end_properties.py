@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ArchiveSpec, ClusterSpec, NodeSpec, SsdSpec
+from repro.cluster import ClusterSpec, NodeSpec
 from repro.compute import ComputeConfig, mapreduce_job
 from repro.core import DyrsConfig, MigrationStatus
 from repro.core.failures import ChaosFault, FailureInjector
@@ -24,8 +24,8 @@ from repro.units import GB, MB
 #: and the same with a pull window of 2.  Each entry is
 #: ``(scheme, extra ClusterSpec fields, shards, pull window)``.
 CONFIGURATIONS = [(scheme, {}, None, 1) for scheme in SCHEMES] + [
-    ("dyrs", {"ssd": SsdSpec()}, None, 1),
-    ("dyrs", {"ssd": SsdSpec(), "archive": ArchiveSpec()}, None, 1),
+    ("dyrs", {"ssd": True}, None, 1),
+    ("dyrs", {"ssd": True, "archive": True}, None, 1),
     ("dyrs", {}, 1, 1),
     ("dyrs", {}, 1, 2),
 ]

@@ -28,9 +28,7 @@ class LifecycleRig:
             ClusterSpec(
                 n_workers=n_workers,
                 seed=seed,
-                node=node
-                if node is not None
-                else NodeSpec().with_ssd().with_archive(),
+                node=node if node is not None else NodeSpec(ssd=True, archive=True),
                 overrides=overrides or {},
             )
         )

@@ -3,45 +3,34 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, StoreFull
-from repro.cluster.archive import Archive, ArchiveSpec
+from repro.cluster.archive import ARCHIVE_BANDWIDTH, ARCHIVE_CAPACITY, Archive
 from repro.sim.engine import Simulator
 from repro.units import GB, MB
-
-
-class TestArchiveSpec:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ArchiveSpec(capacity=0)
-        with pytest.raises(ValueError):
-            ArchiveSpec(bandwidth=0)
-        with pytest.raises(ValueError):
-            ArchiveSpec(latency=-1.0)
-        with pytest.raises(ValueError):
-            ArchiveSpec(min_efficiency=1.5)
 
 
 class TestFreeStandingDevice:
     def test_budget_accounting(self):
         sim = Simulator()
-        archive = Archive(sim, ArchiveSpec(capacity=128 * MB))
-        archive.pin("a", 64 * MB)
-        assert archive.used == 64 * MB
+        archive = Archive(sim)
+        # Fill the partition to 64 MB short of its budget.
+        filled = ARCHIVE_CAPACITY - 64 * MB
+        archive.pin("a", filled)
+        assert archive.used == filled
         assert archive.fits(64 * MB)
         assert not archive.fits(65 * MB)
         with pytest.raises(StoreFull):
             archive.pin("b", 96 * MB)
-        assert archive.unpin("a") == 64 * MB
+        assert archive.unpin("a") == filled
         assert archive.used == 0.0
-        # Free-standing: a private link built from the spec.
-        assert archive.channel.capacity == ArchiveSpec().bandwidth
+        # Free-standing: a private link of the archive's shape.
+        assert archive.channel.capacity == ARCHIVE_BANDWIDTH
 
     def test_transfer_charges_the_channel(self):
         sim = Simulator()
-        archive = Archive(sim, ArchiveSpec(bandwidth=100 * MB, latency=0.0))
+        archive = Archive(sim)
         event = archive.channel.transfer(200 * MB)
-        sim.run(until=10.0)
-        assert event.triggered
-        assert sim.now >= 2.0  # 200 MB at 100 MB/s
+        sim.run_until_processed(event)
+        assert sim.now == pytest.approx(200 * MB / ARCHIVE_BANDWIDTH)
 
 
 class TestClusterWiring:
@@ -50,7 +39,7 @@ class TestClusterWiring:
             ClusterSpec(
                 n_workers=3,
                 seed=1,
-                node=NodeSpec().with_archive(),
+                node=NodeSpec(archive=True),
                 **spec_kw,
             )
         )

@@ -3,13 +3,13 @@ the archive knob of :class:`TierConfig`."""
 
 import pytest
 
-from repro.cluster import ArchiveSpec, ClusterSpec, NodeSpec, SsdSpec
+from repro.cluster import ClusterSpec, NodeSpec
 from repro.lifecycle import Temperature, TierConfig
 from repro.system import System, SystemConfig
 
 #: The two ladders: an SSD rung, and an SSD plus an archive rung.
-SSD = ClusterSpec(n_workers=2, ssd=SsdSpec())
-SSD_ARCHIVE = ClusterSpec(n_workers=2, ssd=SsdSpec(), archive=ArchiveSpec())
+SSD = ClusterSpec(n_workers=2, ssd=True)
+SSD_ARCHIVE = ClusterSpec(n_workers=2, ssd=True, archive=True)
 
 
 def master(cluster=SSD_ARCHIVE, **tiers):
@@ -24,9 +24,7 @@ class TestLifecycleConfig:
         """WARM blocks belong on the SSD only on a ladder without an
         archive rung -- however the rung is configured; HOT blocks
         belong there on both."""
-        archived = ClusterSpec(
-            n_workers=2, ssd=SsdSpec(), node=NodeSpec().with_archive()
-        )
+        archived = ClusterSpec(n_workers=2, ssd=True, node=NodeSpec(archive=True))
         assert master(SSD)._belongs_on_ssd(Temperature.WARM)
         for cluster in (SSD_ARCHIVE, archived):
             built = master(cluster)

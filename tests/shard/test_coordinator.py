@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterSpec, SsdSpec
+from repro.cluster import ClusterSpec
 from repro.dfs.namenode import HeartbeatReport
 from repro.obs import trace as obs
 from repro.obs.metrics import collecting
@@ -222,7 +222,7 @@ class TestSystemWiring:
 
     def test_shards_and_an_ssd_are_rejected(self):
         with pytest.raises(ValueError):
-            SystemConfig(shards=2, cluster=ClusterSpec(ssd=SsdSpec()))
+            SystemConfig(shards=2, cluster=ClusterSpec(ssd=True))
 
     def test_shard_count_validated(self):
         with pytest.raises(ValueError):

@@ -337,24 +337,25 @@ class TestDirectStart:
         sim.run()
         assert trace == [0.0, 1.0]
 
-    def test_active_process_restored_after_nested_spawn(self, sim):
-        seen = {}
+    def test_nested_spawn_runs_child_first_step_at_once(self, sim):
+        trace = []
 
         def inner():
-            seen["inner"] = sim.active_process
+            trace.append("inner")
             yield sim.timeout(1)
+            trace.append("inner resumed")
 
         def outer():
-            seen["outer_before"] = sim.active_process
-            seen["child"] = sim.process(inner())
-            seen["outer_after"] = sim.active_process
+            trace.append("outer before")
+            sim.process(inner())
+            trace.append("outer after")
             yield sim.timeout(1)
+            trace.append("outer resumed")
 
-        parent = sim.process(outer())
-        assert seen["outer_before"] is parent
-        assert seen["inner"] is seen["child"]
-        assert seen["outer_after"] is parent
-        assert sim.active_process is None
+        sim.process(outer())
+        assert trace == ["outer before", "inner", "outer after"]
+        sim.run()
+        assert trace[3:] == ["inner resumed", "outer resumed"]
 
     def test_generator_finishing_without_yield_is_dead_on_return(self, sim):
         def proc():

@@ -38,7 +38,7 @@ import hashlib
 
 import pytest
 
-from repro.cluster import ArchiveSpec, ClusterSpec
+from repro.cluster import ClusterSpec
 from repro.compute.job import mapreduce_job
 from repro.core.failures import ChaosCampaign, ChaosFault, FailureInjector
 from repro.experiments import lifecycle
@@ -392,7 +392,7 @@ def _scripted_run() -> FailureInjector:
     system = System(
         SystemConfig(
             scheme="dyrs",
-            cluster=ClusterSpec(n_workers=8, seed=3, archive=ArchiveSpec()),
+            cluster=ClusterSpec(n_workers=8, seed=3, archive=True),
             shards=4,
         )
     ).start()

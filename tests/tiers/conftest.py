@@ -21,7 +21,7 @@ class TieredRig:
             ClusterSpec(
                 n_workers=n_workers,
                 seed=seed,
-                node=node if node is not None else NodeSpec().with_ssd(),
+                node=node if node is not None else NodeSpec(ssd=True),
                 overrides=overrides or {},
             )
         )

@@ -67,12 +67,11 @@ class TestScore:
 
 
 class TestBookkeeping:
-    def test_access_count_and_interval(self):
+    def test_interval_needs_two_accesses(self):
         tracker = make_tracker()
         tracker.record_access("b", now=0.0)
         assert tracker.ewma_interval("b") is None  # one touch: unknown
         tracker.record_access("b", now=4.0)
-        assert tracker.access_count("b") == 2
         assert tracker.ewma_interval("b") == pytest.approx(4.0)
 
     def test_forget_drops_all_state(self):
@@ -83,7 +82,6 @@ class TestBookkeeping:
         assert tracker.tracked_blocks() == ()
         assert tracker.last_access("b") is None
         assert tracker.ewma_interval("b") is None
-        assert tracker.access_count("b") == 0
 
     def test_classify_all_covers_tracked_blocks(self):
         tracker = make_tracker()
@@ -107,14 +105,13 @@ class TestEdgeCases:
         tracker.forget("b")
         tracker.record_access("b", now=600.0)
         assert tracker.ewma_interval("b") is None
-        assert tracker.access_count("b") == 1
+        assert tracker.last_access("b") == 600.0
         # Recency is all we know again: the stale interval is gone.
         assert tracker.score("b", now=601.0) == pytest.approx(1.0)
         assert tracker.classify("b", now=601.0) is Temperature.HOT
 
     def test_cold_start_queries_are_safe(self):
         tracker = make_tracker()
-        assert tracker.access_count("never") == 0
         assert tracker.last_access("never") is None
         assert tracker.ewma_interval("never") is None
         assert tracker.tracked_blocks() == ()

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cluster import Ssd, SsdSpec, StoreFull
+from repro.cluster import Ssd, StoreFull
+from repro.cluster.ssd import (
+    SSD_BANDWIDTH,
+    SSD_CAPACITY,
+    SSD_MIN_EFFICIENCY,
+    SSD_SEEK_PENALTY,
+)
 from repro.lifecycle import TIER_ORDER, is_promotion
 from repro.sim import Simulator
 from repro.units import MB
@@ -13,24 +19,16 @@ def sim():
     return Simulator()
 
 
-class TestSsdSpec:
-    def test_defaults_valid(self):
-        spec = SsdSpec()
-        assert spec.capacity > 0
-        assert spec.bandwidth > 0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SsdSpec(capacity=0)
-        with pytest.raises(ValueError):
-            SsdSpec(bandwidth=-1)
-        with pytest.raises(ValueError):
-            SsdSpec(min_efficiency=1.5)
-
-
 class TestSsdDevice:
+    def test_constants_configure_the_device(self, sim):
+        ssd = Ssd(sim)
+        assert ssd.capacity == SSD_CAPACITY
+        assert ssd.channel.capacity == SSD_BANDWIDTH
+        assert ssd.channel.seek_penalty == SSD_SEEK_PENALTY
+        assert ssd.channel.min_efficiency == SSD_MIN_EFFICIENCY
+
     def test_pin_unpin_accounting(self, sim):
-        ssd = Ssd(sim, SsdSpec(capacity=128 * MB))
+        ssd = Ssd(sim)
         ssd.pin("a", 64 * MB)
         assert ssd.used == pytest.approx(64 * MB)
         assert ssd.is_pinned("a")
@@ -40,30 +38,29 @@ class TestSsdDevice:
         assert ssd.peak == pytest.approx(64 * MB)
 
     def test_pin_over_budget_raises(self, sim):
-        ssd = Ssd(sim, SsdSpec(capacity=64 * MB))
-        ssd.pin("a", 64 * MB)
+        ssd = Ssd(sim)
+        ssd.pin("a", SSD_CAPACITY)
         assert not ssd.fits(1.0)
         with pytest.raises(StoreFull):
             ssd.pin("b", 64 * MB)
 
     def test_double_pin_raises(self, sim):
-        ssd = Ssd(sim, SsdSpec(capacity=256 * MB))
+        ssd = Ssd(sim)
         ssd.pin("a", 64 * MB)
         with pytest.raises(KeyError):
             ssd.pin("a", 64 * MB)
 
     def test_unpin_is_idempotent(self, sim):
-        ssd = Ssd(sim, SsdSpec())
+        ssd = Ssd(sim)
         assert ssd.unpin("never-pinned") == 0.0
 
     def test_transfer_charges_device_time(self, sim):
-        spec = SsdSpec(bandwidth=500 * MB)
-        ssd = Ssd(sim, spec)
-        event = ssd.channel.transfer(500 * MB)
+        ssd = Ssd(sim)
+        event = ssd.channel.transfer(SSD_BANDWIDTH)
         sim.run(until=10)
         assert event.triggered
         assert ssd.channel.busy_time == pytest.approx(1.0)
-        assert ssd.channel.bytes_moved == pytest.approx(500 * MB)
+        assert ssd.channel.bytes_moved == pytest.approx(SSD_BANDWIDTH)
 
 
 class TestTierFacade:

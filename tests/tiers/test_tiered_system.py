@@ -3,7 +3,7 @@ preset)."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, SsdSpec
+from repro.cluster import ClusterSpec
 from repro.experiments import common
 from repro.experiments.cli import main as cli_main
 from repro.lifecycle import LifecycleMaster
@@ -13,7 +13,7 @@ from repro.workloads.sort import sort_job
 
 #: What the ``dyrs-tiered`` preset builds: the stock cluster, every
 #: worker with an SSD cache.
-TIERED = SystemConfig(cluster=ClusterSpec(ssd=SsdSpec()))
+TIERED = SystemConfig(cluster=ClusterSpec(ssd=True))
 
 
 class TestSchemeWiring:
@@ -30,17 +30,13 @@ class TestSchemeWiring:
         system = System(TIERED)
         assert isinstance(system.master, LifecycleMaster)
         assert all(node.ssd is not None for node in system.cluster.nodes)
-        assert all(slave.ssd_estimator is not None for slave in system.slaves)
 
     def test_paper_schemes_build_no_ssd_objects(self):
         """Zero-overhead guarantee: the paper's configurations carry no
-        SSD devices, estimators, or lane processes."""
+        SSD devices."""
         for scheme in ("hdfs", "ram", "dyrs", "ignem", "naive", "instant"):
             system = System(SystemConfig(scheme=scheme))
-            assert all(node.ssd is None for node in system.cluster.nodes)
-            assert all(
-                slave.ssd_estimator is None for slave in system.slaves
-            ), scheme
+            assert all(node.ssd is None for node in system.cluster.nodes), scheme
 
 
 class TestSortEndToEnd:
