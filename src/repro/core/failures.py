@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import Cluster
     from repro.core.base import MigrationMaster
     from repro.core.master import DyrsMaster
+    from repro.sim.bandwidth import BandwidthResource
 
 __all__ = [
     "FailureInjector",
@@ -61,6 +62,9 @@ class FailureInjector:
         self.master = master
         #: (time, action, subject) audit log.
         self.log: list[tuple[float, str, str]] = []
+        #: Each degraded channel's nominal capacity and its active
+        #: degrade faults, in firing order.
+        self._degraded: dict["BandwidthResource", tuple[float, list["ChaosFault"]]] = {}
 
     def inject(self, fault: "ChaosFault") -> None:
         """Schedule ``fault`` and its recovery.  Raises
@@ -284,18 +288,26 @@ class FailureInjector:
                 return [node.disk.channel]
             return [node.nic.egress, node.nic.ingress]
 
-        # Nominal rates are captured at fire time so stacked faults (or
-        # experiment-configured heterogeneity) restore to the truth.
-        nominal: list[float] = []
+        # The first active degrade of a channel records its nominal
+        # capacity (experiment-configured heterogeneity included); every
+        # degrade and restore then sets nominal times the factors still
+        # active, in firing order, so overlapping degrades end at
+        # nominal however they nest.
+        degraded = self._degraded
 
         def _degrade() -> None:
             for channel in _channels():
-                nominal.append(channel.capacity)
-                channel.set_capacity(channel.capacity * fault.param)
+                nominal, active = degraded.setdefault(channel, (channel.capacity, []))
+                active.append(fault)
+                channel.set_capacity(_scaled(nominal, active))
 
         def _restore() -> None:
-            for channel, rate in zip(_channels(), nominal):
-                channel.set_capacity(rate)
+            for channel in _channels():
+                nominal, active = degraded[channel]
+                active.remove(fault)
+                if not active:
+                    del degraded[channel]
+                channel.set_capacity(_scaled(nominal, active))
 
         self._hold(fault, _degrade, _restore, f"restore-{device}", factor=fault.param)
 
@@ -332,6 +344,13 @@ class FailureInjector:
             "clear-rpc-delay",
             extra=extra,
         )
+
+
+def _scaled(nominal: float, faults: list["ChaosFault"]) -> float:
+    """``nominal`` times each fault's factor, left to right."""
+    for fault in faults:
+        nominal *= fault.param
+    return nominal
 
 
 # -- faults and their kinds ----------------------------------------------------------
