@@ -7,7 +7,9 @@ the case seed, runs the workload to completion, lets every scheduled
 recovery fire, and then audits three independent layers:
 
 * the stream-order **trace invariants** (delayed binding, per-disk
-  serialization, read safety, eviction hygiene);
+  serialization, read safety, eviction hygiene), shard legs, and tier
+  moves (no block resident in zero tiers, no archive copy without a
+  checksum, replica conservation);
 * the **liveness ledger** (every pending record terminates; migrated
   bytes are conserved against the actual pinned total);
 * the **quiesce state** (no non-terminal records, no directory entry
@@ -171,6 +173,7 @@ def run_case(
         checker = TraceInvariants(tracer.events)
         result.violations.extend(checker.violations())
         result.violations.extend(checker.shard_violations())
+        result.violations.extend(checker.lifecycle_violations())
         result.violations.extend(
             checker.liveness_violations(
                 final_memory_bytes=system.cluster.total_memory_used()

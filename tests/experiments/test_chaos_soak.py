@@ -3,13 +3,15 @@
 This is the acceptance gate for the failure-path fixes: 20 seeds per
 scheme x workload pair, each arming a randomized fault schedule (slave/
 master/node crashes, degraded devices, partitions, RPC delay spikes),
-each audited by the trace invariants, the liveness ledger, and the
-quiesce state checks.  One stranded binding anywhere fails the sweep.
+each audited by the trace invariants (tier moves included), the
+liveness ledger, and the quiesce state checks.  One stranded binding
+anywhere fails the sweep.
 """
 
 import pytest
 
 from repro.experiments import chaos
+from repro.obs.invariants import TraceInvariants
 
 SEEDS = range(20)
 PAIRS = [
@@ -63,6 +65,22 @@ def test_report_renders_verdict():
     text = chaos.report(results)
     assert "PASS" in text or "FAIL" in text
     assert "dyrs" in text
+
+
+def test_case_audits_tier_moves(monkeypatch):
+    """The lifecycle cases are the campaign's only runs that move blocks
+    between tiers; each case holds its tier moves to checks 8-10."""
+    moves_audited = []
+    audit = TraceInvariants.lifecycle_violations
+
+    def counted(checker):
+        moves_audited.append(sum(e.type == "tier_move" for e in checker.events))
+        return audit(checker)
+
+    monkeypatch.setattr(TraceInvariants, "lifecycle_violations", counted)
+    result = chaos.run_case("dyrs-lifecycle", "aging", seed=0)
+    assert result.ok
+    assert len(moves_audited) == 1 and moves_audited[0] > 0
 
 
 def test_faults_actually_fire():
