@@ -47,6 +47,28 @@ class TestSlaveFailure:
         # Every block eventually lands in memory despite the crash.
         assert all(b.block_id in rig.namenode.directory["memory"] for b in blocks)
 
+    def test_work_bound_right_after_a_restart_is_not_reclaimed(self, make_rig):
+        """The restart's message to the master is the new process's
+        first report: work bound to it before its first heartbeat must
+        not be judged lost by the crashed incarnation's last one."""
+        rig = make_rig(n_workers=1)
+        slave = rig.slaves[0]
+        rig.sim.run(until=1)
+        slave.crash()
+        # Down for longer than the detection horizon; back between the
+        # heartbeat ticks at t=10 and t=12.  The block binds at t=10.06,
+        # and retarget ticks run at t=10.5, 11 and 11.5.
+        assert rig.namenode.detection_horizon < 9
+        rig.sim.run(until=10.01)
+        slave.restart()
+        rig.client.create_file("input", 64 * MB)
+        rig.master.migrate(["input"], job_id="j1")
+        rig.sim.run(until=30)
+        (record,) = rig.master.record_log
+        assert record.discard_reason is None
+        assert record.bound_node == 0
+        assert record.block_id in rig.namenode.directory["memory"]
+
     def test_crash_is_idempotent(self, rig):
         slave = rig.slaves[0]
         slave.crash()
