@@ -18,9 +18,9 @@ Responsibilities (§III, §IV):
   a :class:`_PullLeg`, whose bound methods are the callbacks of the
   pull's one outbound timeout and of its own service and inbound
   timeouts;
-* wait **idle** on a :class:`_Signal` -- for work between polls, or
-  for memory space -- which a timer (the re-poll, the notify-mode
-  backstop or the space re-check) also ends (:func:`_idle_wait`);
+* wait **idle** -- for work, or for memory space -- on a signal that
+  a timer (the re-poll or the space re-check) also ends
+  (:func:`_idle_wait`); a parked notify-mode slave waits for a wake;
 * report ``(estimate, queue depth)`` at every heartbeat (§III-D), and
   tell its master whenever that load may have moved, so a heartbeat
   tick re-reads only the slaves that changed (see
@@ -95,7 +95,7 @@ class DyrsSlave:
         self._queue: deque[MigrationRecord] = deque()
         self._active: Optional[MigrationRecord] = None
         self._worker: Optional[Process] = None
-        self._work_signal: Optional[_Signal] = None
+        self._work_signal: Optional[Event] = None
         self._space_signal: Optional[_Signal] = None
         #: SSD-sourced lane: queue, serialized worker (spawned lazily
         #: on first use), and its own memory-space signal.
@@ -312,6 +312,9 @@ class DyrsSlave:
         every endpoint of the master's pull plan, bounded per endpoint
         by the pull window.
 
+        The worker's only pull, at the top of its loop: at start, after
+        each wait and after each copy.  A claim leaves the space as is.
+
         The flat master is one endpoint, so at window 1 this is the
         paper's single pull in flight; during its round trip the worker
         keeps draining the local queue -- that is precisely why the
@@ -357,52 +360,39 @@ class DyrsSlave:
             while True:
                 self._maybe_pull()
                 if not self._queue:
-                    interval = self.namenode.heartbeat_interval
-                    notify = self.config.idle_pull == "notify"
-                    if notify:
-                        # Notify mode: park at the master and wait to be
-                        # woken by a retarget pass that aims work here.
-                        # The backstop keeps liveness if a wake is lost
-                        # (master failover, shard crash); it is long --
-                        # 50 heartbeat intervals -- because on an idle
-                        # 1k-node cluster these periodic re-polls are
-                        # the dominant event-heap load, and correctness
-                        # never depends on them.
-                        signal, timer = _idle_wait(sim, interval * 50.0)
+                    if self.config.idle_pull == "notify":
+                        # Park at the master and wait on the signal alone:
+                        # a retarget pass that targets this node wakes it,
+                        # and so does a standby's promotion.
+                        self._work_signal = signal = sim.event()
                         self.master.park_idle_slave(self.node_id, signal)
+                        yield signal
+                        self.master.unpark_idle_slave(self.node_id, signal)
                     else:
                         # Idle: wait for work, re-polling the master at
                         # heartbeat cadence (periodic query, §III-A1).
-                        signal, timer = _idle_wait(sim, interval)
-                    self._work_signal = signal
-                    try:
-                        yield signal
-                    except Interrupt:
-                        sim.discard(timer)  # a crash ends the wait
-                        raise
-                    # Work that arrived first leaves the timer nothing
-                    # to wake, so drop it.
-                    sim.discard(timer)
-                    if notify:
-                        self.master.unpark_idle_slave(self.node_id, signal)
+                        interval = self.namenode.heartbeat_interval
+                        self._work_signal, timer = _idle_wait(sim, interval)
+                        try:
+                            yield self._work_signal
+                        except Interrupt:
+                            sim.discard(timer)  # a crash ends the wait
+                            raise
+                        sim.discard(timer)  # work came first
                     self._work_signal = None
                     continue
                 record = self._queue.popleft()
                 if not record.status.is_terminal:
-                    # Claim the slot *before* pulling, so the in-flight
-                    # record counts against the queue-depth target and
-                    # a racing pull cannot overshoot it.
+                    # Claim the slot: the record moves from the queue to
+                    # the slot, so the pull space stays as it was.
                     self._active = record
                 self.master.slave_changed(self)
                 if self._active is not record:
                     continue  # discarded while queued (missed read etc.)
-                self._maybe_pull()  # space just opened
                 try:
-                    done = yield from self._migrate_one(record)
+                    yield from self._migrate_one(record)
                 finally:
                     self._active = None
-                if done:
-                    self._maybe_pull()
         except Interrupt:
             return
 
@@ -431,7 +421,7 @@ class DyrsSlave:
         return self.node.ssd is not None and self.node.ssd.fits(nbytes)
 
     def _migrate_one(self, record: MigrationRecord):
-        """Execute one serialized migration; returns True if completed.
+        """Execute one serialized migration.
 
         ``record.source_tier`` selects the lane's device (only the disk
         lane feeds the estimator the master reads);
@@ -466,14 +456,14 @@ class DyrsSlave:
                 else:
                     self._space_signal = None
                 if record.status.is_terminal:
-                    return False  # discarded while waiting (missed read)
+                    return  # discarded while waiting (missed read)
         elif not self._ssd_dest_fits(block.size):
             self.master.discard(record, reason="ssd-full")
-            return False
+            return
         if record.status.is_terminal:
             # The GC sweep above may have discarded this very record
             # (its job went inactive while it sat in our queue).
-            return False
+            return
         record.mark_active(sim.now)
         obs.emit(
             obs.MLOCK_START,
@@ -499,7 +489,7 @@ class DyrsSlave:
                 node=self.node_id,
                 source=lane,
             )
-            return False
+            return
         if lane == "disk":
             self.estimator.observe(duration, block.size, now=sim.now)
         if record.dest_tier == "ssd":
@@ -513,7 +503,7 @@ class DyrsSlave:
                     source=lane,
                 )
                 self.master.discard(record, reason="ssd-full")
-                return False
+                return
             if not self.datanode.holds("ssd", block.block_id):
                 # A copy may already be physically present when a stale
                 # fill lands on a node whose earlier copy lost its
@@ -534,7 +524,6 @@ class DyrsSlave:
             nbytes=block.size,
         )
         self.master.on_migration_complete(record, self.node_id, duration)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
@@ -547,10 +536,10 @@ class DyrsSlave:
 class _Signal(Event):
     """A work or memory-space signal that a timer also ends.
 
-    The worker yields the signal itself.  :meth:`DyrsSlave.enqueue`,
-    :meth:`DyrsSlave.notify_memory_freed` or a master waking a parked
-    slave triggers it, and it resumes the worker when the engine pops
-    it; the timer's callback, :meth:`_expire`, ends the wait in place.
+    The worker yields the signal itself.  :meth:`DyrsSlave.enqueue` or
+    :meth:`DyrsSlave.notify_memory_freed` triggers it, and it resumes
+    the worker when the engine pops it; the timer's callback,
+    :meth:`_expire`, ends the wait in place.
     Whichever of the two is processed first resumes the worker, without
     building a condition event over the two: a signal triggered at the
     timer's instant but still queued behind it loses.
@@ -570,13 +559,13 @@ class _Signal(Event):
 
 def _idle_wait(sim: "Simulator", seconds: float) -> tuple[_Signal, Event]:
     """A fresh signal to wait on, and the timer that ends the wait after
-    ``seconds`` (the re-poll, the notify backstop or the space
-    re-check).  A worker that the signal resumed discards the timer,
-    and so does one a crash interrupts, in an ``except Interrupt``
-    clause.  Not in a ``finally``: that would also run when the garbage
-    collector closes a finished run's workers, and a heap compaction
-    there puts the dying run's events in a new list, which keeps the
-    whole run alive for one more collection.
+    ``seconds`` (the poll-mode re-poll or the space re-check).  A worker
+    that the signal resumed discards the timer, and so does one a crash
+    interrupts, in an ``except Interrupt`` clause.  Not in a
+    ``finally``: that would also run when the garbage collector closes
+    a finished run's workers, and a heap compaction there puts the
+    dying run's events in a new list, which keeps the whole run alive
+    for one more collection.
 
     The timer refers to the signal through its callback, never the
     other way round, so a discarded timer and its signal are freed by
@@ -613,8 +602,8 @@ class _PullLeg:
     wait, and only a zero service delay binds at once.  A leg has no
     deadline: a blackholed request (partition, master down) ends the
     leg at once, an empty grant ends it without waiting for the
-    inbound delay, and the worker loop re-polls at heartbeat cadence.
-    A slow leg holds only its own window slot.
+    inbound delay, and the worker loop asks again at its next re-poll
+    or wake.  A slow leg holds only its own window slot.
 
     Nothing waits on a leg.  Every stage runs in a timeout's callback,
     so an exception inside any stage propagates out of

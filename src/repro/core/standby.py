@@ -113,6 +113,12 @@ class StandbyCoordinator:
         # Rebuild the directory from slave pin state and evict the
         # buffers whose reference lists died with the old primary.
         new.recover()
+        # The park list died with the primary: wake each live slave
+        # parked there, so it asks the new master at once and re-parks.
+        for node_id in sorted(old._parked):
+            signal = old._parked.pop(node_id)
+            if new.slaves[node_id].alive and not signal.triggered:
+                signal.succeed()
 
         self.primary = new
         self.log.append((self.sim.now, f"standby-gen{self.generation}-promoted"))

@@ -9,6 +9,16 @@ from repro.dfs.heartbeat import HeartbeatService
 from repro.units import MB
 
 
+def wait_enders(sim, signal):
+    """Scheduled events that would end a wait on ``signal``."""
+    return [
+        event
+        for _when, _priority, _seq, event in sim._heap
+        if not event._discarded
+        and any(getattr(cb, "__self__", None) is signal for cb in event.callbacks or ())
+    ]
+
+
 class Rig:
     """A wired cluster + DFS + migration master, for tests."""
 

@@ -17,14 +17,18 @@ from repro.core.failures import (
     ChaosCampaign,
     ChaosFault,
     FailureInjector,
+    quiesce_violations,
 )
 from repro.core.records import MigrationStatus
 from repro.core.slave import RPC_LATENCY
 from repro.experiments.common import PaperSetup, build_system
 from repro.obs import trace as T
+from repro.obs.invariants import TraceInvariants
 from repro.obs.trace import tracing
 from repro.units import GB, MB
 from repro.workloads.sort import sort_job
+
+from .conftest import wait_enders
 
 
 def _arm_mid_pull_crash(rig, after=0.02, then=None):
@@ -589,6 +593,55 @@ class TestChaosCampaign:
         rig.master.migrate(["input"], job_id="j1")
         rig.sim.run(until=150)
         assert campaign.injector.log  # the scheduled faults fired
+
+
+class TestNotifyLiveness:
+    """A parked notify-mode slave waits on its signal alone, so every
+    fault a campaign throws must leave each idle slave wakeable."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_campaign_leaves_parked_slaves_wakeable(self, seed):
+        with tracing() as tracer:
+            system = build_system(
+                PaperSetup(
+                    scheme="dyrs",
+                    seed=seed,
+                    interference="none",
+                    dyrs_overrides={"idle_pull": "notify"},
+                )
+            )
+            injector = FailureInjector(system.cluster, master=system.master)
+            plan = ChaosCampaign(injector, seed=seed, horizon=120.0).arm()
+            system.runtime.run_to_completion(
+                [sort_job(system, size=2 * GB, job_id="sort-0")]
+            )
+            cleared = max(f.time + (f.duration or 0.0) for f in plan)
+            system.sim.run(until=max(system.sim.now, cleared) + 1.0)
+            system.client.create_file("late", 1 * GB)
+            system.master.migrate(["late"], job_id="late")
+            system.sim.run(until=system.sim.now + 10.0)
+            memory = system.namenode.directory["memory"]
+            assert all(
+                b.block_id in memory for b in system.client.blocks_of(["late"])
+            )
+            system.master.notify_job_finished("late")
+            system.sim.run(until=system.sim.now + 30.0)
+        # Idle again, every live slave is parked at the master and waits
+        # on its signal alone: only a wake can end the wait.
+        for slave in system.master.slaves.values():
+            if slave.alive:
+                signal = slave._work_signal
+                assert system.master._parked[slave.node_id] is signal
+                assert wait_enders(system.sim, signal) == []
+        checker = TraceInvariants(tracer.events)
+        assert checker.violations() == []
+        assert (
+            checker.liveness_violations(
+                final_memory_bytes=system.cluster.total_memory_used()
+            )
+            == []
+        )
+        assert quiesce_violations(system.master) == []
 
 
 class TestQueueDepthAccounting:

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.core import DyrsConfig
+from repro.core.master import RETARGET_INTERVAL
 from repro.core.slave import RPC_LATENCY
 from repro.dfs import EvictionMode
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.units import GB, MB
+
+from .conftest import wait_enders
 
 
 def _deserted(waiter) -> bool:
@@ -107,6 +110,18 @@ class TestPullProtocol:
             if r.completed_at is not None
         }
         assert workers == {0, 1, 2, 3}
+
+
+class TestEventBudget:
+    def test_idle_notify_rig_spends_only_its_ticks(self, make_rig):
+        """Parked slaves cost nothing: an idle notify-mode rig spends
+        one event per heartbeat tick, one per retarget tick, and one
+        per slave for its start-up pull."""
+        rig = make_rig(n_workers=4, config=DyrsConfig(idle_pull="notify"))
+        rig.sim.run(until=1000)
+        heartbeat_ticks = 1000 / rig.namenode.heartbeat_interval
+        retarget_ticks = 1000 / RETARGET_INTERVAL
+        assert rig.sim.steps == heartbeat_ticks + retarget_ticks + 4
 
 
 class TestWorkerFailure:
@@ -216,12 +231,13 @@ class TestIdleWaits:
         assert _orphaned_timers(rig.sim) == []
 
     def test_retarget_ends_the_notify_wait(self, make_rig):
-        """A parked slave woken by a retarget pass drops its backstop,
-        due 100 s later."""
+        """A parked slave waits on its signal alone, and the retarget
+        pass that aims work at its node ends the wait."""
         rig = make_rig(n_workers=1, config=DyrsConfig(idle_pull="notify"))
         slave = rig.slaves[0]
         rig.sim.run(until=1)
         assert rig.master._parked.get(0) is slave._work_signal  # parked
+        assert wait_enders(rig.sim, slave._work_signal) == []
         rig.client.create_file("a", 64 * MB)
         rig.master.migrate(["a"], job_id="j1")
         # The request's retarget pass aims the block here and wakes the
@@ -257,13 +273,21 @@ class TestIdleWaits:
         assert _orphaned_timers(rig.sim) == []
 
     def test_crash_ends_the_notify_wait(self, make_rig):
+        """A crash ends a parked wait and leaves nothing waiting on its
+        signal; the restarted slave parks on a fresh one."""
         rig = make_rig(n_workers=1, config=DyrsConfig(idle_pull="notify"))
         slave = rig.slaves[0]
-        rig.sim.run(until=1)  # parked; the backstop is due at t=100
-        assert rig.master._parked.get(0) is slave._work_signal
+        rig.sim.run(until=1)  # parked, on its signal alone
+        signal = slave._work_signal
+        assert rig.master._parked.get(0) is signal
         slave.crash()
         rig.sim.run(until=1.01)
+        assert signal.callbacks == []
         assert _orphaned_timers(rig.sim) == []
+        slave.restart()
+        rig.sim.run(until=1.2)
+        assert rig.master._parked.get(0) is slave._work_signal
+        assert slave._work_signal is not signal
 
     def test_crash_ends_the_space_wait(self, make_rig):
         config = DyrsConfig(memory_limit=64 * MB)

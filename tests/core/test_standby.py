@@ -10,8 +10,7 @@ from repro.dfs.heartbeat import HeartbeatService
 from repro.units import MB
 
 
-@pytest.fixture
-def rig():
+def _build(config):
     cluster = Cluster(ClusterSpec(n_workers=4, seed=9))
     namenode = NameNode(
         cluster,
@@ -19,7 +18,6 @@ def rig():
         block_size=64 * MB,
     )
     client = DFSClient(namenode)
-    config = DyrsConfig()
     coordinator = StandbyCoordinator(namenode, config, failover_delay=5.0)
     slaves = [
         DyrsSlave(namenode.datanodes[n.node_id], coordinator.primary, config)
@@ -32,6 +30,11 @@ def rig():
     for s in slaves:
         s.start()
     return cluster, namenode, client, coordinator, slaves
+
+
+@pytest.fixture
+def rig():
+    return _build(DyrsConfig())
 
 
 class TestFailover:
@@ -82,6 +85,27 @@ class TestFailover:
         assert binds == []
         assert all(s._leg_outstanding == {0: 0} for s in slaves)
         assert all(r.bound_node is None for r in new.record_log)
+
+    def test_slaves_parked_at_the_primary_ask_the_standby(self):
+        """The primary's park list dies with it, and a parked slave has
+        no timer: promotion wakes every slave parked at the primary, so
+        work requested right after it binds at once."""
+        cluster, namenode, client, coordinator, slaves = _build(
+            DyrsConfig(idle_pull="notify")
+        )
+        cluster.sim.run(until=20)
+        old = coordinator.primary
+        assert sorted(old._parked) == [0, 1, 2, 3]
+        coordinator.fail_primary()
+        new = coordinator.fail_over()
+        client.create_file("b", 256 * MB)
+        assert client.migrate(["b"], job_id="j2") is True
+        cluster.sim.run(until=cluster.sim.now + 10)
+        for block in client.blocks_of(["b"]):
+            assert block.block_id in namenode.directory["memory"]
+        # Idle again, every slave is parked at the standby alone.
+        assert old._parked == {}
+        assert sorted(new._parked) == [0, 1, 2, 3]
 
     def test_slaves_rewired_to_new_master(self, rig):
         cluster, _, client, coordinator, slaves = rig

@@ -297,6 +297,62 @@ def _outbound_timeouts(sim):
     ]
 
 
+class TestOnePullPerTurn:
+    def test_copy_opens_one_leg_per_shard_and_claim_none(self):
+        """The worker pulls once per turn of its loop.  The pull after a
+        copy opens one leg to each live shard; claiming the next record
+        leaves the pull space as it was, so the claim opens none."""
+        system = build_system(
+            PaperSetup(
+                scheme="dyrs-sharded-async",
+                n_workers=4,
+                seed=1,
+                interference="none",
+                block_size=64 * MB,
+                shards=4,
+            )
+        )
+        sim, master = system.sim, system.master
+        opened = {}  # (time, node, "copy" or "claim") -> legs opened then
+        last = {}  # node -> its latest such key
+
+        def note(node_id, what):
+            last[node_id] = (sim.now, node_id, what)
+            opened[last[node_id]] = 0
+
+        def slave_changed(slave, changed=master.slave_changed):
+            active = slave._active
+            if active is not None and active.started_at is None:
+                note(slave.node_id, "claim")
+            changed(slave)
+
+        def on_migration_complete(record, node_id, duration,
+                                  complete=master.on_migration_complete):
+            note(node_id, "copy")
+            complete(record, node_id, duration)
+
+        master.slave_changed = slave_changed
+        master.on_migration_complete = on_migration_complete
+        for slave in system.slaves:
+
+            def maybe_pull(slave=slave, pull=slave._maybe_pull):
+                before = sum(slave._leg_outstanding.values())
+                pull()
+                key = last.get(slave.node_id)
+                if key is not None and key[0] == sim.now:
+                    opened[key] += sum(slave._leg_outstanding.values()) - before
+
+            slave._maybe_pull = maybe_pull
+        system.client.create_file("a", 2 * GB)
+        master.migrate(["a"], job_id="j1")
+        sim.run(until=60)
+        copies = [n for (_, _, what), n in opened.items() if what == "copy"]
+        claims = [n for (_, _, what), n in opened.items() if what == "claim"]
+        assert len(copies) == len(claims) == 32  # every block of "a"
+        assert copies == [4] * 32
+        assert claims == [0] * 32
+
+
 class TestSharedOutbound:
     """One outbound timeout per pull, however many legs it opens."""
 
