@@ -98,6 +98,9 @@ class MigrationMaster:
         #: Idle slaves waiting to be woken when work targets them
         #: (``idle_pull="notify"``); empty in the paper's poll mode.
         self._parked: dict[int, Event] = {}
+        #: Poll-mode slaves whose idle re-poll chain is parked, by node
+        #: (see :meth:`~repro.core.slave.DyrsSlave.materialize`).
+        self._polling_parked: dict[int, "DyrsSlave"] = {}
 
     # -- record plumbing --------------------------------------------------------
 
@@ -202,6 +205,17 @@ class MigrationMaster:
         computed at bind time."""
         return self.request_work(node_id, max_blocks)
 
+    def may_bind(self, node_id: int) -> bool:
+        """Whether a pull from ``node_id`` could bind anything now.
+
+        An idle poll-mode slave parks its re-poll chain only while this
+        is False, so a master that answers False must rebuild the chain
+        (:meth:`~repro.core.slave.DyrsSlave.materialize`) before the
+        answer can change.  True here: a binding strategy that cannot
+        tell keeps its slaves polling.
+        """
+        return True
+
     def pull_service_seconds(self, shard_id: int) -> float:
         """Master-side service time of one leg (modeling hook).
 
@@ -235,6 +249,23 @@ class MigrationMaster:
         """Withdraw a parked signal (slave woke up by other means)."""
         if self._parked.get(node_id) is signal:
             del self._parked[node_id]
+
+    # -- parked re-poll chains (idle_pull="poll") ----------------------------
+
+    def park_polling_slave(self, slave: "DyrsSlave") -> None:
+        """List a slave whose re-poll chain just parked."""
+        self._polling_parked[slave.node_id] = slave
+
+    def unpark_polling_slave(self, node_id: int) -> None:
+        """Drop a slave whose chain is being rebuilt."""
+        del self._polling_parked[node_id]
+
+    def materialize_parked(self) -> None:
+        """Rebuild every parked re-poll chain, before a change to what
+        any re-poll would do (the master a slave asks, the endpoints it
+        opens legs to)."""
+        for node_id in sorted(self._polling_parked):
+            self._polling_parked[node_id].materialize()
 
     # -- client API ------------------------------------------------------------
 

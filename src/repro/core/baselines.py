@@ -90,6 +90,11 @@ class IgnemMaster(MigrationMaster):
         """Ignem never holds back work; pulls find nothing."""
         return []
 
+    def may_bind(self, node_id: int) -> bool:
+        """Never: work arrives by push (:meth:`DyrsSlave.enqueue`
+        rebuilds a parked chain first)."""
+        return False
+
 
 class NaiveBalancerMaster(MigrationMaster):
     """Delayed binding without Algorithm 1 (the Fig 10a strawman).

@@ -335,6 +335,9 @@ class FailureInjector:
         def _shift(delta: float) -> None:
             slave = self.master.slaves.get(node_id)
             if slave is not None:
+                # A parked chain's legs keep the delay they were sent
+                # with: rebuild it before the delay moves.
+                slave.materialize()
                 slave._rpc_extra = max(0.0, slave._rpc_extra + delta)
 
         self._hold(

@@ -75,14 +75,17 @@ class DyrsConfig:
     idle_pull:
         How an idle slave (empty local queue) learns about new work.
         ``"poll"`` (the default) is the paper's periodic query: re-ask
-        the master every heartbeat interval.  ``"notify"`` parks the
-        idle slave at the master with no timer: every retarget pass
-        wakes each parked node it targets, and a standby's promotion
-        wakes the slaves parked at the dead primary.  At 1,000 mostly
-        idle nodes poll mode alone spends ~500 RPC events per simulated
-        second, so scale runs switch to notify.  A woken slave pulls at
-        once, not at its next poll tick: a modeled protocol change, not
-        an equivalence-preserving fast path.
+        the master every heartbeat interval.  Against an instant
+        master the simulator runs only the re-polls that could bind:
+        an idle slave whose master targets nothing at it parks its
+        re-poll chain, which is rebuilt exactly before anything could
+        change that (:mod:`repro.core.slave`), so idle polling costs
+        no engine events.  ``"notify"`` parks the idle slave at the
+        master with no timer: every retarget pass wakes each parked
+        node it targets, and a standby's promotion wakes the slaves
+        parked at the dead primary.  A woken slave pulls at once, not
+        at its next poll tick: a modeled protocol change, not an
+        equivalence-preserving fast path.
     shard_pull_window:
         Outstanding pull legs a slave may hold per master endpoint
         (the flat master is one endpoint, a federation one per live
@@ -373,10 +376,10 @@ class DyrsMaster(MigrationMaster):
         return self._pending.targeted_nodes()
 
     def _wake_parked(self) -> None:
-        """Wake parked idle slaves whose node gained a target
-        (``idle_pull="notify"``; a no-op in the paper's poll mode,
-        where nothing ever parks)."""
-        if not self._parked:
+        """Wake the idle slaves parked here whose node gained a target:
+        a notify-mode slave's signal, or a poll-mode slave's parked
+        re-poll chain, rebuilt before any of its re-polls can bind."""
+        if not self._parked and not self._polling_parked:
             return
         targeted = self._targeted_nodes()
         if not targeted:
@@ -385,6 +388,14 @@ class DyrsMaster(MigrationMaster):
             signal = self._parked.pop(node_id)
             if not signal.triggered:
                 signal.succeed()
+        for node_id in sorted(self._polling_parked.keys() & targeted):
+            self._polling_parked[node_id].materialize()
+
+    def may_bind(self, node_id: int) -> bool:
+        """Whether a pending record targets ``node_id``: a pull binds
+        only those, and only a retarget pass, which wakes the node
+        (:meth:`_wake_parked`), can aim one there."""
+        return self._pending.targets(node_id)
 
     def reclaim_unavailable(self) -> int:
         """Requeue work bound to slaves the NameNode considers dead.

@@ -118,6 +118,10 @@ class PendingPool:
         bucket = self._by_target.get(node_id)
         return list(bucket.values()) if bucket else []
 
+    def targets(self, node_id: int) -> bool:
+        """Whether any record is currently indexed at ``node_id``."""
+        return node_id in self._by_target
+
     def targeted_nodes(self) -> frozenset[int]:
         """Nodes with at least one record currently targeted at them
         (the wake set for parked idle slaves)."""

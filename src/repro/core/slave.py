@@ -20,7 +20,8 @@ Responsibilities (§III, §IV):
   timeouts;
 * wait **idle** -- for work, or for memory space -- on a signal that
   a timer (the re-poll or the space re-check) also ends
-  (:func:`_idle_wait`); a parked notify-mode slave waits for a wake;
+  (:func:`_idle_wait`); a parked notify-mode slave waits for a wake,
+  and a parked poll-mode chain is not simulated (below);
 * report ``(estimate, queue depth)`` at every heartbeat (§III-D), and
   tell its master whenever that load may have moved, so a heartbeat
   tick re-reads only the slaves that changed (see
@@ -34,6 +35,28 @@ Responsibilities (§III, §IV):
 The slave is shared by every master implementation (DYRS, Ignem,
 naive): masters only differ in *when and where* records land in local
 queues.
+
+Parked re-poll chains
+---------------------
+
+In poll mode against instant endpoints (``pull_service_cost`` 0) the
+slave's poll events -- a pull's outbound half and the idle re-poll
+timer -- run in the engine's trailing band (after every other event
+of their instant), ordered by the rank of their *re-poll chain*: the
+run of worker-loop turns linked by re-poll timers.  A turn that starts
+any other way draws a new rank, so chains pop in the order they
+started.  When a pull comes back empty while the master can bind
+nothing to the node (``may_bind``), the idle chain *parks*
+(:meth:`DyrsSlave._maybe_park`): every re-poll until something changes
+would be empty too, so none is simulated.  Before anything could make
+one bind or change what one does -- a retarget pass aiming work at the
+node, a push, a crash, an RPC-delay fault starting or ending, a
+standby failover, a shard crash or recovery --
+:meth:`DyrsSlave.materialize` rebuilds the chain as the loop would
+have left it.  The rebuilt events keep the chain's rank, so they pop
+where the real ones would have, and parking moves no simulated
+outcome.  A trace records only the polls that were simulated: a leg
+the rebuild finds on the wire is traced as opened at the rebuild.
 """
 
 from __future__ import annotations
@@ -119,6 +142,20 @@ class DyrsSlave:
         #: concurrent legs cannot overshoot the queue-depth target.
         self._leg_outstanding: dict[int, int] = {}
         self._undelivered = 0
+        #: Whether this slave's poll events -- a pull's outbound half and
+        #: the idle re-poll timer -- run in the engine's trailing band,
+        #: and so whether its re-poll chain may park: the paper's poll
+        #: mode against instant endpoints.  A leg whose endpoint spends
+        #: service time binds at an instant set by the pool size at
+        #: arrival, which a parked chain does not sample.
+        self._banded = config.idle_pull == "poll" and config.pull_service_cost == 0
+        #: Trailing-band rank of the worker loop's current re-poll
+        #: chain, drawn at every loop turn its own re-poll timer did not
+        #: resume (see :meth:`_run`).
+        self._rank = 0
+        #: A parked re-poll chain: its next departure, its one-way RPC
+        #: delay and its rank (see :meth:`_maybe_park`).
+        self._parked: Optional[tuple[float, float, int]] = None
         self.alive = False
         master.register_slave(self)
 
@@ -180,6 +217,9 @@ class DyrsSlave:
         """
         if not self.alive:
             return
+        # Rebuild a parked chain first, so a leg on the wire in it still
+        # lands -- and, under the old epoch, is requeued on delivery.
+        self.materialize()
         self.alive = False
         # Invalidate any in-flight pull leg: its response now addresses
         # a dead epoch and must not be delivered to whatever process
@@ -258,6 +298,9 @@ class DyrsSlave:
                 )
                 self._ssd_worker.add_callback(_reraise_failure)
             return
+        # The worker resumes at once, and a leg a parked chain has on
+        # the wire still holds its window slot: rebuild the chain first.
+        self.materialize()
         self._queue.append(record)
         self.master.slave_changed(self)
         if self._work_signal is not None and not self._work_signal.triggered:
@@ -314,6 +357,9 @@ class DyrsSlave:
 
         The worker's only pull, at the top of its loop: at start, after
         each wait and after each copy.  A claim leaves the space as is.
+        A parked re-poll chain pulls nothing: its re-polls are the ones
+        that could not bind, and :meth:`materialize` rebuilds the chain
+        before anything could change that.
 
         The flat master is one endpoint, so at window 1 this is the
         paper's single pull in flight; during its round trip the worker
@@ -327,6 +373,14 @@ class DyrsSlave:
         """
         if not self.alive or self._pull_space() <= 0:
             return
+        self._open_legs(self.sim.now)
+
+    def _open_legs(self, departed: float) -> None:
+        """Open the legs of a pull sent at ``departed``: now, or the
+        last re-poll of a parked chain that :meth:`materialize` finds
+        still on the wire.  The shared outbound half lands one RPC
+        delay after ``departed``; a banded slave's runs in the trailing
+        band under the chain's rank."""
         window = self._pull_window
         sim = self.sim
         outbound: Optional[Event] = None
@@ -346,18 +400,100 @@ class DyrsSlave:
                 )
             if outbound is None:
                 # The outbound half: every leg of this pull is on the
-                # wire from now and lands after the same delay.
-                outbound = sim.timeout(self._rpc_leg_delay())
+                # wire from ``departed`` and lands after the same delay.
+                delay = self._rpc_leg_delay()
+                if self._banded:
+                    outbound = sim.trailing_at(departed + delay, self._rank)
+                else:
+                    outbound = sim.timeout(delay)
             outbound.add_callback(_PullLeg(self, shard_id, generation)._arrived)
 
     def _rpc_leg_delay(self) -> float:
         """One-way RPC delay including any injected spike."""
         return RPC_LATENCY + self._rpc_extra
 
+    def _maybe_park(self) -> None:
+        """Park the idle re-poll chain if every re-poll would bind
+        nothing until something tells this slave otherwise.
+
+        Called at the close of an empty or blackholed leg of the
+        current epoch and chain.  The chain parks when the slave is
+        banded and alive, holds no work (queue, copy, undelivered
+        grant, open leg), waits idle on a pending re-poll timer, and
+        its master cannot bind anything to the node
+        (:meth:`~repro.core.base.MigrationMaster.may_bind`).  A delay
+        of a heartbeat interval or more keeps the chain polling: a leg
+        would then be on the wire at its next re-poll.
+
+        Parking discards the timer and keeps the chain's next
+        departure, RPC delay and rank; the master lists the slave, and
+        :meth:`materialize` rebuilds the chain when a retarget pass
+        aims work at the node or anything a re-poll reads changes.
+        """
+        signal = self._work_signal
+        if (
+            not self._banded
+            or not self.alive
+            or signal is None
+            or signal.triggered
+            or signal.timer is None
+            or self._queue
+            or self._active is not None
+            or self._undelivered
+            or any(self._leg_outstanding.values())
+        ):
+            return
+        delay = self._rpc_leg_delay()
+        if delay >= self.namenode.heartbeat_interval:
+            return
+        if self.master.may_bind(self.node_id):
+            return
+        signal.drop_timer()
+        self._parked = (signal.due, delay, self._rank)
+        self.master.park_polling_slave(self)
+
+    def materialize(self) -> None:
+        """Rebuild a parked re-poll chain at the current instant (a
+        no-op unless parked): its re-poll timer and, if its last
+        re-poll's leg is still on the wire, that leg -- with the plan,
+        generations, master and epoch it was sent with, which every
+        caller keeps unchanged while the chain is parked.  Real polling
+        resumes until the next empty pull.
+
+        The replay repeats the loop's own float additions, so each
+        rebuilt instant is the one the loop would have scheduled.  Every
+        caller runs in the engine's normal band, so no poll event of
+        this instant has run: a re-poll due now is still ahead (``<``)
+        and a leg landing now is still on the wire (``>=``).  The
+        rebuilt events keep the chain's rank, so they pop exactly where
+        the real ones would have.
+        """
+        parked = self._parked
+        if parked is None:
+            return
+        self._parked = None
+        self.master.unpark_polling_slave(self.node_id)
+        due, delay, rank = parked
+        now = self.sim.now
+        interval = self.namenode.heartbeat_interval
+        departed: Optional[float] = None
+        while due < now:
+            departed = due
+            due += interval
+        if departed is not None and departed + delay >= now:
+            self._open_legs(departed)
+        self._work_signal.arm(self.sim.trailing_at(due, rank), due)
+
     def _run(self):
         sim = self.sim
+        banded = self._banded
+        repolled = False
         try:
             while True:
+                if banded and not repolled:
+                    # A turn its own re-poll timer did not resume starts
+                    # a new chain, ranked behind every earlier chain.
+                    self._rank = sim.draw_rank()
                 self._maybe_pull()
                 if not self._queue:
                     if self.config.idle_pull == "notify":
@@ -371,16 +507,20 @@ class DyrsSlave:
                     else:
                         # Idle: wait for work, re-polling the master at
                         # heartbeat cadence (periodic query, §III-A1).
-                        interval = self.namenode.heartbeat_interval
-                        self._work_signal, timer = _idle_wait(sim, interval)
+                        self._work_signal = signal = _idle_wait(
+                            sim,
+                            self.namenode.heartbeat_interval,
+                            self._rank if banded else None,
+                        )
                         try:
-                            yield self._work_signal
+                            repolled = yield signal
                         except Interrupt:
-                            sim.discard(timer)  # a crash ends the wait
+                            signal.drop_timer()  # a crash ends the wait
                             raise
-                        sim.discard(timer)  # work came first
+                        signal.drop_timer()  # work came first
                     self._work_signal = None
                     continue
+                repolled = False
                 record = self._queue.popleft()
                 if not record.status.is_terminal:
                     # Claim the slot: the record moves from the queue to
@@ -440,7 +580,7 @@ class DyrsSlave:
             while not self._memory_fits(block.size):
                 # Re-check at heartbeat cadence, or as soon as an
                 # eviction frees memory; drop the re-check it beat.
-                signal, timer = _idle_wait(sim, self.namenode.heartbeat_interval)
+                signal = _idle_wait(sim, self.namenode.heartbeat_interval)
                 if lane == "ssd":
                     self._ssd_space_signal = signal
                 else:
@@ -448,9 +588,9 @@ class DyrsSlave:
                 try:
                     yield signal
                 except Interrupt:
-                    sim.discard(timer)
+                    signal.drop_timer()
                     raise
-                sim.discard(timer)
+                signal.drop_timer()
                 if lane == "ssd":
                     self._ssd_space_signal = None
                 else:
@@ -539,13 +679,40 @@ class _Signal(Event):
     The worker yields the signal itself.  :meth:`DyrsSlave.enqueue` or
     :meth:`DyrsSlave.notify_memory_freed` triggers it, and it resumes
     the worker when the engine pops it; the timer's callback,
-    :meth:`_expire`, ends the wait in place.
+    :meth:`_expire`, ends the wait in place, and the worker resumes
+    with True, so the loop can tell a re-poll from a wake.
     Whichever of the two is processed first resumes the worker, without
     building a condition event over the two: a signal triggered at the
     timer's instant but still queued behind it loses.
+
+    Each signal owns its timer: only the worker that waits on it drops
+    it, so a crashed worker's clean-up can never reach the timer of
+    the process restarted in its place.  A parked re-poll chain leaves
+    its signal without a timer until :meth:`DyrsSlave.materialize`
+    arms a rebuilt one.
     """
 
-    __slots__ = ()
+    __slots__ = ("timer", "due")
+
+    def __init__(self, sim: "Simulator") -> None:
+        super().__init__(sim)
+        #: The armed timer, None once dropped.
+        self.timer: Optional[Event] = None
+        #: The instant the armed timer fires.
+        self.due = 0.0
+
+    def arm(self, timer: Event, due: float) -> None:
+        """Let ``timer``, due at ``due``, end the wait."""
+        self.timer = timer
+        self.due = due
+        timer.add_callback(self._expire)
+
+    def drop_timer(self) -> None:
+        """Discard the armed timer, if any (a no-op once it fired)."""
+        timer = self.timer
+        if timer is not None:
+            self.timer = None
+            self.sim.discard(timer)
 
     def _expire(self, _timer: Event) -> None:
         if self._processed:
@@ -554,27 +721,33 @@ class _Signal(Event):
             # Triggered at this instant but queued behind the timer:
             # drop the queued entry, the timer resumes the worker.
             self.sim.discard(self)
-        self._fire(True, None)
+        self._fire(True, True)
 
 
-def _idle_wait(sim: "Simulator", seconds: float) -> tuple[_Signal, Event]:
-    """A fresh signal to wait on, and the timer that ends the wait after
-    ``seconds`` (the poll-mode re-poll or the space re-check).  A worker
-    that the signal resumed discards the timer, and so does one a crash
-    interrupts, in an ``except Interrupt`` clause.  Not in a
+def _idle_wait(
+    sim: "Simulator", seconds: float, rank: Optional[int] = None
+) -> _Signal:
+    """A fresh signal to wait on, armed with the timer that ends the
+    wait after ``seconds`` (the poll-mode re-poll or the space
+    re-check); a ``rank`` puts the timer in the trailing band.  A
+    worker that the signal resumed drops the timer, and so does one a
+    crash interrupts, in an ``except Interrupt`` clause.  Not in a
     ``finally``: that would also run when the garbage collector closes
     a finished run's workers, and a heap compaction there puts the
     dying run's events in a new list, which keeps the whole run alive
     for one more collection.
 
-    The timer refers to the signal through its callback, never the
-    other way round, so a discarded timer and its signal are freed by
-    reference counting alone.
+    The timer refers to the signal through its callback, and the
+    signal to the timer only while it is armed, so a dropped timer and
+    its signal are freed by reference counting alone.
     """
     signal = _Signal(sim)
-    timer = sim.timeout(seconds)
-    timer.add_callback(signal._expire)
-    return signal, timer
+    due = sim.now + seconds
+    if rank is None:
+        signal.arm(sim.timeout(seconds), due)
+    else:
+        signal.arm(sim.trailing_at(due, rank), due)
+    return signal
 
 
 def _reraise_failure(worker: Process) -> None:
@@ -605,6 +778,11 @@ class _PullLeg:
     inbound delay, and the worker loop asks again at its next re-poll
     or wake.  A slow leg holds only its own window slot.
 
+    A banded slave's outbound half runs in the engine's trailing band
+    under the rank of the chain that sent it, and a leg of the current
+    chain that bound nothing may park that chain
+    (:meth:`DyrsSlave._maybe_park`).
+
     Nothing waits on a leg.  Every stage runs in a timeout's callback,
     so an exception inside any stage propagates out of
     :meth:`~repro.sim.engine.Simulator.step`; if it is raised on
@@ -614,7 +792,15 @@ class _PullLeg:
     into no trace.
     """
 
-    __slots__ = ("slave", "master", "shard_id", "generation", "epoch", "granted")
+    __slots__ = (
+        "slave",
+        "master",
+        "shard_id",
+        "generation",
+        "epoch",
+        "rank",
+        "granted",
+    )
 
     def __init__(self, slave: DyrsSlave, shard_id: int, generation: int) -> None:
         self.slave = slave
@@ -625,6 +811,8 @@ class _PullLeg:
         self.shard_id = shard_id
         self.generation = generation
         self.epoch = slave._epoch
+        #: The re-poll chain that sent it.
+        self.rank = slave._rank
         #: The grant riding the inbound half, set at bind time.
         self.granted: Sequence[MigrationRecord] = ()
 
@@ -693,9 +881,11 @@ class _PullLeg:
 
     def _close(self) -> None:
         """Free the window slot (only the live epoch's) and trace the
-        leg's end."""
+        leg's end; a leg of the current chain that bound nothing may
+        park the chain."""
         slave = self.slave
-        if slave._epoch == self.epoch:
+        current = slave._epoch == self.epoch
+        if current:
             outstanding = slave._leg_outstanding
             count = outstanding.get(self.shard_id, 0)
             if count > 0:
@@ -707,3 +897,5 @@ class _PullLeg:
                 node=slave.node_id,
                 shard=self.shard_id,
             )
+        if current and not self.granted and self.rank == slave._rank:
+            slave._maybe_park()

@@ -106,6 +106,9 @@ class StandbyCoordinator:
 
         self.generation += 1
         new = self.master_factory(self.namenode, self.config)  # claims migration_master
+        # A parked re-poll chain asks the master it parked at; rebuild
+        # each before its slave is rewired, so later re-polls are real.
+        old.materialize_parked()
         for slave in old.slaves.values():
             slave.master = new
             new.register_slave(slave)

@@ -205,6 +205,10 @@ class ShardCoordinator(DyrsMaster):
         self._wake_parked()
         return targets
 
+    def may_bind(self, node_id: int) -> bool:
+        """Whether a live shard targets ``node_id``."""
+        return any(shard.alive and shard.targets(node_id) for shard in self._shards)
+
     def _targeted_nodes(self) -> frozenset[int]:
         targeted: set[int] = set()
         for shard in self._shards:
@@ -301,6 +305,8 @@ class ShardCoordinator(DyrsMaster):
         shard = self._shards[shard_id]
         if not shard.alive:
             return
+        # Every pull plan is about to lose this shard.
+        self.materialize_parked()
         if obs.enabled():
             obs.emit(
                 obs.SHARD_CRASH,
@@ -324,6 +330,8 @@ class ShardCoordinator(DyrsMaster):
         old = self._shards[shard_id]
         if old.alive:
             return
+        # Every pull plan is about to gain this shard back.
+        self.materialize_parked()
         replacement = MasterShard(shard_id, generation=old.generation + 1)
         self._shards[shard_id] = replacement
         if obs.enabled():

@@ -66,6 +66,10 @@ class MasterShard:
         self._pending.clear()
         return records
 
+    def targets(self, node_id: int) -> bool:
+        """Whether this shard targets ``node_id``."""
+        return self._pending.targets(node_id)
+
     def targeted_nodes(self) -> frozenset[int]:
         """Nodes this shard currently targets (idle-notify wake set)."""
         return self._pending.targeted_nodes()

@@ -4,6 +4,17 @@ The :class:`Simulator` owns simulated time.  Events are scheduled into
 a binary heap keyed by ``(time, priority, sequence)`` -- the sequence
 number makes ordering of same-time, same-priority events FIFO and the
 whole simulation deterministic.
+
+Three bands share an instant, in order: urgent engine bookkeeping,
+normal events, and the *trailing band* (:meth:`Simulator.trailing_at`).
+A trailing event's key is ``(time, TRAILING_PRIORITY, (rank, seq))``:
+it runs after every urgent and normal event of its instant, and the
+band runs in ``rank`` order, sequence breaking ties.  A rank is drawn
+from the same counter as sequence numbers (:meth:`Simulator.draw_rank`)
+and may be reused for many events, so a caller can schedule an event
+now that pops exactly where one it would have scheduled earlier under
+the same rank would have popped -- the slave's poll events, whose
+parked re-poll chains are rebuilt that way (:mod:`repro.core.slave`).
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import heapq
 from itertools import count
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.events import NORMAL_PRIORITY, Event, Timeout
+from repro.sim.events import NORMAL_PRIORITY, TRAILING_PRIORITY, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Simulator", "StopSimulation"]
@@ -44,7 +55,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: ``(time, priority, tiebreak, event)``; the tiebreak is the
+        #: sequence number, or ``(rank, seq)`` in the trailing band.
+        self._heap: list[tuple[float, int, object, Event]] = []
         self._seq = count()
         self._n_discarded = 0
         #: Total events processed by :meth:`step` over the simulator's
@@ -93,6 +106,25 @@ class Simulator:
         self._schedule(event, when - self._now, priority=priority)
         return event
 
+    def trailing_at(self, when: float, rank: int) -> Event:
+        """A triggered event that pops at absolute time ``when`` in the
+        trailing band: after every urgent and normal event of that
+        instant, in ``rank`` order among the band (see the module
+        docstring).  Cancel it with :meth:`discard`.
+        """
+        if when < self._now:
+            raise ValueError(f"trailing_at into the past: {when} < {self._now}")
+        event = Event(self)
+        event._ok = True
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (when, TRAILING_PRIORITY, (rank, seq), event))
+        return event
+
+    def draw_rank(self) -> int:
+        """A fresh rank for :meth:`trailing_at`: the next sequence
+        number, so ranks drawn later sort later."""
+        return next(self._seq)
+
     # -- scheduling ----------------------------------------------------
 
     def _schedule(
@@ -129,9 +161,10 @@ class Simulator:
     def _compact(self) -> None:
         """Rebuild the heap without discarded entries.
 
-        Safe at any point: entry keys ``(time, priority, seq)`` are
-        unique (``seq`` is a global counter), so the rebuilt heap pops
-        in exactly the same order as the old one.
+        Safe at any point: entry keys are unique (every key ends in a
+        sequence number from a global counter, trailing-band keys
+        included), so the rebuilt heap pops in exactly the same order
+        as the old one.
         """
         self._heap = [entry for entry in self._heap if not entry[3]._discarded]
         heapq.heapify(self._heap)

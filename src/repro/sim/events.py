@@ -43,6 +43,11 @@ time, inside the step that decides them, costing no simulator step
 
 Their waiters therefore resume before any other event of the same
 instant.
+
+The events of one instant run in three bands: urgent engine
+bookkeeping (bandwidth re-sharing), then normal events, then the
+trailing band (:meth:`~repro.sim.engine.Simulator.trailing_at`),
+ordered by rank.  Only the slave's poll events use the trailing band.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ __all__ = [
     "EventAlreadyTriggered",
     "NORMAL_PRIORITY",
     "URGENT_PRIORITY",
+    "TRAILING_PRIORITY",
 ]
 
 #: Default scheduling priority for events triggering at the same time.
@@ -66,6 +72,10 @@ NORMAL_PRIORITY = 1
 #: Priority used for engine-internal bookkeeping that must run before
 #: user events at the same timestamp (e.g. bandwidth re-sharing).
 URGENT_PRIORITY = 0
+#: The trailing band: events scheduled with
+#: :meth:`~repro.sim.engine.Simulator.trailing_at`, which run after
+#: every urgent and normal event of their instant, in rank order.
+TRAILING_PRIORITY = 2
 
 
 class EventAlreadyTriggered(RuntimeError):

@@ -23,13 +23,14 @@ def _deserted(waiter) -> bool:
 
 def _orphaned_timers(sim):
     """Scheduled timers whose every waiter is deserted: each would pop
-    later and wake nothing.  An idle wait's timer calls back into the
+    later and wake nothing.  An idle wait's timer -- a timeout, or a
+    trailing-band event for a poll-mode re-poll -- calls back into the
     signal the worker waits on, so it is orphaned once that signal has
     been processed, or once a crash has interrupted the worker waiting
     on it."""
     orphans = []
     for _when, _priority, _seq, event in sim._heap:
-        if event._discarded or not isinstance(event, Timeout):
+        if event._discarded or type(event) not in (Event, Timeout):
             continue
         waiters = [getattr(cb, "__self__", None) for cb in event.callbacks or ()]
         if waiters and all(_deserted(w) for w in waiters):
@@ -122,6 +123,19 @@ class TestEventBudget:
         heartbeat_ticks = 1000 / rig.namenode.heartbeat_interval
         retarget_ticks = 1000 / RETARGET_INTERVAL
         assert rig.sim.steps == heartbeat_ticks + retarget_ticks + 4
+
+    def test_idle_poll_rig_spends_only_its_ticks(self, make_rig):
+        """An idle poll-mode slave parks its re-poll chain after its
+        first empty pull, so an idle poll rig spends what a notify rig
+        does: its heartbeat and retarget ticks and one event per slave
+        for its start-up pull.  Unparked, each slave would spend two
+        events per re-poll: its timer and its empty leg."""
+        rig = make_rig(n_workers=4)
+        rig.sim.run(until=1000)
+        heartbeat_ticks = 1000 / rig.namenode.heartbeat_interval
+        retarget_ticks = 1000 / RETARGET_INTERVAL
+        assert rig.sim.steps == heartbeat_ticks + retarget_ticks + 4
+        assert sorted(rig.master._polling_parked) == [0, 1, 2, 3]
 
 
 class TestWorkerFailure:

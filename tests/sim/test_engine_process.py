@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Interrupt, Simulator
+from repro.sim.events import URGENT_PRIORITY
 
 
 @pytest.fixture
@@ -478,3 +479,113 @@ class TestDiscard:
         sim.run()
         assert got == ["late"]
         assert sim.steps == 1
+
+
+class TestTrailingBand:
+    """``trailing_at`` events run after every urgent and normal event
+    of their instant, in rank order, whatever order they were
+    scheduled in."""
+
+    def test_band_runs_last_in_rank_order(self, sim):
+        order = []
+
+        def note(label):
+            return lambda _event: order.append(label)
+
+        ranks = [sim.draw_rank() for _ in range(3)]
+        # Scheduled in scrambled order, interleaved with normal and
+        # urgent events of the same instant.
+        sim.trailing_at(5.0, ranks[2]).add_callback(note("trail-2"))
+        sim.call_at(5.0, lambda: order.append("normal-a"))
+        sim.trailing_at(5.0, ranks[0]).add_callback(note("trail-0"))
+        sim.call_at(5.0, lambda: order.append("urgent"), priority=URGENT_PRIORITY)
+        sim.trailing_at(5.0, ranks[1]).add_callback(note("trail-1"))
+        sim.call_at(5.0, lambda: order.append("normal-b"))
+        sim.trailing_at(4.0, ranks[2]).add_callback(note("earlier"))
+        sim.run()
+        assert order == [
+            "earlier",
+            "urgent",
+            "normal-a",
+            "normal-b",
+            "trail-0",
+            "trail-1",
+            "trail-2",
+        ]
+
+    def test_a_rank_drawn_later_sorts_later(self, sim):
+        order = []
+        late = sim.draw_rank()
+        early = late - 1  # any rank drawn before ``late``
+        sim.trailing_at(1.0, late).add_callback(lambda _e: order.append("late"))
+        sim.trailing_at(1.0, early).add_callback(lambda _e: order.append("early"))
+        sim.run()
+        assert order == ["early", "late"]
+
+    def test_normal_event_scheduled_inside_the_band_runs_at_once(self, sim):
+        """An event a trailing callback schedules for its own instant
+        is in the normal band of an instant the band already reached,
+        so it runs next, ahead of later-ranked trailing events."""
+        order = []
+        first, second = sim.draw_rank(), sim.draw_rank()
+
+        def spawn(_event):
+            order.append("first")
+            sim.call_at(sim.now, lambda: order.append("spawned"))
+
+        sim.trailing_at(2.0, first).add_callback(spawn)
+        sim.trailing_at(2.0, second).add_callback(lambda _e: order.append("second"))
+        sim.run()
+        assert order == ["first", "spawned", "second"]
+
+    def test_twins_of_one_rank_and_instant_coexist(self, sim):
+        """A discarded event and the twin scheduled in its place share
+        ``(when, rank)``; the sequence number keeps their keys apart."""
+        fired = []
+        rank = sim.draw_rank()
+        stale = sim.trailing_at(3.0, rank)
+        stale.add_callback(lambda _e: fired.append("stale"))
+        sim.discard(stale)
+        twin = sim.trailing_at(3.0, rank)
+        twin.add_callback(lambda _e: fired.append("twin"))
+        other = sim.trailing_at(3.0, rank)
+        other.add_callback(lambda _e: fired.append("other"))
+        sim.run()
+        assert fired == ["twin", "other"]
+
+    def test_into_the_past_raises(self, sim):
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            sim.trailing_at(1.0, sim.draw_rank())
+
+    def test_compaction_keeps_the_order(self, sim):
+        """Discarding enough entries to rebuild the heap changes no pop
+        order, trailing entries included."""
+        order = []
+        ranks = [sim.draw_rank() for _ in range(4)]
+        doomed = []
+        for i in range(40):
+            when = float(i % 5)
+            rank = ranks[(7 * i) % 4]
+            label = ("t", i)
+            sim.trailing_at(when, rank).add_callback(
+                lambda _e, label=label: order.append(label)
+            )
+            sim.call_at(when, lambda i=i: order.append(("n", i)))
+            doomed.append(sim.trailing_at(when, rank))
+            doomed.append(sim.trailing_at(when, ranks[i % 4]))
+            doomed.append(sim.call_at(when, lambda: order.append("doomed")))
+        expected = sorted(
+            [("n", i) for i in range(40)] + [("t", i) for i in range(40)],
+            key=lambda item: (
+                item[1] % 5,
+                item[0] == "t",
+                ranks[(7 * item[1]) % 4] if item[0] == "t" else 0,
+                item[1],
+            ),
+        )
+        for event in doomed:
+            sim.discard(event)
+        assert sim._n_discarded < len(doomed)  # the heap was rebuilt
+        sim.run()
+        assert order == expected
