@@ -13,7 +13,10 @@ A second table pins the trace of a few runs: the sha256 of the JSON
 lines ``Tracer.dump_jsonl`` would write.  The run digests above do not
 see the order of read or buffer-release events, and no run case reads
 from the SSD or the archive, so a change to those emits could move
-only the trace.
+only the trace.  A trace records only the polls that were simulated: a
+parked idle re-poll chain (``repro.core.slave``) emits no pull-leg
+lines, and a leg its rebuild finds on the wire is traced as opened at
+the rebuild.
 
 A third table pins what the failure injector did: the sha256 of
 ``FailureInjector.log`` -- every fault, recovery and skipped action
@@ -206,19 +209,19 @@ TRACE_CASES = (
 
 TRACE_GOLDEN = {
     "dyrs-tiered-promote-seed3": (
-        "498d64f17ef4c36f833b66f891afe9e147d2aa8ec37ad70bdbe98a183ec0070d"
+        "3107728264ff020993f233171c3fa0636ec387043fc6f457fcc67638bd032353"
     ),
     "dyrs-tiered-reread-seed3": (
-        "e3b6e4980e2dbfa724785b4f037da7c283b32b885798126c237e7a83605171e8"
+        "24239e79cd668ad53ae61ac1bdba3829d2639690e93747c718e20509c77bece3"
     ),
     "dyrs-lifecycle-swim-seed5": (
-        "79e6a29217b8b14bc535798ba11c1faea6acec6866114617738f01765810659c"
+        "f51b739571d965bf833121b0cf0d15084356fcffd22601777318af9472acaa25"
     ),
     "dyrs-swim-seed1-chaos": (
-        "72d75005a7860bbdc5e1f1b775e29ec023cc42d74d36091dc55cbb664e2962d5"
+        "10dd149e2907fe3b4b8a5721506a086b03621fca007f616d01c9ec22effe4025"
     ),
     "lifecycle-experiment-seed0": (
-        "232d98bd7a3279a17ec60f0d41755a715f4750e431890653f04c7089565e638f"
+        "e5896933ae2377deaa9a60d6204754f69669736055ff19aa49d89e664025c84a"
     ),
 }
 
