@@ -9,7 +9,7 @@ Both files are pytest-benchmark JSON exports holding the
 machine-independent headline numbers in ``benchmarks[].extra_info``:
 simulated quantities (``archive_hit_ratio``, ``reheat_latency_s``,
 the shard p99 ratio) and engine event counts (``events_per_task_1k``,
-``idle_notify_event_ratio``), all deterministic per seed.  Absolute
+``idle_poll_event_ratio``), all deterministic per seed.  Absolute
 wall-clock numbers like ``scale_wall_s_1000n`` vary with the runner and
 are reported but never gated.
 
@@ -31,13 +31,13 @@ from pathlib import Path
 GATED = (
     "archive_hit_ratio",
     "shard_p99_ratio",
-    "idle_notify_event_ratio",
 )
 #: extra_info keys that gate, lower is better (latencies, overheads).
 GATED_LOWER = (
     "reheat_latency_s",
     "makespan_overhead_ratio",
     "events_per_task_1k",
+    "idle_poll_event_ratio",
 )
 #: extra_info keys shown for context only (absolute; runner-dependent).
 INFORMATIONAL = (

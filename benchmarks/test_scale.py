@@ -11,10 +11,12 @@ min 49 s with setup, on a 2-vCPU Xeon VM):
   task at 1k nodes, a *deterministic, machine-independent* measure of
   engine event volume (an accidental O(nodes) polling loop shows up
   here long before wall-clock noise would catch it);
-* the **idle-notify ratio** compares the paper's poll-mode idle loop
+* the **idle-poll ratio** compares the paper's poll-mode idle loop
   against ``idle_pull="notify"`` on the same config.  The gated number
-  is the *event-count* ratio (deterministic); the wall-clock ratio is
-  reported for context;
+  is poll's engine events per notify event (deterministic, lower is
+  better): an idle poll-mode slave parks its re-poll chain, so poll
+  must cost no more than notify; the wall-clock ratio is reported for
+  context;
 * the **memory point** re-runs the mid config under ``tracemalloc``
   and reports peak traced memory (informational: allocator- and
   Python-version-dependent);
@@ -22,9 +24,10 @@ min 49 s with setup, on a 2-vCPU Xeon VM):
   ``DYRS_SCALE_FULL=1`` -- it takes minutes by design and the nightly
   soak owns it; the CI gate job runs the sweep only.
 
-Scale runs use ``idle_pull="notify"`` (the scale configuration;
-byte-identity of the default poll mode is pinned separately by
-``tests/core/test_scale_equivalence.py``).
+Scale runs use ``idle_pull="notify"`` (the scale configuration, kept
+so the sweep stays comparable with its baseline: the idle-poll ratio
+shows poll mode now costs the same; byte-identity of the default poll
+mode is pinned separately by ``tests/core/test_scale_equivalence.py``).
 """
 
 import gc
@@ -131,11 +134,12 @@ def test_scale_sweep(benchmark):
     assert rows[1000]["events_per_task"] < 60.0, rows[1000]
 
 
-def test_idle_notify_event_ratio(benchmark):
-    """Poll-mode idle slaves re-pull every heartbeat interval; at 1k
-    nodes that polling dominates the event heap.  Gate the
-    (deterministic) event-count ratio so the notify path keeps paying
-    for itself."""
+def test_idle_poll_event_ratio(benchmark):
+    """Poll-mode idle slaves re-pull every heartbeat interval, but a
+    re-poll that cannot bind is never simulated: the chain parks until
+    work is aimed at its node.  Gate the (deterministic) event-count
+    ratio so the paper's protocol keeps costing what notify costs;
+    unparked, idle polling would dominate the event heap."""
     n_workers, n_jobs, total_input = 200, 100, 3200 * GB
 
     def both():
@@ -155,9 +159,9 @@ def test_idle_notify_event_ratio(benchmark):
     )
     # Same simulated outcome, fewer engine events.
     assert abs(poll["sim_now"] - notify["sim_now"]) < 60.0, (poll, notify)
-    assert event_ratio >= 1.3, event_ratio
+    assert event_ratio <= 1.1, event_ratio
 
-    benchmark.extra_info["idle_notify_event_ratio"] = event_ratio
+    benchmark.extra_info["idle_poll_event_ratio"] = event_ratio
     benchmark.extra_info["idle_notify_wall_ratio"] = wall_ratio
 
 

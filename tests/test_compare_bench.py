@@ -118,26 +118,35 @@ class TestCompare:
         assert len(failures) == 1
 
     def test_scale_keys_gate_in_both_directions(self):
+        """Both scale keys are event volumes: a rise past the threshold
+        gates, and a fall of any size passes."""
         baseline = {
             "bench": {
-                "idle_notify_event_ratio": 3.0,
+                "idle_poll_event_ratio": 1.0,
                 "events_per_task_1k": 30.0,
             }
         }
         bad_ratio = {
             "bench": {
-                "idle_notify_event_ratio": 1.0,  # -67%: regressed
+                "idle_poll_event_ratio": 2.2,  # +120%: parking lost
                 "events_per_task_1k": 30.0,
             }
         }
         bad_volume = {
             "bench": {
-                "idle_notify_event_ratio": 3.0,
+                "idle_poll_event_ratio": 1.0,
                 "events_per_task_1k": 60.0,  # +100%: regressed
+            }
+        }
+        better = {
+            "bench": {
+                "idle_poll_event_ratio": 0.5,
+                "events_per_task_1k": 15.0,
             }
         }
         assert len(compare_bench.compare(bad_ratio, baseline, 0.30)) == 1
         assert len(compare_bench.compare(bad_volume, baseline, 0.30)) == 1
+        assert compare_bench.compare(better, baseline, 0.30) == []
 
 
 class TestMain:
