@@ -461,10 +461,11 @@ class DyrsSlave:
         resumes until the next empty pull.
 
         The replay repeats the loop's own float additions, so each
-        rebuilt instant is the one the loop would have scheduled.  Every
-        caller runs in the engine's normal band, so no poll event of
-        this instant has run: a re-poll due now is still ahead (``<``)
-        and a leg landing now is still on the wire (``>=``).  The
+        rebuilt instant is the one the loop would have scheduled, and
+        asks the engine which of the chain's poll events would have
+        popped by now (:meth:`~repro.sim.engine.Simulator.trailing_ran`):
+        a trigger inside a normal event of an instant precedes that
+        instant's poll events, and one between runs follows them.  The
         rebuilt events keep the chain's rank, so they pop exactly where
         the real ones would have.
         """
@@ -474,15 +475,15 @@ class DyrsSlave:
         self._parked = None
         self.master.unpark_polling_slave(self.node_id)
         due, delay, rank = parked
-        now = self.sim.now
+        sim = self.sim
         interval = self.namenode.heartbeat_interval
         departed: Optional[float] = None
-        while due < now:
+        while sim.trailing_ran(due, rank):
             departed = due
             due += interval
-        if departed is not None and departed + delay >= now:
+        if departed is not None and not sim.trailing_ran(departed + delay, rank):
             self._open_legs(departed)
-        self._work_signal.arm(self.sim.trailing_at(due, rank), due)
+        self._work_signal.arm(sim.trailing_at(due, rank), due)
 
     def _run(self):
         sim = self.sim

@@ -13,8 +13,10 @@ band runs in ``rank`` order, sequence breaking ties.  A rank is drawn
 from the same counter as sequence numbers (:meth:`Simulator.draw_rank`)
 and may be reused for many events, so a caller can schedule an event
 now that pops exactly where one it would have scheduled earlier under
-the same rank would have popped -- the slave's poll events, whose
-parked re-poll chains are rebuilt that way (:mod:`repro.core.slave`).
+the same rank would have popped, and can ask whether such an event
+would have popped already (:meth:`Simulator.trailing_ran`) -- the
+slave's poll events, whose parked re-poll chains are rebuilt that way
+(:mod:`repro.core.slave`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from repro.sim.events import NORMAL_PRIORITY, TRAILING_PRIORITY, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Simulator", "StopSimulation"]
+
+#: Position of a run that has processed every event of its instant:
+#: past every band.
+_INSTANT_DONE = TRAILING_PRIORITY + 1
 
 
 class StopSimulation(Exception):
@@ -60,6 +66,10 @@ class Simulator:
         self._heap: list[tuple[float, int, object, Event]] = []
         self._seq = count()
         self._n_discarded = 0
+        #: Where the run stands: the heap entry of the event being (or
+        #: last) processed, or ``(now, _INSTANT_DONE)`` once :meth:`run`
+        #: has processed every event up to ``now``.
+        self._position: tuple = (0.0, -1)
         #: Total events processed by :meth:`step` over the simulator's
         #: lifetime -- the numerator of the events/sec throughput
         #: metric the scale benchmarks report.
@@ -124,6 +134,13 @@ class Simulator:
         """A fresh rank for :meth:`trailing_at`: the next sequence
         number, so ranks drawn later sort later."""
         return next(self._seq)
+
+    def trailing_ran(self, when: float, rank: int) -> bool:
+        """Whether an event :meth:`trailing_at` had scheduled earlier at
+        ``when`` under ``rank`` would have popped by now: inside an
+        urgent or normal event of ``when``, not yet; between runs, once
+        :meth:`run` has processed every event of ``when``, yes."""
+        return (when, TRAILING_PRIORITY, (rank,)) < self._position
 
     # -- scheduling ----------------------------------------------------
 
@@ -198,12 +215,14 @@ class Simulator:
         """
         heap = self._heap
         while True:
-            when, _prio, _seq, event = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            event = entry[3]
             if event._discarded:
                 self._n_discarded -= 1
                 continue
             break
-        self._now = when
+        self._now = entry[0]
+        self._position = entry
         self.steps += 1
         event._process()
 
@@ -225,6 +244,7 @@ class Simulator:
             return
         if until is not None and self._now < until:
             self._now = until
+        self._position = (self._now, _INSTANT_DONE)
 
     def run_until_processed(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` is processed; return its value.

@@ -282,6 +282,36 @@ class TestTriggers:
         for block in world.client.blocks_of(["a"]):
             assert block.block_id in world.master.namenode.directory["memory"]
 
+    def test_crash_between_runs_after_a_virtual_re_poll(self):
+        """A trigger fired between runs follows every event of the
+        instant the run stopped at: the leg of a re-poll due at that
+        instant is on the wire, so it still binds after a crash there
+        and its grant is requeued, as in an unparked run."""
+
+        def play(park):
+            with pytest.MonkeyPatch.context() as patch:
+                if not park:
+                    patch.setattr(DyrsSlave, "_maybe_park", lambda self: None)
+                with obs.tracing() as tracer:
+                    world = _system(n_workers=1)
+                    world.sim.run(until=TRIGGER - 0.02)  # a re-poll instant
+                    parked = world.slaves[0]._parked is not None
+                    world.slaves[0].crash()
+                    world.slaves[0].restart()
+                    _migrate(world)
+                    world.sim.run(until=120)
+            return _outcome(world, tracer), parked, world
+
+        outcome, parked, world = play(park=True)
+        reference, _, _ = play(park=False)
+        assert parked
+        assert outcome == reference
+        requeued = [
+            r for r in world.master.record_log if r.discard_reason == "undelivered"
+        ]
+        assert requeued
+        assert world.slaves[0]._undelivered == 0
+
     @pytest.mark.parametrize("migrate_at", [12.3, 16.02])
     def test_rpc_delay_fault_starting_and_ending_while_parked(self, migrate_at):
         """A parked chain's legs keep the delay they were sent with:

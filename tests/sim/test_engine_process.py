@@ -558,6 +558,35 @@ class TestTrailingBand:
         with pytest.raises(ValueError):
             sim.trailing_at(1.0, sim.draw_rank())
 
+    def test_trailing_ran_follows_the_run_position(self, sim):
+        """Inside a normal event the instant's band is still ahead;
+        inside the band, only lower ranks have run; between runs, every
+        event of the instant the run stopped at has run."""
+        early, late = sim.draw_rank(), sim.draw_rank()
+        seen = {}
+        assert not sim.trailing_ran(0.0, early)
+
+        def in_normal():
+            seen["normal"] = (
+                sim.trailing_ran(2.0, early),
+                sim.trailing_ran(1.9, late),
+            )
+
+        def in_band(_event):
+            seen["band"] = (
+                sim.trailing_ran(2.0, early - 1),
+                sim.trailing_ran(2.0, late),
+            )
+
+        sim.call_at(2.0, in_normal)
+        sim.trailing_at(2.0, early).add_callback(in_band)
+        sim.run(until=2.0)
+        assert seen == {"normal": (False, True), "band": (True, False)}
+        assert sim.trailing_ran(2.0, late)
+        assert not sim.trailing_ran(2.5, early)
+        sim.run(until=3.0)  # no event at 3.0: the run still passed it
+        assert sim.trailing_ran(3.0, late)
+
     def test_compaction_keeps_the_order(self, sim):
         """Discarding enough entries to rebuild the heap changes no pop
         order, trailing entries included."""
