@@ -413,22 +413,17 @@ class DyrsSlave:
         return RPC_LATENCY + self._rpc_extra
 
     def _maybe_park(self) -> None:
-        """Park the idle re-poll chain if every re-poll would bind
-        nothing until something tells this slave otherwise.
+        """Park the idle re-poll chain if no re-poll could bind until
+        :meth:`materialize` rebuilds it.
 
         Called at the close of an empty or blackholed leg of the
-        current epoch and chain.  The chain parks when the slave is
-        banded and alive, holds no work (queue, copy, undelivered
-        grant, open leg), waits idle on a pending re-poll timer, and
-        its master cannot bind anything to the node
+        current epoch and chain.  The slave must be banded and alive,
+        hold no work (queue, copy, undelivered grant, open leg), wait
+        idle on a pending re-poll timer, and have a master that cannot
+        bind anything to its node
         (:meth:`~repro.core.base.MigrationMaster.may_bind`).  A delay
         of a heartbeat interval or more keeps the chain polling: a leg
-        would then be on the wire at its next re-poll.
-
-        Parking discards the timer and keeps the chain's next
-        departure, RPC delay and rank; the master lists the slave, and
-        :meth:`materialize` rebuilds the chain when a retarget pass
-        aims work at the node or anything a re-poll reads changes.
+        would then still be on the wire at the next re-poll.
         """
         signal = self._work_signal
         if (

@@ -294,7 +294,7 @@ class TestTriggers:
                     patch.setattr(DyrsSlave, "_maybe_park", lambda self: None)
                 with obs.tracing() as tracer:
                     world = _system(n_workers=1)
-                    world.sim.run(until=TRIGGER - 0.02)  # a re-poll instant
+                    world.sim.run(until=10.0)  # a parked re-poll's instant
                     parked = world.slaves[0]._parked is not None
                     world.slaves[0].crash()
                     world.slaves[0].restart()
