@@ -66,9 +66,9 @@ class Simulator:
         self._heap: list[tuple[float, int, object, Event]] = []
         self._seq = count()
         self._n_discarded = 0
-        #: Where the run stands: the heap entry of the event being (or
-        #: last) processed, or ``(now, _INSTANT_DONE)`` once :meth:`run`
-        #: has processed every event up to ``now``.
+        #: How far the run has come: the highest heap entry processed,
+        #: or ``(now, _INSTANT_DONE)`` once :meth:`run` has processed
+        #: every event up to ``now``.
         self._position: tuple = (0.0, -1)
         #: Total events processed by :meth:`step` over the simulator's
         #: lifetime -- the numerator of the events/sec throughput
@@ -222,7 +222,10 @@ class Simulator:
                 continue
             break
         self._now = entry[0]
-        self._position = entry
+        if entry > self._position:
+            # An event scheduled for the current instant after its later
+            # bands ran pops with a lower key; the run does not go back.
+            self._position = entry
         self.steps += 1
         event._process()
 

@@ -312,6 +312,33 @@ class TestTriggers:
         assert requeued
         assert world.slaves[0]._undelivered == 0
 
+    def test_fault_scheduled_for_the_instant_a_run_stopped_at(self):
+        """A fault injected between runs for the instant the run stopped
+        at fires after that instant's re-poll: the re-poll's leg keeps
+        the delay it was sent with, as in an unparked run."""
+
+        def play(park):
+            with pytest.MonkeyPatch.context() as patch:
+                if not park:
+                    patch.setattr(DyrsSlave, "_maybe_park", lambda self: None)
+                with obs.tracing() as tracer:
+                    world = _system(n_workers=1)
+                    world.sim.run(until=10.0)  # a parked re-poll's instant
+                    parked = world.slaves[0]._parked is not None
+                    world.injector.inject(
+                        ChaosFault(10.0, "rpc-delay", 0, 3.0, param=1.0)
+                    )
+                    world.sim.call_at(10.02, partial(_migrate, world))
+                    world.sim.run(until=90)
+            return _outcome(world, tracer), parked, world
+
+        outcome, parked, world = play(park=True)
+        reference, _, _ = play(park=False)
+        assert parked
+        assert outcome == reference
+        binds = [b.time for b in world.master.binding_log]
+        assert binds[0] == pytest.approx(10.05)  # the leg sent at t=10
+
     @pytest.mark.parametrize("migrate_at", [12.3, 16.02])
     def test_rpc_delay_fault_starting_and_ending_while_parked(self, migrate_at):
         """A parked chain's legs keep the delay they were sent with:

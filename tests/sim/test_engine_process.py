@@ -586,6 +586,11 @@ class TestTrailingBand:
         assert not sim.trailing_ran(2.5, early)
         sim.run(until=3.0)  # no event at 3.0: the run still passed it
         assert sim.trailing_ran(3.0, late)
+        # An event scheduled now pops at 3.0, but the band it follows
+        # has run: the position does not go back.
+        sim.call_at(3.0, lambda: seen.update(late=sim.trailing_ran(3.0, late)))
+        sim.run()
+        assert seen["late"]
 
     def test_compaction_keeps_the_order(self, sim):
         """Discarding enough entries to rebuild the heap changes no pop
