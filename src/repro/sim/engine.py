@@ -137,9 +137,11 @@ class Simulator:
 
     def trailing_ran(self, when: float, rank: int) -> bool:
         """Whether an event :meth:`trailing_at` had scheduled earlier at
-        ``when`` under ``rank`` would have popped by now: inside an
-        urgent or normal event of ``when``, not yet; between runs, once
-        :meth:`run` has processed every event of ``when``, yes."""
+        ``when`` under ``rank`` would have popped by now, i.e. whether
+        the run's position is past its key: inside an urgent or normal
+        event of ``when``, not yet, unless that instant's band already
+        ran; between runs, once :meth:`run` has processed every event
+        of ``when``, yes."""
         return (when, TRAILING_PRIORITY, (rank,)) < self._position
 
     # -- scheduling ----------------------------------------------------
