@@ -21,6 +21,7 @@ Deleting any one trigger fails at least one of these tests.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -165,23 +166,44 @@ def _outcome(world: World, tracer) -> tuple:
     return records, bindings, trace
 
 
-def _play(build, actions, samples, until, park=True, arm=None):
-    """Run one scenario; return its outcome, pull-state samples, engine
-    steps and the world.  ``park=False`` switches parking off."""
+@contextmanager
+def _traced(park):
+    """Trace a run; ``park=False`` switches parking off for it."""
     with pytest.MonkeyPatch.context() as patch:
         if not park:
             patch.setattr(DyrsSlave, "_maybe_park", lambda self: None)
         with obs.tracing() as tracer:
-            world = build()
-            if arm is not None:
-                arm(world)
-            for when, action in actions:
-                world.sim.call_at(when, partial(action, world))
-            seen: dict = {}
-            for when in samples:
-                world.sim.call_at(when, partial(_sample, world, seen))
-            world.sim.run(until=until)
+            yield tracer
+
+
+def _play(build, actions, samples, until, park=True, arm=None):
+    """Run one scenario; return its outcome, pull-state samples, engine
+    steps and the world."""
+    with _traced(park) as tracer:
+        world = build()
+        if arm is not None:
+            arm(world)
+        for when, action in actions:
+            world.sim.call_at(when, partial(action, world))
+        seen: dict = {}
+        for when in samples:
+            world.sim.call_at(when, partial(_sample, world, seen))
+        world.sim.run(until=until)
     return _outcome(world, tracer), seen, world.sim.steps, world
+
+
+def _play_between_runs(between, until, park=True):
+    """Run a one-worker system to t=10, a parked re-poll's instant,
+    call ``between`` there between runs, then run on to ``until``;
+    return the outcome, whether the slave was parked at t=10, and the
+    world."""
+    with _traced(park) as tracer:
+        world = _system(n_workers=1)
+        world.sim.run(until=10.0)
+        parked = world.slaves[0]._parked is not None
+        between(world)
+        world.sim.run(until=until)
+    return _outcome(world, tracer), parked, world
 
 
 def _window(start, stop, step=0.01):
@@ -288,22 +310,13 @@ class TestTriggers:
         instant is on the wire, so it still binds after a crash there
         and its grant is requeued, as in an unparked run."""
 
-        def play(park):
-            with pytest.MonkeyPatch.context() as patch:
-                if not park:
-                    patch.setattr(DyrsSlave, "_maybe_park", lambda self: None)
-                with obs.tracing() as tracer:
-                    world = _system(n_workers=1)
-                    world.sim.run(until=10.0)  # a parked re-poll's instant
-                    parked = world.slaves[0]._parked is not None
-                    world.slaves[0].crash()
-                    world.slaves[0].restart()
-                    _migrate(world)
-                    world.sim.run(until=120)
-            return _outcome(world, tracer), parked, world
+        def between(world):
+            world.slaves[0].crash()
+            world.slaves[0].restart()
+            _migrate(world)
 
-        outcome, parked, world = play(park=True)
-        reference, _, _ = play(park=False)
+        outcome, parked, world = _play_between_runs(between, until=120)
+        reference, _, _ = _play_between_runs(between, until=120, park=False)
         assert parked
         assert outcome == reference
         requeued = [
@@ -317,23 +330,12 @@ class TestTriggers:
         at fires after that instant's re-poll: the re-poll's leg keeps
         the delay it was sent with, as in an unparked run."""
 
-        def play(park):
-            with pytest.MonkeyPatch.context() as patch:
-                if not park:
-                    patch.setattr(DyrsSlave, "_maybe_park", lambda self: None)
-                with obs.tracing() as tracer:
-                    world = _system(n_workers=1)
-                    world.sim.run(until=10.0)  # a parked re-poll's instant
-                    parked = world.slaves[0]._parked is not None
-                    world.injector.inject(
-                        ChaosFault(10.0, "rpc-delay", 0, 3.0, param=1.0)
-                    )
-                    world.sim.call_at(10.02, partial(_migrate, world))
-                    world.sim.run(until=90)
-            return _outcome(world, tracer), parked, world
+        def between(world):
+            world.injector.inject(ChaosFault(10.0, "rpc-delay", 0, 3.0, param=1.0))
+            world.sim.call_at(10.02, partial(_migrate, world))
 
-        outcome, parked, world = play(park=True)
-        reference, _, _ = play(park=False)
+        outcome, parked, world = _play_between_runs(between, until=90)
+        reference, _, _ = _play_between_runs(between, until=90, park=False)
         assert parked
         assert outcome == reference
         binds = [b.time for b in world.master.binding_log]
