@@ -16,7 +16,10 @@ now that pops exactly where one it would have scheduled earlier under
 the same rank would have popped, and can ask whether such an event
 would have popped already (:meth:`Simulator.trailing_ran`) -- the
 slave's poll events, whose parked re-poll chains are rebuilt that way
-(:mod:`repro.core.slave`).
+(:mod:`repro.core.slave`).  The master's retarget tick runs in the
+band too, under the reserved rank
+:data:`~repro.core.master.RETARGET_RANK` (-1), below every drawn rank
+(:mod:`repro.core.master`).
 """
 
 from __future__ import annotations

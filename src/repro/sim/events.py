@@ -47,7 +47,9 @@ instant.
 The events of one instant run in three bands: urgent engine
 bookkeeping (bandwidth re-sharing), then normal events, then the
 trailing band (:meth:`~repro.sim.engine.Simulator.trailing_at`),
-ordered by rank.  Only the slave's poll events use the trailing band.
+ordered by rank.  Two kinds of event use the trailing band: the
+slave's poll events, and the master's retarget tick at the reserved
+rank :data:`~repro.core.master.RETARGET_RANK` (-1), which runs first.
 """
 
 from __future__ import annotations
