@@ -377,6 +377,8 @@ class LifecycleMaster(DyrsMaster):
         node_id = record.target_node
         assert node_id is not None
         record.mark_bound(node_id, self.sim.now)
+        # Bound work without a pass: the tick must run to reclaim it.
+        self._wake_retarget_tick()
         slave = self.slaves[node_id]
         slave.enqueue(record)
         self.binding_log.append(
@@ -511,6 +513,11 @@ class LifecycleMaster(DyrsMaster):
             ):
                 self.discard(record, reason="slave-failure")
         super().on_slave_failed(node_id)
+
+    def _idle(self) -> bool:
+        """Fills never enter the in-flight index: a live one (pending,
+        bound or active) stays in ``_tier_records`` until it ends."""
+        return not self._tier_records and super()._idle()
 
     def reclaim_unavailable(self) -> int:
         """Also discard cache fills bound to a slave that is dead or

@@ -196,6 +196,7 @@ class ShardCoordinator(DyrsMaster):
             # Same empty-pass skip as the flat master: no shard has
             # anything to place, so no pass can change state.
             return {}
+        self._wake_retarget_tick()
         loads = self._eligible_loads()
         block_size = self.namenode.namespace.block_size
         targets: dict[int, int] = {}

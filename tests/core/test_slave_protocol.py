@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import DyrsConfig
-from repro.core.master import RETARGET_INTERVAL
 from repro.core.slave import RPC_LATENCY
 from repro.dfs import EvictionMode
 from repro.sim.events import Event, Timeout
@@ -115,27 +114,29 @@ class TestPullProtocol:
 
 class TestEventBudget:
     def test_idle_notify_rig_spends_only_its_ticks(self, make_rig):
-        """Parked slaves cost nothing: an idle notify-mode rig spends
-        one event per heartbeat tick, one per retarget tick, and one
-        per slave for its start-up pull."""
+        """Parked slaves and a parked retarget tick cost nothing: an
+        idle notify-mode rig spends one event per heartbeat tick and
+        one per slave for its start-up pull.  A master with nothing
+        pending and nothing bound schedules no retarget tick."""
         rig = make_rig(n_workers=4, config=DyrsConfig(idle_pull="notify"))
         rig.sim.run(until=1000)
         heartbeat_ticks = 1000 / rig.namenode.heartbeat_interval
-        retarget_ticks = 1000 / RETARGET_INTERVAL
-        assert rig.sim.steps == heartbeat_ticks + retarget_ticks + 4
+        assert rig.sim.steps == heartbeat_ticks + 4
+        assert rig.master._retarget_tick.event is None
 
     def test_idle_poll_rig_spends_only_its_ticks(self, make_rig):
         """An idle poll-mode slave parks its re-poll chain after its
         first empty pull, so an idle poll rig spends what a notify rig
-        does: its heartbeat and retarget ticks and one event per slave
-        for its start-up pull.  Unparked, each slave would spend two
-        events per re-poll: its timer and its empty leg."""
+        does: its heartbeat ticks and one event per slave for its
+        start-up pull.  Unparked, each slave would spend two events
+        per re-poll: its timer and its empty leg; and an unparked
+        master one per retarget tick."""
         rig = make_rig(n_workers=4)
         rig.sim.run(until=1000)
         heartbeat_ticks = 1000 / rig.namenode.heartbeat_interval
-        retarget_ticks = 1000 / RETARGET_INTERVAL
-        assert rig.sim.steps == heartbeat_ticks + retarget_ticks + 4
+        assert rig.sim.steps == heartbeat_ticks + 4
         assert sorted(rig.master._polling_parked) == [0, 1, 2, 3]
+        assert rig.master._retarget_tick.event is None
 
 
 class TestWorkerFailure:
